@@ -19,6 +19,7 @@ from .portgraph import (
     connected_component,
     make_edge,
     parse_graph,
+    relabel,
     serialize_graph,
     validate,
 )
@@ -37,14 +38,13 @@ from .modulo import (
 )
 from .dynamics import (
     Dynamics,
-    apply_dynamics,
     builtin_dynamics,
     check_boundedness,
     check_shift_invariance,
     continuity_probe,
     get_dynamics,
 )
-from .patches import LocalRule, Patch, apply_local_rule, consistent, union
+from .patches import LocalRule, Patch, apply_local_rule, consistent, glue, union
 from .reversibility import (
     GraphFamily,
     InverseTable,

@@ -28,12 +28,13 @@ from .modulo import (
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
-from .patches import consistent, union
+from .patches import PatchInconsistencyError, glue
 from .portgraph import (
     Alphabets,
     GraphError,
     PointedRawGraph,
     RawGraph,
+    relabel,
 )
 from .reversibility import GraphFamily, build_inverse
 
@@ -69,6 +70,17 @@ class MarkSpace:
             raise MarkError("mark suffixes collide with base tokens")
         marked = Alphabets.make(ports, vlabels, base.edge_labels)
         return MarkSpace(base=base, marked=marked)
+
+    @staticmethod
+    def from_marked(marked: Alphabets) -> "MarkSpace":
+        """The space whose doubled alphabets are exactly `marked`."""
+        def roots(tokens):
+            return tuple(dict.fromkeys(t[:-1] for t in tokens))
+        space = MarkSpace.for_base(Alphabets.make(
+            roots(marked.ports), roots(marked.vertex_labels), marked.edge_labels))
+        if space.marked != marked:
+            raise MarkError("alphabets are not produced by doubling a base")
+        return space
 
     # -- token bookkeeping ---------------------------------------------
 
@@ -118,9 +130,10 @@ class MarkSpace:
         """The same graph over the doubled alphabets, every bit zero."""
         if X.alphabets != self.base:
             raise MarkError("lift expects a graph over the base alphabets")
-        return self._retokenize(X, self.marked,
-                                port_map=lambda p: self.port(p, 0),
-                                label_map=lambda l: self.label(l, 0))
+        return self._retokenize(
+            X, self.marked,
+            ports={p: self.port(p, 0) for p in self.base.ports},
+            labels={l: self.label(l, 0) for l in self.base.vertex_labels})
 
     def lift(self, X: CanonicalGraph) -> CanonicalGraph:
         return self.lift_with_names(X)[0]
@@ -130,33 +143,19 @@ class MarkSpace:
         """Strip all bits; only sound when no vertex uses a port both ways."""
         if X.alphabets != self.marked:
             raise MarkError("drop expects a graph over the marked alphabets")
-        return self._retokenize(X, self.base,
-                                port_map=lambda p: self.port_base(p)[0],
-                                label_map=lambda l: self.label_base(l)[0])
+        return self._retokenize(
+            X, self.base,
+            ports={p: self.port_base(p)[0] for p in self.marked.ports},
+            labels={l: self.label_base(l)[0] for l in self.marked.vertex_labels})
 
     def drop(self, X: CanonicalGraph) -> CanonicalGraph:
         return self.drop_with_names(X)[0]
 
     @staticmethod
     def _retokenize(X: CanonicalGraph, alphabets: Alphabets,
-                    port_map: Callable[[str], str],
-                    label_map: Callable[[str], str]
+                    ports: Dict[str, str], labels: Dict[str, str]
                     ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
-        edges = set()
-        for e in X.edges:
-            (u, p), (w, q) = tuple(e)
-            edges.add(frozenset(((u, port_map(p)), (w, port_map(q)))))
-        edge_labels = {}
-        for e, l in X.edge_labels.items():
-            (u, p), (w, q) = tuple(e)
-            edge_labels[frozenset(((u, port_map(p)), (w, port_map(q))))] = l
-        raw = RawGraph(
-            alphabets=alphabets,
-            vertices=X.vertices,
-            edges=frozenset(edges),
-            vertex_labels={v: label_map(l) for v, l in X.vertex_labels.items()},
-            edge_labels=edge_labels,
-        )
+        raw = relabel(X, ports=ports, labels=labels, alphabets=alphabets)
         return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
 
     # -- structural predicates -------------------------------------------
@@ -462,44 +461,27 @@ class ReversibleExtension(Dynamics):
             image, corr = self.base.apply(base_graph)
             lifted, to_lifted = space.lift_with_names(image)
             img = {v: to_lifted[corr[to_base[to_comp[v]]]] for v in comp}
-            glue: Dict[Path, Path] = {}
+            seam: Dict[Path, Path] = {}
             for v in comp:
                 if v not in boundary:
                     continue
                 w = img[v]
-                if w in glue:
+                if w in seam:
                     raise UnionInconsistencyError(
-                        f"{self.name}: boundary vertices {format_path(glue[w])} "
+                        f"{self.name}: boundary vertices {format_path(seam[w])} "
                         f"and {format_path(v)} collide in the image")
-                glue[w] = v
-
-            def piece_id(w, _anchor=anchor, _glue=glue):
-                return _glue.get(w, ("fresh", _anchor, w))
-
-            edges = {}
-            for e in lifted.edges:
-                (u, p), (w, q) = tuple(e)
-                edges[e] = frozenset(((piece_id(u), p), (piece_id(w), q)))
-            pieces.append(RawGraph(
-                alphabets=space.marked,
-                vertices=tuple(piece_id(w) for w in lifted.vertices),
-                edges=frozenset(edges.values()),
-                vertex_labels={piece_id(w): l
-                               for w, l in lifted.vertex_labels.items()},
-                edge_labels={edges[e]: l
-                             for e, l in lifted.edge_labels.items()},
-            ))
+                seam[w] = v
+            piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in lifted.vertices}
+            pieces.append(relabel(lifted, ids=piece_id))
             for v in comp:
-                final_id[v] = piece_id(img[v])
+                final_id[v] = piece_id[img[v]]
 
-        merged = pieces[0]
-        for piece in pieces[1:]:
-            problem = consistent(merged, piece)
-            if problem is not None:
-                raise UnionInconsistencyError(
-                    f"{self.name}: transformed region conflicts with the "
-                    f"frozen part: {problem}")
-            merged = union(merged, piece)
+        try:
+            merged = glue(pieces)
+        except PatchInconsistencyError as err:
+            raise UnionInconsistencyError(
+                f"{self.name}: transformed region conflicts with the "
+                f"frozen part: {err}") from None
 
         result, names = canonicalize_with_names(
             PointedRawGraph(merged, final_id[EPSILON]))

@@ -28,7 +28,7 @@ from .families import (
 )
 from .modulo import CanonicalGraph, canonicalize
 from .patches import LocalRuleDynamics, parse_rule_file
-from .portgraph import Alphabets, GraphError, GraphFormatError, parse_graph
+from .portgraph import Alphabets, GraphError, parse_graph
 from .reversibility import (
     GraphFamily,
     OutOfFamilyError,
@@ -282,27 +282,7 @@ def _cmd_check_blocks(args) -> int:
 
 def _cmd_export_dot(args) -> int:
     X = _load_graph(args.input)
-    space = None
-    if args.marked:
-        base_ports = []
-        seen = set()
-        for p in X.alphabets.ports:
-            root = p[:-1]
-            if root not in seen:
-                seen.add(root)
-                base_ports.append(root)
-        base_labels = []
-        seen = set()
-        for l in X.alphabets.vertex_labels:
-            root = l[:-1]
-            if root not in seen:
-                seen.add(root)
-                base_labels.append(root)
-        space = MarkSpace.for_base(
-            Alphabets.make(base_ports, base_labels, X.alphabets.edge_labels))
-        if space.marked != X.alphabets:
-            raise GraphFormatError(
-                "--marked expects alphabets produced by doubling a base")
+    space = MarkSpace.from_marked(X.alphabets) if args.marked else None
     text = export_dot(X, space)
     if args.output:
         _write_text(args.output, text)

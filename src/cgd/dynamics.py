@@ -60,11 +60,6 @@ class Dynamics:
         return f"<Dynamics {self.name}>"
 
 
-def apply_dynamics(D: Dynamics, X: CanonicalGraph
-                   ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
-    return D.apply(X)
-
-
 def identity_correspondence(X: CanonicalGraph) -> VertexCorrespondence:
     return {v: v for v in X.vertices}
 
@@ -171,6 +166,16 @@ class InflatingGridDynamics(RawStepDynamics):
     _CHILDREN = ("NW", "NE", "SW", "SE")
 
     def _step(self, raw):
+        bad = [e for e in raw.edges
+               if tuple(sorted(p for (_v, p) in e)) not in (("a", "c"), ("b", "d"))]
+        if bad:
+            # The least bad edge in serialize_graph's order, not set order.
+            rank = {v: i for i, v in enumerate(raw.vertices)}
+            least = min(bad, key=lambda e: sorted(
+                (rank[v], raw.alphabets.port_index(p)) for (v, p) in e))
+            p, q = sorted((h[1] for h in least), key=raw.alphabets.port_index)
+            raise DynamicsError(
+                f"{self.name}: edge pairing ports {p}/{q} is not a grid edge")
         vertices = []
         vertex_labels = {}
         edges = set()
@@ -191,12 +196,9 @@ class InflatingGridDynamics(RawStepDynamics):
             if (p, q) == ("a", "c"):
                 edges.add(make_edge((x, "NW"), "a", (y, "SW"), "c"))
                 edges.add(make_edge((x, "NE"), "a", (y, "SE"), "c"))
-            elif (p, q) == ("b", "d"):
+            else:
                 edges.add(make_edge((x, "NE"), "b", (y, "NW"), "d"))
                 edges.add(make_edge((x, "SE"), "b", (y, "SW"), "d"))
-            else:
-                raise DynamicsError(
-                    f"{self.name}: edge pairing ports {p}/{q} is not a grid edge")
         stepped = RawGraph(alphabets=raw.alphabets, vertices=tuple(vertices),
                            edges=frozenset(edges), vertex_labels=vertex_labels)
         return stepped, (EPSILON, "NW"), {v: (v, "NW") for v in raw.vertices}

@@ -225,6 +225,7 @@ def _rename(alphabets: Alphabets, names: Mapping[Any, Path],
             vertices: Iterable[Any], vertex_labels: Mapping[Any, str],
             edges: Iterable[Edge], edge_labels: Mapping[Edge, str]
             ) -> CanonicalGraph:
+    # Not portgraph.relabel: on this hottest path that was about 5% slower.
     new_edges = {}
     for e in edges:
         (u, p), (w, q) = tuple(e)

@@ -9,7 +9,8 @@ graph as the union of one patch per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, Hashable, List, Mapping, Optional, Tuple
+from itertools import combinations
+from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .dynamics import Dynamics, VertexCorrespondence
 from .modulo import (
@@ -25,10 +26,11 @@ from .portgraph import (
     Alphabets,
     GraphError,
     GraphFormatError,
+    HalfEdge,
     PointedRawGraph,
     RawGraph,
-    ensure_valid,
     parse_graph,
+    relabel,
     serialize_graph,
 )
 
@@ -38,9 +40,13 @@ class PatchError(GraphError):
 
 
 class PatchInconsistencyError(PatchError):
-    def __init__(self, message: str, anchors: Optional[Tuple[Path, Path]] = None):
+    """`pair` indexes two glued pieces; `anchors` names two local-rule anchors."""
+
+    def __init__(self, message: str, anchors: Optional[Tuple[Path, Path]] = None,
+                 pair: Optional[Tuple[int, int]] = None):
         super().__init__(message)
         self.anchors = anchors
+        self.pair = pair
 
 
 def _ids_clash(x: Hashable, y: Hashable) -> bool:
@@ -84,20 +90,55 @@ def consistent(G: RawGraph, H: RawGraph) -> Optional[str]:
     return None
 
 
+def glue(pieces: Sequence[RawGraph]) -> RawGraph:
+    """The union of vertices (in order of first appearance), edges and labels.
+
+    One pass indexes the id tokens, half-edges and labels of the pieces
+    seen so far, so each piece is compared only where it overlaps earlier
+    ones.  A conflict is what `consistent` calls one; the error names the
+    lexicographically first pair (i, j) that `consistent` rejects, with its
+    message.  A mismatch inside one piece, such as a duplicate half-edge,
+    is no conflict: it is left to the validation of the glued graph.
+    """
+    alphabets = pieces[0].alphabets
+    owner: Dict[Hashable, Hashable] = {}    # id token -> first id holding it
+    far: Dict[HalfEdge, HalfEdge] = {}
+    seen_labels: Dict[Hashable, str] = {}   # labels of listed vertices only
+    vertices: Dict[Hashable, None] = {}     # an ordered set
+    vertex_labels, edge_labels, edges = {}, {}, set()
+    clash = False
+    for piece in pieces:
+        clash |= piece.alphabets != alphabets
+        for v in piece.vertices:
+            if isinstance(v, frozenset):
+                for t in v:
+                    clash |= owner.setdefault(t, v) != v
+            label = piece.vertex_labels.get(v)
+            if label is not None:
+                clash |= seen_labels.setdefault(v, label) != label
+        for e in piece.edges:
+            if len(e) == 2:
+                h1, h2 = e
+                clash |= far.setdefault(h1, h2) != h2
+                clash |= far.setdefault(h2, h1) != h1
+        for e, label in piece.edge_labels.items():
+            clash |= edge_labels.setdefault(e, label) != label
+        vertices.update(dict.fromkeys(piece.vertices))
+        edges.update(piece.edges)
+        vertex_labels.update(piece.vertex_labels)
+    if clash:
+        for i, j in combinations(range(len(pieces)), 2):
+            problem = consistent(pieces[i], pieces[j])
+            if problem is not None:
+                raise PatchInconsistencyError(problem, pair=(i, j))
+    return RawGraph(alphabets=alphabets, vertices=tuple(vertices),
+                    edges=frozenset(edges), vertex_labels=vertex_labels,
+                    edge_labels=edge_labels)
+
+
 def union(G: RawGraph, H: RawGraph) -> RawGraph:
     """Glue two consistent patches: unions of vertices, edges and labels."""
-    problem = consistent(G, H)
-    if problem is not None:
-        raise PatchInconsistencyError(problem)
-    g_set = set(G.vertices)
-    vertices = G.vertices + tuple(v for v in H.vertices if v not in g_set)
-    vertex_labels = dict(G.vertex_labels)
-    vertex_labels.update(H.vertex_labels)
-    edge_labels = dict(G.edge_labels)
-    edge_labels.update(H.edge_labels)
-    return RawGraph(alphabets=G.alphabets, vertices=vertices,
-                    edges=G.edges | H.edges, vertex_labels=vertex_labels,
-                    edge_labels=edge_labels)
+    return glue([G, H])
 
 
 @dataclass(frozen=True)
@@ -143,19 +184,7 @@ def _translate_id(vid, X, anchor):
 
 def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
     mapping = {vid: _translate_id(vid, X, anchor) for vid in patch.graph.vertices}
-    g = patch.graph
-    edges = {}
-    for e in g.edges:
-        (u, p), (w, q) = tuple(e)
-        edges[e] = frozenset(((mapping[u], p), (mapping[w], q)))
-    translated = RawGraph(
-        alphabets=g.alphabets,
-        vertices=tuple(mapping[v] for v in g.vertices),
-        edges=frozenset(edges.values()),
-        vertex_labels={mapping[v]: l for v, l in g.vertex_labels.items()},
-        edge_labels={edges[e]: l for e, l in g.edge_labels.items()},
-    )
-    return Patch(translated, mapping[patch.successor])
+    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
 
 
 def apply_local_rule(rule: LocalRule, X: CanonicalGraph
@@ -165,25 +194,19 @@ def apply_local_rule(rule: LocalRule, X: CanonicalGraph
     Any two patches must be consistent; the first failure is reported with
     the two offending anchor vertices.
     """
-    patches: List[Tuple[Path, Patch]] = []
-    for u in X.vertices:
-        local_view = disk(shift(X, u), rule.radius)
-        patches.append((u, _translate_patch(rule.rule(local_view), X, u)))
-    for i, (u, pu) in enumerate(patches):
-        for (w, pw) in patches[i + 1:]:
-            problem = consistent(pu.graph, pw.graph)
-            if problem is not None:
-                raise PatchInconsistencyError(
-                    f"patches at {format_path(u)} and {format_path(w)} "
-                    f"conflict: {problem}", anchors=(u, w))
-    merged = patches[0][1].graph
-    for (_u, p) in patches[1:]:
-        merged = union(merged, p.graph)
-    ensure_valid(merged)
-    origin = next(p.successor for (u, p) in patches if u == EPSILON)
+    patches: Dict[Path, Patch] = {
+        u: _translate_patch(rule.rule(disk(shift(X, u), rule.radius)), X, u)
+        for u in X.vertices}
+    try:
+        merged = glue([p.graph for p in patches.values()])
+    except PatchInconsistencyError as err:
+        u, w = (X.vertices[k] for k in err.pair)
+        raise PatchInconsistencyError(
+            f"patches at {format_path(u)} and {format_path(w)} "
+            f"conflict: {err}", anchors=(u, w)) from None
+    origin = patches[EPSILON].successor
     Y, names = canonicalize_with_names(PointedRawGraph(merged, origin))
-    corr = {u: names[p.successor] for (u, p) in patches}
-    return Y, corr
+    return Y, {u: names[p.successor] for u, p in patches.items()}
 
 
 class LocalRuleDynamics(Dynamics):
@@ -204,20 +227,8 @@ def identity_local_rule(radius: int = 0) -> LocalRule:
     """The do-nothing rule: every disk maps to itself with singleton ids."""
 
     def rule(view: DiskGraph) -> Patch:
-        g = view.graph
-        ids = {v: frozenset((v,)) for v in g.vertices}
-        edges = {}
-        for e in g.edges:
-            (u, p), (w, q) = tuple(e)
-            edges[e] = frozenset(((ids[u], p), (ids[w], q)))
-        patch = RawGraph(
-            alphabets=g.alphabets,
-            vertices=tuple(ids[v] for v in g.vertices),
-            edges=frozenset(edges.values()),
-            vertex_labels={ids[v]: l for v, l in g.vertex_labels.items()},
-            edge_labels={edges[e]: l for e, l in g.edge_labels.items()},
-        )
-        return Patch(patch, ids[EPSILON])
+        ids = {v: frozenset((v,)) for v in view.graph.vertices}
+        return Patch(relabel(view.graph, ids=ids), ids[EPSILON])
 
     return LocalRule(radius=radius, rule=rule, name="identity-local")
 
@@ -311,21 +322,9 @@ def parse_rule_file(text: str) -> RuleTable:
 
 def _parse_patch(text: str) -> Patch:
     pg = parse_graph(text)
-    g = pg.graph
-    ports = g.alphabets.ports
-    ids = {v: frozenset((_patch_token_of_text(v, ports),)) for v in g.vertices}
-    edges = {}
-    for e in g.edges:
-        (u, p), (w, q) = tuple(e)
-        edges[e] = frozenset(((ids[u], p), (ids[w], q)))
-    patch_graph = RawGraph(
-        alphabets=g.alphabets,
-        vertices=tuple(ids[v] for v in g.vertices),
-        edges=frozenset(edges.values()),
-        vertex_labels={ids[v]: l for v, l in g.vertex_labels.items()},
-        edge_labels={edges[e]: l for e, l in g.edge_labels.items()},
-    )
-    return Patch(patch_graph, ids[pg.origin])
+    ports = pg.graph.alphabets.ports
+    ids = {v: frozenset((_patch_token_of_text(v, ports),)) for v in pg.graph.vertices}
+    return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
 
 
 def serialize_rule_file(table: RuleTable) -> str:

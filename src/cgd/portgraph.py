@@ -207,6 +207,29 @@ def ensure_valid(g: RawGraph) -> None:
         raise InvalidGraphError(problem)
 
 
+def relabel(g, ids: Optional[Mapping] = None,
+            ports: Optional[Mapping[str, str]] = None,
+            labels: Optional[Mapping[str, str]] = None,
+            alphabets: Optional[Alphabets] = None) -> RawGraph:
+    """Rebuild a graph with its vertex ids, ports and vertex labels mapped.
+
+    Each map is a lookup table; None keeps that part, and `alphabets`
+    replaces the signature.  Vertex order is kept and edge labels follow
+    their edges.  `g` may be a RawGraph or a CanonicalGraph.
+    """
+    vid = (lambda v: v) if ids is None else ids.__getitem__
+    port = (lambda p: p) if ports is None else ports.__getitem__
+    label = (lambda l: l) if labels is None else labels.__getitem__
+    edges = {e: frozenset((vid(v), port(p)) for (v, p) in e) for e in g.edges}
+    return RawGraph(
+        alphabets=g.alphabets if alphabets is None else alphabets,
+        vertices=tuple(vid(v) for v in g.vertices),
+        edges=frozenset(edges.values()),
+        vertex_labels={vid(v): label(l) for v, l in g.vertex_labels.items()},
+        edge_labels={edges[e]: l for e, l in g.edge_labels.items()},
+    )
+
+
 def connected_component(g: RawGraph, v: VertexId) -> RawGraph:
     """The induced subgraph on everything reachable from v, labels restricted."""
     if v not in set(g.vertices):

@@ -86,7 +86,15 @@ class GraphFamily:
 def _family_cap(cap: Optional[int]) -> int:
     if cap is not None:
         return cap
-    return int(os.environ.get(FAMILY_CAP_ENV, str(DEFAULT_FAMILY_CAP)))
+    value = os.environ.get(FAMILY_CAP_ENV, str(DEFAULT_FAMILY_CAP))
+    try:
+        cap = int(value)
+    except ValueError:
+        cap = 0
+    if cap < 1:
+        raise FamilyCapError(
+            f"{FAMILY_CAP_ENV}={value!r} is not an integer of at least 1")
+    return cap
 
 
 def _sorted_members(graphs: Iterable[CanonicalGraph]) -> Tuple[CanonicalGraph, ...]:

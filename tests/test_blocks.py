@@ -42,6 +42,7 @@ from cgd.families import (
 )
 from cgd.modulo import shift
 from cgd.paths import EPSILON, format_path
+from cgd.portgraph import GraphError
 from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
@@ -85,6 +86,19 @@ class TestMarkSpace:
     def test_needs_vertex_labels(self):
         with pytest.raises(MarkError, match="vertex alphabet is empty"):
             MarkSpace.for_base(Alphabets.make("ab"))
+
+    def test_from_marked_recovers_the_space(self):
+        mixed = Alphabets.make(("a", "a0"), vertex_labels=("0",))
+        for space in (TAPE_SPACE, MarkSpace.for_base(AB01), SPACE,
+                      MarkSpace.for_base(mixed)):
+            assert MarkSpace.from_marked(space.marked) == space
+
+    def test_from_marked_rejects_undoubled_alphabets(self):
+        for alphabets in (TAPE_ALPHABETS, AB01,
+                          Alphabets.make(("a0", "a1", "b0"), vertex_labels=("00", "01")),
+                          Alphabets.make(("a0", "a1"), vertex_labels=("00", "02"))):
+            with pytest.raises(GraphError):
+                MarkSpace.from_marked(alphabets)
 
     def test_lift_drop_round_trip(self, ab_family_4):
         for X in list(ab_family_4)[::9]:

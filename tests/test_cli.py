@@ -1,4 +1,5 @@
 """Command-line behaviour: artifacts, reports, exit codes."""
+import os
 import subprocess
 import sys
 
@@ -197,6 +198,39 @@ class TestExportDot:
         out = capsys.readouterr().out
         assert 'fillcolor="gray70"' in out
         assert 'fillcolor="white"' in out
+
+
+    def test_marked_needs_doubled_alphabets(self, tape_file, capsys):
+        assert main(["export-dot", "--input", tape_file, "--marked"]) == EXIT_BAD_INPUT
+        assert "doubling" in capsys.readouterr().err
+
+
+class TestDeterminism:
+    def test_inflating_grid_report_ignores_hash_seed(self):
+        lines = []
+        for seed in ("1", "2"):
+            proc = subprocess.run(
+                [sys.executable, "-m", "cgd.cli", "verify", "--dynamics",
+                 "inflating-grid", "--family", "all", "--max-vertices", "2"],
+                capture_output=True, text=True,
+                env={**os.environ, "PYTHONHASHSEED": seed})
+            assert proc.returncode == EXIT_CHECK_FAILED
+            (line,) = [l for l in proc.stdout.splitlines()
+                       if l.startswith("bijective=")]
+            lines.append(line)
+        assert lines[0] == lines[1]
+        assert lines[0] == ("bijective=inflating-grid: edge pairing ports a/b "
+                            "is not a grid edge")
+
+
+class TestFamilyCap:
+    @pytest.mark.parametrize("value", ["lots", "-5", "0", "2.5", ""])
+    def test_bad_cap_names_the_variable(self, value, monkeypatch, capsys):
+        monkeypatch.setenv("CGD_FAMILY_CAP", value)
+        assert main(["enumerate", "--max-vertices", "2"]) == EXIT_BAD_INPUT
+        err = capsys.readouterr().err
+        assert "CGD_FAMILY_CAP" in err
+        assert repr(value) in err
 
 
 class TestParser:

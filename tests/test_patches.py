@@ -220,6 +220,26 @@ pointer eps
 """
 
 
+# One entry whose patch has two vertices, so vertex order is observable.
+TWO_VERTEX_RULE_FILE = """\
+radius 0
+disk
+ports a b
+vlabels x y
+vertex eps label=x
+vertex ab
+edge eps:a ab:b
+pointer eps
+maps-to
+ports a b
+vlabels x y
+vertex eps label=y
+vertex ab
+edge eps:a ab:b
+pointer eps
+"""
+
+
 class TestRuleFiles:
     def test_parse_and_apply(self):
         table = parse_rule_file(RULE_FILE)
@@ -232,12 +252,14 @@ class TestRuleFiles:
         assert dyn.apply(Y)[0] == X
 
     def test_round_trip(self):
-        table = parse_rule_file(RULE_FILE)
-        text = serialize_rule_file(table)
-        again = parse_rule_file(text)
-        assert again.radius == table.radius
-        assert set(again.entries) == set(table.entries)
-        assert serialize_rule_file(again) == text
+        for rule_file in (RULE_FILE, TWO_VERTEX_RULE_FILE):
+            table = parse_rule_file(rule_file)
+            text = serialize_rule_file(table)
+            again = parse_rule_file(text)
+            assert again.radius == table.radius
+            assert set(again.entries) == set(table.entries)
+            assert again.entries == table.entries
+            assert serialize_rule_file(again) == text
 
     def test_lookup_miss(self):
         table = parse_rule_file(RULE_FILE)

@@ -5,10 +5,13 @@ from cgd import (
     Alphabets,
     GraphFormatError,
     InvalidGraphError,
+    PointedRawGraph,
     RawGraph,
     connected_component,
     make_edge,
+    canonicalize,
     parse_graph,
+    relabel,
     serialize_graph,
     validate,
 )
@@ -125,6 +128,44 @@ class TestConnectedComponent:
     def test_unknown_vertex(self):
         with pytest.raises(InvalidGraphError):
             connected_component(ring4(), 99)
+
+
+class TestRelabel:
+    def labelled(self):
+        e1, e2 = make_edge(0, "a", 1, "b"), make_edge(1, "a", 2, "b")
+        return RawGraph(alphabets=ABCD, vertices=(2, 0, 1),
+                        edges=frozenset((e1, e2)),
+                        vertex_labels={0: "0", 2: "1"}, edge_labels={e1: "x"})
+
+    def test_nothing_mapped_is_the_same_graph(self):
+        g = self.labelled()
+        assert relabel(g) == g
+
+    def test_ids_keep_vertex_order(self):
+        g = self.labelled()
+        h = relabel(g, ids={0: "p", 1: "q", 2: "r"})
+        assert h.vertices == ("r", "p", "q")
+        assert h.vertex_labels == {"p": "0", "r": "1"}
+        assert h.edge_labels == {make_edge("p", "a", "q", "b"): "x"}
+        assert relabel(h, ids={"p": 0, "q": 1, "r": 2}) == g
+
+    def test_ports_labels_and_alphabets(self):
+        g = self.labelled()
+        target = Alphabets.make("cdab", vertex_labels=("1", "0"), edge_labels=("x",))
+        h = relabel(g, ports={"a": "c", "b": "d"}, labels={"0": "1", "1": "0"},
+                    alphabets=target)
+        assert h.alphabets == target
+        assert h.edges == frozenset((make_edge(0, "c", 1, "d"),
+                                     make_edge(1, "c", 2, "d")))
+        assert h.vertex_labels == {0: "1", 2: "0"}
+        assert h.edge_labels == {make_edge(0, "c", 1, "d"): "x"}
+        assert validate(h) is None
+
+    def test_canonical_graph_input(self):
+        X = canonicalize(parse_graph(SAMPLE))
+        h = relabel(X, ids={v: format_path(v) for v in X.vertices})
+        assert h.vertices == tuple(format_path(v) for v in X.vertices)
+        assert canonicalize(PointedRawGraph(h, "eps")) == X
 
 
 SAMPLE = """\
