@@ -31,8 +31,10 @@ def export_dot(X: CanonicalGraph, space: Optional[MarkSpace] = None) -> str:
             attrs.append(f'fillcolor="{"gray70" if filled else "white"}"')
         lines.append(f'  "{name}" [{", ".join(attrs)}];')
 
+    rank = {v: i for i, v in enumerate(X.vertices)}
+
     def half_key(h):
-        return (X.alphabets.path_key(h[0]), X.alphabets.port_index(h[1]))
+        return (rank[h[0]], X.alphabets.port_index(h[1]))
 
     for e in sorted(X.edges, key=lambda e: tuple(sorted(half_key(h) for h in e))):
         (u, p), (w, q) = sorted(e, key=half_key)

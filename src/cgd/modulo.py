@@ -36,35 +36,29 @@ class CanonicalGraph:
     """A pointed graph modulo isomorphism, with path names for vertices.
 
     Instances are immutable and hashable; build them with
-    :func:`canonicalize` (or the operations below), not directly.
+    :func:`canonicalize` (or the operations below), not directly: the
+    constructor trusts its vertices to come in canonical order.
     """
 
     __slots__ = ("alphabets", "vertices", "vertex_labels", "edges",
-                 "edge_labels", "_hash", "_adj_cache", "_dist_cache")
+                 "edge_labels", "_hash", "_adj_cache")
 
     def __init__(self, alphabets: Alphabets, vertices: Iterable[Path],
                  vertex_labels: Mapping[Path, str], edges: Iterable[NameEdge],
                  edge_labels: Mapping[NameEdge, str]):
         self.alphabets = alphabets
-        self.vertices: Tuple[Path, ...] = tuple(
-            sorted(vertices, key=alphabets.path_key))
+        self.vertices: Tuple[Path, ...] = tuple(vertices)
         self.vertex_labels: Dict[Path, str] = dict(vertex_labels)
         self.edges: FrozenSet[NameEdge] = frozenset(edges)
         self.edge_labels: Dict[NameEdge, str] = dict(edge_labels)
         self._adj_cache: Optional[Dict[Path, Dict[str, Tuple[Path, str]]]] = None
-        self._dist_cache: Optional[Dict[Path, int]] = None
         self._hash = hash((
             self.alphabets,
             self.vertices,
-            tuple(sorted(self.vertex_labels.items(),
-                         key=lambda kv: alphabets.path_key(kv[0]))),
+            tuple(map(self.vertex_labels.get, self.vertices)),
             self.edges,
-            tuple(sorted(((self._edge_key(e), l) for e, l in self.edge_labels.items()))),
+            frozenset(self.edge_labels.items()),
         ))
-
-    def _edge_key(self, e: NameEdge):
-        return tuple(sorted((self.alphabets.path_key(v), self.alphabets.port_index(p))
-                            for (v, p) in e))
 
     def __hash__(self) -> int:
         return self._hash
@@ -103,12 +97,6 @@ class CanonicalGraph:
                 adj[w][q] = (u, p)
             self._adj_cache = adj
         return self._adj_cache
-
-    def distances(self) -> Dict[Path, int]:
-        """BFS distance of every vertex from the origin (= its name length)."""
-        if self._dist_cache is None:
-            self._dist_cache = {v: len(v) for v in self.vertices}
-        return self._dist_cache
 
     def label(self, v: Path) -> Optional[str]:
         return self.vertex_labels.get(v)
@@ -165,35 +153,29 @@ def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
     """Assign every reachable vertex its least shortest path name.
 
     Layered BFS: a vertex at distance d+1 takes the minimum over
-    (parent name).(exit, entry) for every edge from a distance-d vertex, all
-    candidates having equal length, so plain lexicographic comparison of
-    port-index pairs decides.
+    (parent name).(exit, entry) for every edge from a distance-d vertex.
+    All candidates have equal length and each layer is already sorted, so
+    (parent's rank in its layer, exit index, entry index) orders them.
     """
-    pidx = alphabets.port_index
-    ports = alphabets.ports
+    # Order invariant: origin first, then each layer sorted, which is
+    # `Alphabets.path_key` order; CanonicalGraph trusts it and never sorts.
+    pidx = {p: i for i, p in enumerate(alphabets.ports)}
     names: Dict[Any, Tuple[Tuple[str, str], ...]] = {origin: ()}
-    keys: Dict[Any, Tuple[Tuple[int, int], ...]] = {origin: ()}
     frontier = [origin]
     while frontier:
-        best: Dict[Any, Tuple[Tuple[Tuple[int, int], ...], Tuple]] = {}
-        for v in frontier:
-            base_key = keys[v]
+        best: Dict[Any, Tuple[Tuple[int, int, int], Tuple]] = {}
+        for rank, v in enumerate(frontier):
             base_name = names[v]
-            row = adjacency[v]
-            for p in ports:
-                hop = row.get(p)
-                if hop is None:
-                    continue
-                w, q = hop
+            for p, (w, q) in adjacency[v].items():
                 if w in names:
                     continue
-                cand_key = base_key + ((pidx(p), pidx(q)),)
+                cand_key = (rank, pidx[p], pidx[q])
                 prev = best.get(w)
                 if prev is None or cand_key < prev[0]:
                     best[w] = (cand_key, base_name + ((p, q),))
         frontier = sorted(best, key=lambda w: best[w][0])
         for w in frontier:
-            keys[w], names[w] = best[w]
+            names[w] = best[w][1]
     return {v: Path(word) for v, word in names.items()}
 
 
@@ -207,8 +189,8 @@ def canonicalize_with_names(pg: PointedRawGraph
         missing = [v for v in g.vertices if v not in names]
         raise InvalidGraphError(
             f"graph is not connected to the origin: unreachable {missing!r}")
-    canonical = _rename(g.alphabets, names, g.vertices, g.vertex_labels,
-                        g.edges, g.edge_labels)
+    canonical = _rename(g.alphabets, names, g.vertex_labels, g.edges,
+                        g.edge_labels)
     return canonical, names
 
 
@@ -222,9 +204,8 @@ def canonicalize(pg: PointedRawGraph) -> CanonicalGraph:
 
 
 def _rename(alphabets: Alphabets, names: Mapping[Any, Path],
-            vertices: Iterable[Any], vertex_labels: Mapping[Any, str],
-            edges: Iterable[Edge], edge_labels: Mapping[Edge, str]
-            ) -> CanonicalGraph:
+            vertex_labels: Mapping[Any, str], edges: Iterable[Edge],
+            edge_labels: Mapping[Edge, str]) -> CanonicalGraph:
     # Not portgraph.relabel: on this hottest path that was about 5% slower.
     new_edges = {}
     for e in edges:
@@ -232,7 +213,7 @@ def _rename(alphabets: Alphabets, names: Mapping[Any, Path],
         new_edges[e] = frozenset(((names[u], p), (names[w], q)))
     return CanonicalGraph(
         alphabets=alphabets,
-        vertices=[names[v] for v in vertices],
+        vertices=names.values(),
         vertex_labels={names[v]: l for v, l in vertex_labels.items()},
         edges=new_edges.values(),
         edge_labels={new_edges[e]: l for e, l in edge_labels.items()},
@@ -252,8 +233,8 @@ def shift_with_names(X: CanonicalGraph, path: Path
         raise PathResolutionError(
             f"path {format_path(path)} does not resolve in {X!r}")
     names = _canonical_names(X.adjacency, target, X.alphabets)
-    shifted = _rename(X.alphabets, names, X.vertices, X.vertex_labels,
-                      X.edges, X.edge_labels)
+    shifted = _rename(X.alphabets, names, X.vertex_labels, X.edges,
+                      X.edge_labels)
     return shifted, names
 
 
@@ -271,13 +252,12 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    dist = X.distances()
-    keep = {v for v, d in dist.items() if d <= radius + 1}
+    keep = {v for v in X.vertices if len(v) <= radius + 1}
     edges = [e for e in X.edges if all(v in keep for (v, _p) in e)]
     vertex_labels = {v: l for v, l in X.vertex_labels.items()
-                     if dist[v] <= radius}
+                     if len(v) <= radius}
     edge_labels = {e: l for e, l in X.edge_labels.items()
-                   if all(dist[v] <= radius for (v, _p) in e)}
+                   if all(len(v) <= radius for (v, _p) in e)}
     pruned = RawGraph(
         alphabets=X.alphabets,
         vertices=tuple(v for v in X.vertices if v in keep),
@@ -293,9 +273,9 @@ def shift_equivalence_classes(X: CanonicalGraph) -> Tuple[Tuple[Path, ...], ...]
     groups: Dict[CanonicalGraph, list] = {}
     for v in X.vertices:
         groups.setdefault(shift(X, v), []).append(v)
-    key = X.alphabets.path_key
-    return tuple(sorted((tuple(sorted(g, key=key)) for g in groups.values()),
-                        key=lambda g: key(g[0])))
+    # X.vertices is in canonical order, so each group and the groups'
+    # first members already are too.
+    return tuple(tuple(g) for g in groups.values())
 
 
 def is_asymmetric(X: CanonicalGraph) -> bool:
@@ -338,9 +318,8 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
     fresh = p - n
 
     # Host: farthest from the origin, ties broken by least name.
-    key = X.alphabets.path_key
-    far = max(len(v) for v in X.vertices)
-    host = min((v for v in X.vertices if len(v) == far), key=key)
+    far = len(X.vertices[-1])
+    host = next(v for v in X.vertices if len(v) == far)
 
     vertices = list(X.vertices)
     edges = set(X.edges)
@@ -354,7 +333,9 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
         if not removable:
             raise NoHostVertexError(
                 f"host {format_path(host)} has neither a free port nor a cycle edge")
-        victim = max(removable, key=lambda e: X._edge_key(e))
+        key = X.alphabets.path_key
+        victim = max(removable, key=lambda e: sorted(
+            (key(v), X.alphabets.port_index(prt)) for (v, prt) in e))
         edges.discard(victim)
         edge_labels.pop(victim, None)
         freed = sorted((prt for (v, prt) in victim if v == host),

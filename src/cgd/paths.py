@@ -6,26 +6,46 @@ q.  The empty word names the origin itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterator, Tuple
+from typing import Any, Iterator, Tuple
 
 PortPair = Tuple[str, str]
 
 
-@dataclass(frozen=True)
 class Path:
-    """An immutable word of (exit port, entry port) hops."""
+    """An immutable word of (exit port, entry port) hops.
 
-    pairs: Tuple[PortPair, ...] = ()
+    Hashed once, at construction, so a dict or set operation on a name costs
+    O(1) however long it is.  A path never equals a plain tuple.
+    """
+
+    __slots__ = ("pairs", "_hash")
+
+    def __init__(self, pairs: Tuple[PortPair, ...] = ()):
+        _set_pairs(self, pairs)
+        _set_hash(self, hash(pairs))
+
+    def __setattr__(self, name: str, value: Any = None) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes.
+        return (Path, (self.pairs,))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: Any) -> bool:
+        if not isinstance(other, Path):
+            return NotImplemented
+        return self._hash == other._hash and self.pairs == other.pairs
 
     def __len__(self) -> int:
         return len(self.pairs)
 
     def __iter__(self) -> Iterator[PortPair]:
         return iter(self.pairs)
-
-    def __bool__(self) -> bool:
-        return bool(self.pairs)
 
     def concat(self, other: "Path") -> "Path":
         return Path(self.pairs + other.pairs)
@@ -38,6 +58,9 @@ class Path:
         return f"Path({format_path(self)!r})"
 
 
+# Slot writers for __init__, past the __setattr__ that keeps paths immutable.
+_set_pairs, _set_hash = Path.pairs.__set__, Path._hash.__set__
+
 EPSILON = Path(())
 
 
@@ -45,7 +68,7 @@ def format_path(path: Path) -> str:
     """Render as dot-separated concatenated port pairs; the empty path is "eps"."""
     if not path.pairs:
         return "eps"
-    return ".".join(p + q for (p, q) in path.pairs)
+    return ".".join(map("".join, path.pairs))
 
 
 def parse_path(text: str, ports: Tuple[str, ...]) -> Path:

@@ -95,12 +95,10 @@ class Alphabets:
     def port_index(self, port: str) -> int:
         return self.port_alphabet.index(port)
 
-    def pair_key(self, pair: Tuple[str, str]) -> Tuple[int, int]:
-        return (self.port_alphabet.index(pair[0]), self.port_alphabet.index(pair[1]))
-
     def path_key(self, path) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """Length-then-lexicographic sort key for a path under the port order."""
-        return (len(path.pairs), tuple(self.pair_key(p) for p in path.pairs))
+        idx = self.port_alphabet.index
+        return (len(path.pairs), tuple((idx(p), idx(q)) for (p, q) in path.pairs))
 
 
 def make_edge(u: VertexId, p: str, v: VertexId, q: str) -> Edge:
@@ -126,10 +124,6 @@ class RawGraph:
     def __post_init__(self) -> None:
         if len(set(self.vertices)) != len(self.vertices):
             raise InvalidGraphError(f"duplicate vertex ids in {self.vertices}")
-
-    def half_edges(self) -> Iterable[HalfEdge]:
-        for e in self.edges:
-            yield from e
 
     def adjacency(self) -> Dict[VertexId, Dict[str, HalfEdge]]:
         """Map each vertex to {port: far half-edge}; requires port uniqueness."""
@@ -299,6 +293,7 @@ def parse_graph(text: str) -> PointedRawGraph:
     vlabels: Tuple[str, ...] = ()
     elabels: Tuple[str, ...] = ()
     vertices: list = []
+    vertex_set: set = set()
     vertex_labels: Dict[str, str] = {}
     edges: list = []
     edge_labels: Dict[Edge, str] = {}
@@ -332,9 +327,10 @@ def parse_graph(text: str) -> PointedRawGraph:
             if len(args) != 1:
                 raise GraphFormatError(f"line {line_no}: vertex wants one id")
             vid = args[0]
-            if vid in vertices:
+            if vid in vertex_set:
                 raise GraphFormatError(f"line {line_no}: duplicate vertex {vid!r}")
             vertices.append(vid)
+            vertex_set.add(vid)
             if label is not None:
                 vertex_labels[vid] = label
         elif keyword == "edge":
@@ -364,7 +360,6 @@ def parse_graph(text: str) -> PointedRawGraph:
         raise GraphFormatError("missing pointer line")
 
     alphabets = Alphabets.make(ports, vlabels, elabels)
-    vertex_set = set(vertices)
     used: Dict[Tuple[str, str], int] = {}
     for e, line_no in edges:
         for (v, p) in e:
@@ -408,7 +403,7 @@ def serialize_graph(pg: PointedRawGraph, token=str) -> str:
     if len(set(tokens.values())) != len(tokens):
         raise GraphFormatError("vertex id tokens collide")
     for t in tokens.values():
-        if not t or any(c.isspace() for c in t) or ":" in t or "#" in t:
+        if t.split() != [t] or ":" in t or "#" in t:
             raise GraphFormatError(f"vertex token {t!r} not writable")
     rank = {v: i for i, v in enumerate(g.vertices)}
 

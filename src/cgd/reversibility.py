@@ -421,7 +421,6 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
         else:
             class_y = _class_ids(Y)
             inverse: VertexCorrespondence = {}
-            key = X.alphabets.path_key
             for w in Y.vertices:
                 candidates = [v for v in X.vertices
                               if class_y[R[v]] == class_y[w]]
@@ -429,7 +428,7 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
                     raise InverseConstructionError(
                         f"no source vertex maps into the class of an image "
                         f"vertex of {Y!r}")
-                inverse[w] = min(candidates, key=key)
+                inverse[w] = candidates[0]
             corr_inverse[Y] = inverse
     return InverseTable(family=fam, forward=forward, backward=backward,
                         forward_corr=forward_corr, corr_inverse=corr_inverse,

@@ -6,11 +6,16 @@ was written before `patches.glue`.  `FoldingExtension` is the reversible
 extension whose mixed case builds each evolved piece by hand and folds
 `consistent` and `union_pair` over the pieces.  The library now does both
 jobs with `portgraph.relabel` and one call to `patches.glue`.
+
+`export_dot_by_path_key` is the DOT renderer as it was when it ordered
+half-edges by `Alphabets.path_key`; `dot.export_dot` now orders them by the
+vertex's rank in the canonical vertex order.
 """
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from cgd.blocks import (
     MarkError,
+    MarkSpace,
     ReversibleExtension,
     UnionInconsistencyError,
     _components,
@@ -128,3 +133,35 @@ class FoldingExtension(ReversibleExtension):
             raise MarkError(
                 f"{self.name}: produced a mark-inconsistent graph: {problem}")
         return result, {v: names[final_id[v]] for v in X.vertices}
+
+
+def export_dot_by_path_key(X, space: Optional[MarkSpace] = None) -> str:
+    lines = ["graph cgd {", "  node [shape=circle];"]
+    for v in X.vertices:
+        name = format_path(v)
+        text = name
+        label = X.vertex_labels.get(v)
+        if label is not None:
+            text += f"\\n{label}"
+        attrs = [f'label="{text}"']
+        if v == EPSILON:
+            attrs.append("peripheries=2")
+        if space is not None:
+            filled = space.vertex_mark(X, v) == 1
+            attrs.append("style=filled")
+            attrs.append(f'fillcolor="{"gray70" if filled else "white"}"')
+        lines.append(f'  "{name}" [{", ".join(attrs)}];')
+
+    def half_key(h):
+        return (X.alphabets.path_key(h[0]), X.alphabets.port_index(h[1]))
+
+    for e in sorted(X.edges, key=lambda e: tuple(sorted(half_key(h) for h in e))):
+        (u, p), (w, q) = sorted(e, key=half_key)
+        attrs = [f'taillabel="{p}"', f'headlabel="{q}"']
+        label = X.edge_labels.get(e)
+        if label is not None:
+            attrs.append(f'label="{label}"')
+        lines.append(
+            f'  "{format_path(u)}" -- "{format_path(w)}" [{", ".join(attrs)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"

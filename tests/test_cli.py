@@ -200,6 +200,17 @@ class TestExportDot:
         assert 'fillcolor="white"' in out
 
 
+    def test_long_tape_matches_path_key_oracle(self):
+        from cgd.blocks import MarkSpace, mark
+        from cgd.dot import export_dot
+        from cgd.families import TAPE_ALPHABETS
+        from oracles import export_dot_by_path_key
+        X = single_head_tape(60, 23, "dd")
+        assert export_dot(X) == export_dot_by_path_key(X)
+        space = MarkSpace.for_base(TAPE_ALPHABETS)
+        marked = mark(space.lift(X), space)
+        assert export_dot(marked, space) == export_dot_by_path_key(marked, space)
+
     def test_marked_needs_doubled_alphabets(self, tape_file, capsys):
         assert main(["export-dot", "--input", tape_file, "--marked"]) == EXIT_BAD_INPUT
         assert "doubling" in capsys.readouterr().err

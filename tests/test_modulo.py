@@ -1,7 +1,10 @@
 """Canonical forms and the structural operations over them."""
 import random
+from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgd import (
     Alphabets,
@@ -13,11 +16,13 @@ from cgd import (
     disk,
     is_asymmetric,
     make_edge,
+    parse_graph,
     primal_extension,
+    relabel,
     shift,
     shift_equivalence_classes,
 )
-from cgd.families import turtle_graphs
+from cgd.families import single_head_tape, turtle_graphs
 from cgd.modulo import PathResolutionError, smallest_prime_above
 from cgd.paths import EPSILON, Path, format_path, parse_path
 
@@ -25,6 +30,7 @@ AB = Alphabets.make("ab")
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
 ABC = Alphabets.make("abc")
 ABXY = Alphabets.make("ab", vertex_labels=("x", "y"))
+ABC_XY = Alphabets.make("abc", vertex_labels=("x", "y"), edge_labels=("e",))
 
 
 def pointed_ring(n, alphabets=AB, labels=None):
@@ -345,3 +351,109 @@ class TestEquality:
         plain = canonicalize(pointed_ring(4, ABXY, {i: "x" for i in range(4)}))
         other = canonicalize(pointed_ring(4, ABXY, {i: "y" for i in range(4)}))
         assert plain != other
+
+
+@st.composite
+def pointed_graphs(draw, max_vertices=7):
+    """Connected pointed graphs over ABC_XY with partial vertex and edge labels.
+
+    A random spanning tree plus extra edges (self-loops included) on the
+    half-edges left free; ids are small integers, the origin is drawn.
+    """
+    n = draw(st.integers(1, max_vertices))
+    ports = ABC_XY.ports
+    free = {v: list(ports) for v in range(n)}
+    edges = []
+    for v in range(1, n):
+        u = draw(st.sampled_from([u for u in range(v) if free[u]]))
+        p, q = draw(st.sampled_from(free[u])), draw(st.sampled_from(free[v]))
+        free[u].remove(p)
+        free[v].remove(q)
+        edges.append(make_edge(u, p, v, q))
+    halves = [(v, p) for v in range(n) for p in free[v]]
+    for _ in range(draw(st.integers(0, len(halves) // 2))):
+        h1, h2 = draw(st.sampled_from(list(combinations(halves, 2))))
+        halves = [h for h in halves if h not in (h1, h2)]
+        edges.append(frozenset((h1, h2)))
+        if len(halves) < 2:
+            break
+    vlabel = st.sampled_from([None, "x", "y"])
+    labels = {v: l for v in range(n) if (l := draw(vlabel)) is not None}
+    edge_labels = {e: "e" for e in edges if draw(st.booleans())}
+    raw = RawGraph(alphabets=ABC_XY, vertices=tuple(range(n)),
+                   edges=frozenset(edges), vertex_labels=labels,
+                   edge_labels=edge_labels)
+    return PointedRawGraph(raw, draw(st.integers(0, n - 1)))
+
+
+def in_path_key_order(X):
+    return X.vertices == tuple(sorted(X.vertices, key=X.alphabets.path_key))
+
+
+PROPERTY = settings(max_examples=150, deadline=None, database=None,
+                    derandomize=True)
+
+
+class TestTrustedOrder:
+    """CanonicalGraph keeps the BFS order of `_canonical_names` unsorted."""
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_names_and_order_match_brute_force(self, pg):
+        X, assigned = canonicalize_with_names(pg)
+        oracle = least_name_oracle(pg, len(pg.graph.vertices))
+        assert {v: w.pairs for v, w in assigned.items()} == oracle
+        assert in_path_key_order(X)
+
+    @PROPERTY
+    @given(pg=pointed_graphs(), data=st.data())
+    def test_invariant_under_id_permutation(self, pg, data):
+        X = canonicalize(pg)
+        ids = pg.graph.vertices
+        shuffled = data.draw(st.permutations([f"v{i}" for i in ids]))
+        mapping = dict(zip(ids, shuffled))
+        Y = canonicalize(PointedRawGraph(relabel(pg.graph, ids=mapping),
+                                         mapping[pg.origin]))
+        assert Y == X and hash(Y) == hash(X)
+        assert Y.vertices == X.vertices
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_invariant_under_text_round_trip(self, pg):
+        X = canonicalize(pg)
+        Y = canonicalize(parse_graph(X.to_text()))
+        assert Y == X and hash(Y) == hash(X)
+        assert Y.to_text() == X.to_text()
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_shifts_keep_order_and_undo(self, pg):
+        X = canonicalize(pg)
+        for u in X.vertices:
+            Xu = shift(X, u)
+            assert in_path_key_order(Xu)
+            assert in_path_key_order(disk(Xu, 1).graph)
+            assert shift(Xu, u.reversed()) == X
+
+    def test_exhaustive_family_in_order(self, ab_family_6):
+        for X in ab_family_6:
+            assert in_path_key_order(X)
+
+    def test_exhaustive_shifts_in_order(self, ab_family_4):
+        for X in ab_family_4:
+            for u in X.vertices:
+                assert in_path_key_order(shift(X, u))
+
+    def test_no_path_key_calls_on_long_tape(self, monkeypatch):
+        # The order is trusted, not re-derived: a sort by path_key would
+        # cost O(name length) per vertex on every canonicalization.
+        X = single_head_tape(200, 77)
+        calls = []
+        real = Alphabets.path_key
+        monkeypatch.setattr(Alphabets, "path_key",
+                            lambda self, path: calls.append(1) or real(self, path))
+        raw = canonicalize(X.to_pointed_raw())
+        far = shift(X, X.vertices[-1])
+        local = disk(far, 2)
+        assert calls == []
+        assert raw == X and len(far) == len(X) and len(local.graph) == 4

@@ -229,6 +229,18 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError, match="duplicate vertex"):
             parse_graph(SAMPLE + "vertex v0\n")
 
+    def test_duplicate_vertex_names_its_line(self):
+        text = "ports a b\nvertex u\nvertex w\n\nvertex u\npointer u\n"
+        with pytest.raises(GraphFormatError,
+                           match=r"^line 5: duplicate vertex 'u'$"):
+            parse_graph(text)
+
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\u00a0b", "a:b", "a#b"])
+    def test_unwritable_token_rejected(self, token):
+        pg = PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v")
+        with pytest.raises(GraphFormatError, match="not writable"):
+            serialize_graph(pg, token=lambda v: token)
+
     def test_undeclared_edge_vertex(self):
         with pytest.raises(GraphFormatError, match="undeclared"):
             parse_graph(SAMPLE + "edge v9:a v2:c\n")
@@ -267,6 +279,41 @@ class TestPaths:
     def test_ambiguous_pair_rejected(self):
         with pytest.raises(ValueError, match="ambiguous"):
             parse_path("aaa", ("a", "aa"))
+
+    def test_equal_paths_hash_equal(self):
+        p = Path((("a", "b"), ("c", "d")))
+        q = parse_path("ab.cd", ("a", "b", "c", "d"))
+        assert p is not q
+        assert p == q and hash(p) == hash(q)
+        assert len({p, q, EPSILON, Path()}) == 2
+        assert p != Path((("a", "b"),))
+
+    def test_never_equal_to_a_tuple(self):
+        p = Path((("a", "b"),))
+        assert p != (("a", "b"),) and (("a", "b"),) != p
+        assert EPSILON != ()
+        assert (("a", "b"),) not in {p}
+
+    def test_immutable(self):
+        p = Path((("a", "b"),))
+        with pytest.raises(AttributeError):
+            p.pairs = ()
+        with pytest.raises(AttributeError):
+            p.extra = 1
+        with pytest.raises(AttributeError):
+            del p.pairs
+        assert p.pairs == (("a", "b"),)
+
+    def test_repr(self):
+        assert repr(Path((("a", "b"), ("c", "d")))) == "Path('ab.cd')"
+        assert repr(EPSILON) == "Path('eps')"
+
+    def test_copies_rehash(self):
+        import copy
+        import pickle
+        p = Path((("a", "b"), ("b", "a")))
+        for q in (copy.copy(p), copy.deepcopy(p), pickle.loads(pickle.dumps(p))):
+            assert q == p and hash(q) == hash(p) and q.pairs == p.pairs
 
     def test_unsplittable_pair_rejected(self):
         with pytest.raises(ValueError):
