@@ -31,7 +31,6 @@ from .modulo import (
     disk,
     is_asymmetric,
     primal_extension,
-    resolve,
     shift,
     shift_equivalence_classes,
     shift_with_names,

@@ -343,25 +343,31 @@ def _mark_partition(X: CanonicalGraph, space: MarkSpace
 
 
 def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
-    """Connected components of the induced subgraph, deterministic order."""
-    seen: Set[Path] = set()
+    """Connected components of the induced subgraph, each in canonical order.
+
+    One scan of X.vertices: a component starts at its least vertex and the
+    rest of it comes later in the scan, so no component needs a sort.
+    """
+    comp_of: Dict[Path, List[Path]] = {}
     out: List[List[Path]] = []
     for v in X.vertices:
-        if v not in keep or v in seen:
+        if v in comp_of:
+            comp_of[v].append(v)
+            continue
+        if v not in keep:
             continue
         comp = [v]
-        seen.add(v)
+        out.append(comp)
+        comp_of[v] = comp
         frontier = [v]
         while frontier:
             nxt = []
             for u in frontier:
                 for (w, _q) in X.adjacency[u].values():
-                    if w in keep and w not in seen:
-                        seen.add(w)
-                        comp.append(w)
+                    if w in keep and w not in comp_of:
+                        comp_of[w] = comp
                         nxt.append(w)
             frontier = nxt
-        out.append(sorted(comp, key=X.alphabets.path_key))
     return out
 
 

@@ -32,12 +32,9 @@ from .portgraph import Alphabets, GraphError, parse_graph
 from .reversibility import (
     GraphFamily,
     OutOfFamilyError,
-    build_inverse,
-    check_bijective_on_family,
-    check_class_preservation,
     enumerate_family,
     serialize_inverse_table,
-    vertex_preservation_exceptions,
+    tabulate,
 )
 
 EXIT_OK = 0
@@ -138,25 +135,20 @@ def _cmd_verify(args) -> int:
              f"members={len(fam)}"]
     failures = 0
 
-    closed = True
     try:
-        problem = check_bijective_on_family(dynamics, fam)
+        tab = tabulate(dynamics, fam)
+        problem = tab.bijectivity_problem()
     except (OutOfFamilyError, DynamicsError) as exc:
-        problem = str(exc)
-        closed = False
+        # The dynamics failed on a member or left the family, so the family
+        # does not even have a permutation to check further.
+        lines += [f"bijective={exc}", "vertex_preserving=skipped",
+                  "exception_set=", "class_preservation=skipped",
+                  "inverse_composition=skipped", "result=fail"]
+        return _emit_verify(lines, args)
     lines.append(f"bijective={'ok' if problem is None else problem}")
     failures += problem is not None
-    if not closed:
-        # The family is not even closed under the dynamics; the remaining
-        # checks would only re-raise the same condition.
-        lines.append("vertex_preserving=skipped")
-        lines.append("exception_set=")
-        lines.append("class_preservation=skipped")
-        lines.append("inverse_composition=skipped")
-        lines.append("result=fail")
-        return _emit_verify(lines, args)
 
-    exceptions = vertex_preservation_exceptions(dynamics, fam)
+    exceptions = tab.vertex_exceptions()
     lines.append(f"vertex_preserving={'ok' if not exceptions else 'exceptions'}")
     lines.append("exception_set=" + ";".join(
         f"{len(g.vertices)}v" for g in exceptions))
@@ -166,17 +158,13 @@ def _cmd_verify(args) -> int:
             lines.append(f"exception_count_expected={expected}")
             failures += 1
 
-    class_problem = None
-    for X in fam:
-        class_problem = check_class_preservation(dynamics, X)
-        if class_problem is not None:
-            break
+    class_problem = tab.class_problem()
     lines.append(f"class_preservation={'ok' if class_problem is None else class_problem}")
     failures += class_problem is not None
 
     if failures == 0:
         inverse_problem = None
-        table = build_inverse(dynamics, fam)
+        table = tab.inverse()
         for X in fam:
             Y = table.forward[X]
             if table.backward[Y] != X:

@@ -6,6 +6,7 @@ from typing import Optional
 from .blocks import MarkSpace
 from .modulo import CanonicalGraph
 from .paths import EPSILON, format_path
+from .portgraph import ordered_edges
 
 
 def export_dot(X: CanonicalGraph, space: Optional[MarkSpace] = None) -> str:
@@ -31,13 +32,7 @@ def export_dot(X: CanonicalGraph, space: Optional[MarkSpace] = None) -> str:
             attrs.append(f'fillcolor="{"gray70" if filled else "white"}"')
         lines.append(f'  "{name}" [{", ".join(attrs)}];')
 
-    rank = {v: i for i, v in enumerate(X.vertices)}
-
-    def half_key(h):
-        return (rank[h[0]], X.alphabets.port_index(h[1]))
-
-    for e in sorted(X.edges, key=lambda e: tuple(sorted(half_key(h) for h in e))):
-        (u, p), (w, q) = sorted(e, key=half_key)
+    for (u, p), (w, q), e in ordered_edges(X):
         attrs = [f'taillabel="{p}"', f'headlabel="{q}"']
         label = X.edge_labels.get(e)
         if label is not None:

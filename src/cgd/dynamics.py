@@ -24,6 +24,7 @@ from .portgraph import (
     PointedRawGraph,
     RawGraph,
     make_edge,
+    ordered_edges,
 )
 
 VertexCorrespondence = Dict[Path, Path]
@@ -42,14 +43,9 @@ class Dynamics:
 
     name: str = "dynamics"
     alphabets: Optional[Alphabets] = None  # None accepts any signature
-    declared_bound: Optional[int] = None
-    declared_radius: Optional[int] = None
 
     def apply(self, X: CanonicalGraph) -> Tuple[CanonicalGraph, VertexCorrespondence]:
         raise NotImplementedError
-
-    def image(self, X: CanonicalGraph) -> CanonicalGraph:
-        return self.apply(X)[0]
 
     def _check_signature(self, X: CanonicalGraph) -> None:
         if self.alphabets is not None and X.alphabets != self.alphabets:
@@ -102,8 +98,6 @@ class MovingHeadDynamics(RawStepDynamics):
 
     name = "moving-head"
     alphabets = TAPE_ALPHABETS
-    declared_bound = 0
-    declared_radius = 2
 
     def _step(self, raw):
         adj = raw.adjacency()
@@ -160,8 +154,6 @@ class InflatingGridDynamics(RawStepDynamics):
 
     name = "inflating-grid"
     alphabets = GRID_ALPHABETS
-    declared_bound = 1
-    declared_radius = 0
 
     _CHILDREN = ("NW", "NE", "SW", "SE")
 
@@ -170,9 +162,7 @@ class InflatingGridDynamics(RawStepDynamics):
                if tuple(sorted(p for (_v, p) in e)) not in (("a", "c"), ("b", "d"))]
         if bad:
             # The least bad edge in serialize_graph's order, not set order.
-            rank = {v: i for i, v in enumerate(raw.vertices)}
-            least = min(bad, key=lambda e: sorted(
-                (rank[v], raw.alphabets.port_index(p)) for (v, p) in e))
+            least = next(e for _h1, _h2, e in ordered_edges(raw) if e in bad)
             p, q = sorted((h[1] for h in least), key=raw.alphabets.port_index)
             raise DynamicsError(
                 f"{self.name}: edge pairing ports {p}/{q} is not a grid edge")

@@ -20,6 +20,7 @@ from .portgraph import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
+    connected_component,
     ensure_valid,
     make_edge,
     serialize_graph,
@@ -98,18 +99,8 @@ class CanonicalGraph:
             self._adj_cache = adj
         return self._adj_cache
 
-    def label(self, v: Path) -> Optional[str]:
-        return self.vertex_labels.get(v)
-
-    def edge_label(self, e: NameEdge) -> Optional[str]:
-        return self.edge_labels.get(e)
-
     def degree(self, v: Path) -> int:
         return len(self.adjacency[v])
-
-    def free_ports(self, v: Path) -> Tuple[str, ...]:
-        used = self.adjacency[v]
-        return tuple(p for p in self.alphabets.ports if p not in used)
 
     def resolve(self, path: Path) -> Optional[Path]:
         """Follow a port-pair word from the origin; None if some hop is missing."""
@@ -218,11 +209,6 @@ def _rename(alphabets: Alphabets, names: Mapping[Any, Path],
         edges=new_edges.values(),
         edge_labels={new_edges[e]: l for e, l in edge_labels.items()},
     )
-
-
-def resolve(X: CanonicalGraph, path: Path) -> Optional[Path]:
-    """Canonical name of the vertex reached by `path`, or None."""
-    return X.resolve(path)
 
 
 def shift_with_names(X: CanonicalGraph, path: Path
@@ -367,23 +353,6 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
 def _is_cycle_edge(X: CanonicalGraph, e: NameEdge) -> bool:
     """True when removing e keeps the graph connected (e lies on a cycle)."""
     (u, _p), (w, _q) = tuple(e)
-    if u == w:
-        return True
-    neighbours: Dict[Path, set] = {v: set() for v in X.vertices}
-    for other in X.edges:
-        if other == e:
-            continue
-        (x, _), (y, _) = tuple(other)
-        neighbours[x].add(y)
-        neighbours[y].add(x)
-    seen = {u}
-    frontier = [u]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for t in neighbours[v]:
-                if t not in seen:
-                    seen.add(t)
-                    nxt.append(t)
-        frontier = nxt
-    return w in seen
+    rest = RawGraph(alphabets=X.alphabets, vertices=X.vertices,
+                    edges=X.edges - {e})
+    return w in connected_component(rest, u).vertices

@@ -216,7 +216,6 @@ class LocalRuleDynamics(Dynamics):
         self.rule = rule
         self.name = rule.name
         self.alphabets = alphabets
-        self.declared_radius = rule.radius
 
     def apply(self, X):
         self._check_signature(X)

@@ -9,7 +9,9 @@ from __future__ import annotations
 
 import io
 from dataclasses import dataclass, field
-from typing import Dict, FrozenSet, Hashable, Iterable, Mapping, Optional, Tuple
+from operator import itemgetter
+from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
+                    Optional, Tuple)
 
 VertexId = Hashable
 HalfEdge = Tuple[VertexId, str]
@@ -224,6 +226,25 @@ def relabel(g, ids: Optional[Mapping] = None,
     )
 
 
+def ordered_edges(g) -> List[Tuple[HalfEdge, HalfEdge, Edge]]:
+    """Every edge as (first half, second half, edge), in the text format's order.
+
+    A half-edge ranks by (position of its vertex in `g.vertices`, port
+    index); each edge's halves come in that order, and edges sort by their
+    ordered halves.  `g` may be a RawGraph or a CanonicalGraph.
+    """
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    port_index = g.alphabets.port_index
+    keyed = []
+    for e in g.edges:
+        h1, h2 = e
+        k1 = (rank[h1[0]], port_index(h1[1]))
+        k2 = (rank[h2[0]], port_index(h2[1]))
+        keyed.append(((k1, k2), h1, h2, e) if k1 < k2 else ((k2, k1), h2, h1, e))
+    keyed.sort(key=itemgetter(0))
+    return [(h1, h2, e) for _key, h1, h2, e in keyed]
+
+
 def connected_component(g: RawGraph, v: VertexId) -> RawGraph:
     """The induced subgraph on everything reachable from v, labels restricted."""
     if v not in set(g.vertices):
@@ -306,6 +327,12 @@ def parse_graph(text: str) -> PointedRawGraph:
             raise GraphFormatError(f"line {line_no}: label= must come last")
         return None
 
+    def distinct(tokens: list, what: str, line_no: int) -> Tuple[str, ...]:
+        for i, t in enumerate(tokens):
+            if t in tokens[:i]:
+                raise GraphFormatError(f"line {line_no}: duplicate {what} {t!r}")
+        return tuple(tokens)
+
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
@@ -317,11 +344,11 @@ def parse_graph(text: str) -> PointedRawGraph:
                 raise GraphFormatError(f"line {line_no}: duplicate ports line")
             if not args:
                 raise GraphFormatError(f"line {line_no}: empty port alphabet")
-            ports = tuple(args)
+            ports = distinct(args, "port", line_no)
         elif keyword == "vlabels":
-            vlabels = tuple(args)
+            vlabels = distinct(args, "vertex label", line_no)
         elif keyword == "elabels":
-            elabels = tuple(args)
+            elabels = distinct(args, "edge label", line_no)
         elif keyword == "vertex":
             label = take_label(args, line_no)
             if len(args) != 1:
@@ -405,11 +432,6 @@ def serialize_graph(pg: PointedRawGraph, token=str) -> str:
     for t in tokens.values():
         if t.split() != [t] or ":" in t or "#" in t:
             raise GraphFormatError(f"vertex token {t!r} not writable")
-    rank = {v: i for i, v in enumerate(g.vertices)}
-
-    def half_key(h: HalfEdge) -> Tuple[int, int]:
-        return (rank[h[0]], g.alphabets.port_index(h[1]))
-
     out = io.StringIO()
     out.write("ports " + " ".join(g.alphabets.ports) + "\n")
     if g.alphabets.vertex_labels:
@@ -421,8 +443,7 @@ def serialize_graph(pg: PointedRawGraph, token=str) -> str:
         if v in g.vertex_labels:
             line += f" label={g.vertex_labels[v]}"
         out.write(line + "\n")
-    for e in sorted(g.edges, key=lambda e: tuple(sorted(half_key(h) for h in e))):
-        h1, h2 = sorted(e, key=half_key)
+    for h1, h2, e in ordered_edges(g):
         line = f"edge {tokens[h1[0]]}:{h1[1]} {tokens[h2[0]]}:{h2[1]}"
         if e in g.edge_labels:
             line += f" label={g.edge_labels[e]}"

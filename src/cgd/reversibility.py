@@ -7,11 +7,12 @@ correspondences also invert the per-graph vertex maps.
 """
 from __future__ import annotations
 
+import functools
 import os
 from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iter_product
-from typing import Callable, Dict, FrozenSet, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from .modulo import (
@@ -25,6 +26,7 @@ from .portgraph import (
     GraphError,
     PointedRawGraph,
     RawGraph,
+    connected_component,
     make_edge,
 )
 
@@ -214,7 +216,9 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
             edges = frozenset(frozenset(pair) for pair in matching)
             if any(len(e) != 2 for e in edges):
                 continue
-            if not _connected(n, edges):
+            bare = RawGraph(alphabets=alphabets, vertices=tuple(range(n)),
+                            edges=edges)
+            if len(connected_component(bare, 0).vertices) != n:
                 continue
             for labelling in iter_product(vlabels, repeat=n):
                 vertex_labels = {v: l for v, l in enumerate(labelling)
@@ -249,79 +253,57 @@ def _partial_matchings(items: List) -> Iterable[List[Tuple]]:
             yield m + [(first, rest[i])]
 
 
-def _connected(n: int, edges: FrozenSet) -> bool:
-    if n == 1:
-        return True
-    neighbours: Dict[int, set] = {v: set() for v in range(n)}
-    for e in edges:
-        (a, _), (b, _) = tuple(e)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in neighbours[v]:
-                if w not in seen:
-                    seen.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return len(seen) == n
-
-
 # ---------------------------------------------------------------------------
 # Checks over families
 # ---------------------------------------------------------------------------
 
 
 def check_bijective_on_family(D: Dynamics, fam: GraphFamily) -> Optional[str]:
-    """None when D permutes the family; else the first collision or gap.
+    """None when D permutes the family; else the first collision.
 
     Raises OutOfFamilyError when an image leaves the family, since then
     bijectivity over the family is not even well-posed.
     """
-    images: Dict[CanonicalGraph, CanonicalGraph] = {}
-    for X in fam:
-        Y = D.apply(X)[0]
-        if Y not in fam:
-            raise OutOfFamilyError(
-                f"{D.name} maps a {len(X.vertices)}-vertex member to a "
-                f"{len(Y.vertices)}-vertex graph outside the family")
-        if Y in images:
-            return (f"not injective: two members share the image "
-                    f"{Y!r}")
-        images[Y] = X
-    for X in fam:
-        if X not in images:
-            return f"not surjective: member {X!r} is never reached"
-    return None
+    return tabulate(D, fam).bijectivity_problem()
 
 
 def check_vertex_preserving(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     """None when the correspondence is a bijection onto the image's vertices."""
-    Y, R = D.apply(X)
-    values = list(R.values())
-    if len(set(values)) != len(values):
-        return "correspondence is not injective"
-    if set(values) != set(Y.vertices):
-        missing = sorted(set(Y.vertices) - set(values),
-                         key=Y.alphabets.path_key)
-        return f"correspondence misses image vertex {format_path(missing[0])}"
-    return None
+    return _vertex_problem(X, *D.apply(X))
 
 
 def vertex_preservation_exceptions(D: Dynamics, fam: GraphFamily
                                    ) -> List[CanonicalGraph]:
     """The family members on which the correspondence fails to be bijective."""
-    return [X for X in fam if check_vertex_preserving(D, X) is not None]
+    return tabulate(D, fam).vertex_exceptions()
 
 
 def check_class_preservation(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     """Shift-equivalence must transfer along the correspondence, both ways."""
-    Y, R = D.apply(X)
-    class_x = _class_ids(X)
-    class_y = _class_ids(Y)
+    return _class_problem(X, *D.apply(X), _class_ids)
+
+
+def _vertex_problem(X: CanonicalGraph, Y: CanonicalGraph,
+                    R: VertexCorrespondence) -> Optional[str]:
+    values = list(R.values())
+    image = set(values)
+    if len(image) != len(values):
+        return "correspondence is not injective"
+    missing = [w for w in Y.vertices if w not in image]
+    if missing:
+        return f"correspondence misses image vertex {format_path(missing[0])}"
+    if len(image) != len(Y.vertices):
+        stray = next(v for v in X.vertices if R.get(v) not in Y)
+        return f"correspondence sends {format_path(stray)} outside the image"
+    return None
+
+
+def _class_problem(X: CanonicalGraph, Y: CanonicalGraph,
+                   R: VertexCorrespondence,
+                   class_ids: Callable[[CanonicalGraph], Dict[Path, int]]
+                   ) -> Optional[str]:
+    class_x = class_ids(X)
+    class_y = class_ids(Y)
     verts = X.vertices
     for i, u in enumerate(verts):
         for v in verts[i:]:
@@ -340,6 +322,86 @@ def _class_ids(X: CanonicalGraph) -> Dict[Path, int]:
         for v in cls:
             ids[v] = i
     return ids
+
+
+def tabulate(D: Dynamics, fam: GraphFamily) -> Tabulation:
+    """Apply D once to each member, in family order."""
+    return Tabulation(D.name, fam, {X: D.apply(X) for X in fam})
+
+
+@dataclass(frozen=True, eq=False)
+class Tabulation:
+    """The forward table X -> (F(X), R_X) of a dynamics over a family.
+
+    Every family-level check and the inverse table read it, so a dynamics
+    is applied once per member however many checks run.
+    """
+
+    name: str
+    family: GraphFamily
+    images: Dict[CanonicalGraph, Tuple[CanonicalGraph, VertexCorrespondence]]
+
+    def bijectivity_problem(self) -> Optional[str]:
+        """None when the table permutes the family; else the first collision.
+
+        Raises OutOfFamilyError at the first image outside the family.
+        """
+        reached = set()
+        for X, (Y, _R) in self.images.items():
+            if Y not in self.family:
+                raise OutOfFamilyError(
+                    f"{self.name} maps a {len(X.vertices)}-vertex member to a "
+                    f"{len(Y.vertices)}-vertex graph outside the family")
+            if Y in reached:
+                return (f"not injective: two members share the image "
+                        f"{Y!r}")
+            reached.add(Y)
+        # An injective map of a finite, duplicate-free family into itself
+        # is onto, so there is no surjectivity check.
+        return None
+
+    def vertex_exceptions(self) -> List[CanonicalGraph]:
+        """The members on which the correspondence fails to be bijective."""
+        return [X for X, (Y, R) in self.images.items()
+                if _vertex_problem(X, Y, R) is not None]
+
+    def class_problem(self) -> Optional[str]:
+        """The first member, in family order, that breaks class preservation."""
+        class_ids = functools.cache(_class_ids)
+        for X, (Y, R) in self.images.items():
+            problem = _class_problem(X, Y, R, class_ids)
+            if problem is not None:
+                return problem
+        return None
+
+    def inverse(self) -> InverseTable:
+        """Invert the table, correspondences included."""
+        problem = self.bijectivity_problem()
+        if problem is not None:
+            raise InverseConstructionError(problem)
+        forward = {X: Y for X, (Y, _R) in self.images.items()}
+        forward_corr = {X: R for X, (_Y, R) in self.images.items()}
+        backward = {Y: X for X, Y in forward.items()}
+        corr_inverse: Dict[CanonicalGraph, VertexCorrespondence] = {}
+        for X, (Y, R) in self.images.items():
+            if _vertex_problem(X, Y, R) is None:
+                corr_inverse[Y] = {w: v for v, w in R.items()}
+            else:
+                class_y = _class_ids(Y)
+                inverse: VertexCorrespondence = {}
+                for w in Y.vertices:
+                    candidates = [v for v in X.vertices
+                                  if class_y[R[v]] == class_y[w]]
+                    if not candidates:
+                        raise InverseConstructionError(
+                            f"no source vertex maps into the class of an "
+                            f"image vertex of {Y!r}")
+                    inverse[w] = candidates[0]
+                corr_inverse[Y] = inverse
+        return InverseTable(family=self.family, forward=forward,
+                            backward=backward, forward_corr=forward_corr,
+                            corr_inverse=corr_inverse,
+                            name=f"{self.name}-inverse")
 
 
 @dataclass(frozen=True, eq=False)
@@ -403,33 +465,4 @@ def serialize_inverse_table(table: InverseTable) -> str:
 
 def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
     """Tabulate D over the family and invert it, correspondences included."""
-    problem = check_bijective_on_family(D, fam)
-    if problem is not None:
-        raise InverseConstructionError(problem)
-    forward: Dict[CanonicalGraph, CanonicalGraph] = {}
-    forward_corr: Dict[CanonicalGraph, VertexCorrespondence] = {}
-    for X in fam:
-        Y, R = D.apply(X)
-        forward[X] = Y
-        forward_corr[X] = R
-    backward = {Y: X for X, Y in forward.items()}
-    corr_inverse: Dict[CanonicalGraph, VertexCorrespondence] = {}
-    for X, Y in forward.items():
-        R = forward_corr[X]
-        if check_vertex_preserving(D, X) is None:
-            corr_inverse[Y] = {w: v for v, w in R.items()}
-        else:
-            class_y = _class_ids(Y)
-            inverse: VertexCorrespondence = {}
-            for w in Y.vertices:
-                candidates = [v for v in X.vertices
-                              if class_y[R[v]] == class_y[w]]
-                if not candidates:
-                    raise InverseConstructionError(
-                        f"no source vertex maps into the class of an image "
-                        f"vertex of {Y!r}")
-                inverse[w] = candidates[0]
-            corr_inverse[Y] = inverse
-    return InverseTable(family=fam, forward=forward, backward=backward,
-                        forward_corr=forward_corr, corr_inverse=corr_inverse,
-                        name=f"{D.name}-inverse")
+    return tabulate(D, fam).inverse()

@@ -10,6 +10,12 @@ jobs with `portgraph.relabel` and one call to `patches.glue`.
 `export_dot_by_path_key` is the DOT renderer as it was when it ordered
 half-edges by `Alphabets.path_key`; `dot.export_dot` now orders them by the
 vertex's rank in the canonical vertex order.
+
+`check_bijective_on_family`, `check_vertex_preserving`,
+`vertex_preservation_exceptions`, `check_class_preservation` and
+`build_inverse` are the family checkers as they were when each ran its own
+loop of applies; `reversibility` now applies a dynamics once per member
+(`tabulate`) and every check reads that table.
 """
 from typing import Dict, List, Optional, Tuple
 
@@ -22,10 +28,23 @@ from cgd.blocks import (
     _induced_raw,
     _mark_partition,
 )
-from cgd.modulo import canonicalize_with_names, disk, shift
+from cgd.dynamics import Dynamics, VertexCorrespondence
+from cgd.modulo import (
+    CanonicalGraph,
+    canonicalize_with_names,
+    disk,
+    shift,
+    shift_equivalence_classes,
+)
 from cgd.patches import PatchInconsistencyError, _translate_patch, consistent
 from cgd.paths import EPSILON, Path, format_path
 from cgd.portgraph import PointedRawGraph, RawGraph, ensure_valid
+from cgd.reversibility import (
+    GraphFamily,
+    InverseConstructionError,
+    InverseTable,
+    OutOfFamilyError,
+)
 
 
 def union_pair(G: RawGraph, H: RawGraph) -> RawGraph:
@@ -165,3 +184,104 @@ def export_dot_by_path_key(X, space: Optional[MarkSpace] = None) -> str:
             f'  "{format_path(u)}" -- "{format_path(w)}" [{", ".join(attrs)}];')
     lines.append("}")
     return "\n".join(lines) + "\n"
+
+
+def check_bijective_on_family(D: Dynamics, fam: GraphFamily) -> Optional[str]:
+    """None when D permutes the family; else the first collision or gap.
+
+    Raises OutOfFamilyError when an image leaves the family, since then
+    bijectivity over the family is not even well-posed.
+    """
+    images: Dict[CanonicalGraph, CanonicalGraph] = {}
+    for X in fam:
+        Y = D.apply(X)[0]
+        if Y not in fam:
+            raise OutOfFamilyError(
+                f"{D.name} maps a {len(X.vertices)}-vertex member to a "
+                f"{len(Y.vertices)}-vertex graph outside the family")
+        if Y in images:
+            return (f"not injective: two members share the image "
+                    f"{Y!r}")
+        images[Y] = X
+    for X in fam:
+        if X not in images:
+            return f"not surjective: member {X!r} is never reached"
+    return None
+
+
+def check_vertex_preserving(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
+    """None when the correspondence is a bijection onto the image's vertices."""
+    Y, R = D.apply(X)
+    values = list(R.values())
+    if len(set(values)) != len(values):
+        return "correspondence is not injective"
+    if set(values) != set(Y.vertices):
+        missing = sorted(set(Y.vertices) - set(values),
+                         key=Y.alphabets.path_key)
+        return f"correspondence misses image vertex {format_path(missing[0])}"
+    return None
+
+
+def vertex_preservation_exceptions(D: Dynamics, fam: GraphFamily
+                                   ) -> List[CanonicalGraph]:
+    """The family members on which the correspondence fails to be bijective."""
+    return [X for X in fam if check_vertex_preserving(D, X) is not None]
+
+
+def check_class_preservation(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
+    """Shift-equivalence must transfer along the correspondence, both ways."""
+    Y, R = D.apply(X)
+    class_x = _class_ids(X)
+    class_y = _class_ids(Y)
+    verts = X.vertices
+    for i, u in enumerate(verts):
+        for v in verts[i:]:
+            same_source = class_x[u] == class_x[v]
+            same_image = class_y[R[u]] == class_y[R[v]]
+            if same_source != same_image:
+                return (f"vertices {format_path(u)} and {format_path(v)}: "
+                        f"equivalent in source={same_source}, "
+                        f"in image={same_image}")
+    return None
+
+
+def _class_ids(X: CanonicalGraph) -> Dict[Path, int]:
+    ids = {}
+    for i, cls in enumerate(shift_equivalence_classes(X)):
+        for v in cls:
+            ids[v] = i
+    return ids
+
+
+def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
+    """Tabulate D over the family and invert it, correspondences included."""
+    problem = check_bijective_on_family(D, fam)
+    if problem is not None:
+        raise InverseConstructionError(problem)
+    forward: Dict[CanonicalGraph, CanonicalGraph] = {}
+    forward_corr: Dict[CanonicalGraph, VertexCorrespondence] = {}
+    for X in fam:
+        Y, R = D.apply(X)
+        forward[X] = Y
+        forward_corr[X] = R
+    backward = {Y: X for X, Y in forward.items()}
+    corr_inverse: Dict[CanonicalGraph, VertexCorrespondence] = {}
+    for X, Y in forward.items():
+        R = forward_corr[X]
+        if check_vertex_preserving(D, X) is None:
+            corr_inverse[Y] = {w: v for v, w in R.items()}
+        else:
+            class_y = _class_ids(Y)
+            inverse: VertexCorrespondence = {}
+            for w in Y.vertices:
+                candidates = [v for v in X.vertices
+                              if class_y[R[v]] == class_y[w]]
+                if not candidates:
+                    raise InverseConstructionError(
+                        f"no source vertex maps into the class of an image "
+                        f"vertex of {Y!r}")
+                inverse[w] = candidates[0]
+            corr_inverse[Y] = inverse
+    return InverseTable(family=fam, forward=forward, backward=backward,
+                        forward_corr=forward_corr, corr_inverse=corr_inverse,
+                        name=f"{D.name}-inverse")

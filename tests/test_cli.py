@@ -5,9 +5,16 @@ import sys
 
 import pytest
 
+import cgd
 from cgd import canonicalize, get_dynamics, parse_graph
 from cgd.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, main
 from cgd.families import single_head_tape
+
+# Subprocesses import the same cgd as this module, whether it was installed
+# or found through pytest's `pythonpath`.
+SUBPROCESS_ENV = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
+    os.path.dirname(os.path.dirname(cgd.__file__)),
+    os.environ.get("PYTHONPATH"))))}
 
 TAPE_TEXT = """\
 ports a b c d
@@ -224,7 +231,7 @@ class TestDeterminism:
                 [sys.executable, "-m", "cgd.cli", "verify", "--dynamics",
                  "inflating-grid", "--family", "all", "--max-vertices", "2"],
                 capture_output=True, text=True,
-                env={**os.environ, "PYTHONHASHSEED": seed})
+                env={**SUBPROCESS_ENV, "PYTHONHASHSEED": seed})
             assert proc.returncode == EXIT_CHECK_FAILED
             (line,) = [l for l in proc.stdout.splitlines()
                        if l.startswith("bijective=")]
@@ -256,6 +263,6 @@ class TestParser:
         proc = subprocess.run(
             [sys.executable, "-m", "cgd.cli", "export-dot",
              "--input", str(graph)],
-            capture_output=True, text=True)
+            capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert proc.stdout.startswith("graph cgd {")

@@ -22,7 +22,16 @@ from cgd import (
     shift,
     shift_equivalence_classes,
 )
-from cgd.families import single_head_tape, turtle_graphs
+from cgd.blocks import BlockKit
+from cgd.dynamics import get_dynamics
+from cgd.families import (
+    bare_tapes,
+    shift_closure,
+    single_head_tape,
+    single_head_tapes,
+    turtle_graphs,
+)
+from cgd.reversibility import GraphFamily
 from cgd.modulo import PathResolutionError, smallest_prime_above
 from cgd.paths import EPSILON, Path, format_path, parse_path
 
@@ -444,16 +453,30 @@ class TestTrustedOrder:
             for u in X.vertices:
                 assert in_path_key_order(shift(X, u))
 
-    def test_no_path_key_calls_on_long_tape(self, monkeypatch):
-        # The order is trusted, not re-derived: a sort by path_key would
-        # cost O(name length) per vertex on every canonicalization.
-        X = single_head_tape(200, 77)
+    @pytest.fixture
+    def path_key_calls(self, monkeypatch):
         calls = []
         real = Alphabets.path_key
         monkeypatch.setattr(Alphabets, "path_key",
                             lambda self, path: calls.append(1) or real(self, path))
+        return calls
+
+    def test_no_path_key_calls_on_long_tape(self, path_key_calls):
+        # The order is trusted, not re-derived: a sort by path_key would
+        # cost O(name length) per vertex on every canonicalization.
+        X = single_head_tape(200, 77)
         raw = canonicalize(X.to_pointed_raw())
         far = shift(X, X.vertices[-1])
         local = disk(far, 2)
-        assert calls == []
+        assert path_key_calls == []
         assert raw == X and len(far) == len(X) and len(local.graph) == 4
+
+    def test_no_path_key_calls_on_the_block_path(self, path_key_calls):
+        # The kit and family `cgd decompose` builds for a 6-cell tape.
+        X = single_head_tape(6, 2)
+        fam = GraphFamily.from_graphs(shift_closure(
+            bare_tapes(len(X)) + single_head_tapes(len(X) - 1)))
+        mh = get_dynamics("moving-head")
+        kit = BlockKit.from_family(mh, fam, exception_bound=0)
+        assert kit.decompose_step(X) == mh.apply(X)[0]
+        assert path_key_calls == []

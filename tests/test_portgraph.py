@@ -1,5 +1,7 @@
 """Raw port graphs: validation, components, the text format, and paths."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgd import (
     Alphabets,
@@ -19,6 +21,32 @@ from cgd.paths import EPSILON, Path, format_path, parse_path
 
 AB = Alphabets.make("ab")
 ABCD = Alphabets.make("abcd", vertex_labels=("0", "1"), edge_labels=("x",))
+
+
+@st.composite
+def token_soup(draw):
+    """Graph text for fuzzing `parse_graph`: a ports and a pointer line,
+    some other declarations and maybe a junk line, in any order, over small
+    token pools that repeat tokens and leave some ids and ports undeclared.
+    Pools list their well-formed entries twice, so some texts parse."""
+    def line(*pools):
+        return " ".join(draw(st.sampled_from(pool)) for pool in pools)
+
+    def lines(lo, hi, *pools):
+        return [line(*pools) for _ in range(draw(st.integers(lo, hi)))]
+
+    ids = ("v", "w", "u")
+    half = ("v:a", "w:b", "v:b", "w:a", "u:c", "v:z", "x:a", ":a")
+    label = ("", "", "label=0", "label=x", "label=")
+    text = ([line(("ports",), ("a b c", "a b", "a b c", "b b", "a"))]
+            + lines(0, 1, ("vlabels",), ("0 x", "0", "0 x", "x x"))
+            + lines(0, 1, ("elabels",), ("x", "x 0", "x", "0 0"))
+            + lines(1, 3, ("vertex",), ids, label)
+            + lines(0, 3, ("edge",), half, half, label)
+            + [line(("pointer",), ids + ("q",))]
+            + lines(0, 1, ("junk", "ports", "pointer v", "label=0", "edge"),
+                    ("", "v", "v:a w:a")))
+    return "".join(l + "\n" for l in draw(st.permutations(text)))
 
 
 def ring4(alphabets=AB):
@@ -244,6 +272,24 @@ class TestTextFormat:
     def test_undeclared_edge_vertex(self):
         with pytest.raises(GraphFormatError, match="undeclared"):
             parse_graph(SAMPLE + "edge v9:a v2:c\n")
+
+    @pytest.mark.parametrize("line, message", [
+        ("ports a a", "line 1: duplicate port 'a'"),
+        ("vlabels 0 0", "line 1: duplicate vertex label '0'"),
+        ("elabels q r q", "line 1: duplicate edge label 'q'"),
+    ])
+    def test_duplicate_alphabet_token_names_its_line(self, line, message):
+        with pytest.raises(GraphFormatError, match=f"^{message}$"):
+            parse_graph(line + "\nports a b\nvertex v\npointer v\n")
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(text=token_soup())
+    def test_token_soup_parses_or_raises_a_graph_error(self, text):
+        try:
+            pg = parse_graph(text)
+        except (GraphFormatError, InvalidGraphError):
+            return
+        assert validate(pg.graph) is None
 
 
 class TestPaths:

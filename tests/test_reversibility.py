@@ -15,15 +15,24 @@ from cgd import (
     shift_equivalence_classes,
     vertex_preservation_exceptions,
 )
-from cgd.dynamics import DynamicsError, FuncDynamics, IdentityDynamics
-from cgd.families import bare_tape, single_head_tape, turtle_graphs
-from cgd.paths import EPSILON
+import oracles
+from cgd.blocks import BlockKit
+from cgd.cli import main
+from cgd.dynamics import (
+    DynamicsError,
+    FuncDynamics,
+    IdentityDynamics,
+    RawStepDynamics,
+)
+from cgd.families import TAPE_ALPHABETS, bare_tape, single_head_tape, turtle_graphs
+from cgd.paths import EPSILON, Path
 from cgd.reversibility import (
     GraphFamily,
     InverseConstructionError,
     OutOfFamilyError,
     enumerate_family,
     serialize_inverse_table,
+    tabulate,
 )
 
 TURTLE_ALPH = Alphabets.make("ab", vertex_labels=("0",))
@@ -39,6 +48,44 @@ def collapse_dynamics():
         return target, {v: EPSILON for v in X.vertices}
 
     return FuncDynamics("collapse", fn, TURTLE_ALPH)
+
+
+def ab_line(n):
+    """An a-b path of n labelled vertices: outside any family of fewer."""
+    edges = frozenset(make_edge(i, "a", i + 1, "b") for i in range(n - 1))
+    raw = RawGraph(alphabets=TURTLE_ALPH, vertices=tuple(range(n)),
+                   edges=edges, vertex_labels={i: "0" for i in range(n)})
+    return canonicalize(PointedRawGraph(raw, 0))
+
+
+def patched_dynamics(name, on_size):
+    """Identity, except on members whose vertex count `on_size` maps to an
+    action: "collapse" to the bare vertex, "escape" to a 5-vertex line,
+    "raise" a DynamicsError."""
+    bare, line = ab_line(1), ab_line(5)
+
+    def fn(X):
+        action = on_size.get(len(X.vertices))
+        if action == "collapse":
+            return bare, {v: EPSILON for v in X.vertices}
+        if action == "escape":
+            return line, {v: EPSILON for v in X.vertices}
+        if action == "raise":
+            raise DynamicsError(f"{name}: no rule for {len(X.vertices)} vertices")
+        return X, {v: v for v in X.vertices}
+
+    return FuncDynamics(name, fn, TURTLE_ALPH)
+
+
+def counting(D):
+    """D wrapped so that `.calls` counts its applies."""
+    def fn(X):
+        wrapped.calls += 1
+        return D.apply(X)
+
+    wrapped = FuncDynamics(D.name, fn, D.alphabets)
+    wrapped.calls = 0
+    return wrapped
 
 
 class TestBijectivity:
@@ -208,3 +255,120 @@ class TestBuildInverse:
         solo, _pair = turtle_graphs()
         with pytest.raises(OutOfFamilyError):
             build_inverse(turtle, GraphFamily.from_graphs([solo]))
+
+
+def outcome(fn, *args):
+    """What a call returned, or the type and text of what it raised."""
+    try:
+        return "returned", fn(*args)
+    except Exception as exc:  # the oracles may raise anything
+        return type(exc), str(exc)
+
+
+def table_outcome(fn, D, fam):
+    kind, table = outcome(fn, D, fam)
+    if kind != "returned":
+        return kind, table
+    return kind, (table.family.members, table.forward, table.backward,
+                  table.forward_corr, table.corr_inverse, table.name,
+                  serialize_inverse_table(table))
+
+
+def first_class_problem(D, fam):
+    """The verify command's old class sweep, over the old checker."""
+    for X in fam:
+        problem = oracles.check_class_preservation(D, X)
+        if problem is not None:
+            return problem
+    return None
+
+
+DIFFERENTIAL_DYNAMICS = {
+    "identity": IdentityDynamics,
+    "moving-head": lambda: get_dynamics("moving-head"),
+    "turtle": lambda: get_dynamics("turtle"),
+    "collapse": collapse_dynamics,
+    "escape": lambda: patched_dynamics("escape", {4: "escape"}),
+    "collision-then-escape": lambda: patched_dynamics(
+        "collision-then-escape", {1: "collapse", 4: "escape"}),
+}
+
+
+class TestOnePassMatchesOldCheckers:
+    """Every family check reads one table and says what the old loops said."""
+
+    @pytest.mark.parametrize("family", ["ab_family_4", "head_tapes_5",
+                                        "tape_closure_5"])
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_DYNAMICS))
+    def test_same_verdicts(self, name, family, request):
+        D = DIFFERENTIAL_DYNAMICS[name]()
+        fam = request.getfixturevalue(family)
+        assert outcome(check_bijective_on_family, D, fam) == \
+            outcome(oracles.check_bijective_on_family, D, fam)
+        assert outcome(vertex_preservation_exceptions, D, fam) == \
+            outcome(oracles.vertex_preservation_exceptions, D, fam)
+        assert outcome(lambda: tabulate(D, fam).class_problem()) == \
+            outcome(first_class_problem, D, fam)
+        assert table_outcome(build_inverse, D, fam) == \
+            table_outcome(oracles.build_inverse, D, fam)
+        for X in list(fam)[::7]:
+            assert outcome(check_vertex_preserving, D, X) == \
+                outcome(oracles.check_vertex_preserving, D, X)
+            assert outcome(check_class_preservation, D, X) == \
+                outcome(oracles.check_class_preservation, D, X)
+
+    def test_fixtures_reach_every_verdict(self, ab_family_4):
+        # The differential test above sees a permutation, a collision and
+        # an escape, with and without vertex-preservation exceptions.
+        verdicts = {name: outcome(check_bijective_on_family,
+                                  DIFFERENTIAL_DYNAMICS[name](), ab_family_4)
+                    for name in DIFFERENTIAL_DYNAMICS}
+        assert verdicts["turtle"] == ("returned", None)
+        assert "not injective" in verdicts["collapse"][1]
+        assert "not injective" in verdicts["collision-then-escape"][1]
+        assert verdicts["escape"][0] is OutOfFamilyError
+
+    def test_apply_error_after_a_collision_surfaces(self, ab_family_4):
+        # Every member is applied before any check reads the table, so a
+        # dynamics that fails on a member after the first collision now
+        # raises; the old loop stopped at the collision.
+        D = patched_dynamics("collision-then-raise", {1: "collapse", 4: "raise"})
+        assert "not injective" in oracles.check_bijective_on_family(D, ab_family_4)
+        with pytest.raises(DynamicsError, match="no rule for 4 vertices"):
+            check_bijective_on_family(D, ab_family_4)
+
+
+class TestOneApplyPerMember:
+    def test_family_checks_and_inverse(self, tape_closure_5):
+        for check in (check_bijective_on_family, vertex_preservation_exceptions,
+                      build_inverse):
+            D = counting(get_dynamics("moving-head"))
+            check(D, tape_closure_5)
+            assert D.calls == len(tape_closure_5)
+
+    def test_block_kit(self, tape_closure_5):
+        D = counting(get_dynamics("moving-head"))
+        BlockKit.from_family(D, tape_closure_5, exception_bound=0)
+        assert D.calls == len(tape_closure_5)
+
+    def test_verify_command(self, monkeypatch, capsys):
+        calls = []
+        real = RawStepDynamics.apply
+        monkeypatch.setattr(RawStepDynamics, "apply",
+                            lambda self, X: calls.append(1) or real(self, X))
+        assert main(["verify", "--dynamics", "moving-head", "--family",
+                     "tape-closure", "--max-vertices", "8"]) == 0
+        assert "members=370\n" in capsys.readouterr().out
+        assert len(calls) == 370
+
+
+class TestStrayCorrespondence:
+    def test_value_outside_the_image_is_named(self):
+        # Onto the 1-cell tape with values eps and cc: every image vertex
+        # is covered, and ab is sent to a name the image does not have.
+        one = bare_tape(1)
+        D = FuncDynamics("onto-one-cell", lambda X: (one, {
+            EPSILON: EPSILON, Path((("a", "b"),)): Path((("c", "c"),))}),
+            TAPE_ALPHABETS)
+        assert check_vertex_preserving(D, bare_tape(2)) == \
+            "correspondence sends ab outside the image"
