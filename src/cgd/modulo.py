@@ -10,6 +10,7 @@ equality is the only graph equality this package ever needs.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import takewhile
 from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
 
 from .paths import EPSILON, Path, format_path
@@ -172,8 +173,10 @@ def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
 
 def canonicalize_with_names(pg: PointedRawGraph
                             ) -> Tuple[CanonicalGraph, Dict[Any, Path]]:
-    """Canonicalize and also return the id -> canonical name assignment."""
-    ensure_valid(pg.graph)
+    """Canonicalize and also return the id -> canonical name assignment.
+
+    Trusts the graph to be valid and checks only that it is connected.
+    """
     g = pg.graph
     names = _canonical_names(g.adjacency(), pg.origin, g.alphabets)
     if len(names) != len(g.vertices):
@@ -189,8 +192,9 @@ def canonicalize(pg: PointedRawGraph) -> CanonicalGraph:
     """The canonical form of a connected pointed raw graph.
 
     The result is independent of the vertex id choices: any two isomorphic
-    presentations yield the same value.
+    presentations yield the same value.  The graph is validated first.
     """
+    ensure_valid(pg.graph)
     return canonicalize_with_names(pg)[0]
 
 
@@ -234,24 +238,20 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
 
     Vertices up to distance radius+1 survive with all induced edges; vertex
     labels survive only up to distance radius, edge labels only on edges
-    whose two endpoints are within distance radius.
+    whose two endpoints are within distance radius.  Shortest paths to kept
+    vertices stay inside the disk, so it inherits X's names and their order.
     """
     if radius < 0:
         raise ValueError("radius must be >= 0")
-    keep = {v for v in X.vertices if len(v) <= radius + 1}
+    vertices = tuple(takewhile(lambda v: len(v) <= radius + 1, X.vertices))
+    keep = set(vertices)
     edges = [e for e in X.edges if all(v in keep for (v, _p) in e)]
     vertex_labels = {v: l for v, l in X.vertex_labels.items()
                      if len(v) <= radius}
     edge_labels = {e: l for e, l in X.edge_labels.items()
                    if all(len(v) <= radius for (v, _p) in e)}
-    pruned = RawGraph(
-        alphabets=X.alphabets,
-        vertices=tuple(v for v in X.vertices if v in keep),
-        edges=frozenset(edges),
-        vertex_labels=vertex_labels,
-        edge_labels=edge_labels,
-    )
-    return DiskGraph(canonicalize(PointedRawGraph(pruned, EPSILON)), radius)
+    return DiskGraph(CanonicalGraph(X.alphabets, vertices, vertex_labels,
+                                    edges, edge_labels), radius)
 
 
 def shift_equivalence_classes(X: CanonicalGraph) -> Tuple[Tuple[Path, ...], ...]:
@@ -347,7 +347,7 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
         vertex_labels=vertex_labels,
         edge_labels=edge_labels,
     )
-    return canonicalize(PointedRawGraph(extended, EPSILON))
+    return canonicalize_with_names(PointedRawGraph(extended, EPSILON))[0]
 
 
 def _is_cycle_edge(X: CanonicalGraph, e: NameEdge) -> bool:

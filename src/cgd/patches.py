@@ -16,7 +16,6 @@ from .dynamics import Dynamics, VertexCorrespondence
 from .modulo import (
     CanonicalGraph,
     DiskGraph,
-    canonicalize,
     canonicalize_with_names,
     disk,
     shift,
@@ -29,6 +28,7 @@ from .portgraph import (
     HalfEdge,
     PointedRawGraph,
     RawGraph,
+    ensure_valid,
     parse_graph,
     relabel,
     serialize_graph,
@@ -204,6 +204,8 @@ def apply_local_rule(rule: LocalRule, X: CanonicalGraph
         raise PatchInconsistencyError(
             f"patches at {format_path(u)} and {format_path(w)} "
             f"conflict: {err}", anchors=(u, w)) from None
+    # Patches are user input, and `glue` leaves faults inside one piece here.
+    ensure_valid(merged)
     origin = patches[EPSILON].successor
     Y, names = canonicalize_with_names(PointedRawGraph(merged, origin))
     return Y, {u: names[p.successor] for u, p in patches.items()}
@@ -267,10 +269,13 @@ class RuleTable:
 
 def _patch_token_of_text(text: str, ports) -> Hashable:
     body, sep, tag = text.partition("~")
-    path = parse_path(body, ports)
+    try:
+        path = parse_path(body, ports)
+    except ValueError as exc:
+        raise GraphFormatError(f"bad patch vertex {text!r}: {exc}") from None
     if not sep:
         return path
-    if not tag.isdigit():
+    if not tag.isdecimal():
         raise GraphFormatError(f"bad fresh-vertex tag in {text!r}")
     return (path, int(tag))
 
@@ -288,7 +293,7 @@ def parse_rule_file(text: str) -> RuleTable:
         stripped = raw_line.split("#", 1)[0].strip()
         if stripped.startswith("radius") and not sections:
             parts = stripped.split()
-            if len(parts) != 2 or not parts[1].isdigit() or radius is not None:
+            if len(parts) != 2 or not parts[1].isdecimal() or radius is not None:
                 raise GraphFormatError(f"bad radius line {raw_line!r}")
             radius = int(parts[1])
         elif stripped == "disk":
@@ -311,7 +316,7 @@ def parse_rule_file(text: str) -> RuleTable:
     for i in range(0, len(sections), 2):
         disk_text = "\n".join(sections[i][1])
         patch_text = "\n".join(sections[i + 1][1])
-        view = DiskGraph(canonicalize(parse_graph(disk_text)), radius)
+        view = DiskGraph(canonicalize_with_names(parse_graph(disk_text))[0], radius)
         patch = _parse_patch(patch_text)
         if view in entries:
             raise GraphFormatError("duplicate disk entry in rule file")

@@ -319,6 +319,7 @@ def parse_graph(text: str) -> PointedRawGraph:
     edges: list = []
     edge_labels: Dict[Edge, str] = {}
     pointer: Optional[str] = None
+    once: set = set()    # the keywords allowed on one line only
 
     def take_label(tokens: list, line_no: int) -> Optional[str]:
         if tokens and tokens[-1].startswith("label="):
@@ -339,9 +340,11 @@ def parse_graph(text: str) -> PointedRawGraph:
             continue
         tokens = line.split()
         keyword, args = tokens[0], tokens[1:]
+        if keyword in ("ports", "vlabels", "elabels", "pointer"):
+            if keyword in once:
+                raise GraphFormatError(f"line {line_no}: duplicate {keyword} line")
+            once.add(keyword)
         if keyword == "ports":
-            if ports is not None:
-                raise GraphFormatError(f"line {line_no}: duplicate ports line")
             if not args:
                 raise GraphFormatError(f"line {line_no}: empty port alphabet")
             ports = distinct(args, "port", line_no)
@@ -373,8 +376,6 @@ def parse_graph(text: str) -> PointedRawGraph:
             if label is not None:
                 edge_labels[e] = label
         elif keyword == "pointer":
-            if pointer is not None:
-                raise GraphFormatError(f"line {line_no}: duplicate pointer line")
             if len(args) != 1:
                 raise GraphFormatError(f"line {line_no}: pointer wants one id")
             pointer = args[0]
@@ -407,6 +408,7 @@ def parse_graph(text: str) -> PointedRawGraph:
     if pointer not in vertex_set:
         raise GraphFormatError(f"pointer {pointer!r} is not a declared vertex")
 
+    # The checks above cover every rule of `validate`, with line numbers.
     g = RawGraph(
         alphabets=alphabets,
         vertices=tuple(vertices),
@@ -414,7 +416,6 @@ def parse_graph(text: str) -> PointedRawGraph:
         vertex_labels=vertex_labels,
         edge_labels=edge_labels,
     )
-    ensure_valid(g)
     return PointedRawGraph(g, pointer)
 
 

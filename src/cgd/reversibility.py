@@ -18,6 +18,7 @@ from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from .modulo import (
     CanonicalGraph,
     canonicalize,
+    canonicalize_with_names,
     shift_equivalence_classes,
 )
 from .paths import Path, format_path
@@ -136,7 +137,7 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     for sigma in vlabels:
         raw = RawGraph(alphabets=alphabets, vertices=(0,),
                        vertex_labels={} if sigma is None else {0: sigma})
-        g = canonicalize(PointedRawGraph(raw, 0))
+        g = canonicalize_with_names(PointedRawGraph(raw, 0))[0]
         if g not in seen and admit(g):
             seen.add(g)
             queue.append(g)
@@ -145,7 +146,7 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
         for raw in _extensions(g, max_vertices, vlabels, elabels):
             if raw_prune is not None and not raw_prune(raw):
                 continue
-            h = canonicalize(PointedRawGraph(raw, raw.vertices[0]))
+            h = canonicalize_with_names(PointedRawGraph(raw, raw.vertices[0]))[0]
             if h in seen or not admit(h):
                 continue
             seen.add(h)

@@ -16,6 +16,10 @@ vertex's rank in the canonical vertex order.
 `build_inverse` are the family checkers as they were when each ran its own
 loop of applies; `reversibility` now applies a dynamics once per member
 (`tabulate`) and every check reads that table.
+
+`disk_by_canonicalization` is `disk` as it was when it pruned the graph to
+a raw graph and canonicalized that; `modulo.disk` now keeps the input's
+names and their order.
 """
 from typing import Dict, List, Optional, Tuple
 
@@ -31,6 +35,8 @@ from cgd.blocks import (
 from cgd.dynamics import Dynamics, VertexCorrespondence
 from cgd.modulo import (
     CanonicalGraph,
+    DiskGraph,
+    canonicalize,
     canonicalize_with_names,
     disk,
     shift,
@@ -285,3 +291,28 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
     return InverseTable(family=fam, forward=forward, backward=backward,
                         forward_corr=forward_corr, corr_inverse=corr_inverse,
                         name=f"{D.name}-inverse")
+
+
+def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:
+    """The disk of the given radius around the origin.
+
+    Vertices up to distance radius+1 survive with all induced edges; vertex
+    labels survive only up to distance radius, edge labels only on edges
+    whose two endpoints are within distance radius.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    keep = {v for v in X.vertices if len(v) <= radius + 1}
+    edges = [e for e in X.edges if all(v in keep for (v, _p) in e)]
+    vertex_labels = {v: l for v, l in X.vertex_labels.items()
+                     if len(v) <= radius}
+    edge_labels = {e: l for e, l in X.edge_labels.items()
+                   if all(len(v) <= radius for (v, _p) in e)}
+    pruned = RawGraph(
+        alphabets=X.alphabets,
+        vertices=tuple(v for v in X.vertices if v in keep),
+        edges=frozenset(edges),
+        vertex_labels=vertex_labels,
+        edge_labels=edge_labels,
+    )
+    return DiskGraph(canonicalize(PointedRawGraph(pruned, EPSILON)), radius)

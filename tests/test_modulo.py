@@ -1,5 +1,6 @@
 """Canonical forms and the structural operations over them."""
 import random
+import sys
 from itertools import combinations
 
 import pytest
@@ -22,18 +23,29 @@ from cgd import (
     shift,
     shift_equivalence_classes,
 )
-from cgd.blocks import BlockKit
+from cgd import modulo, portgraph
+from cgd.blocks import BlockKit, mark
+from cgd.cli import main
 from cgd.dynamics import get_dynamics
 from cgd.families import (
+    bare_tape,
     bare_tapes,
+    grid_graph,
     shift_closure,
     single_head_tape,
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.reversibility import GraphFamily
-from cgd.modulo import PathResolutionError, smallest_prime_above
+from cgd.patches import apply_local_rule, identity_local_rule
+from cgd.portgraph import GraphError
+from cgd.reversibility import GraphFamily, enumerate_family, tabulate
+from cgd.modulo import NoHostVertexError, PathResolutionError, smallest_prime_above
 from cgd.paths import EPSILON, Path, format_path, parse_path
+
+from oracles import disk_by_canonicalization
+from test_blocks import TAPE_SPACE, moving_head_kit
+from test_glue import marked_variants
+from test_patches import inflating_grid_local_rule
 
 AB = Alphabets.make("ab")
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
@@ -480,3 +492,167 @@ class TestTrustedOrder:
         kit = BlockKit.from_family(mh, fam, exception_bound=0)
         assert kit.decompose_step(X) == mh.apply(X)[0]
         assert path_key_calls == []
+
+
+def assert_same_disk(X, radius):
+    got, want = disk(X, radius), disk_by_canonicalization(X, radius)
+    assert got == want and hash(got.graph) == hash(want.graph)
+    assert got.graph.vertices == want.graph.vertices
+
+
+class TestDiskInheritsNames:
+    """`disk` keeps X's names; the old disk canonicalized the pruned graph."""
+
+    def test_exhaustive_family(self, ab_family_6):
+        for X in ab_family_6:
+            for radius in range(4):
+                assert_same_disk(X, radius)
+
+    def test_tape_closure(self, tape_closure_5):
+        for X in tape_closure_5:
+            for radius in range(4):
+                assert_same_disk(X, radius)
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_labelled_graphs_at_every_vertex(self, pg):
+        X = canonicalize(pg)
+        for u in X.vertices:
+            for radius in range(4):
+                assert_same_disk(shift(X, u), radius)
+
+    def test_no_renaming(self, monkeypatch):
+        X = single_head_tape(30, 11)
+        calls = []
+        for name in ("_canonical_names", "RawGraph"):
+            real = getattr(modulo, name)
+            monkeypatch.setattr(modulo, name, lambda *a, real=real, name=name, **k:
+                                calls.append(name) or real(*a, **k))
+        for radius in range(4):
+            disk(X, radius)
+        assert calls == []
+
+
+class TestTrustBoundary:
+    """Graphs are validated where they enter, not on every canonicalization."""
+
+    @pytest.fixture
+    def validate_calls(self, monkeypatch):
+        calls = []
+        real = portgraph.validate
+        monkeypatch.setattr(portgraph, "validate",
+                            lambda g: calls.append(1) or real(g))
+        return calls
+
+    def test_enumeration_validates_nothing(self, validate_calls):
+        enumerate_family(AB0, 5)
+        enumerate_family(Alphabets.make("ab", ("0", "1"), ("x",)), 3)
+        assert validate_calls == []
+
+    def test_inverse_table_validates_nothing(self, validate_calls, tape_closure_5):
+        validate_calls.clear()
+        table = tabulate(get_dynamics("moving-head"), tape_closure_5).inverse()
+        assert len(table.forward) == len(tape_closure_5)
+        assert validate_calls == []
+
+    def test_block_path_validates_nothing(self, validate_calls):
+        X = single_head_tape(6, 2)
+        fam = GraphFamily.from_graphs(shift_closure(
+            bare_tapes(len(X)) + single_head_tapes(len(X) - 1)))
+        mh = get_dynamics("moving-head")
+        validate_calls.clear()
+        kit = BlockKit.from_family(mh, fam, exception_bound=0)
+        assert kit.decompose_step(X) == mh.apply(X)[0]
+        assert validate_calls == []
+
+    def test_cli_run_validates_nothing(self, validate_calls, tmp_path, capsys):
+        tape = tmp_path / "tape.graph"
+        tape.write_text(single_head_tape(200, 77).to_text())
+        out = tmp_path / "out"
+        validate_calls.clear()
+        assert main(["run", "--dynamics", "moving-head", "--input", str(tape),
+                     "--steps", "3", "--output-dir", str(out)]) == 0
+        assert len(list(out.iterdir())) == 4
+        assert validate_calls == []
+
+    def test_local_rule_validates_its_glued_graph_once(self, validate_calls):
+        tapes = [bare_tape(12), single_head_tape(12, 5)]
+        validate_calls.clear()
+        for X in tapes:
+            assert apply_local_rule(identity_local_rule(1), X)[0] == X
+        assert len(validate_calls) == len(tapes)
+
+    @pytest.mark.parametrize("port, label, message", [
+        ("z", "0", "port 'z' on vertex 'w' is not in the port alphabet"),
+        ("b", "q", "vertex 'w' carries unknown label 'q'"),
+    ])
+    def test_canonicalize_still_validates(self, port, label, message):
+        g = RawGraph(alphabets=AB0, vertices=("v", "w"),
+                     edges=frozenset((make_edge("v", "a", "w", port),)),
+                     vertex_labels={"w": label})
+        with pytest.raises(InvalidGraphError, match=f"^{message}$"):
+            canonicalize(PointedRawGraph(g, "v"))
+
+
+class TestTrustedCallsGetValidGraphs:
+    """Every graph the library hands to `canonicalize_with_names` is valid."""
+
+    @pytest.fixture(autouse=True)
+    def checked(self, monkeypatch):
+        real = modulo.canonicalize_with_names
+        seen = []
+
+        def checked_canonicalize_with_names(pg):
+            seen.append(1)
+            assert portgraph.validate(pg.graph) is None
+            return real(pg)
+
+        for name, module in list(sys.modules.items()):
+            if name == "cgd" or name.startswith("cgd."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is real:
+                        monkeypatch.setattr(module, attr, checked_canonicalize_with_names)
+        yield
+        assert seen
+
+    def test_enumeration(self):
+        enumerate_family(AB0, 5)
+        enumerate_family(Alphabets.make("ab", ("0", "1"), ("x",)), 3)
+
+    def test_tabulate(self, tape_closure_5):
+        tabulate(get_dynamics("moving-head"), tape_closure_5).inverse()
+        turtle = get_dynamics("turtle")
+        tabulate(turtle, enumerate_family(turtle.alphabets, 4)).inverse()
+
+    def test_inflating_grid(self):
+        grid = get_dynamics("inflating-grid")
+        for shape in ((1, 1), (2, 3), (3, 2)):
+            grid.apply(grid.apply(grid_graph(*shape))[0])
+
+    def test_primal_extension(self, ab_family_4):
+        for X in ab_family_4:
+            try:
+                primal_extension(X, force=True)
+            except NoHostVertexError:
+                pass
+        primal_extension(canonicalize(pointed_ring(6)), force=True)
+
+    def test_marks_and_extensions(self):
+        kit = moving_head_kit()
+        for X in single_head_tapes(3):
+            lifted = TAPE_SPACE.lift(X)
+            assert TAPE_SPACE.drop(lifted) == X
+            for M in marked_variants(lifted, TAPE_SPACE):
+                mark(M, TAPE_SPACE)
+                for ext in (kit.forward_ext, kit.backward_ext):
+                    try:
+                        ext.apply(M)
+                    except GraphError:
+                        pass    # a seam conflict or a mark-inconsistent input
+
+    def test_decompose_and_local_rules(self):
+        kit = moving_head_kit(6)
+        X = single_head_tape(6, 2)
+        assert kit.decompose_step(X) == get_dynamics("moving-head").apply(X)[0]
+        apply_local_rule(identity_local_rule(1), X)
+        apply_local_rule(inflating_grid_local_rule(), grid_graph(2, 2))

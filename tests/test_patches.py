@@ -1,5 +1,7 @@
 """Patch consistency, unions, local rules, and the rule-file format."""
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgd import (
     Alphabets,
@@ -25,7 +27,7 @@ from cgd.patches import (
     serialize_rule_file,
 )
 from cgd.paths import EPSILON
-from cgd.portgraph import GraphFormatError
+from cgd.portgraph import GraphFormatError, InvalidGraphError, validate
 
 AB = Alphabets.make("ab")
 ABL = Alphabets.make("ab", vertex_labels=("x", "y"))
@@ -240,6 +242,40 @@ pointer eps
 """
 
 
+@st.composite
+def rule_soup(draw):
+    """Rule-file text for fuzzing `parse_rule_file`: a radius line and up to
+    three disk/maps-to sections of small graphs, maybe one line dropped and
+    one stray line added.  Vertex tokens mix patch names (`ab.ba`, `eps~1`)
+    with ones that do not parse as patch names."""
+    def pick(pool):
+        return draw(st.sampled_from(pool))
+
+    tokens = ("eps", "ab", "ba.ab", "eps~1", "ab~2", "eps") * 2 + (
+        "eps~01", "zz", ".", "~1", "eps~", "eps~x", "ab.", "eps~\u00b2")
+
+    def graph():
+        ids = draw(st.lists(st.sampled_from(tokens), min_size=1, max_size=3,
+                            unique=True))
+        lines = ["ports a b", "vlabels x y"]
+        lines += [f"vertex {v} {pick(('label=x', 'label=y', '') * 3 + ('label=z',))}"
+                  for v in ids]
+        for _ in range(draw(st.integers(0, 2))):
+            lines.append(f"edge {pick(ids)}:a {pick(ids)}:{pick('bbbc')}")
+        return lines + [f"pointer {pick(ids)}"]
+
+    text = [pick(("radius x", "radius", "radius 1 2", "radius \u00b2", "# none"))
+            if draw(st.integers(0, 9)) == 9 else pick(("radius 0", "radius 1"))]
+    for _ in range(draw(st.integers(0, 3))):
+        text += ["disk"] + graph() + ["maps-to"] + graph()
+    if draw(st.integers(0, 5)) == 0:
+        del text[draw(st.integers(0, len(text) - 1))]
+    if draw(st.integers(0, 5)) == 0:
+        text.insert(draw(st.integers(0, len(text))),
+                    pick(("disk", "maps-to", "radius 0", "junk", "")))
+    return "".join(l + "\n" for l in text)
+
+
 class TestRuleFiles:
     def test_parse_and_apply(self):
         table = parse_rule_file(RULE_FILE)
@@ -300,3 +336,22 @@ pointer eps
         tokens = {next(iter(vid)) for vid in patch.graph.vertices}
         assert tokens == {EPSILON, (EPSILON, 1)}
         assert serialize_rule_file(table)  # fresh tags serialize back
+
+    @pytest.mark.parametrize("token", ["zz", ".", "~1", "ab."])
+    def test_unparsable_patch_vertex_names_its_token(self, token):
+        text = ("radius 0\ndisk\nports a b\nvertex eps\npointer eps\nmaps-to\n"
+                f"ports a b\nvertex eps\nvertex {token}\nedge eps:a {token}:b\n"
+                "pointer eps\n")
+        with pytest.raises(GraphFormatError, match=f"^bad patch vertex '{token}': "):
+            parse_rule_file(text)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=rule_soup())
+    def test_rule_soup_parses_or_raises_a_graph_error(self, text):
+        try:
+            table = parse_rule_file(text)
+        except (GraphFormatError, InvalidGraphError):
+            return
+        for view, patch in table.entries.items():
+            assert validate(view.graph.to_pointed_raw().graph) is None
+            assert validate(patch.graph) is None

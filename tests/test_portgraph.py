@@ -277,6 +277,8 @@ class TestTextFormat:
         ("ports a a", "line 1: duplicate port 'a'"),
         ("vlabels 0 0", "line 1: duplicate vertex label '0'"),
         ("elabels q r q", "line 1: duplicate edge label 'q'"),
+        ("vlabels 0\nvlabels 1", "line 2: duplicate vlabels line"),
+        ("elabels q\n\nelabels q", "line 3: duplicate elabels line"),
     ])
     def test_duplicate_alphabet_token_names_its_line(self, line, message):
         with pytest.raises(GraphFormatError, match=f"^{message}$"):
