@@ -29,6 +29,7 @@ from .modulo import (
     canonicalize,
     canonicalize_with_names,
     disk,
+    disk_at,
     is_asymmetric,
     primal_extension,
     shift,
@@ -43,7 +44,7 @@ from .dynamics import (
     continuity_probe,
     get_dynamics,
 )
-from .patches import LocalRule, Patch, apply_local_rule, consistent, glue, union
+from .patches import LocalRule, Patch, apply_local_rule, consistent, glue
 from .reversibility import (
     GraphFamily,
     InverseTable,

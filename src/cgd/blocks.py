@@ -23,8 +23,7 @@ from .dynamics import (
 from .modulo import (
     CanonicalGraph,
     canonicalize_with_names,
-    disk,
-    shift,
+    disk_at,
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
@@ -581,19 +580,19 @@ def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
     """
     for X in fam:
         Y, S = L.apply(X)
-        source_disks = {u: disk(shift(X, u), 0) for u in X.vertices}
+        source_disks = {u: disk_at(X, u, 0) for u in X.vertices}
         for far_vertex in Y.vertices:
             if len(far_vertex) <= radius:
                 continue
-            image_disk = disk(shift(Y, far_vertex), 0)
+            image_disk = disk_at(Y, far_vertex, 0)
             witnessed = False
             for u in X.vertices:
                 if S[u] != far_vertex or source_disks[u] != image_disk:
                     continue
                 ok = True
                 for v in source_disks[u].graph.vertices:
-                    uv = X.resolve(u.concat(v))
-                    if uv is None or S[uv] != Y.resolve(far_vertex.concat(v)):
+                    uv = X.resolve(v, start=u)
+                    if uv is None or S[uv] != Y.resolve(v, start=far_vertex):
                         ok = False
                         break
                 if ok:

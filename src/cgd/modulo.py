@@ -103,9 +103,10 @@ class CanonicalGraph:
     def degree(self, v: Path) -> int:
         return len(self.adjacency[v])
 
-    def resolve(self, path: Path) -> Optional[Path]:
-        """Follow a port-pair word from the origin; None if some hop is missing."""
-        here = EPSILON
+    def resolve(self, path: Path, start: Path = EPSILON) -> Optional[Path]:
+        """Follow a port-pair word from `start` (by default the origin);
+        None if some hop is missing."""
+        here = start
         adj = self.adjacency
         for (p, q) in path.pairs:
             hop = adj[here].get(p)
@@ -141,20 +142,26 @@ class DiskGraph:
 
 
 def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
-                     origin: Any, alphabets: Alphabets) -> Dict[Any, Path]:
-    """Assign every reachable vertex its least shortest path name.
+                     origin: Any, alphabets: Alphabets,
+                     depth: Optional[int] = None) -> Dict[Any, Path]:
+    """Assign every vertex within `depth` hops (default: every reachable
+    vertex) its least shortest path name.
 
     Layered BFS: a vertex at distance d+1 takes the minimum over
     (parent name).(exit, entry) for every edge from a distance-d vertex.
     All candidates have equal length and each layer is already sorted, so
     (parent's rank in its layer, exit index, entry index) orders them.
+    A layer depends only on the layers before it, so stopping early leaves
+    the names and order of the layers already built unchanged.
     """
     # Order invariant: origin first, then each layer sorted, which is
     # `Alphabets.path_key` order; CanonicalGraph trusts it and never sorts.
     pidx = {p: i for i, p in enumerate(alphabets.ports)}
     names: Dict[Any, Tuple[Tuple[str, str], ...]] = {origin: ()}
     frontier = [origin]
-    while frontier:
+    layers = len(adjacency) if depth is None else depth
+    while frontier and layers > 0:
+        layers -= 1
         best: Dict[Any, Tuple[Tuple[int, int, int], Tuple]] = {}
         for rank, v in enumerate(frontier):
             base_name = names[v]
@@ -251,6 +258,40 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
     edge_labels = {e: l for e, l in X.edge_labels.items()
                    if all(len(v) <= radius for (v, _p) in e)}
     return DiskGraph(CanonicalGraph(X.alphabets, vertices, vertex_labels,
+                                    edges, edge_labels), radius)
+
+
+def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
+    """`disk(shift(X, u), radius)` for a vertex u of X, read off the
+    vertices near u alone.
+
+    A BFS from u that stops at distance radius+1 names the kept vertices
+    exactly as the shifted graph would, in the same order; the induced
+    edges and the labels within `radius` are then taken from X.  The cost
+    is that of the disk, not of X.
+    """
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    adj = X.adjacency
+    if u not in adj:
+        raise PathResolutionError(f"{format_path(u)} is not a vertex of {X!r}")
+    names = _canonical_names(adj, u, X.alphabets, depth=radius + 1)
+    vertex_labels, edges, edge_labels = {}, set(), {}
+    for v, name in names.items():
+        inner = len(name) <= radius
+        if inner and v in X.vertex_labels:
+            vertex_labels[name] = X.vertex_labels[v]
+        for p, (w, q) in adj[v].items():
+            far = names.get(w)
+            if far is None:
+                continue
+            e = frozenset(((name, p), (far, q)))
+            edges.add(e)
+            if inner and len(far) <= radius and X.edge_labels:
+                label = X.edge_labels.get(frozenset(((v, p), (w, q))))
+                if label is not None:
+                    edge_labels[e] = label
+    return DiskGraph(CanonicalGraph(X.alphabets, names.values(), vertex_labels,
                                     edges, edge_labels), radius)
 
 

@@ -17,8 +17,7 @@ from .modulo import (
     CanonicalGraph,
     DiskGraph,
     canonicalize_with_names,
-    disk,
-    shift,
+    disk_at,
 )
 from .paths import EPSILON, Path, format_path, parse_path
 from .portgraph import (
@@ -136,11 +135,6 @@ def glue(pieces: Sequence[RawGraph]) -> RawGraph:
                     edge_labels=edge_labels)
 
 
-def union(G: RawGraph, H: RawGraph) -> RawGraph:
-    """Glue two consistent patches: unions of vertices, edges and labels."""
-    return glue([G, H])
-
-
 @dataclass(frozen=True)
 class Patch:
     """A rule's output around one vertex: a patch graph plus the vertex the
@@ -165,7 +159,7 @@ class LocalRule:
 
 def _translate_token(token, X: CanonicalGraph, anchor: Path):
     if isinstance(token, Path):
-        target = X.resolve(anchor.concat(token))
+        target = X.resolve(token, start=anchor)
         if target is None:
             raise PatchError(
                 f"patch at {format_path(anchor)} names {format_path(token)}, "
@@ -195,7 +189,7 @@ def apply_local_rule(rule: LocalRule, X: CanonicalGraph
     the two offending anchor vertices.
     """
     patches: Dict[Path, Patch] = {
-        u: _translate_patch(rule.rule(disk(shift(X, u), rule.radius)), X, u)
+        u: _translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
         for u in X.vertices}
     try:
         merged = glue([p.graph for p in patches.values()])
@@ -287,26 +281,30 @@ def _patch_token_text(token) -> str:
 
 
 def parse_rule_file(text: str) -> RuleTable:
+    """Parse the rule-file format; every error names its line in `text`."""
     radius: Optional[int] = None
-    sections: List[Tuple[str, List[str]]] = []
-    for raw_line in text.splitlines():
+    # (kind, line number of the section's first content line, content lines)
+    sections: List[Tuple[str, int, List[str]]] = []
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
         stripped = raw_line.split("#", 1)[0].strip()
-        if stripped.startswith("radius") and not sections:
-            parts = stripped.split()
+        parts = stripped.split()
+        if parts[:1] == ["radius"] and not sections:
             if len(parts) != 2 or not parts[1].isdecimal() or radius is not None:
-                raise GraphFormatError(f"bad radius line {raw_line!r}")
+                raise GraphFormatError(f"line {line_no}: bad radius line {raw_line!r}")
             radius = int(parts[1])
         elif stripped == "disk":
-            sections.append(("disk", []))
+            sections.append(("disk", line_no + 1, []))
         elif stripped == "maps-to":
             if not sections or sections[-1][0] != "disk":
-                raise GraphFormatError("maps-to without a preceding disk")
-            sections.append(("patch", []))
+                raise GraphFormatError(
+                    f"line {line_no}: maps-to without a preceding disk")
+            sections.append(("patch", line_no + 1, []))
         else:
             if sections:
-                sections[-1][1].append(raw_line)
+                sections[-1][2].append(raw_line)
             elif stripped:
-                raise GraphFormatError(f"content before the radius line: {raw_line!r}")
+                raise GraphFormatError(
+                    f"line {line_no}: content before the radius line: {raw_line!r}")
     if radius is None:
         raise GraphFormatError("missing radius line")
     if len(sections) % 2 != 0:
@@ -314,20 +312,33 @@ def parse_rule_file(text: str) -> RuleTable:
 
     entries: Dict[DiskGraph, Patch] = {}
     for i in range(0, len(sections), 2):
-        disk_text = "\n".join(sections[i][1])
-        patch_text = "\n".join(sections[i + 1][1])
-        view = DiskGraph(canonicalize_with_names(parse_graph(disk_text))[0], radius)
-        patch = _parse_patch(patch_text)
+        _kind, disk_line, disk_lines = sections[i]
+        view = DiskGraph(canonicalize_with_names(
+            parse_graph("\n".join(disk_lines), first_line=disk_line))[0], radius)
+        patch = _parse_patch(sections[i + 1][2], sections[i + 1][1])
         if view in entries:
-            raise GraphFormatError("duplicate disk entry in rule file")
+            raise GraphFormatError(
+                f"line {disk_line - 1}: duplicate disk entry in rule file")
         entries[view] = patch
     return RuleTable(radius=radius, entries=entries)
 
 
-def _parse_patch(text: str) -> Patch:
-    pg = parse_graph(text)
+def _parse_patch(lines: List[str], first_line: int) -> Patch:
+    pg = parse_graph("\n".join(lines), first_line=first_line)
     ports = pg.graph.alphabets.ports
-    ids = {v: frozenset((_patch_token_of_text(v, ports),)) for v in pg.graph.vertices}
+    ids: Dict[str, frozenset] = {}
+    by_token: Dict[Hashable, str] = {}
+    for v in pg.graph.vertices:
+        token = _patch_token_of_text(v, ports)
+        if token in by_token:
+            line_no = first_line + next(
+                k for k, line in enumerate(lines)
+                if line.split("#", 1)[0].split()[:2] == ["vertex", v])
+            raise GraphFormatError(
+                f"line {line_no}: patch vertices {by_token[token]!r} and {v!r} "
+                f"name the same token")
+        by_token[token] = v
+        ids[v] = frozenset((token,))
     return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
 
 

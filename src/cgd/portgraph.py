@@ -308,8 +308,11 @@ def _parse_half_edge(token: str, line_no: int) -> Tuple[str, str]:
     return head, port
 
 
-def parse_graph(text: str) -> PointedRawGraph:
-    """Parse the text format into a pointed raw graph; all errors are hard."""
+def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
+    """Parse the text format into a pointed raw graph; all errors are hard.
+
+    Error messages number the lines of `text` from `first_line`.
+    """
     ports: Optional[Tuple[str, ...]] = None
     vlabels: Tuple[str, ...] = ()
     elabels: Tuple[str, ...] = ()
@@ -334,7 +337,7 @@ def parse_graph(text: str) -> PointedRawGraph:
                 raise GraphFormatError(f"line {line_no}: duplicate {what} {t!r}")
         return tuple(tokens)
 
-    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+    for line_no, raw_line in enumerate(text.splitlines(), start=first_line):
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue

@@ -20,6 +20,12 @@ loop of applies; `reversibility` now applies a dynamics once per member
 `disk_by_canonicalization` is `disk` as it was when it pruned the graph to
 a raw graph and canonicalized that; `modulo.disk` now keeps the input's
 names and their order.
+
+`disk_by_shift` is the disk around a vertex as local rules and
+`check_locality` took it before `modulo.disk_at`: re-point the whole graph
+at the vertex, then cut.  `translate_patch_from_origin` resolves each patch
+token as anchor.token walked from the origin; `_translate_patch` now walks
+the token from the anchor.  `apply_local_rule_pairwise` uses both.
 """
 from typing import Dict, List, Optional, Tuple
 
@@ -42,9 +48,9 @@ from cgd.modulo import (
     shift,
     shift_equivalence_classes,
 )
-from cgd.patches import PatchInconsistencyError, _translate_patch, consistent
+from cgd.patches import Patch, PatchError, PatchInconsistencyError, consistent
 from cgd.paths import EPSILON, Path, format_path
-from cgd.portgraph import PointedRawGraph, RawGraph, ensure_valid
+from cgd.portgraph import PointedRawGraph, RawGraph, ensure_valid, relabel
 from cgd.reversibility import (
     GraphFamily,
     InverseConstructionError,
@@ -66,11 +72,41 @@ def union_pair(G: RawGraph, H: RawGraph) -> RawGraph:
                     edge_labels=edge_labels)
 
 
+def disk_by_shift(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
+    return disk(shift(X, u), radius)
+
+
+def _translate_token_from_origin(token, X: CanonicalGraph, anchor: Path):
+    if isinstance(token, Path):
+        target = X.resolve(anchor.concat(token))
+        if target is None:
+            raise PatchError(
+                f"patch at {format_path(anchor)} names {format_path(token)}, "
+                f"which does not resolve")
+        return target
+    if isinstance(token, tuple) and len(token) == 2 and isinstance(token[0], Path):
+        return (_translate_token_from_origin(token[0], X, anchor), token[1])
+    raise PatchError(f"unsupported patch token {token!r}")
+
+
+def _translate_id_from_origin(vid, X, anchor):
+    if not isinstance(vid, frozenset):
+        raise PatchError(f"patch vertex id {vid!r} is not a token set")
+    return frozenset(_translate_token_from_origin(t, X, anchor) for t in vid)
+
+
+def translate_patch_from_origin(patch: Patch, X: CanonicalGraph,
+                                anchor: Path) -> Patch:
+    mapping = {vid: _translate_id_from_origin(vid, X, anchor)
+               for vid in patch.graph.vertices}
+    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+
+
 def apply_local_rule_pairwise(rule, X):
     patches: List[Tuple[Path, object]] = []
     for u in X.vertices:
-        local_view = disk(shift(X, u), rule.radius)
-        patches.append((u, _translate_patch(rule.rule(local_view), X, u)))
+        local_view = disk_by_shift(X, u, rule.radius)
+        patches.append((u, translate_patch_from_origin(rule.rule(local_view), X, u)))
     for i, (u, pu) in enumerate(patches):
         for (w, pw) in patches[i + 1:]:
             problem = consistent(pu.graph, pw.graph)

@@ -20,7 +20,6 @@ from cgd import (
     consistent,
     glue,
     make_edge,
-    union,
 )
 from cgd.blocks import (
     MarkDynamics,
@@ -31,14 +30,27 @@ from cgd.blocks import (
 )
 from cgd.dynamics import FuncDynamics
 from cgd.families import bare_tape, grid_graph, single_head_tapes
-from cgd.modulo import shift_with_names
-from cgd.patches import LocalRule, Patch, PatchInconsistencyError, identity_local_rule
-from cgd.paths import EPSILON
+from cgd.modulo import disk_at, shift_with_names
+from cgd.patches import (
+    LocalRule,
+    Patch,
+    PatchInconsistencyError,
+    RuleLookupError,
+    _translate_patch,
+    identity_local_rule,
+    parse_rule_file,
+)
+from cgd.paths import EPSILON, parse_path
 from cgd.portgraph import GraphError
 
-from oracles import FoldingExtension, apply_local_rule_pairwise
+from oracles import FoldingExtension, apply_local_rule_pairwise, union_pair
 from test_blocks import TAPE_SPACE, moving_head_kit
-from test_patches import ABL, degree_dependent_labeller, inflating_grid_local_rule
+from test_patches import (
+    ABL,
+    RULE_FILE,
+    degree_dependent_labeller,
+    inflating_grid_local_rule,
+)
 
 AB = Alphabets.make("ab")
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
@@ -128,6 +140,37 @@ class TestLocalRuleAgainstOracle:
         assert got[2] == (A[0], A[3])
 
 
+    def test_rule_lookup_error_text(self):
+        # RULE_FILE knows only isolated vertices; a ring's disks have rims.
+        X = ring(3, ABL, {0: "x", 1: "y", 2: "x"})
+        got = assert_rule_agrees(parse_rule_file(RULE_FILE).as_rule(), X)
+        assert got[0] is RuleLookupError
+        assert got[1].startswith("no rule entry for disk:\nports a b\n")
+
+    @pytest.mark.parametrize("labels", ["0000", "0001", "0110", "0101", "0123"])
+    def test_neighbour_claims_name_the_same_anchors(self, labels):
+        # Each patch gives its anchor's label to the anchor and to the vertex
+        # one ab hop away, so the patches of differently labelled neighbours
+        # conflict on that vertex.  The claimed token is a non-empty path.
+        step = parse_path("ab", ("a", "b"))
+
+        def rule(view):
+            me = frozenset((EPSILON,))
+            own = view.graph.vertex_labels[EPSILON]
+            ids = {EPSILON: me, step: frozenset((step,))}
+            graph = RawGraph(alphabets=DIGITS, vertices=tuple(ids.values()),
+                             edges=frozenset((make_edge(me, "a", ids[step], "b"),)),
+                             vertex_labels={me: own, ids[step]: own})
+            return Patch(graph, me)
+
+        X = ring(4, DIGITS, dict(enumerate(labels)))
+        got = assert_rule_agrees(LocalRule(radius=1, rule=rule), X)
+        if len(set(labels)) == 1:
+            assert got[0] == X
+        else:
+            assert got[0] is PatchInconsistencyError and got[2] is not None
+
+
 @st.composite
 def graphs(draw, max_vertices=6):
     """Connected graphs over ABL: a random spanning tree plus extra edges."""
@@ -213,7 +256,7 @@ class TestGlue:
         g = self.piece([self.U, self.V], [make_edge(self.U, "a", self.V, "b")])
         h = self.piece([self.V, self.W], [make_edge(self.V, "a", self.W, "b")],
                        {self.W: "x"})
-        assert union(g, h) == glue([g, h])
+        assert union_pair(g, h) == glue([g, h])
         assert glue([g, h]).vertices == (self.U, self.V, self.W)
 
     @pytest.mark.parametrize("conflict", ["token", "half-edge", "label", "alphabets"])
@@ -240,3 +283,42 @@ class TestGlue:
         overlapping = self.piece([self.U, frozenset("uv")])
         assert glue([overlapping, self.piece([self.W])]).vertices == \
             (self.U, frozenset("uv"), self.W)
+
+
+def identity_patches(X, radius):
+    """The translated patches of the identity rule: always consistent."""
+    rule = identity_local_rule(radius)
+    return [_translate_patch(rule.rule(disk_at(X, u, radius)), X, u).graph
+            for u in X.vertices]
+
+
+def assert_same_up_to_vertex_order(G, H):
+    assert len(G.vertices) == len(H.vertices)
+    assert set(G.vertices) == set(H.vertices)
+    assert (G.alphabets, G.edges, G.vertex_labels, G.edge_labels) == \
+        (H.alphabets, H.edges, H.vertex_labels, H.edge_labels)
+
+
+GLUE_PROPERTY = settings(max_examples=100, deadline=None, database=None,
+                         derandomize=True)
+
+
+class TestGlueProperties:
+    @GLUE_PROPERTY
+    @given(st.data())
+    def test_commutative_on_consistent_patches(self, data):
+        X = data.draw(graphs())
+        pieces = identity_patches(X, data.draw(st.integers(0, 2)))
+        assert_same_up_to_vertex_order(glue(pieces),
+                                       glue(data.draw(st.permutations(pieces))))
+        G, H = data.draw(st.sampled_from(pieces)), data.draw(st.sampled_from(pieces))
+        assert_same_up_to_vertex_order(glue([G, H]), glue([H, G]))
+
+    @GLUE_PROPERTY
+    @given(st.data())
+    def test_idempotent(self, data):
+        X = data.draw(graphs())
+        pieces = identity_patches(X, data.draw(st.integers(0, 2)))
+        for G in pieces:
+            assert glue([G, G]) == glue([G])
+        assert glue(pieces + pieces) == glue(pieces)

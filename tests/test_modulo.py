@@ -15,6 +15,7 @@ from cgd import (
     canonicalize,
     canonicalize_with_names,
     disk,
+    disk_at,
     is_asymmetric,
     make_edge,
     parse_graph,
@@ -42,7 +43,7 @@ from cgd.reversibility import GraphFamily, enumerate_family, tabulate
 from cgd.modulo import NoHostVertexError, PathResolutionError, smallest_prime_above
 from cgd.paths import EPSILON, Path, format_path, parse_path
 
-from oracles import disk_by_canonicalization
+from oracles import apply_local_rule_pairwise, disk_by_canonicalization, disk_by_shift
 from test_blocks import TAPE_SPACE, moving_head_kit
 from test_glue import marked_variants
 from test_patches import inflating_grid_local_rule
@@ -171,6 +172,14 @@ class TestResolve:
     def test_absent(self):
         X = canonicalize(PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v"))
         assert X.resolve(parse_path("ab", ("a", "b"))) is None
+
+    def test_from_a_start_is_from_the_origin_after_the_start(self, ab_family_4):
+        for X in ab_family_4:
+            for u in X.vertices:
+                for v in shift(X, u).vertices:
+                    assert X.resolve(v, start=u) == X.resolve(u.concat(v))
+                walk = parse_path("ab.ab.ab.ab.ab", ("a", "b"))
+                assert X.resolve(walk, start=u) == X.resolve(u.concat(walk))
 
 
 class TestShift:
@@ -530,6 +539,94 @@ class TestDiskInheritsNames:
                                 calls.append(name) or real(*a, **k))
         for radius in range(4):
             disk(X, radius)
+        assert calls == []
+
+
+def assert_disk_at_is_disk_of_shift(X, u, radius):
+    got, want = disk_at(X, u, radius), disk_by_shift(X, u, radius)
+    assert got == want and hash(got.graph) == hash(want.graph)
+    assert got.graph.vertices == want.graph.vertices
+
+
+class TestDiskAt:
+    """`disk_at(X, u, r)` is `disk(shift(X, u), r)`, read off the vertices
+    near u alone."""
+
+    def test_exhaustive_family(self, ab_family_6):
+        for X in ab_family_6:
+            for u in X.vertices:
+                for radius in range(4):
+                    assert_disk_at_is_disk_of_shift(X, u, radius)
+
+    def test_tape_closure(self, tape_closure_5):
+        for X in tape_closure_5:
+            for u in X.vertices:
+                for radius in range(4):
+                    assert_disk_at_is_disk_of_shift(X, u, radius)
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_labelled_graphs_at_every_vertex(self, pg):
+        X = canonicalize(pg)
+        for u in X.vertices:
+            for radius in range(4):
+                assert_disk_at_is_disk_of_shift(X, u, radius)
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_at_the_origin_is_disk(self, pg):
+        X = canonicalize(pg)
+        for radius in range(4):
+            got, want = disk_at(X, EPSILON, radius), disk(X, radius)
+            assert got == want and got.graph.vertices == want.graph.vertices
+
+    def test_negative_radius_rejected(self):
+        with pytest.raises(ValueError, match="radius"):
+            disk_at(bare_tape(3), EPSILON, -1)
+
+    def test_non_vertex_rejected(self):
+        X = bare_tape(3)
+        with pytest.raises(PathResolutionError, match="^ab.ab.ab is not a vertex"):
+            disk_at(X, parse_path("ab.ab.ab", ("a", "b", "c")), 0)
+
+    @PROPERTY
+    @given(pg=pointed_graphs(), radius=st.integers(0, 2))
+    def test_identity_rule_returns_its_input(self, pg, radius):
+        X = canonicalize(pg)
+        got = apply_local_rule(identity_local_rule(radius), X)
+        assert got == apply_local_rule_pairwise(identity_local_rule(radius), X)
+        if radius == 0:
+            # A radius-0 disk labels only the edges that join its origin to
+            # itself, so only self-loops keep their labels.
+            X = modulo.CanonicalGraph(
+                X.alphabets, X.vertices, X.vertex_labels, X.edges,
+                {e: l for e, l in X.edge_labels.items()
+                 if len({v for (v, _p) in e}) == 1})
+        assert got == (X, {v: v for v in X.vertices})
+
+    def test_local_rule_shifts_nothing_and_visits_linearly(self, monkeypatch):
+        calls = []
+        for real in (modulo.shift, modulo.shift_with_names):
+            for name, module in list(sys.modules.items()):
+                if name == "cgd" or name.startswith("cgd."):
+                    for attr, obj in list(vars(module).items()):
+                        if obj is real:
+                            monkeypatch.setattr(
+                                module, attr, lambda *a, real=real, **k:
+                                calls.append(real.__name__) or real(*a, **k))
+        visited = []
+        real_names = modulo._canonical_names
+        monkeypatch.setattr(modulo, "_canonical_names", lambda *a, **k:
+                            visited.append(len(names := real_names(*a, **k))) or names)
+        n = 200
+        for radius in range(3):
+            X = single_head_tape(n, 77)
+            visited.clear()
+            assert apply_local_rule(identity_local_rule(radius), X)[0] == X
+            # One disk of at most 2(radius+1)+2 vertices per vertex, plus
+            # the final canonicalization of the glued graph.
+            assert len(visited) == len(X.vertices) + 1
+            assert sum(visited) <= len(X.vertices) * (2 * radius + 5)
         assert calls == []
 
 

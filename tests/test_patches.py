@@ -11,8 +11,8 @@ from cgd import (
     canonicalize,
     consistent,
     get_dynamics,
+    glue,
     make_edge,
-    union,
 )
 from cgd.families import grid_graph
 from cgd.modulo import DiskGraph, disk
@@ -43,7 +43,7 @@ class TestConsistency:
         g = patch_graph([frozenset(("u",)), frozenset(("v",))],
                         [make_edge(frozenset(("u",)), "a", frozenset(("v",)), "b")])
         assert consistent(g, g) is None
-        assert union(g, g).edges == g.edges
+        assert glue([g, g]).edges == g.edges
 
     def test_overlapping_ids_must_be_equal(self):
         g = patch_graph([frozenset((1, 2))])
@@ -77,20 +77,20 @@ class TestConsistency:
         g = patch_graph([u], vlabels={u: "x"})
         h = patch_graph([u])
         assert consistent(g, h) is None
-        assert union(g, h).vertex_labels == {u: "x"}
+        assert glue([g, h]).vertex_labels == {u: "x"}
 
 
 class TestUnion:
     def test_disjoint(self):
         g = patch_graph([frozenset(("u",))])
         h = patch_graph([frozenset(("v",))])
-        assert set(union(g, h).vertices) == set(g.vertices) | set(h.vertices)
+        assert set(glue([g, h]).vertices) == set(g.vertices) | set(h.vertices)
 
     def test_glued_at_shared_vertex(self):
         u, v, w = frozenset(("u",)), frozenset(("v",)), frozenset(("w",))
         g = patch_graph([u, v], [make_edge(u, "a", v, "b")])
         h = patch_graph([v, w], [make_edge(v, "a", w, "b")])
-        merged = union(g, h)
+        merged = glue([g, h])
         assert set(merged.vertices) == {u, v, w}
         assert len(merged.edges) == 2
 
@@ -99,7 +99,7 @@ class TestUnion:
         g = patch_graph([u], vlabels={u: "x"})
         h = patch_graph([u], vlabels={u: "y"})
         with pytest.raises(PatchInconsistencyError):
-            union(g, h)
+            glue([g, h])
 
 
 class TestApplyLocalRule:
@@ -344,6 +344,46 @@ pointer eps
                 "pointer eps\n")
         with pytest.raises(GraphFormatError, match=f"^bad patch vertex '{token}': "):
             parse_rule_file(text)
+
+    @pytest.mark.parametrize("line", ["radiusfoo 1", "radius_1 1", "radius1"])
+    def test_radius_line_needs_the_exact_keyword(self, line):
+        text = RULE_FILE.replace("radius 0\n", f"# a comment\n{line}\n")
+        with pytest.raises(GraphFormatError,
+                           match=f"^line 2: content before the radius line: '{line}'$"):
+            parse_rule_file(text)
+
+    @pytest.mark.parametrize("line, message", [
+        ("radius", "bad radius line 'radius'"),
+        ("radius 1 2", "bad radius line 'radius 1 2'"),
+        ("radius 0", "bad radius line 'radius 0'"),
+    ])
+    def test_bad_radius_line_names_its_line(self, line, message):
+        with pytest.raises(GraphFormatError, match=f"^line 2: {message}$"):
+            parse_rule_file(RULE_FILE.replace("radius 0\n", f"radius 0\n{line}\n"))
+
+    @pytest.mark.parametrize("first, second", [("eps~1", "eps~01"),
+                                               ("ab~2", "ab~002"),
+                                               ("ab.ba", "ab.ba")])
+    def test_patch_ids_naming_one_token(self, first, second):
+        text = ("radius 0\ndisk\nports a b\nvertex eps\npointer eps\nmaps-to\n"
+                f"ports a b\nvertex eps\nvertex {first}\n\n"
+                f"vertex {second}  # again\npointer eps\n")
+        if first == second:
+            # parse_graph itself rejects a repeated id, at its file line.
+            match = f"^line 11: duplicate vertex '{second}'$"
+        else:
+            match = (f"^line 11: patch vertices '{first}' and '{second}' "
+                     f"name the same token$")
+        with pytest.raises(GraphFormatError, match=match):
+            parse_rule_file(text)
+
+    def test_errors_inside_a_section_name_the_file_line(self):
+        text = RULE_FILE.replace("vertex eps label=y\npointer eps\ndisk",
+                                 "vertex eps label=y\nbogus\npointer eps\ndisk")
+        with pytest.raises(GraphFormatError, match="^line 11: unknown keyword 'bogus'$"):
+            parse_rule_file(text)
+        with pytest.raises(GraphFormatError, match="^line 3: maps-to without"):
+            parse_rule_file("radius 0\n\nmaps-to\n")
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=rule_soup())
