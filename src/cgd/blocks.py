@@ -512,10 +512,8 @@ class BlockKit:
     """Everything needed to run one step as a circuit of local gates."""
 
     def __init__(self, dynamics: Dynamics, inverse: Dynamics,
-                 exception_bound: int, space: Optional[MarkSpace] = None):
-        if dynamics.alphabets is None:
-            raise MarkError("block decomposition needs fixed alphabets")
-        self.space = space or MarkSpace.for_base(dynamics.alphabets)
+                 exception_bound: int, space: MarkSpace):
+        self.space = space
         self.dynamics = dynamics
         self.exception_bound = exception_bound
         self.forward_ext = ReversibleExtension(
@@ -529,11 +527,15 @@ class BlockKit:
             name=f"conjugate-mark[{dynamics.name}]")
 
     @staticmethod
-    def from_family(dynamics: Dynamics, family: GraphFamily,
-                    exception_bound: int) -> "BlockKit":
-        """Realize the inverse as a lookup table over a closed family."""
+    def from_family(dynamics: Dynamics, family: GraphFamily) -> "BlockKit":
+        """Realize the inverse as a lookup table over a closed family.
+
+        The table also fixes the rest of the kit: the marks double the
+        family's alphabets, and the exception bound is the table's.
+        """
         table = build_inverse(dynamics, family)
-        return BlockKit(dynamics, table.as_dynamics(), exception_bound)
+        return BlockKit(dynamics, table.as_dynamics(), table.exception_bound,
+                        MarkSpace.for_base(family.alphabets))
 
     def conjugate_mark(self, X: CanonicalGraph
                        ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
@@ -614,22 +616,6 @@ def find_locality_radius(L: Dynamics, fam: GraphFamily,
     return None
 
 
-def inflation_profile(L: Dynamics, fam: GraphFamily) -> Dict[int, int]:
-    """Observed bound: max image-name length per source-name length."""
-    per_length: Dict[int, int] = {}
-    for X in fam:
-        _Y, S = L.apply(X)
-        for v, w in S.items():
-            s = len(v)
-            per_length[s] = max(per_length.get(s, 0), len(w))
-    profile: Dict[int, int] = {}
-    running = 0
-    for s in sorted(per_length):
-        running = max(running, per_length[s])
-        profile[s] = running
-    return profile
-
-
 def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
                    ) -> Set[Path]:
     """Source vertices whose label or incident edges the anchored gate alters."""
@@ -654,19 +640,3 @@ def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
             changed.update(back[w] for (w, _p) in e2)
     return changed
 
-
-def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
-    """Vertices within `radius` hops of `center`."""
-    dist = {center: 0}
-    frontier = [center]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            if dist[v] == radius:
-                continue
-            for (w, _q) in X.adjacency[v].values():
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
-    return set(dist)

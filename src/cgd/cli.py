@@ -42,7 +42,8 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
-DEFAULT_EXCEPTION_BOUND = {"identity": 0, "moving-head": 0, "turtle": 2}
+# The least value each integer option accepts.
+_LEAST = {"max_vertices": 1, "steps": 0}
 
 
 def _read_text(path: str) -> str:
@@ -94,18 +95,13 @@ def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily
                         f"(known: all, single-head-tape, tape-closure)")
 
 
-def _tape_kit(dynamics: Dynamics, max_vertices: int, exception_bound: int) -> BlockKit:
-    if dynamics.name == "identity":
-        return BlockKit(dynamics, dynamics, exception_bound,
-                        MarkSpace.for_base(dynamics.alphabets or TAPE_ALPHABETS))
-    if dynamics.name == "moving-head":
-        members = bare_tapes(max_vertices) + single_head_tapes(
-            max(1, max_vertices - 1))
-        fam = GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS)
-        return BlockKit.from_family(dynamics, fam, exception_bound)
-    raise DynamicsError(
-        f"block decomposition is wired for identity and moving-head, "
-        f"not {dynamics.name!r}")
+def _tape_kit(dynamics: Dynamics, max_vertices: int) -> BlockKit:
+    if dynamics.alphabets not in (None, TAPE_ALPHABETS):
+        raise DynamicsError(
+            f"--dynamics {dynamics.name}: block decomposition needs a "
+            f"dynamics over the tape alphabets")
+    return BlockKit.from_family(
+        dynamics, _family_for("tape-closure", dynamics, max_vertices))
 
 
 def _cmd_run(args) -> int:
@@ -200,9 +196,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_decompose(args) -> int:
     dynamics = _load_dynamics(args)
     X = _load_graph(args.input)
-    bound = (args.exception_bound if args.exception_bound is not None
-             else DEFAULT_EXCEPTION_BOUND.get(dynamics.name, 0))
-    kit = _tape_kit(dynamics, max(len(X.vertices), 2), bound)
+    kit = _tape_kit(dynamics, max(len(X.vertices), 2))
     trace = [] if args.trace else None
     result = kit.decompose_step(X, trace=trace)
     direct = dynamics.apply(X)[0]
@@ -224,9 +218,7 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check_blocks(args) -> int:
     dynamics = _load_dynamics(args)
-    bound = (args.exception_bound if args.exception_bound is not None
-             else DEFAULT_EXCEPTION_BOUND.get(dynamics.name, 0))
-    kit = _tape_kit(dynamics, args.max_vertices, bound)
+    kit = _tape_kit(dynamics, args.max_vertices)
     tapes = single_head_tapes(max(1, args.max_vertices - 1))
     failures = 0
     for X in tapes:
@@ -317,13 +309,11 @@ def build_parser() -> argparse.ArgumentParser:
                        help="write every intermediate marked graph")
     p_dec.add_argument("--output-dir", default="decompose-out")
     p_dec.add_argument("--render", action="store_true")
-    p_dec.add_argument("--exception-bound", type=int, default=None)
 
     p_blocks = sub.add_parser("check-blocks",
                               help="block identity, locality radius and depth")
     add_dynamics_args(p_blocks, rule_file=False)
     p_blocks.add_argument("--max-vertices", type=int, required=True)
-    p_blocks.add_argument("--exception-bound", type=int, default=None)
 
     p_dot = sub.add_parser("export-dot", help="render a graph file as DOT")
     p_dot.add_argument("--input", required=True)
@@ -347,6 +337,11 @@ def main(argv: Optional[List[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        for dest, least in _LEAST.items():
+            value = getattr(args, dest, None)
+            if value is not None and value < least:
+                raise ValueError(f"--{dest.replace('_', '-')} must be at "
+                                 f"least {least}, got {value}")
         return _COMMANDS[args.command](args)
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,6 +12,7 @@ from typing import Callable, Dict, Optional, Tuple
 from .families import TAPE_ALPHABETS, GRID_ALPHABETS, TURTLE_ALPHABETS, turtle_graphs
 from .modulo import (
     CanonicalGraph,
+    ball,
     canonicalize_with_names,
     disk,
     shift,
@@ -304,24 +305,15 @@ def check_boundedness(D: Dynamics, X: CanonicalGraph, bound: int) -> Optional[st
     """Every image vertex lies in the radius-`bound` disk of a reached vertex.
 
     Disk membership reaches one step past the radius (the unlabelled rim),
-    so the test is: distance from the image of the correspondence at most
-    bound + 1.
+    so the test is: some reached vertex in the radius-(bound + 1) ball of
+    each image vertex.
     """
     if bound < 0:
         raise ValueError("bound must be >= 0")
     Y, corr = D.apply(X)
-    dist = {v: 0 for v in set(corr.values())}
-    frontier = list(dist)
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for (w, _q) in Y.adjacency[v].values():
-                if w not in dist:
-                    dist[w] = dist[v] + 1
-                    nxt.append(w)
-        frontier = nxt
+    reached = set(corr.values())
     for w in Y.vertices:
-        if dist.get(w, bound + 2) > bound + 1:
+        if reached.isdisjoint(ball(Y, w, bound + 1)):
             return (f"image vertex {format_path(w)} is more than {bound + 1} "
                     f"steps from every reached vertex")
     return None

@@ -134,44 +134,3 @@ def turtle_graphs(alphabets: Alphabets = TURTLE_ALPHABETS
     return (canonicalize(PointedRawGraph(solo, 0)),
             canonicalize(PointedRawGraph(pair, 0)))
 
-
-def is_single_head_tape(X: CanonicalGraph) -> bool:
-    """Recognizer for members of the single-head tape family, any pointing.
-
-    On a one-cell tape the head and the cell are interchangeable, so every
-    degree-1 cc/dd endpoint is tried as the head.
-    """
-    for head in X.vertices:
-        if X.degree(head) != 1:
-            continue
-        (port,) = X.adjacency[head]
-        if port not in ("c", "d"):
-            continue
-        far, far_port = X.adjacency[head][port]
-        if far != head and far_port == port and _is_attached_line(X, head, far, port):
-            return True
-    return False
-
-
-def _is_attached_line(X: CanonicalGraph, head, attach_cell, attach_port) -> bool:
-    """Do the non-head vertices form an ab line whose only extra is the head edge?"""
-    cells = [v for v in X.vertices if v != head]
-    ab_count = 0
-    for e in X.edges:
-        halves = tuple(e)
-        if any(v == head for v, _p in halves):
-            continue
-        (v1, p1), (v2, p2) = halves
-        if v1 == v2 or {p1, p2} != {"a", "b"}:
-            return False
-        ab_count += 1
-    for cell in cells:
-        extra = set(X.adjacency[cell]) - {"a", "b"}
-        if cell == attach_cell:
-            if extra != {attach_port}:
-                return False
-        elif extra:
-            return False
-    # Port uniqueness caps each cell at one a edge and one b edge, and the
-    # graph is connected, so len(cells)-1 such edges force a single line.
-    return ab_count == len(cells) - 1

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import takewhile
-from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Tuple
+from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
 from .paths import EPSILON, Path, format_path
 from .portgraph import (
@@ -293,6 +293,11 @@ def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
                     edge_labels[e] = label
     return DiskGraph(CanonicalGraph(X.alphabets, names.values(), vertex_labels,
                                     edges, edge_labels), radius)
+
+
+def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
+    """Vertices within `radius` hops of `center`."""
+    return set(_canonical_names(X.adjacency, center, X.alphabets, depth=radius))
 
 
 def shift_equivalence_classes(X: CanonicalGraph) -> Tuple[Tuple[Path, ...], ...]:

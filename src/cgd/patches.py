@@ -219,7 +219,12 @@ class LocalRuleDynamics(Dynamics):
 
 
 def identity_local_rule(radius: int = 0) -> LocalRule:
-    """The do-nothing rule: every disk maps to itself with singleton ids."""
+    """Every disk maps to itself with singleton ids.
+
+    From radius 1 up this is the do-nothing rule.  At radius 0 it drops
+    the labels of edges between distinct vertices, which a radius-0 disk
+    does not show; labels on self-loops and on vertices survive.
+    """
 
     def rule(view: DiskGraph) -> Patch:
         ids = {v: frozenset((v,)) for v in view.graph.vertices}

@@ -106,7 +106,6 @@ def _sorted_members(graphs: Iterable[CanonicalGraph]) -> Tuple[CanonicalGraph, .
 
 def enumerate_family(alphabets: Alphabets, max_vertices: int,
                      predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
-                     prune: bool = False,
                      raw_prune: Optional[Callable[[RawGraph], bool]] = None,
                      cap: Optional[int] = None) -> GraphFamily:
     """All connected canonical graphs with at most `max_vertices` vertices.
@@ -117,11 +116,11 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     are labelled totally when the vertex alphabet is non-empty (likewise
     edges), matching how the finite families are counted.
 
-    `predicate` filters the output; with `prune=True` it also gates the
-    search, which is only complete for predicates closed under removing a
-    pendant vertex or an edge (mark consistency is; "has a head" is not).
-    `raw_prune`, when given, discards candidate presentations before they
-    are canonicalized; it must accept at least everything `prune` keeps.
+    `predicate` filters the output.  `raw_prune`, when given, gates the
+    search: it discards candidate presentations, seeds included, before
+    they are canonicalized.  The search stays complete when `raw_prune`
+    is closed under removing a pendant vertex or an edge (mark
+    consistency is; "has a head" is not).
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
@@ -129,25 +128,19 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
     elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
 
-    def admit(g: CanonicalGraph) -> bool:
-        return not (prune and predicate is not None and not predicate(g))
-
     seen = set()
     queue: deque = deque()
-    for sigma in vlabels:
-        raw = RawGraph(alphabets=alphabets, vertices=(0,),
-                       vertex_labels={} if sigma is None else {0: sigma})
-        g = canonicalize_with_names(PointedRawGraph(raw, 0))[0]
-        if g not in seen and admit(g):
-            seen.add(g)
-            queue.append(g)
-    while queue:
-        g = queue.popleft()
-        for raw in _extensions(g, max_vertices, vlabels, elabels):
+    # The one-vertex seeds first, then the extensions of each queued graph.
+    candidates: Iterable[RawGraph] = [
+        RawGraph(alphabets=alphabets, vertices=(0,),
+                 vertex_labels={} if sigma is None else {0: sigma})
+        for sigma in vlabels]
+    while True:
+        for raw in candidates:
             if raw_prune is not None and not raw_prune(raw):
                 continue
             h = canonicalize_with_names(PointedRawGraph(raw, raw.vertices[0]))[0]
-            if h in seen or not admit(h):
+            if h in seen:
                 continue
             seen.add(h)
             if len(seen) > cap_n:
@@ -155,6 +148,9 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
                     f"family exceeds cap of {cap_n} graphs "
                     f"(set {FAMILY_CAP_ENV} to raise it)")
             queue.append(h)
+        if not queue:
+            break
+        candidates = _extensions(queue.popleft(), max_vertices, vlabels, elabels)
     members = [g for g in seen if predicate is None or predicate(g)]
     return GraphFamily(_sorted_members(members), alphabets)
 
@@ -384,10 +380,13 @@ class Tabulation:
         forward_corr = {X: R for X, (_Y, R) in self.images.items()}
         backward = {Y: X for X, Y in forward.items()}
         corr_inverse: Dict[CanonicalGraph, VertexCorrespondence] = {}
+        exception_bound = 0
         for X, (Y, R) in self.images.items():
             if _vertex_problem(X, Y, R) is None:
                 corr_inverse[Y] = {w: v for v, w in R.items()}
             else:
+                exception_bound = max(exception_bound, len(X.vertices),
+                                      len(Y.vertices))
                 class_y = _class_ids(Y)
                 inverse: VertexCorrespondence = {}
                 for w in Y.vertices:
@@ -402,7 +401,8 @@ class Tabulation:
         return InverseTable(family=self.family, forward=forward,
                             backward=backward, forward_corr=forward_corr,
                             corr_inverse=corr_inverse,
-                            name=f"{self.name}-inverse")
+                            name=f"{self.name}-inverse",
+                            exception_bound=exception_bound)
 
 
 @dataclass(frozen=True, eq=False)
@@ -412,7 +412,8 @@ class InverseTable:
     `corr_inverse[Y]` inverts the forward correspondence when that is a
     bijection; on the finitely many members where it is not, every image
     vertex is sent to the least-named source vertex whose forward image is
-    shift-equivalent to it.
+    shift-equivalent to it.  `exception_bound` is the largest vertex count
+    among those members and their images, 0 when there are none.
     """
 
     family: GraphFamily
@@ -421,6 +422,7 @@ class InverseTable:
     forward_corr: Dict[CanonicalGraph, VertexCorrespondence]
     corr_inverse: Dict[CanonicalGraph, VertexCorrespondence]
     name: str = "inverse-table"
+    exception_bound: int = 0
 
     def as_dynamics(self) -> "TableDynamics":
         return TableDynamics(self)

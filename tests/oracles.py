@@ -21,13 +21,19 @@ loop of applies; `reversibility` now applies a dynamics once per member
 a raw graph and canonicalized that; `modulo.disk` now keeps the input's
 names and their order.
 
+`ball_by_bfs` is `ball` as it was in `blocks`, a BFS of its own, and
+`check_boundedness_by_bfs` is `check_boundedness` as it was when it ran one
+multi-source BFS from the reached vertices; both now read
+`modulo._canonical_names`.  The oracle `build_inverse` derives the
+exception bound from `vertex_preservation_exceptions`.
+
 `disk_by_shift` is the disk around a vertex as local rules and
 `check_locality` took it before `modulo.disk_at`: re-point the whole graph
 at the vertex, then cut.  `translate_patch_from_origin` resolves each patch
 token as anchor.token walked from the origin; `_translate_patch` now walks
 the token from the anchor.  `apply_local_rule_pairwise` uses both.
 """
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from cgd.blocks import (
     MarkError,
@@ -307,6 +313,9 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
         forward[X] = Y
         forward_corr[X] = R
     backward = {Y: X for X, Y in forward.items()}
+    exception_bound = max(
+        (max(len(X.vertices), len(forward[X].vertices))
+         for X in vertex_preservation_exceptions(D, fam)), default=0)
     corr_inverse: Dict[CanonicalGraph, VertexCorrespondence] = {}
     for X, Y in forward.items():
         R = forward_corr[X]
@@ -326,7 +335,48 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
             corr_inverse[Y] = inverse
     return InverseTable(family=fam, forward=forward, backward=backward,
                         forward_corr=forward_corr, corr_inverse=corr_inverse,
-                        name=f"{D.name}-inverse")
+                        name=f"{D.name}-inverse",
+                        exception_bound=exception_bound)
+
+
+def ball_by_bfs(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
+    """Vertices within `radius` hops of `center`."""
+    dist = {center: 0}
+    frontier = [center]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            if dist[v] == radius:
+                continue
+            for (w, _q) in X.adjacency[v].values():
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    return set(dist)
+
+
+def check_boundedness_by_bfs(D: Dynamics, X: CanonicalGraph,
+                             bound: int) -> Optional[str]:
+    """Every image vertex within bound + 1 steps of a reached vertex."""
+    if bound < 0:
+        raise ValueError("bound must be >= 0")
+    Y, corr = D.apply(X)
+    dist = {v: 0 for v in set(corr.values())}
+    frontier = list(dist)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for (w, _q) in Y.adjacency[v].values():
+                if w not in dist:
+                    dist[w] = dist[v] + 1
+                    nxt.append(w)
+        frontier = nxt
+    for w in Y.vertices:
+        if dist.get(w, bound + 2) > bound + 1:
+            return (f"image vertex {format_path(w)} is more than {bound + 1} "
+                    f"steps from every reached vertex")
+    return None
 
 
 def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:

@@ -31,7 +31,6 @@ from cgd import (
 from cgd.blocks import (
     BlockKit,
     MarkSpace,
-    ball,
     find_locality_radius,
     gate_footprint,
     mark,
@@ -45,7 +44,7 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.modulo import smallest_prime_above
+from cgd.modulo import ball, smallest_prime_above
 from cgd.reversibility import GraphFamily
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
@@ -72,7 +71,7 @@ def tape_kit_6():
     mh = get_dynamics("moving-head")
     members = bare_tapes(6) + single_head_tapes(6)
     fam = GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS)
-    return BlockKit.from_family(mh, fam, exception_bound=0)
+    return BlockKit.from_family(mh, fam)
 
 
 def random_raw_graph(rng):
@@ -244,7 +243,7 @@ def test_08_mark_involution():
     space = MarkSpace.for_base(AB0)
     fam = enumerate_family(space.marked, 4,
                            predicate=space.is_mark_consistent,
-                           prune=True, raw_prune=space.raw_mark_consistent)
+                           raw_prune=space.raw_mark_consistent)
     toggled = fixed = 0
     for X in fam:
         Y = mark(X, space)
@@ -260,7 +259,7 @@ def test_08_mark_involution():
     mh = get_dynamics("moving-head")
     members = bare_tapes(4) + single_head_tapes(4)
     kit = BlockKit.from_family(
-        mh, GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS), 0)
+        mh, GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS))
     checked = 0
     for X in single_head_tapes(4):
         lifted = kit.space.lift(X)

@@ -1,4 +1,5 @@
 """Marked graphs, mark gates, reversible extensions, conjugate marks, products."""
+import random
 from itertools import permutations
 
 import pytest
@@ -23,11 +24,9 @@ from cgd.blocks import (
     ReversibleExtension,
     ShiftedDynamics,
     UnionInconsistencyError,
-    ball,
     check_locality,
     find_locality_radius,
     gate_footprint,
-    inflation_profile,
     mark_with_names,
 )
 from cgd.dynamics import FuncDynamics, IdentityDynamics
@@ -40,7 +39,7 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.modulo import shift
+from cgd.modulo import ball, shift
 from cgd.paths import EPSILON, format_path
 from cgd.portgraph import GraphError
 from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
@@ -55,7 +54,7 @@ def moving_head_kit(max_len=4):
     mh = get_dynamics("moving-head")
     members = bare_tapes(max_len) + single_head_tapes(max_len)
     fam = GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS)
-    return BlockKit.from_family(mh, fam, exception_bound=0)
+    return BlockKit.from_family(mh, fam)
 
 
 def marked_graph(vertices, edges, labels, pointer, space=TAPE_SPACE):
@@ -180,7 +179,6 @@ class TestMarkGate:
     def test_involution_on_enumerated_marked_family(self):
         fam = enumerate_family(SPACE.marked, 3,
                                predicate=SPACE.is_mark_consistent,
-                               prune=True,
                                raw_prune=SPACE.raw_mark_consistent)
         toggled = fixed = 0
         for X in fam:
@@ -192,6 +190,52 @@ class TestMarkGate:
                 toggled += 1
                 assert mark(Y, SPACE) == X
         assert toggled > 0 and fixed > 0
+
+
+def random_ab_graph(rng, max_vertices):
+    """A connected graph over AB0: a random spanning path or tree of the
+    free ports, then random extra edges (self-loops included)."""
+    n = rng.randint(1, max_vertices)
+    free = {v: ["a", "b"] for v in range(n)}
+    edges = []
+    for v in range(1, n):
+        u = rng.choice([u for u in range(v) if free[u]])
+        p, q = rng.choice(free[u]), rng.choice(free[v])
+        free[u].remove(p)
+        free[v].remove(q)
+        edges.append(make_edge(u, p, v, q))
+    halves = [(v, p) for v in range(n) for p in free[v]]
+    rng.shuffle(halves)
+    while len(halves) >= 2 and rng.random() < 0.5:
+        edges.append(frozenset((halves.pop(), halves.pop())))
+    raw = RawGraph(alphabets=AB0, vertices=tuple(range(n)),
+                   edges=frozenset(edges), vertex_labels={v: "0" for v in range(n)})
+    return canonicalize(PointedRawGraph(raw, rng.randrange(n)))
+
+
+class TestMarkInvolutionProperty:
+    def test_random_marked_graphs_up_to_seven_vertices(self):
+        # Marked graphs beyond the exhaustive family: lift a random ab
+        # graph, then mark it at a random set of anchors.
+        rng = random.Random(1502)
+        gate = MarkDynamics(SPACE)
+        toggled = 0
+        sizes = set()
+        for _ in range(500):
+            lifted = SPACE.lift(random_ab_graph(rng, 7))
+            sizes.add(len(lifted.vertices))
+            anchors = [v for v in lifted.vertices if rng.random() < 0.5]
+            M = apply_product(gate, anchors, lifted)[0]
+            assert SPACE.is_mark_consistent(M)
+            for v in M.vertices:
+                X = shift(M, v)
+                Y = mark(X, SPACE)
+                assert SPACE.is_mark_consistent(Y)
+                if Y != X:
+                    toggled += 1
+                    assert mark(Y, SPACE) == X
+        assert sizes == set(range(1, 8))
+        assert toggled > 1000
 
 
 class TestShiftedDynamics:
@@ -332,7 +376,8 @@ class TestReversibleExtension:
         turtle = get_dynamics("turtle")
         space = MarkSpace.for_base(turtle.alphabets)
         fam = enumerate_family(turtle.alphabets, 2)
-        kit = BlockKit.from_family(turtle, fam, exception_bound=2)
+        kit = BlockKit.from_family(turtle, fam)
+        assert kit.exception_bound == 2
         solo, _pair = turtle_graphs()
         lifted = space.lift(solo)
         marked = mark(lifted, space)
@@ -463,6 +508,39 @@ class TestDecomposeStep:
         assert max(counts) == gates
 
 
+class TestKitFromFamily:
+    def test_derived_exception_bound(self, tape_closure_5):
+        mh = get_dynamics("moving-head")
+        assert BlockKit.from_family(mh, tape_closure_5).exception_bound == 0
+        turtle = get_dynamics("turtle")
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        assert kit.exception_bound == 2
+        assert kit.forward_ext.exception_bound == 2
+        assert kit.backward_ext.exception_bound == 2
+
+    def test_marks_double_the_family_alphabets(self, tape_closure_5):
+        # Identity accepts any alphabets; the family fixes the kit's.
+        kit = BlockKit.from_family(IdentityDynamics(), tape_closure_5)
+        assert kit.space == TAPE_SPACE
+        assert kit.exception_bound == 0
+        for X in single_head_tapes(3) + bare_tapes(3):
+            assert kit.decompose_step(X) == X
+
+    def test_random_long_tapes_match_direct_step(self):
+        # One kit for tapes of up to 8 cells; each tape pointed anywhere.
+        mh = get_dynamics("moving-head")
+        members = bare_tapes(9) + single_head_tapes(8)
+        kit = BlockKit.from_family(mh, GraphFamily.from_graphs(
+            shift_closure(members), TAPE_ALPHABETS))
+        rng = random.Random(1996)
+        for _ in range(40):
+            length = rng.randint(6, 8)
+            X = single_head_tape(length, rng.randrange(length),
+                                 rng.choice(("cc", "dd")))
+            X = shift(X, rng.choice(X.vertices))
+            assert kit.decompose_step(X) == mh.apply(X)[0]
+
+
 class TestLocality:
     def test_identity_is_zero_local(self):
         ident = IdentityDynamics()
@@ -521,16 +599,6 @@ class TestLocality:
                 for v in gate_footprint(kit.conjugate, lifted, anchor):
                     touch_count[v] += 1
             assert max(touch_count.values()) <= bound
-
-    def test_inflation_profile_shape(self):
-        kit = moving_head_kit()
-        fam = GraphFamily.from_graphs(
-            [kit.space.lift(g) for g in single_head_tapes(3)],
-            kit.space.marked)
-        profile = inflation_profile(kit.conjugate, fam)
-        assert sorted(profile) == list(profile)
-        assert list(profile.values()) == sorted(profile.values())
-        assert all(bound >= 0 for bound in profile.values())
 
 
 class TestClosureCrossValidation:

@@ -1,14 +1,21 @@
 """Command-line behaviour: artifacts, reports, exit codes."""
 import os
+import random
 import subprocess
 import sys
 
 import pytest
 
 import cgd
-from cgd import canonicalize, get_dynamics, parse_graph
+from cgd import canonicalize, disk_at, get_dynamics, parse_graph
 from cgd.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, main
 from cgd.families import single_head_tape
+from cgd.patches import (
+    RuleTable,
+    identity_local_rule,
+    parse_rule_file,
+    serialize_rule_file,
+)
 
 # Subprocesses import the same cgd as this module, whether it was installed
 # or found through pytest's `pythonpath`.
@@ -173,6 +180,14 @@ class TestDecompose:
                      "--input", tape_file]) == EXIT_OK
 
 
+    def test_identity(self, tmp_path, capsys):
+        tape = tmp_path / "tape.graph"
+        tape.write_text(single_head_tape(3, 1, "dd").to_text())
+        assert main(["decompose", "--dynamics", "identity",
+                     "--input", str(tape)]) == EXIT_OK
+        assert "matches_direct_step=yes" in capsys.readouterr().out
+
+
 class TestCheckBlocks:
     def test_moving_head(self, capsys):
         code = main(["check-blocks", "--dynamics", "moving-head",
@@ -182,6 +197,159 @@ class TestCheckBlocks:
         assert "block_identity=ok" in out
         assert "locality_radius=2" in out
         assert "result=pass" in out
+
+    def test_identity(self, capsys):
+        code = main(["check-blocks", "--dynamics", "identity",
+                     "--max-vertices", "4"])
+        out = capsys.readouterr().out
+        assert code == EXIT_OK
+        assert "locality_radius=1\n" in out
+        assert "observed_depth=4\n" in out
+        assert "result=pass" in out
+
+    def test_no_exception_bound_option(self):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["check-blocks", "--max-vertices", "4",
+                  "--exception-bound", "0"])
+        assert exit_info.value.code == 2
+
+
+def one_error_line(capsys, *needles):
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    (line,) = err.splitlines()
+    assert line.startswith("error: ")
+    for needle in needles:
+        assert needle in line
+    return line
+
+
+class TestInputBounds:
+    @pytest.mark.parametrize("argv", [
+        ["verify", "--family", "all", "--max-vertices", "0"],
+        ["verify", "--family", "single-head-tape", "--max-vertices", "-5"],
+        ["verify", "--family", "tape-closure", "--max-vertices", "0"],
+        ["check-blocks", "--max-vertices", "0"],
+        ["enumerate", "--max-vertices", "0"],
+    ])
+    def test_max_vertices_below_one(self, argv, capsys):
+        assert main(argv) == EXIT_BAD_INPUT
+        one_error_line(capsys, "--max-vertices", "at least 1")
+
+    def test_negative_steps(self, tape_file, tmp_path, capsys):
+        assert main(["run", "--input", tape_file, "--steps", "-1",
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "--steps", "at least 0")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("name", ["turtle", "inflating-grid"])
+    def test_blocks_need_a_tape_dynamics(self, name, tape_file, capsys):
+        assert main(["check-blocks", "--dynamics", name,
+                     "--max-vertices", "3"]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "--dynamics", name)
+        assert main(["decompose", "--dynamics", name,
+                     "--input", tape_file]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "--dynamics", name)
+
+
+def identity_rule_text(X, radius):
+    """A rule file holding the identity rule on every disk of X."""
+    rule = identity_local_rule(radius)
+    entries = {}
+    for u in X.vertices:
+        view = disk_at(X, u, radius)
+        entries[view] = rule.rule(view)
+    return serialize_rule_file(RuleTable(radius=radius, entries=entries))
+
+
+SOUP = ["ports", "vlabels", "elabels", "vertex", "edge", "pointer", "label=",
+        "label=0", "radius", "disk", "maps-to", "c0", "c1:a", "h:c", "eps",
+        "eps~1", "ab.cd", ":", "=", "~", "#", "-1", "00", "\t", "\u00e9"]
+
+
+def mutant(text, rng):
+    """`text` after one to three random line or token edits."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        tokens = lines[i].split(" ")
+        op = rng.randrange(6)
+        if op == 0 and len(lines) > 1:
+            del lines[i]
+        elif op == 1:
+            lines.insert(rng.randrange(len(lines) + 1), lines[i])
+        elif op == 2:
+            j = rng.randrange(len(lines))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif op == 3:
+            tokens[rng.randrange(len(tokens))] = rng.choice(SOUP)
+            lines[i] = " ".join(tokens)
+        elif op == 4:
+            tokens.insert(rng.randrange(len(tokens) + 1), rng.choice(SOUP))
+            lines[i] = " ".join(tokens)
+        elif lines[i]:
+            k = rng.randrange(len(lines[i]))
+            lines[i] = lines[i][:k] + lines[i][k + 1:]
+    return "\n".join(lines) + "\n"
+
+
+def _write(path, text):
+    path.write_text(text)
+    return str(path)
+
+
+def rejected(load, text):
+    try:
+        load(text)
+    except Exception:
+        return True
+    return False
+
+
+class TestMalformedInputFuzz:
+    """Every command turns malformed input into exit 2 and one error line."""
+
+    def test_mutated_files(self, tape_file, tmp_path, capsys):
+        rng = random.Random(368)
+        graph_text = open(tape_file).read()
+        rule_text = identity_rule_text(canonicalize(parse_graph(graph_text)), 1)
+        out = str(tmp_path / "out")
+        bad = tmp_path / "bad.txt"
+        assert main(["run", "--rule-file", _write(bad, rule_text),
+                     "--input", tape_file, "--output-dir", out]) == EXIT_OK
+        commands = [
+            (graph_text, lambda t: canonicalize(parse_graph(t)),
+             lambda path: ["run", "--input", path, "--output-dir", out]),
+            (rule_text, parse_rule_file,
+             lambda path: ["run", "--rule-file", path, "--input", tape_file,
+                           "--output-dir", out]),
+            (graph_text, lambda t: canonicalize(parse_graph(t)),
+             lambda path: ["decompose", "--dynamics", "moving-head",
+                           "--input", path, "--output-dir", out]),
+            (graph_text, lambda t: canonicalize(parse_graph(t)),
+             lambda path: ["export-dot", "--input", path]),
+        ]
+        capsys.readouterr()
+        for text, load, argv in commands:
+            cases = 0
+            while cases < 100:
+                broken = mutant(text, rng)
+                if not rejected(load, broken):
+                    continue
+                cases += 1
+                assert main(argv(_write(bad, broken))) == EXIT_BAD_INPUT
+                one_error_line(capsys)
+
+    def test_out_of_range_integers(self, tape_file, capsys):
+        rng = random.Random(369)
+        for _ in range(40):
+            n = rng.randint(-10 ** 6, 0)
+            for argv in (["verify", "--max-vertices", str(n)],
+                         ["enumerate", "--max-vertices", str(n)],
+                         ["check-blocks", "--max-vertices", str(n)],
+                         ["run", "--input", tape_file, "--steps", str(n - 1)]):
+                assert main(argv) == EXIT_BAD_INPUT
+                one_error_line(capsys, argv[-2])
 
 
 class TestExportDot:

@@ -31,6 +31,8 @@ from cgd.families import (
 )
 from cgd.paths import EPSILON, format_path
 
+import oracles
+
 
 class TestIdentity:
     def test_identity(self, ab_family_4):
@@ -302,6 +304,23 @@ class TestBoundedness:
     def test_negative_bound_rejected(self):
         with pytest.raises(ValueError):
             check_boundedness(IdentityDynamics(), turtle_graphs()[0], -1)
+
+    def test_same_verdict_as_multi_source_bfs(self, ab_family_4):
+        # Reaching only the origin fails at the first vertex farther than
+        # bound + 1 from it, so the verdicts cover many first failures.
+        origin_only = FuncDynamics(
+            "origin-only", lambda X: (X, {v: EPSILON for v in X.vertices}))
+        cases = [(origin_only, X) for X in ab_family_4]
+        cases += [(origin_only, X) for X in single_head_tapes(5)]
+        cases += [(get_dynamics("inflating-grid"), grid_graph(*shape))
+                  for shape in ((1, 1), (2, 2), (2, 3), (3, 3))]
+        failures = set()
+        for D, X in cases:
+            for bound in range(3):
+                got = check_boundedness(D, X, bound)
+                assert got == oracles.check_boundedness_by_bfs(D, X, bound)
+                failures.add(got)
+        assert len(failures) > 5
 
 
 class TestContinuityProbe:

@@ -40,10 +40,20 @@ from cgd.families import (
 from cgd.patches import apply_local_rule, identity_local_rule
 from cgd.portgraph import GraphError
 from cgd.reversibility import GraphFamily, enumerate_family, tabulate
-from cgd.modulo import NoHostVertexError, PathResolutionError, smallest_prime_above
+from cgd.modulo import (
+    NoHostVertexError,
+    PathResolutionError,
+    ball,
+    smallest_prime_above,
+)
 from cgd.paths import EPSILON, Path, format_path, parse_path
 
-from oracles import apply_local_rule_pairwise, disk_by_canonicalization, disk_by_shift
+from oracles import (
+    apply_local_rule_pairwise,
+    ball_by_bfs,
+    disk_by_canonicalization,
+    disk_by_shift,
+)
 from test_blocks import TAPE_SPACE, moving_head_kit
 from test_glue import marked_variants
 from test_patches import inflating_grid_local_rule
@@ -498,7 +508,7 @@ class TestTrustedOrder:
         fam = GraphFamily.from_graphs(shift_closure(
             bare_tapes(len(X)) + single_head_tapes(len(X) - 1)))
         mh = get_dynamics("moving-head")
-        kit = BlockKit.from_family(mh, fam, exception_bound=0)
+        kit = BlockKit.from_family(mh, fam)
         assert kit.decompose_step(X) == mh.apply(X)[0]
         assert path_key_calls == []
 
@@ -630,6 +640,29 @@ class TestDiskAt:
         assert calls == []
 
 
+class TestBall:
+    """`ball` is the vertex set of a BFS naming cut at the radius."""
+
+    def test_exhaustive_family(self, ab_family_6):
+        for X in ab_family_6:
+            for u in X.vertices:
+                for radius in range(4):
+                    assert ball(X, u, radius) == ball_by_bfs(X, u, radius)
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_labelled_graphs_at_every_vertex(self, pg):
+        X = canonicalize(pg)
+        for u in X.vertices:
+            for radius in range(4):
+                assert ball(X, u, radius) == ball_by_bfs(X, u, radius)
+
+    def test_radius_zero_is_the_center(self):
+        X = bare_tape(3)
+        assert ball(X, EPSILON, 0) == {EPSILON}
+        assert ball(X, EPSILON, 5) == set(X.vertices)
+
+
 class TestTrustBoundary:
     """Graphs are validated where they enter, not on every canonicalization."""
 
@@ -658,7 +691,7 @@ class TestTrustBoundary:
             bare_tapes(len(X)) + single_head_tapes(len(X) - 1)))
         mh = get_dynamics("moving-head")
         validate_calls.clear()
-        kit = BlockKit.from_family(mh, fam, exception_bound=0)
+        kit = BlockKit.from_family(mh, fam)
         assert kit.decompose_step(X) == mh.apply(X)[0]
         assert validate_calls == []
 

@@ -271,7 +271,7 @@ def table_outcome(fn, D, fam):
         return kind, table
     return kind, (table.family.members, table.forward, table.backward,
                   table.forward_corr, table.corr_inverse, table.name,
-                  serialize_inverse_table(table))
+                  table.exception_bound, serialize_inverse_table(table))
 
 
 def first_class_problem(D, fam):
@@ -348,7 +348,7 @@ class TestOneApplyPerMember:
 
     def test_block_kit(self, tape_closure_5):
         D = counting(get_dynamics("moving-head"))
-        BlockKit.from_family(D, tape_closure_5, exception_bound=0)
+        BlockKit.from_family(D, tape_closure_5)
         assert D.calls == len(tape_closure_5)
 
     def test_verify_command(self, monkeypatch, capsys):
