@@ -515,6 +515,7 @@ class BlockKit:
                  exception_bound: int, space: MarkSpace):
         self.space = space
         self.dynamics = dynamics
+        self.inverse = inverse
         self.exception_bound = exception_bound
         self.forward_ext = ReversibleExtension(
             dynamics, exception_bound, self.space)
@@ -528,10 +529,12 @@ class BlockKit:
 
     @staticmethod
     def from_family(dynamics: Dynamics, family: GraphFamily) -> "BlockKit":
-        """Realize the inverse as a lookup table over a closed family.
+        """Read the inverse as a local rule off a closed family.
 
-        The table also fixes the rest of the kit: the marks double the
-        family's alphabets, and the exception bound is the table's.
+        The rule applies to graphs of any size whose disks the family
+        shows.  The inverse table also fixes the rest of the kit: the marks
+        double the family's alphabets, and the exception bound is the
+        table's.
         """
         table = build_inverse(dynamics, family)
         return BlockKit(dynamics, table.as_dynamics(), table.exception_bound,

@@ -80,11 +80,10 @@ def _load_dynamics(args) -> Dynamics:
 
 def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily:
     if name == "single-head-tape":
-        members = single_head_tapes(max(1, max_vertices - 1))
+        members = single_head_tapes(max_vertices - 1)
         return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
     if name == "tape-closure":
-        members = bare_tapes(max_vertices) + single_head_tapes(
-            max(1, max_vertices - 1))
+        members = bare_tapes(max_vertices) + single_head_tapes(max_vertices - 1)
         return GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS)
     if name == "all":
         if dynamics.alphabets is None:
@@ -95,13 +94,29 @@ def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily
                         f"(known: all, single-head-tape, tape-closure)")
 
 
-def _tape_kit(dynamics: Dynamics, max_vertices: int) -> BlockKit:
+def _tape_kit(dynamics: Dynamics) -> BlockKit:
+    """The kit read off `tape-closure` at 2r + 4 vertices, for tapes of any
+    length.
+
+    A tape of 2r + 3 cells plus a head shows every radius-r disk that any
+    bare or single-head tape shows.  The inverse's radius is inferred from
+    the family it is read off, so the family starts at r = 1, or at the
+    rule's radius for a rule file, and is rebuilt only if the inverse's
+    radius comes out larger.
+    """
     if dynamics.alphabets not in (None, TAPE_ALPHABETS):
         raise DynamicsError(
             f"--dynamics {dynamics.name}: block decomposition needs a "
             f"dynamics over the tape alphabets")
-    return BlockKit.from_family(
-        dynamics, _family_for("tape-closure", dynamics, max_vertices))
+    radius = 1
+    if isinstance(dynamics, LocalRuleDynamics):
+        radius = max(radius, dynamics.rule.radius)
+    while True:
+        kit = BlockKit.from_family(
+            dynamics, _family_for("tape-closure", dynamics, 2 * radius + 4))
+        if kit.inverse.rule.radius <= radius:
+            return kit
+        radius = kit.inverse.rule.radius
 
 
 def _cmd_run(args) -> int:
@@ -196,7 +211,7 @@ def _cmd_enumerate(args) -> int:
 def _cmd_decompose(args) -> int:
     dynamics = _load_dynamics(args)
     X = _load_graph(args.input)
-    kit = _tape_kit(dynamics, max(len(X.vertices), 2))
+    kit = _tape_kit(dynamics)
     trace = [] if args.trace else None
     result = kit.decompose_step(X, trace=trace)
     direct = dynamics.apply(X)[0]
@@ -218,8 +233,8 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check_blocks(args) -> int:
     dynamics = _load_dynamics(args)
-    kit = _tape_kit(dynamics, args.max_vertices)
-    tapes = single_head_tapes(max(1, args.max_vertices - 1))
+    kit = _tape_kit(dynamics)
+    tapes = single_head_tapes(args.max_vertices - 1)
     failures = 0
     for X in tapes:
         if kit.decompose_step(X) != dynamics.apply(X)[0]:
@@ -303,7 +318,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--output")
 
     p_dec = sub.add_parser("decompose", help="run one step as a circuit of local gates")
-    add_dynamics_args(p_dec, rule_file=False)
+    add_dynamics_args(p_dec)
     p_dec.add_argument("--input", required=True)
     p_dec.add_argument("--trace", action="store_true",
                        help="write every intermediate marked graph")
@@ -312,7 +327,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_blocks = sub.add_parser("check-blocks",
                               help="block identity, locality radius and depth")
-    add_dynamics_args(p_blocks, rule_file=False)
+    add_dynamics_args(p_blocks)
     p_blocks.add_argument("--max-vertices", type=int, required=True)
 
     p_dot = sub.add_parser("export-dot", help="render a graph file as DOT")
@@ -342,7 +357,21 @@ def main(argv: Optional[List[str]] = None) -> int:
             if value is not None and value < least:
                 raise ValueError(f"--{dest.replace('_', '-')} must be at "
                                  f"least {least}, got {value}")
-        return _COMMANDS[args.command](args)
+        code = _COMMANDS[args.command](args)
+        # Flush here, so that a closed stdout is caught below, not at exit.
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader went away.  Point stdout at devnull, so that the flush
+        # at exit cannot raise again; a StringIO stdout has no descriptor.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        try:
+            os.dup2(devnull, sys.stdout.fileno())
+        except OSError:
+            pass
+        finally:
+            os.close(devnull)
+        return EXIT_IO
     except _IOFailure as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -263,7 +263,14 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
 
 def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
     """`disk(shift(X, u), radius)` for a vertex u of X, read off the
-    vertices near u alone.
+    vertices near u alone."""
+    return disk_at_with_names(X, u, radius)[0]
+
+
+def disk_at_with_names(X: CanonicalGraph, u: Path, radius: int
+                       ) -> Tuple[DiskGraph, Dict[Path, Path]]:
+    """`disk_at`, and the map from X's names of the kept vertices to their
+    names in the disk, which are their paths from u.
 
     A BFS from u that stops at distance radius+1 names the kept vertices
     exactly as the shifted graph would, in the same order; the induced
@@ -292,7 +299,7 @@ def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
                 if label is not None:
                     edge_labels[e] = label
     return DiskGraph(CanonicalGraph(X.alphabets, names.values(), vertex_labels,
-                                    edges, edge_labels), radius)
+                                    edges, edge_labels), radius), names
 
 
 def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:

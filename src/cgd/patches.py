@@ -181,12 +181,14 @@ def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
     return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
 
 
-def apply_local_rule(rule: LocalRule, X: CanonicalGraph
-                     ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
-    """Run the rule on every vertex's disk and glue the translated patches.
+def glue_rule(rule: LocalRule, X: CanonicalGraph
+              ) -> Tuple[PointedRawGraph, Dict[Path, Hashable]]:
+    """Run the rule on every vertex's disk and glue the translated patches:
+    the glued graph, pointed at the origin's successor, and each vertex's
+    successor.
 
     Any two patches must be consistent; the first failure is reported with
-    the two offending anchor vertices.
+    the two offending anchor vertices.  The glued graph is not validated.
     """
     patches: Dict[Path, Patch] = {
         u: _translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
@@ -198,11 +200,18 @@ def apply_local_rule(rule: LocalRule, X: CanonicalGraph
         raise PatchInconsistencyError(
             f"patches at {format_path(u)} and {format_path(w)} "
             f"conflict: {err}", anchors=(u, w)) from None
+    return (PointedRawGraph(merged, patches[EPSILON].successor),
+            {u: p.successor for u, p in patches.items()})
+
+
+def apply_local_rule(rule: LocalRule, X: CanonicalGraph
+                     ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
+    """`glue_rule`, then validate the glued graph and canonicalize it."""
+    glued, successors = glue_rule(rule, X)
     # Patches are user input, and `glue` leaves faults inside one piece here.
-    ensure_valid(merged)
-    origin = patches[EPSILON].successor
-    Y, names = canonicalize_with_names(PointedRawGraph(merged, origin))
-    return Y, {u: names[p.successor] for u, p in patches.items()}
+    ensure_valid(glued.graph)
+    Y, names = canonicalize_with_names(glued)
+    return Y, {u: names[s] for u, s in successors.items()}
 
 
 class LocalRuleDynamics(Dynamics):

@@ -2,8 +2,9 @@
 
 Invertibility quantifies over all graphs; here it is checked over explicit
 finite families closed under the dynamics.  When a dynamics permutes a
-family, its inverse is realized as a lookup table whose reversed
-correspondences also invert the per-graph vertex maps.
+family, its inverse is tabulated with reversed correspondences that also
+invert the per-graph vertex maps, and the table is read as a local rule
+that applies to graphs of any size.
 """
 from __future__ import annotations
 
@@ -17,9 +18,18 @@ from typing import Callable, Dict, Iterable, List, Optional, Tuple
 from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from .modulo import (
     CanonicalGraph,
+    DiskGraph,
     canonicalize,
     canonicalize_with_names,
+    disk_at_with_names,
     shift_equivalence_classes,
+)
+from .patches import (
+    LocalRuleDynamics,
+    Patch,
+    RuleLookupError,
+    RuleTable,
+    glue_rule,
 )
 from .paths import Path, format_path
 from .portgraph import (
@@ -33,6 +43,8 @@ from .portgraph import (
 
 FAMILY_CAP_ENV = "CGD_FAMILY_CAP"
 DEFAULT_FAMILY_CAP = 200_000
+# The largest radius `InverseTable.local_rule` tries.
+MAX_INVERSE_RADIUS = 4
 
 
 class FamilyCapError(GraphError):
@@ -424,20 +436,93 @@ class InverseTable:
     name: str = "inverse-table"
     exception_bound: int = 0
 
-    def as_dynamics(self) -> "TableDynamics":
-        return TableDynamics(self)
+    def local_rule(self) -> RuleTable:
+        """The inverse as a disk-to-patch table read off the image members.
+
+        At a vertex u of an image member Y the patch is u's preimage
+        vertex, with its label and its incident edges; every endpoint is
+        named by its path from u in Y.  The radius is the least r >= 1, up
+        to MAX_INVERSE_RADIUS, at which each patch lies in, and depends only
+        on, the radius-r disk around u.  Members of at most
+        `exception_bound` vertices are left out: their correspondences need
+        not invert.
+        """
+        for radius in range(1, MAX_INVERSE_RADIUS + 1):
+            entries = self._patches(radius)
+            if entries is not None:
+                return RuleTable(radius, entries, name=self.name)
+        raise InverseConstructionError(
+            f"{self.name}: no radius up to {MAX_INVERSE_RADIUS} reads the "
+            f"inverse off the disks of the family")
+
+    def _patches(self, radius: int) -> Optional[Dict[DiskGraph, Patch]]:
+        """The radius-`radius` entries, or None when some disk is too small."""
+        entries: Dict[DiskGraph, Patch] = {}
+        for Y, X in self.backward.items():
+            if len(Y.vertices) <= self.exception_bound:
+                continue
+            back, to_y = self.corr_inverse[Y], self.forward_corr[X]
+            for u in Y.vertices:
+                view, names = disk_at_with_names(Y, u, radius)
+                patch = _patch_of(X, back[u], to_y, names)
+                if patch is None or entries.setdefault(view, patch) != patch:
+                    return None
+        return entries
+
+    def as_dynamics(self) -> "LocalInverse":
+        return LocalInverse(self, self.local_rule())
 
 
-class TableDynamics(Dynamics):
-    """Apply a tabulated inverse: lookup the source graph and correspondence."""
+def _patch_of(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
+              names: Dict[Path, Path]) -> Optional[Patch]:
+    """Vertex x of X and its incident edges, each vertex named by `names`
+    of its image in Y; None if an endpoint's image has no name."""
+    ids = {x: frozenset((names[to_y[x]],))}
+    edges, edge_labels = set(), {}
+    for p, (w, q) in sorted(X.adjacency[x].items(),
+                            key=lambda hop: X.alphabets.port_index(hop[0])):
+        name = names.get(to_y[w])
+        if name is None:
+            return None
+        ids.setdefault(w, frozenset((name,)))
+        e = make_edge(ids[x], p, ids[w], q)
+        edges.add(e)
+        label = X.edge_labels.get(make_edge(x, p, w, q))
+        if label is not None:
+            edge_labels[e] = label
+    label = X.vertex_labels.get(x)
+    graph = RawGraph(alphabets=X.alphabets, vertices=tuple(ids.values()),
+                     edges=frozenset(edges),
+                     vertex_labels={} if label is None else {ids[x]: label},
+                     edge_labels=edge_labels)
+    return Patch(graph, ids[x])
 
-    def __init__(self, table: InverseTable, name: Optional[str] = None):
+
+class LocalInverse(LocalRuleDynamics):
+    """The inverse as a local rule.  Graphs of at most `exception_bound`
+    vertices, which the rule was not read from, are looked up in the table.
+
+    The glued graph is not validated: each patch is a vertex of a valid
+    member with its edges, named by paths of a disk equal to X's, so the
+    names resolve to distinct vertices of X and the patches glue into a
+    valid graph.  Graphs are validated where they enter the library.
+    """
+
+    def __init__(self, table: InverseTable, rule: RuleTable):
+        super().__init__(rule.as_rule(), table.family.alphabets)
         self.table = table
-        self.name = name or table.name
-        self.alphabets = table.family.alphabets
 
     def apply(self, X):
         self._check_signature(X)
+        if len(X.vertices) > self.table.exception_bound:
+            try:
+                glued, successors = glue_rule(self.rule, X)
+            except RuleLookupError:
+                raise DynamicsError(
+                    f"{self.name}: a disk of the graph is not in the rule "
+                    f"({len(X.vertices)} vertices)") from None
+            Y, names = canonicalize_with_names(glued)
+            return Y, {u: names[s] for u, s in successors.items()}
         try:
             Y = self.table.backward[X]
         except KeyError:

@@ -27,6 +27,11 @@ multi-source BFS from the reached vertices; both now read
 `modulo._canonical_names`.  The oracle `build_inverse` derives the
 exception bound from `vertex_preservation_exceptions`.
 
+`TableDynamics` is the inverse as the block kit applied it before
+`InverseTable.local_rule`: a whole-graph lookup in the table, which knows
+only the family's members.  The kit's inverse now reads a local rule off
+the table and applies it to graphs of any size.
+
 `disk_by_shift` is the disk around a vertex as local rules and
 `check_locality` took it before `modulo.disk_at`: re-point the whole graph
 at the vertex, then cut.  `translate_patch_from_origin` resolves each patch
@@ -44,7 +49,7 @@ from cgd.blocks import (
     _induced_raw,
     _mark_partition,
 )
-from cgd.dynamics import Dynamics, VertexCorrespondence
+from cgd.dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from cgd.modulo import (
     CanonicalGraph,
     DiskGraph,
@@ -337,6 +342,25 @@ def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:
                         forward_corr=forward_corr, corr_inverse=corr_inverse,
                         name=f"{D.name}-inverse",
                         exception_bound=exception_bound)
+
+
+class TableDynamics(Dynamics):
+    """Apply a tabulated inverse: lookup the source graph and correspondence."""
+
+    def __init__(self, table: InverseTable, name: Optional[str] = None):
+        self.table = table
+        self.name = name or table.name
+        self.alphabets = table.family.alphabets
+
+    def apply(self, X):
+        self._check_signature(X)
+        try:
+            Y = self.table.backward[X]
+        except KeyError:
+            raise DynamicsError(
+                f"{self.name}: graph not tabulated "
+                f"({len(X.vertices)} vertices)") from None
+        return Y, dict(self.table.corr_inverse[X])
 
 
 def ball_by_bfs(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:

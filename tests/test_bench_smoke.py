@@ -1,7 +1,9 @@
-"""The smallest bench workload runs and reports no failed operation.
+"""The smallest bench workloads run and report no failed operation.
 
 `perfbench/run.py` is the repository's one bench script; this keeps a broken
-bench from going unnoticed until it is next run by hand.
+bench from going unnoticed until it is next run by hand.  The
+`tape-decompose` round checks `decompose` and `check-blocks` against their
+closed-form answers, so it also guards the block kit's path.
 """
 import json
 import subprocess
@@ -11,11 +13,18 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_tape_rule_quick_round():
+def quick_round(workload):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", "tape-rule",
+        [sys.executable, "perfbench/run.py", "--workload", workload,
          "--seed", "1", "--seconds", "1", "--quick"],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    report = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert report["failed"] == 0
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_tape_rule_quick_round():
+    assert quick_round("tape-rule")["failed"] == 0
+
+
+def test_tape_decompose_quick_round():
+    assert quick_round("tape-decompose")["failed"] == 0

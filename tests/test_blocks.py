@@ -16,6 +16,7 @@ from cgd import (
     mark,
     upper_projection,
 )
+from cgd import cli
 from cgd.blocks import (
     BlockKit,
     MarkDynamics,
@@ -29,7 +30,7 @@ from cgd.blocks import (
     gate_footprint,
     mark_with_names,
 )
-from cgd.dynamics import FuncDynamics, IdentityDynamics
+from cgd.dynamics import CompositeDynamics, FuncDynamics, IdentityDynamics
 from cgd.families import (
     TAPE_ALPHABETS,
     bare_tape,
@@ -378,12 +379,16 @@ class TestReversibleExtension:
         fam = enumerate_family(turtle.alphabets, 2)
         kit = BlockKit.from_family(turtle, fam)
         assert kit.exception_bound == 2
-        solo, _pair = turtle_graphs()
+        solo, pair = turtle_graphs()
         lifted = space.lift(solo)
         marked = mark(lifted, space)
         assert marked != lifted
         Y, _ = kit.forward_ext.apply(marked)
         assert Y == marked
+        # The inverse's side freezes it too; the rule is read only off
+        # larger members, so the bare pair is a table lookup.
+        assert kit.backward_ext.apply(marked)[0] == marked
+        assert kit.inverse.apply(pair)[0] == solo
 
     def test_frozen_region_blocks_the_head(self):
         # Head on the middle cell, the cell ahead of it marked: inside the
@@ -539,6 +544,34 @@ class TestKitFromFamily:
                                  rng.choice(("cc", "dd")))
             X = shift(X, rng.choice(X.vertices))
             assert kit.decompose_step(X) == mh.apply(X)[0]
+
+
+    def test_cli_kit_on_48_cell_tapes(self):
+        # The CLI's kit is read off tapes of at most 5 cells and a head.
+        mh = get_dynamics("moving-head")
+        kit = cli._tape_kit(mh)
+        rng = random.Random(1502)
+        for _ in range(3):
+            X = single_head_tape(48, rng.randrange(48), rng.choice(("cc", "dd")))
+            X = shift(X, rng.choice(X.vertices))
+            assert kit.decompose_step(X) == mh.apply(X)[0]
+
+    def test_cli_kit_grows_once_for_a_larger_radius(self, monkeypatch):
+        # Two moving-head steps at once: the inverse walks each head back
+        # two cells, which no radius-1 disk shows.  The family is built at
+        # 6 vertices, then once more at 2 * 2 + 4.
+        mh = get_dynamics("moving-head")
+        twice = CompositeDynamics((mh, mh), name="moving-head-twice")
+        sizes = []
+        real = BlockKit.from_family
+        monkeypatch.setattr(BlockKit, "from_family", staticmethod(
+            lambda D, fam: sizes.append(max(map(len, fam))) or real(D, fam)))
+        kit = cli._tape_kit(twice)
+        assert kit.inverse.rule.radius == 2
+        assert sizes == [6, 8]
+        X = single_head_tape(20, 17, "cc")
+        X = shift(X, X.vertices[9])
+        assert kit.decompose_step(X) == twice.apply(X)[0]
 
 
 class TestLocality:

@@ -7,15 +7,18 @@ import sys
 import pytest
 
 import cgd
-from cgd import canonicalize, disk_at, get_dynamics, parse_graph
+from cgd import canonicalize, cli, disk_at, get_dynamics, parse_graph
 from cgd.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, main
-from cgd.families import single_head_tape
+from cgd.blocks import BlockKit
+from cgd.dynamics import CompositeDynamics, RawStepDynamics
+from cgd.families import bare_tapes, single_head_tape, single_head_tapes
 from cgd.patches import (
     RuleTable,
     identity_local_rule,
     parse_rule_file,
     serialize_rule_file,
 )
+from cgd.reversibility import build_inverse
 
 # Subprocesses import the same cgd as this module, whether it was installed
 # or found through pytest's `pythonpath`.
@@ -187,6 +190,75 @@ class TestDecompose:
                      "--input", str(tape)]) == EXIT_OK
         assert "matches_direct_step=yes" in capsys.readouterr().out
 
+    def test_tape_longer_than_the_kit_family(self, tmp_path, capsys):
+        # The kit is read off tapes of at most 5 cells; 48 cells need the rule.
+        tape = tmp_path / "tape.graph"
+        tape.write_text(single_head_tape(48, 30, "dd").to_text())
+        assert main(["decompose", "--dynamics", "moving-head",
+                     "--input", str(tape)]) == EXIT_OK
+        assert "matches_direct_step=yes" in capsys.readouterr().out
+
+    def test_disk_outside_the_rule(self, tmp_path, capsys):
+        # Two heads on one cell's neighbours: no single-head tape shows that
+        # disk, so the inverse's rule has no entry for it.
+        graph = tmp_path / "two-heads.graph"
+        graph.write_text(TAPE_TEXT.replace("pointer c0", "vertex g label=0\n"
+                                           "edge c2:d g:d\npointer c0"))
+        assert main(["decompose", "--dynamics", "moving-head",
+                     "--input", str(graph)]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "moving-head-inverse", "not in the rule")
+
+    def test_rule_file(self, tmp_path, capsys):
+        rule = tmp_path / "identity-r1.rules"
+        rule.write_text(tape_identity_rule_text())
+        tape = tmp_path / "tape.graph"
+        tape.write_text(single_head_tape(12, 4, "cc").to_text())
+        assert main(["decompose", "--rule-file", str(rule),
+                     "--input", str(tape)]) == EXIT_OK
+        assert "matches_direct_step=yes" in capsys.readouterr().out
+
+    def test_radius_2_rule_file(self, tmp_path, monkeypatch, capsys):
+        # Two moving-head steps at once, written as a radius-2 rule file:
+        # the kit's family starts at 2 * 2 + 4 vertices, and a 20-cell tape,
+        # longer than that family, still decomposes to the direct step.
+        rule = tmp_path / "moving-head-twice.rules"
+        rule.write_text(moving_head_twice_rule_text())
+        sizes = []
+        real = BlockKit.from_family
+        monkeypatch.setattr(BlockKit, "from_family", staticmethod(
+            lambda D, fam: sizes.append(max(map(len, fam))) or real(D, fam)))
+        tape = tmp_path / "tape.graph"
+        tape.write_text(single_head_tape(20, 13, "dd").to_text())
+        assert main(["decompose", "--rule-file", str(rule),
+                     "--input", str(tape)]) == EXIT_OK
+        assert "matches_direct_step=yes" in capsys.readouterr().out
+        assert sizes == [8]
+
+    def test_kit_build_ignores_input_size(self, tmp_path, monkeypatch, capsys):
+        # Applies of the dynamics while the kit is built, for a 6-cell and a
+        # 48-cell input: one apply per member of the same fixed family.
+        calls = []
+        real_apply = RawStepDynamics.apply
+        monkeypatch.setattr(RawStepDynamics, "apply",
+                            lambda self, X: calls.append(1) or real_apply(self, X))
+        real_kit = cli._tape_kit
+        kit_applies = []
+
+        def counted_kit(dynamics):
+            before = len(calls)
+            kit = real_kit(dynamics)
+            kit_applies.append(len(calls) - before)
+            return kit
+
+        monkeypatch.setattr(cli, "_tape_kit", counted_kit)
+        for length in (6, 48):
+            tape = tmp_path / f"tape{length}.graph"
+            tape.write_text(single_head_tape(length, length // 2, "cc").to_text())
+            assert main(["decompose", "--dynamics", "moving-head",
+                         "--input", str(tape)]) == EXIT_OK
+        family = cli._family_for("tape-closure", get_dynamics("moving-head"), 6)
+        assert kit_applies == [len(family)] * 2
+
 
 class TestCheckBlocks:
     def test_moving_head(self, capsys):
@@ -207,11 +279,58 @@ class TestCheckBlocks:
         assert "observed_depth=4\n" in out
         assert "result=pass" in out
 
+    def test_rule_file(self, tmp_path, capsys):
+        rule = tmp_path / "identity-r1.rules"
+        rule.write_text(tape_identity_rule_text())
+        assert main(["check-blocks", "--rule-file", str(rule),
+                     "--max-vertices", "4"]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "block_identity=ok" in out
+        assert "result=pass" in out
+
     def test_no_exception_bound_option(self):
         with pytest.raises(SystemExit) as exit_info:
             main(["check-blocks", "--max-vertices", "4",
                   "--exception-bound", "0"])
         assert exit_info.value.code == 2
+
+
+class TestFamilySizes:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("name, dynamics", [
+        ("all", "turtle"),
+        ("single-head-tape", "moving-head"),
+        ("tape-closure", "moving-head"),
+    ])
+    def test_members_within_max_vertices(self, name, dynamics, n):
+        fam = cli._family_for(name, get_dynamics(dynamics), n)
+        assert all(len(X.vertices) <= n for X in fam)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_reported_members(self, n, capsys):
+        # Single-head tapes of at most n vertices, the head included: two
+        # attachments at each cell of tapes of 1 .. n - 1 cells.
+        expected = n * (n - 1)
+        assert main(["verify", "--dynamics", "moving-head", "--family",
+                     "single-head-tape", "--max-vertices", str(n)]) == EXIT_OK
+        assert f"members={expected}\n" in capsys.readouterr().out
+        assert main(["check-blocks", "--dynamics", "moving-head",
+                     "--max-vertices", str(n)]) == EXIT_OK
+        assert f"members={expected}\n" in capsys.readouterr().out
+
+
+class TestClosedStdout:
+    def test_no_traceback_when_the_reader_leaves(self):
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "cgd.cli", "enumerate", "--max-vertices", "6"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=SUBPROCESS_ENV)
+        # Closed before the command writes anything, so every write fails.
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        proc.stderr.close()
+        assert proc.wait(timeout=120) == EXIT_IO
+        assert "Traceback" not in err
+        assert "BrokenPipeError" not in err
 
 
 def one_error_line(capsys, *needles):
@@ -250,6 +369,33 @@ class TestInputBounds:
         assert main(["decompose", "--dynamics", name,
                      "--input", tape_file]) == EXIT_BAD_INPUT
         one_error_line(capsys, "--dynamics", name)
+
+
+def tape_identity_rule_text():
+    """The radius-1 identity rule on every disk of the bare and single-head
+    tapes of at most 6 cells, as a rule file."""
+    rule = identity_local_rule(1)
+    entries = {}
+    for X in bare_tapes(6) + single_head_tapes(6):
+        for u in X.vertices:
+            view = disk_at(X, u, 1)
+            entries.setdefault(view, rule.rule(view))
+    return serialize_rule_file(RuleTable(radius=1, entries=entries))
+
+
+def moving_head_twice_rule_text():
+    """Two moving-head steps at once as a radius-2 rule file, on every disk
+    of the tapes of at most 7 cells and a head.
+
+    The rule is the local rule of the inverse of its own inverse, both
+    read off that family."""
+    mh = get_dynamics("moving-head")
+    twice = CompositeDynamics((mh, mh), name="moving-head-twice")
+    fam = cli._family_for("tape-closure", twice, 8)
+    backward = build_inverse(twice, fam).as_dynamics()
+    rule = build_inverse(backward, fam).local_rule()
+    assert rule.radius == 2
+    return serialize_rule_file(rule)
 
 
 def identity_rule_text(X, radius):

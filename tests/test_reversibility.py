@@ -16,6 +16,7 @@ from cgd import (
     vertex_preservation_exceptions,
 )
 import oracles
+from cgd import cli
 from cgd.blocks import BlockKit
 from cgd.cli import main
 from cgd.dynamics import (
@@ -24,7 +25,14 @@ from cgd.dynamics import (
     IdentityDynamics,
     RawStepDynamics,
 )
-from cgd.families import TAPE_ALPHABETS, bare_tape, single_head_tape, turtle_graphs
+from cgd.families import (
+    TAPE_ALPHABETS,
+    bare_tape,
+    shift_closure,
+    single_head_tape,
+    turtle_graphs,
+)
+from cgd.patches import LocalRuleDynamics, parse_rule_file, serialize_rule_file
 from cgd.paths import EPSILON, Path
 from cgd.reversibility import (
     GraphFamily,
@@ -36,6 +44,7 @@ from cgd.reversibility import (
 )
 
 TURTLE_ALPH = Alphabets.make("ab", vertex_labels=("0",))
+AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
 
 
 def collapse_dynamics():
@@ -50,11 +59,11 @@ def collapse_dynamics():
     return FuncDynamics("collapse", fn, TURTLE_ALPH)
 
 
-def ab_line(n):
+def ab_line(n, label="0", alphabets=TURTLE_ALPH):
     """An a-b path of n labelled vertices: outside any family of fewer."""
     edges = frozenset(make_edge(i, "a", i + 1, "b") for i in range(n - 1))
-    raw = RawGraph(alphabets=TURTLE_ALPH, vertices=tuple(range(n)),
-                   edges=edges, vertex_labels={i: "0" for i in range(n)})
+    raw = RawGraph(alphabets=alphabets, vertices=tuple(range(n)),
+                   edges=edges, vertex_labels={i: label for i in range(n)})
     return canonicalize(PointedRawGraph(raw, 0))
 
 
@@ -218,7 +227,7 @@ class TestBuildInverse:
 
     def test_table_dynamics_applies(self, head_tapes_5):
         mh = get_dynamics("moving-head")
-        inverse = build_inverse(mh, head_tapes_5).as_dynamics()
+        inverse = oracles.TableDynamics(build_inverse(mh, head_tapes_5))
         X = single_head_tape(4, 2, "cc")
         Y, corr = mh.apply(X)
         back, corr_back = inverse.apply(Y)
@@ -228,7 +237,7 @@ class TestBuildInverse:
 
     def test_table_dynamics_rejects_unknown(self, head_tapes_5):
         mh = get_dynamics("moving-head")
-        inverse = build_inverse(mh, head_tapes_5).as_dynamics()
+        inverse = oracles.TableDynamics(build_inverse(mh, head_tapes_5))
         with pytest.raises(DynamicsError, match="not tabulated"):
             inverse.apply(bare_tape(3))
 
@@ -255,6 +264,86 @@ class TestBuildInverse:
         solo, _pair = turtle_graphs()
         with pytest.raises(OutOfFamilyError):
             build_inverse(turtle, GraphFamily.from_graphs([solo]))
+
+
+def even_chains_flip(X):
+    # Swap the labels 0 and 1 on chains of even length: an involution that
+    # no disk smaller than the whole chain can tell from the identity.
+    if len(X.vertices) % 2:
+        return X, {v: v for v in X.vertices}
+    flipped = {v: {"0": "1", "1": "0"}[l] for v, l in X.vertex_labels.items()}
+    raw = RawGraph(alphabets=AB01, vertices=X.vertices, edges=X.edges,
+                   vertex_labels=flipped)
+    return (canonicalize(PointedRawGraph(raw, EPSILON)),
+            {v: v for v in X.vertices})
+
+
+class TestLocalInverse:
+    """The inverse read as a local rule off a small fixed family."""
+
+    @pytest.mark.parametrize("name", ["moving-head", "identity"])
+    def test_rule_matches_table_on_larger_family(self, name):
+        # The CLI's kit reads its rule off tapes of at most 6 vertices; the
+        # old whole-graph table of every tape of at most 11 is the oracle.
+        D = get_dynamics(name)
+        rule_inverse = cli._tape_kit(D).inverse
+        fam = cli._family_for("tape-closure", D, 11)
+        assert len(fam) == 944
+        table_inverse = oracles.TableDynamics(build_inverse(D, fam))
+        for Y in fam:
+            assert rule_inverse.apply(Y) == table_inverse.apply(Y)
+
+    def test_moving_head_rule(self):
+        mh = get_dynamics("moving-head")
+        fam6 = cli._family_for("tape-closure", mh, 6)
+        rule = build_inverse(mh, fam6).local_rule()
+        assert (rule.radius, len(rule.entries)) == (1, 57)
+        # The rule set stops growing at 6 vertices.
+        fam8 = cli._family_for("tape-closure", mh, 8)
+        assert build_inverse(mh, fam8).local_rule().entries == rule.entries
+
+    def test_rule_file_round_trip_steps_back(self):
+        mh = get_dynamics("moving-head")
+        rule = build_inverse(mh, cli._family_for("tape-closure", mh, 6)).local_rule()
+        parsed = parse_rule_file(serialize_rule_file(rule))
+        assert parsed.entries == rule.entries
+        X = single_head_tape(20, 7, "dd")
+        Y, R = mh.apply(X)
+        back, S = LocalRuleDynamics(parsed.as_rule()).apply(Y)
+        assert back == X
+        assert {v: S[R[v]] for v in X.vertices} == {v: v for v in X.vertices}
+
+    def test_no_radius_raises(self):
+        # Up to radius 4 the end of a chain of 11 or 12 vertices sees 5
+        # vertices of it, so no disk tells the two chains apart.
+        D = FuncDynamics("even-chains-flip", even_chains_flip, AB01)
+        fam = GraphFamily.from_graphs(shift_closure(
+            [ab_line(n, label, AB01) for n in range(1, 13) for label in "01"]),
+            AB01)
+        table = build_inverse(D, fam)
+        with pytest.raises(InverseConstructionError, match="no radius up to 4"):
+            table.local_rule()
+
+    def test_exceptions_are_looked_up(self, ab_family_4):
+        # The turtle's bound is 2: its pair and singleton come from the
+        # table, every larger graph from the rule.
+        turtle = get_dynamics("turtle")
+        table = build_inverse(turtle, ab_family_4)
+        assert table.exception_bound == 2
+        inverse = table.as_dynamics()
+        solo, pair = turtle_graphs()
+        assert inverse.apply(pair) == (solo, {v: EPSILON for v in pair.vertices})
+        assert inverse.apply(solo)[0] == pair
+        for X in ab_family_4:
+            if len(X.vertices) > 2:
+                assert inverse.apply(X) == (X, {v: v for v in X.vertices})
+
+    def test_small_graph_outside_the_table(self):
+        turtle = get_dynamics("turtle")
+        fam = GraphFamily.from_graphs(turtle_graphs(), TURTLE_ALPH)
+        inverse = build_inverse(turtle, fam).as_dynamics()
+        with pytest.raises(DynamicsError, match="not tabulated"):
+            inverse.apply(ab_line(2))
 
 
 def outcome(fn, *args):
