@@ -70,12 +70,41 @@ class CanonicalGraph:
             return True
         if not isinstance(other, CanonicalGraph):
             return NotImplemented
-        return (self._hash == other._hash
-                and self.alphabets == other.alphabets
-                and self.vertices == other.vertices
-                and self.vertex_labels == other.vertex_labels
-                and self.edges == other.edges
-                and self.edge_labels == other.edge_labels)
+        if (self._hash != other._hash or self.alphabets != other.alphabets
+                or len(self.vertices) != len(other.vertices)
+                or len(self.vertex_labels) != len(other.vertex_labels)
+                or len(self.edges) != len(other.edges)
+                or len(self.edge_labels) != len(other.edge_labels)):
+            return False
+        # Pair the vertices position by position.  A canonical name is its
+        # parent's name plus one pair, so once the parents are paired each
+        # check is O(1); a parent that is not one of the vertex nodes (a
+        # graph built from parsed names) is compared by walking its chain.
+        paired: Dict[Path, Path] = {}
+        mine, theirs = self.vertex_labels, other.vertex_labels
+        for a, b in zip(self.vertices, other.vertices):
+            if a is not b:
+                if a._hash != b._hash or a.length != b.length:
+                    return False
+                if a.length:
+                    parent = paired.get(a.parent, a.parent)
+                    if (a.last != b.last
+                            or (parent is not b.parent and parent != b.parent)):
+                        return False
+            if mine.get(a) != theirs.get(b):
+                return False
+            paired[a] = b
+        labels, their_labels = self.edge_labels, other.edge_labels
+        try:
+            for e in self.edges:
+                (u, p), (w, q) = e
+                f = frozenset(((paired[u], p), (paired[w], q)))
+                if f not in other.edges or (
+                        labels and labels.get(e) != their_labels.get(f)):
+                    return False
+        except KeyError:    # an edge end that is not a vertex
+            return False
+        return True
 
     def __repr__(self) -> str:
         return (f"<CanonicalGraph |V|={len(self.vertices)} "
@@ -108,7 +137,7 @@ class CanonicalGraph:
         None if some hop is missing."""
         here = start
         adj = self.adjacency
-        for (p, q) in path.pairs:
+        for (p, q) in path:
             hop = adj[here].get(p)
             if hop is None or hop[1] != q:
                 return None
@@ -157,25 +186,26 @@ def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
     # Order invariant: origin first, then each layer sorted, which is
     # `Alphabets.path_key` order; CanonicalGraph trusts it and never sorts.
     pidx = {p: i for i, p in enumerate(alphabets.ports)}
-    names: Dict[Any, Tuple[Tuple[str, str], ...]] = {origin: ()}
+    names: Dict[Any, Path] = {origin: EPSILON}
     frontier = [origin]
     layers = len(adjacency) if depth is None else depth
     while frontier and layers > 0:
         layers -= 1
-        best: Dict[Any, Tuple[Tuple[int, int, int], Tuple]] = {}
+        best: Dict[Any, Tuple[Tuple[int, int, int], Path, Tuple[str, str]]] = {}
         for rank, v in enumerate(frontier):
-            base_name = names[v]
+            base = names[v]
             for p, (w, q) in adjacency[v].items():
                 if w in names:
                     continue
                 cand_key = (rank, pidx[p], pidx[q])
                 prev = best.get(w)
                 if prev is None or cand_key < prev[0]:
-                    best[w] = (cand_key, base_name + ((p, q),))
+                    best[w] = (cand_key, base, (p, q))
         frontier = sorted(best, key=lambda w: best[w][0])
         for w in frontier:
-            names[w] = best[w][1]
-    return {v: Path(word) for v, word in names.items()}
+            _key, base, pair = best[w]
+            names[w] = base.child(pair)
+    return names
 
 
 def canonicalize_with_names(pg: PointedRawGraph

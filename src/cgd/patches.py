@@ -271,7 +271,8 @@ class RuleTable:
                 return self.entries[view]
             except KeyError:
                 raise RuleLookupError(
-                    f"no rule entry for disk:\n{view.graph.to_text()}") from None
+                    f"no rule entry for a radius-{view.radius} disk of "
+                    f"{len(view.graph)} vertices") from None
         return LocalRule(radius=self.radius, rule=rule, name=self.name)
 
 

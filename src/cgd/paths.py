@@ -3,10 +3,15 @@
 A path is a finite word over pairs of ports.  Each pair (p, q) is one hop:
 leave the current vertex through port p, arrive at the next vertex on port
 q.  The empty word names the origin itself.
+
+Paths are trie nodes: a word is its prefix (`parent`) plus one last pair.
+The canonical names of a graph share their prefixes, so a name costs O(1)
+to build from its parent's and a graph of n vertices holds n nodes, not a
+word of every length.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, Tuple
+from typing import Any, Iterator, Optional, Tuple
 
 PortPair = Tuple[str, str]
 
@@ -14,15 +19,32 @@ PortPair = Tuple[str, str]
 class Path:
     """An immutable word of (exit port, entry port) hops.
 
-    Hashed once, at construction, so a dict or set operation on a name costs
-    O(1) however long it is.  A path never equals a plain tuple.
+    A node holds the word without its last hop (`parent`), that hop
+    (`last`) and the word's `length`.  The empty word, EPSILON, is the one
+    root; its parent and last hop are None.  A node is hashed once, at
+    construction, from its parent's hash and its last hop, so equal words
+    hash equally however they were built and a dict or set operation costs
+    O(1).  Two distinct nodes compare by walking their parent chains, which
+    stops at the first node they share.  A path never equals a plain tuple.
     """
 
-    __slots__ = ("pairs", "_hash")
+    __slots__ = ("parent", "last", "length", "_hash", "_text")
 
-    def __init__(self, pairs: Tuple[PortPair, ...] = ()):
-        _set_pairs(self, pairs)
-        _set_hash(self, hash(pairs))
+    def __new__(cls, pairs: Tuple[PortPair, ...] = ()) -> "Path":
+        node = EPSILON
+        for p, q in pairs:
+            node = node.child((p, q))
+        return node
+
+    def child(self, pair: PortPair) -> "Path":
+        """This word followed by one more hop, in O(1)."""
+        node = _new_node(Path)
+        _set_parent(node, self)
+        _set_last(node, pair)
+        _set_length(node, self.length + 1)
+        _set_hash(node, hash((self._hash, pair)))
+        _set_text(node, None)
+        return node
 
     def __setattr__(self, name: str, value: Any = None) -> None:
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -30,7 +52,7 @@ class Path:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # Rebuild through __init__: string hashes differ between processes.
+        # Rebuild from the pairs: string hashes differ between processes.
         return (Path, (self.pairs,))
 
     def __hash__(self) -> int:
@@ -39,36 +61,86 @@ class Path:
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, Path):
             return NotImplemented
-        return self._hash == other._hash and self.pairs == other.pairs
+        a, b = self, other
+        if a._hash != b._hash or a.length != b.length:
+            return False
+        while a is not b:
+            if a.last != b.last:
+                return False
+            a, b = a.parent, b.parent
+        return True
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return self.length
+
+    @property
+    def pairs(self) -> Tuple[PortPair, ...]:
+        """The word as a tuple of pairs, read off the parent chain."""
+        out = []
+        node = self
+        while node.length:
+            out.append(node.last)
+            node = node.parent
+        out.reverse()
+        return tuple(out)
 
     def __iter__(self) -> Iterator[PortPair]:
         return iter(self.pairs)
 
     def concat(self, other: "Path") -> "Path":
-        return Path(self.pairs + other.pairs)
+        """This word followed by `other`; shares this word's nodes."""
+        node = self
+        for pair in other.pairs:
+            node = node.child(pair)
+        return node
 
     def reversed(self) -> "Path":
         """The word that undoes this walk: swap every pair, reverse the order."""
-        return Path(tuple((q, p) for (p, q) in reversed(self.pairs)))
+        node, walk = EPSILON, self
+        while walk.length:
+            p, q = walk.last
+            node = node.child((q, p))
+            walk = walk.parent
+        return node
 
     def __repr__(self) -> str:
         return f"Path({format_path(self)!r})"
 
 
-# Slot writers for __init__, past the __setattr__ that keeps paths immutable.
-_set_pairs, _set_hash = Path.pairs.__set__, Path._hash.__set__
+# Slot writers for child(), past the __setattr__ that keeps paths immutable.
+_new_node = object.__new__
+_set_parent, _set_last, _set_length, _set_hash, _set_text = (
+    getattr(Path, name).__set__ for name in Path.__slots__)
 
-EPSILON = Path(())
+EPSILON = _new_node(Path)
+_set_parent(EPSILON, None)
+_set_last(EPSILON, None)
+_set_length(EPSILON, 0)
+_set_hash(EPSILON, hash(()))
+_set_text(EPSILON, "eps")
 
 
 def format_path(path: Path) -> str:
-    """Render as dot-separated concatenated port pairs; the empty path is "eps"."""
-    if not path.pairs:
-        return "eps"
-    return ".".join(map("".join, path.pairs))
+    """Render as dot-separated concatenated port pairs; the empty path is "eps".
+
+    A node's text is built once, as its parent's text plus its last pair,
+    and kept on the node, so the names of a graph cost the length of their
+    text, not a join of every pair of every name.
+    """
+    text: Optional[str] = path._text
+    if text is not None:
+        return text
+    pending = []
+    node = path
+    while node._text is None:
+        pending.append(node)
+        node = node.parent
+    text = node._text
+    for node in reversed(pending):
+        p, q = node.last
+        text = f"{p}{q}" if node.length == 1 else f"{text}.{p}{q}"
+        _set_text(node, text)
+    return text
 
 
 def parse_path(text: str, ports: Tuple[str, ...]) -> Path:
@@ -81,12 +153,12 @@ def parse_path(text: str, ports: Tuple[str, ...]) -> Path:
         return EPSILON
     if not text:
         raise ValueError("empty path token (the origin is written 'eps')")
-    pairs = []
+    node = EPSILON
     for token in text.split("."):
         matches = [(p, q) for p in ports for q in ports if p + q == token]
         if not matches:
             raise ValueError(f"cannot split {token!r} into two ports from {ports}")
         if len(matches) > 1:
             raise ValueError(f"ambiguous port pair {token!r} under alphabet {ports}")
-        pairs.append(matches[0])
-    return Path(tuple(pairs))
+        node = node.child(matches[0])
+    return node

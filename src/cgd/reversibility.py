@@ -499,8 +499,9 @@ def _patch_of(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
 
 
 class LocalInverse(LocalRuleDynamics):
-    """The inverse as a local rule.  Graphs of at most `exception_bound`
-    vertices, which the rule was not read from, are looked up in the table.
+    """The inverse as a local rule.  Members of the table's family are
+    looked up in the table; every other graph goes through the rule, which
+    was read off the members larger than `exception_bound`.
 
     The glued graph is not validated: each patch is a vertex of a valid
     member with its edges, named by paths of a disk equal to X's, so the
@@ -514,22 +515,21 @@ class LocalInverse(LocalRuleDynamics):
 
     def apply(self, X):
         self._check_signature(X)
-        if len(X.vertices) > self.table.exception_bound:
-            try:
-                glued, successors = glue_rule(self.rule, X)
-            except RuleLookupError:
-                raise DynamicsError(
-                    f"{self.name}: a disk of the graph is not in the rule "
-                    f"({len(X.vertices)} vertices)") from None
-            Y, names = canonicalize_with_names(glued)
-            return Y, {u: names[s] for u, s in successors.items()}
-        try:
-            Y = self.table.backward[X]
-        except KeyError:
+        Y = self.table.backward.get(X)
+        if Y is not None:
+            return Y, dict(self.table.corr_inverse[X])
+        if len(X.vertices) <= self.table.exception_bound:
             raise DynamicsError(
                 f"{self.name}: graph not tabulated "
+                f"({len(X.vertices)} vertices)")
+        try:
+            glued, successors = glue_rule(self.rule, X)
+        except RuleLookupError:
+            raise DynamicsError(
+                f"{self.name}: a disk of the graph is not in the rule "
                 f"({len(X.vertices)} vertices)") from None
-        return Y, dict(self.table.corr_inverse[X])
+        Y, names = canonicalize_with_names(glued)
+        return Y, {u: names[s] for u, s in successors.items()}
 
 
 def serialize_inverse_table(table: InverseTable) -> str:

@@ -37,6 +37,13 @@ the table and applies it to graphs of any size.
 at the vertex, then cut.  `translate_patch_from_origin` resolves each patch
 token as anchor.token walked from the origin; `_translate_patch` now walks
 the token from the anchor.  `apply_local_rule_pairwise` uses both.
+
+`TuplePath` is a vertex name as `paths.Path` held it before it became a
+trie node, one tuple per word, with `format_tuple_path` its old text and
+`tuple_canonical_names` the old canonical naming that copied the parent's
+word into every child.  `equal_by_names` is `CanonicalGraph.__eq__` as it
+was, comparing every name as its whole word; the graph now pairs the two
+vertex tuples position by position.
 """
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -426,3 +433,89 @@ def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:
         edge_labels=edge_labels,
     )
     return DiskGraph(canonicalize(PointedRawGraph(pruned, EPSILON)), radius)
+
+
+class TuplePath:
+    """A vertex name as `paths.Path` held it before it became a trie node:
+    the whole word as one tuple of pairs, hashed once."""
+
+    __slots__ = ("pairs", "_hash")
+
+    def __init__(self, pairs: Tuple[Tuple[str, str], ...] = ()):
+        object.__setattr__(self, "pairs", pairs)
+        object.__setattr__(self, "_hash", hash(pairs))
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __reduce__(self):
+        return (TuplePath, (self.pairs,))
+
+    def __hash__(self):
+        return self._hash
+
+    def __eq__(self, other):
+        if not isinstance(other, TuplePath):
+            return NotImplemented
+        return self._hash == other._hash and self.pairs == other.pairs
+
+    def __len__(self):
+        return len(self.pairs)
+
+    def __iter__(self):
+        return iter(self.pairs)
+
+    def concat(self, other: "TuplePath") -> "TuplePath":
+        return TuplePath(self.pairs + other.pairs)
+
+    def reversed(self) -> "TuplePath":
+        return TuplePath(tuple((q, p) for (p, q) in reversed(self.pairs)))
+
+
+def format_tuple_path(path: TuplePath) -> str:
+    """`paths.format_path` as it was: join every pair of the word."""
+    if not path.pairs:
+        return "eps"
+    return ".".join(map("".join, path.pairs))
+
+
+def tuple_canonical_names(adjacency, origin, alphabets) -> Dict[object, TuplePath]:
+    """`modulo._canonical_names` as it was, with no depth bound: each name
+    a copy of its parent's word plus one pair."""
+    pidx = {p: i for i, p in enumerate(alphabets.ports)}
+    names = {origin: ()}
+    frontier = [origin]
+    while frontier:
+        best = {}
+        for rank, v in enumerate(frontier):
+            base_name = names[v]
+            for p, (w, q) in adjacency[v].items():
+                if w in names:
+                    continue
+                cand_key = (rank, pidx[p], pidx[q])
+                prev = best.get(w)
+                if prev is None or cand_key < prev[0]:
+                    best[w] = (cand_key, base_name + ((p, q),))
+        frontier = sorted(best, key=lambda w: best[w][0])
+        for w in frontier:
+            names[w] = best[w][1]
+    return {v: TuplePath(word) for v, word in names.items()}
+
+
+def name_words(G: CanonicalGraph):
+    """Everything `equal_by_names` compares, each name as its whole word."""
+    def edge(e):
+        return frozenset((v.pairs, p) for (v, p) in e)
+    return (G.alphabets,
+            tuple(v.pairs for v in G.vertices),
+            {v.pairs: l for v, l in G.vertex_labels.items()},
+            frozenset(map(edge, G.edges)),
+            {edge(e): l for e, l in G.edge_labels.items()})
+
+
+def equal_by_names(X: CanonicalGraph, Y: CanonicalGraph) -> bool:
+    """`CanonicalGraph.__eq__` as it was: compare the vertex tuples, the
+    label maps, the edge sets and the edge-label maps name by name."""
+    return name_words(X) == name_words(Y)

@@ -3,7 +3,9 @@
 `perfbench/run.py` is the repository's one bench script; this keeps a broken
 bench from going unnoticed until it is next run by hand.  The
 `tape-decompose` round checks `decompose` and `check-blocks` against their
-closed-form answers, so it also guards the block kit's path.
+closed-form answers, so it also guards the block kit's path.  The
+`tape-walk` round compares every step file byte for byte with the text of
+the closed-form tape, so it guards the names' text as well.
 """
 import json
 import subprocess
@@ -24,6 +26,10 @@ def quick_round(workload):
 
 def test_tape_rule_quick_round():
     assert quick_round("tape-rule")["failed"] == 0
+
+
+def test_tape_walk_quick_round():
+    assert quick_round("tape-walk")["failed"] == 0
 
 
 def test_tape_decompose_quick_round():

@@ -104,6 +104,18 @@ class TestRun:
                      "--steps", "2", "--output-dir", str(out)]) == EXIT_OK
         assert (out / "step002.graph").exists()
 
+    def test_rule_file_missing_a_disk(self, tmp_path, capsys):
+        # The rule knows only an isolated vertex; this vertex has a neighbour.
+        rule = tmp_path / "rule.txt"
+        rule.write_text(IDENTITY_RULE_FILE)
+        graph = tmp_path / "pair.graph"
+        graph.write_text("ports a b\nvlabels x\nvertex u label=x\n"
+                         "vertex v label=x\nedge u:a v:b\npointer u\n")
+        assert main(["run", "--rule-file", str(rule), "--input", str(graph),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert one_error_line(capsys) == (
+            "error: no rule entry for a radius-0 disk of 2 vertices")
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["run", "--dynamics", "identity",
                      "--input", str(tmp_path / "nope.graph")]) == EXIT_IO

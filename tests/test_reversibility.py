@@ -16,7 +16,7 @@ from cgd import (
     vertex_preservation_exceptions,
 )
 import oracles
-from cgd import cli
+from cgd import cli, reversibility
 from cgd.blocks import BlockKit
 from cgd.cli import main
 from cgd.dynamics import (
@@ -32,7 +32,13 @@ from cgd.families import (
     single_head_tape,
     turtle_graphs,
 )
-from cgd.patches import LocalRuleDynamics, parse_rule_file, serialize_rule_file
+from cgd.modulo import canonicalize_with_names
+from cgd.patches import (
+    LocalRuleDynamics,
+    glue_rule,
+    parse_rule_file,
+    serialize_rule_file,
+)
 from cgd.paths import EPSILON, Path
 from cgd.reversibility import (
     GraphFamily,
@@ -292,6 +298,30 @@ class TestLocalInverse:
         table_inverse = oracles.TableDynamics(build_inverse(D, fam))
         for Y in fam:
             assert rule_inverse.apply(Y) == table_inverse.apply(Y)
+
+    @pytest.mark.parametrize("name", ["moving-head", "identity"])
+    def test_members_are_looked_up(self, name, monkeypatch):
+        # The lookup and the rule agree, graph and correspondence, on every
+        # member of the 6-vertex family the CLI's kit reads its rule off,
+        # and the rule is not run on a member.
+        inverse = cli._tape_kit(get_dynamics(name)).inverse
+        fam = inverse.table.family
+        assert max(len(Y.vertices) for Y in fam) == 6
+        assert inverse.table.exception_bound == 0
+        by_rule = {}
+        for Y in fam:
+            glued, successors = glue_rule(inverse.rule, Y)
+            Z, names = canonicalize_with_names(glued)
+            by_rule[Y] = (Z, {u: names[s] for u, s in successors.items()})
+
+        def no_rule(*args):
+            raise AssertionError("a family member went through the rule")
+
+        monkeypatch.setattr(reversibility, "glue_rule", no_rule)
+        for Y in fam:
+            assert inverse.apply(Y) == by_rule[Y]
+        with pytest.raises(AssertionError, match="went through the rule"):
+            inverse.apply(single_head_tape(7, 3))
 
     def test_moving_head_rule(self):
         mh = get_dynamics("moving-head")
