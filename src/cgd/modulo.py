@@ -181,7 +181,8 @@ def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
     All candidates have equal length and each layer is already sorted, so
     (parent's rank in its layer, exit index, entry index) orders them.
     A layer depends only on the layers before it, so stopping early leaves
-    the names and order of the layers already built unchanged.
+    the names and order of the layers already built unchanged.  Only the
+    winner's name is built, as a child of its parent's node, in O(1).
     """
     # Order invariant: origin first, then each layer sorted, which is
     # `Alphabets.path_key` order; CanonicalGraph trusts it and never sorts.

@@ -11,7 +11,7 @@ word of every length.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, Optional, Tuple
+from typing import Any, Iterator, Tuple
 
 PortPair = Tuple[str, str]
 
@@ -127,9 +127,6 @@ def format_path(path: Path) -> str:
     and kept on the node, so the names of a graph cost the length of their
     text, not a join of every pair of every name.
     """
-    text: Optional[str] = path._text
-    if text is not None:
-        return text
     pending = []
     node = path
     while node._text is None:
