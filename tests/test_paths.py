@@ -2,7 +2,6 @@
 replaced (`oracles.TuplePath`, `oracles.equal_by_names`)."""
 import copy
 import json
-import os
 import pickle
 import subprocess
 import sys
@@ -11,12 +10,12 @@ from itertools import product
 import pytest
 from hypothesis import given
 
-import cgd
 import oracles
 from cgd import Alphabets, enumerate_family
 from cgd.modulo import CanonicalGraph, _canonical_names, canonicalize
 from cgd.paths import EPSILON, Path, format_path, parse_path
 from cgd.portgraph import parse_graph, relabel
+from test_cli import SUBPROCESS_ENV
 from test_modulo import PROPERTY, pointed_graphs
 
 AB01_E = Alphabets.make("ab", vertex_labels=("0", "1"), edge_labels=("e",))
@@ -234,11 +233,9 @@ def test_ten_thousand_cell_tape():
     # one moving-head step and the equality of two separate parses, with no
     # recursion and names that share their prefixes.  Serializing is left
     # out: the canonical text of this tape is about 450 MB.
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (
-        os.path.dirname(os.path.dirname(cgd.__file__)),
-        os.environ.get("PYTHONPATH"))))}
-    proc = subprocess.run([sys.executable, "-c", LONG_TAPE_SCRIPT], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", LONG_TAPE_SCRIPT],
+                          env=SUBPROCESS_ENV, capture_output=True, text=True,
+                          timeout=300)
     assert "RecursionError" not in proc.stderr
     assert proc.returncode == 0, proc.stderr
     got = json.loads(proc.stdout)
