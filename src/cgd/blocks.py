@@ -11,7 +11,7 @@ a product of unmarks, each acting only inside a bounded disk.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from .dynamics import (
@@ -46,17 +46,37 @@ class UnionInconsistencyError(GraphError):
     """A transformed region conflicts with the frozen part it borders."""
 
 
+class _MarkTable(dict):
+    """A token table that answers MarkError, never KeyError, for a stranger."""
+
+    def __missing__(self, token):
+        raise MarkError(f"not a marked port or label token: {token!r}")
+
+
 @dataclass(frozen=True)
 class MarkSpace:
     """The doubled alphabets and the bookkeeping between them.
 
-    Marked tokens are base tokens with a 0/1 suffix; construction fails if
-    that produces collisions.  Mark bits need somewhere to live, so the
-    base vertex alphabet must be non-empty and graphs fully labelled.
+    A marked token is a base token with a 0/1 suffix.  Two tables built
+    once from the base own that format: `split` maps each marked port and
+    label token to (base token, bit), `toggled` to the token with the other
+    bit; the split is syntactic, so one table serves ports and labels.
+    Mark bits live on labels, so graphs must be fully labelled and the
+    base vertex alphabet non-empty.
     """
 
     base: Alphabets
     marked: Alphabets
+    split: Dict[str, Tuple[str, int]] = field(init=False, compare=False, repr=False)
+    toggled: Dict[str, str] = field(init=False, compare=False, repr=False)
+
+    def __post_init__(self):
+        split, toggled = _MarkTable(), _MarkTable()
+        for t in self.base.ports + self.base.vertex_labels:
+            split[t + "0"], split[t + "1"] = (t, 0), (t, 1)
+            toggled[t + "0"], toggled[t + "1"] = t + "1", t + "0"
+        object.__setattr__(self, "split", split)
+        object.__setattr__(self, "toggled", toggled)
 
     @staticmethod
     def for_base(base: Alphabets) -> "MarkSpace":
@@ -65,8 +85,6 @@ class MarkSpace:
                             "the base vertex alphabet is empty")
         ports = tuple(p + bit for p in base.ports for bit in "01")
         vlabels = tuple(x + bit for x in base.vertex_labels for bit in "01")
-        if len(set(ports)) != len(ports) or len(set(vlabels)) != len(vlabels):
-            raise MarkError("mark suffixes collide with base tokens")
         marked = Alphabets.make(ports, vlabels, base.edge_labels)
         return MarkSpace(base=base, marked=marked)
 
@@ -81,46 +99,21 @@ class MarkSpace:
             raise MarkError("alphabets are not produced by doubling a base")
         return space
 
-    # -- token bookkeeping ---------------------------------------------
-
-    def port(self, base_port: str, bit: int) -> str:
-        self.base.port_index(base_port)
-        return base_port + str(bit)
-
-    def port_base(self, marked_port: str) -> Tuple[str, int]:
-        base, bit = marked_port[:-1], marked_port[-1]
-        if bit not in "01" or base not in self.base.port_alphabet:
-            raise MarkError(f"not a marked port token: {marked_port!r}")
-        return base, int(bit)
-
-    def port_bit(self, marked_port: str) -> int:
-        return self.port_base(marked_port)[1]
-
-    def toggle_port(self, marked_port: str) -> str:
-        base, bit = self.port_base(marked_port)
-        return self.port(base, 1 - bit)
-
-    def label(self, base_label: str, bit: int) -> str:
-        if base_label not in self.base.vertex_labels:
-            raise MarkError(f"unknown base label {base_label!r}")
-        return base_label + str(bit)
-
-    def label_base(self, marked_label: str) -> Tuple[str, int]:
-        base, bit = marked_label[:-1], marked_label[-1]
-        if bit not in "01" or base not in self.base.vertex_labels:
-            raise MarkError(f"not a marked label token: {marked_label!r}")
-        return base, int(bit)
-
-    def toggle_label(self, marked_label: str) -> str:
-        base, bit = self.label_base(marked_label)
-        return self.label(base, 1 - bit)
+    # -- reading marks -----------------------------------------------------
 
     def vertex_mark(self, X: CanonicalGraph, v: Path) -> int:
         label = X.vertex_labels.get(v)
         if label is None:
             raise MarkError(f"vertex {format_path(v)} is unlabelled; "
                             f"its mark is undefined")
-        return self.label_base(label)[1]
+        return self.split[label][1]
+
+    def uniform_mark(self, X: CanonicalGraph) -> Optional[int]:
+        """The bit every label and port of X carries; None if they differ."""
+        split = self.split
+        bits = {split[label][1] for label in X.vertex_labels.values()}
+        bits.update(split[p][1] for e in X.edges for (_v, p) in e)
+        return bits.pop() if len(bits) == 1 else None
 
     # -- moving between the spaces ---------------------------------------
 
@@ -129,10 +122,8 @@ class MarkSpace:
         """The same graph over the doubled alphabets, every bit zero."""
         if X.alphabets != self.base:
             raise MarkError("lift expects a graph over the base alphabets")
-        return self._retokenize(
-            X, self.marked,
-            ports={p: self.port(p, 0) for p in self.base.ports},
-            labels={l: self.label(l, 0) for l in self.base.vertex_labels})
+        zero = {t: token for token, (t, bit) in self.split.items() if bit == 0}
+        return self._retokenize(X, self.marked, zero)
 
     def lift(self, X: CanonicalGraph) -> CanonicalGraph:
         return self.lift_with_names(X)[0]
@@ -143,21 +134,30 @@ class MarkSpace:
         if X.alphabets != self.marked:
             raise MarkError("drop expects a graph over the marked alphabets")
         return self._retokenize(
-            X, self.base,
-            ports={p: self.port_base(p)[0] for p in self.marked.ports},
-            labels={l: self.label_base(l)[0] for l in self.marked.vertex_labels})
+            X, self.base, {token: t for token, (t, _bit) in self.split.items()})
 
     def drop(self, X: CanonicalGraph) -> CanonicalGraph:
         return self.drop_with_names(X)[0]
 
     @staticmethod
-    def _retokenize(X: CanonicalGraph, alphabets: Alphabets,
-                    ports: Dict[str, str], labels: Dict[str, str]
+    def _retokenize(X: CanonicalGraph, alphabets: Alphabets, tokens: Dict[str, str]
                     ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
-        raw = relabel(X, ports=ports, labels=labels, alphabets=alphabets)
+        raw = relabel(X, ports=tokens, labels=tokens, alphabets=alphabets)
         return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
 
     # -- structural predicates -------------------------------------------
+
+    def _first_bad_edge(self, g) -> Optional[Tuple[frozenset, object]]:
+        """The first edge of g, raw or canonical and fully labelled, with a
+        far bit that disagrees with the near vertex's mark: (edge, vertex)."""
+        labels, split = g.vertex_labels, self.split
+        for e in g.edges:
+            (u, p), (w, q) = tuple(e)
+            if split[q][1] != split[labels[u]][1]:
+                return e, u
+            if split[p][1] != split[labels[w]][1]:
+                return e, w
+        return None
 
     def mark_consistency_violation(self, X: CanonicalGraph) -> Optional[str]:
         """Every far port bit must equal the mark of the near vertex."""
@@ -166,40 +166,20 @@ class MarkSpace:
         for v in X.vertices:
             if v not in X.vertex_labels:
                 return f"vertex {format_path(v)} is unlabelled"
-        for e in X.edges:
-            (u, p), (w, q) = tuple(e)
-            if self.port_bit(q) != self.vertex_mark(X, u):
-                return (f"edge {{{format_path(u)}:{p}, {format_path(w)}:{q}}}: "
-                        f"far bit disagrees with the mark of {format_path(u)}")
-            if self.port_bit(p) != self.vertex_mark(X, w):
-                return (f"edge {{{format_path(u)}:{p}, {format_path(w)}:{q}}}: "
-                        f"far bit disagrees with the mark of {format_path(w)}")
-        return None
+        bad = self._first_bad_edge(X)
+        if bad is None:
+            return None
+        (u, p), (w, q) = tuple(bad[0])
+        return (f"edge {{{format_path(u)}:{p}, {format_path(w)}:{q}}}: "
+                f"far bit disagrees with the mark of {format_path(bad[1])}")
 
     def is_mark_consistent(self, X: CanonicalGraph) -> bool:
         return self.mark_consistency_violation(X) is None
 
     def raw_mark_consistent(self, g: RawGraph) -> bool:
         """Cheap raw-level mark consistency, for pruning enumeration."""
-        marks = {}
-        for v in g.vertices:
-            label = g.vertex_labels.get(v)
-            if label is None:
-                return False
-            marks[v] = self.label_base(label)[1]
-        for e in g.edges:
-            (u, p), (w, q) = tuple(e)
-            if self.port_bit(q) != marks[u] or self.port_bit(p) != marks[w]:
-                return False
-        return True
-
-    def all_unmarked(self, X: CanonicalGraph) -> bool:
-        return (all(self.vertex_mark(X, v) == 0 for v in X.vertices)
-                and all(self.port_bit(p) == 0 for e in X.edges for (_v, p) in e))
-
-    def all_marked(self, X: CanonicalGraph) -> bool:
-        return (all(self.vertex_mark(X, v) == 1 for v in X.vertices)
-                and all(self.port_bit(p) == 1 for e in X.edges for (_v, p) in e))
+        return (all(map(g.vertex_labels.__contains__, g.vertices))
+                and self._first_bad_edge(g) is None)
 
 
 def mark_with_names(X: CanonicalGraph, space: MarkSpace
@@ -211,41 +191,29 @@ def mark_with_names(X: CanonicalGraph, space: MarkSpace
     from that conflict case, an involution.
     """
     adj = X.adjacency
-    incident = [e for e in X.edges if any(v == EPSILON for (v, _p) in e)]
-    for e in incident:
-        h1, h2 = tuple(e)
-        for (near, far) in ((h1, h2), (h2, h1)):
-            if near[0] != EPSILON:
-                continue
-            far_vertex, far_port = far
-            if space.toggle_port(far_port) in adj[far_vertex]:
-                return X, identity_correspondence(X)
+    toggled = space.toggled
+    # adj[EPSILON] lists both halves of an origin self-loop.
+    for far_vertex, far_port in adj[EPSILON].values():
+        if toggled[far_port] in adj[far_vertex]:
+            return X, identity_correspondence(X)
 
     label = X.vertex_labels.get(EPSILON)
     if label is None:
         raise MarkError("origin is unlabelled; its mark is undefined")
-    edges = set()
     edge_map = {}
     for e in X.edges:
-        if e not in incident:
+        (u, p), (w, q) = tuple(e)
+        if u != EPSILON and w != EPSILON:
             edge_map[e] = e
             continue
-        (u, p), (w, q) = tuple(e)
-        if u == EPSILON and w == EPSILON:
-            new = frozenset(((u, space.toggle_port(p)),
-                             (w, space.toggle_port(q))))
-        elif u == EPSILON:
-            new = frozenset(((u, p), (w, space.toggle_port(q))))
-        else:
-            new = frozenset(((u, space.toggle_port(p)), (w, q)))
-        edge_map[e] = new
-    vertex_labels = dict(X.vertex_labels)
-    vertex_labels[EPSILON] = space.toggle_label(label)
+        # A half is a far half when the other end is the origin.
+        edge_map[e] = frozenset(((u, toggled[p] if w == EPSILON else p),
+                                 (w, toggled[q] if u == EPSILON else q)))
     raw = RawGraph(
         alphabets=X.alphabets,
         vertices=X.vertices,
         edges=frozenset(edge_map.values()),
-        vertex_labels=vertex_labels,
+        vertex_labels={**X.vertex_labels, EPSILON: toggled[label]},
         edge_labels={edge_map[e]: l for e, l in X.edge_labels.items()},
     )
     return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
@@ -334,10 +302,11 @@ class ProjectionSet:
 def _mark_partition(X: CanonicalGraph, space: MarkSpace
                     ) -> Tuple[Set[Path], Set[Path], Set[Path]]:
     """(marked, unmarked, boundary): boundary = unmarked with a used 1-port."""
+    split = space.split
     marked = {v for v in X.vertices if space.vertex_mark(X, v) == 1}
     unmarked = {v for v in X.vertices if v not in marked}
     boundary = {v for v in unmarked
-                if any(space.port_bit(p) == 1 for p in X.adjacency[v])}
+                if any(split[p][1] == 1 for p in X.adjacency[v])}
     return marked, unmarked, boundary
 
 
@@ -436,36 +405,34 @@ class ReversibleExtension(Dynamics):
         problem = space.mark_consistency_violation(X)
         if problem is not None:
             raise MarkError(f"{self.name}: input not mark-consistent: {problem}")
-        if space.all_unmarked(X):
-            base_graph, to_base = space.drop_with_names(X)
-            image, corr = self.base.apply(base_graph)
-            lifted, to_lifted = space.lift_with_names(image)
-            return lifted, {v: to_lifted[corr[to_base[v]]] for v in X.vertices}
-        if len(X.vertices) <= self.exception_bound or space.all_marked(X):
+        mark = space.uniform_mark(X)
+        if mark == 0:
+            return self._base_step(X)
+        if mark == 1 or len(X.vertices) <= self.exception_bound:
             return X, identity_correspondence(X)
         return self._mixed(X)
+
+    def _base_step(self, X):
+        """Drop the bits of an all-unmarked X, apply the base, lift back."""
+        base_graph, to_base = self.space.drop_with_names(X)
+        image, corr = self.base.apply(base_graph)
+        lifted, to_lifted = self.space.lift_with_names(image)
+        return lifted, {v: to_lifted[corr[to_base[v]]] for v in X.vertices}
 
     def _mixed(self, X):
         space = self.space
         marked, unmarked, boundary = _mark_partition(X, space)
         upper_keep = marked | boundary
 
-        pieces: List[RawGraph] = []
-        final_id: Dict[Path, object] = {}
-
-        for comp in _components(X, upper_keep):
-            pieces.append(_induced_raw(X, comp))
-        for v in upper_keep:
-            final_id[v] = v
+        pieces = [_induced_raw(X, comp) for comp in _components(X, upper_keep)]
+        final_id: Dict[Path, object] = {v: v for v in upper_keep}
 
         for comp in _components(X, unmarked):
             anchor = comp[0]
             comp_graph, to_comp = canonicalize_with_names(
                 PointedRawGraph(_induced_raw(X, comp), anchor))
-            base_graph, to_base = space.drop_with_names(comp_graph)
-            image, corr = self.base.apply(base_graph)
-            lifted, to_lifted = space.lift_with_names(image)
-            img = {v: to_lifted[corr[to_base[to_comp[v]]]] for v in comp}
+            lifted, to_lifted = self._base_step(comp_graph)
+            img = {v: to_lifted[to_comp[v]] for v in comp}
             seam: Dict[Path, Path] = {}
             for v in comp:
                 if v not in boundary:
@@ -568,7 +535,7 @@ class BlockKit:
                                         observer=watch("conjugate-mark"))
         cleared, _ = apply_product(self.mark_gate, anchors, staged,
                                    corr=running, observer=watch("unmark"))
-        if not space.all_unmarked(cleared):
+        if space.uniform_mark(cleared) != 0:
             raise MarkError("marks survived the unmark sweep")
         final = space.drop(cleared)
         if trace is not None:

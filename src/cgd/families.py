@@ -51,22 +51,22 @@ def single_head_tape(length: int, position: int, attach: str = "cc",
     return canonicalize(PointedRawGraph(raw, 0))
 
 
-def single_head_tapes(max_length: int, min_length: int = 1) -> List[CanonicalGraph]:
-    """Every single-head tape with min_length..max_length cells.
+def single_head_tapes(max_length: int) -> List[CanonicalGraph]:
+    """Every single-head tape with 1..max_length cells.
 
     One member per (length, head position, attachment); all pointed at the
     first tape cell, so lengths 1..L contribute 2*(1+...+L) members.
     """
     out = []
-    for length in range(min_length, max_length + 1):
+    for length in range(1, max_length + 1):
         for position in range(length):
             for attach in ("cc", "dd"):
                 out.append(single_head_tape(length, position, attach))
     return out
 
 
-def bare_tapes(max_length: int, min_length: int = 1) -> List[CanonicalGraph]:
-    return [bare_tape(length) for length in range(min_length, max_length + 1)]
+def bare_tapes(max_length: int) -> List[CanonicalGraph]:
+    return [bare_tape(length) for length in range(1, max_length + 1)]
 
 
 def shift_closure(graphs: Iterable[CanonicalGraph]) -> List[CanonicalGraph]:

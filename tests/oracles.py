@@ -44,6 +44,15 @@ trie node, one tuple per word, with `format_tuple_path` its old text and
 word into every child.  `equal_by_names` is `CanonicalGraph.__eq__` as it
 was, comparing every name as its whole word; the graph now pairs the two
 vertex tuples position by position.
+
+`SlicingMarks` is `MarkSpace`'s token bookkeeping as it was: seven parsers
+(`port`, `port_base`, `port_bit`, `toggle_port`, `label`, `label_base`,
+`toggle_label`) that slice a bit off a token or append one on every call,
+the consistency predicates built on them, and the two scans `all_marked`
+and `all_unmarked`.  `mark_with_names_by_slicing` is the mark gate built on
+them.  `MarkSpace` now reads and toggles bits through its `split` and
+`toggled` tables, built once; one `uniform_mark` scan replaces the two
+scans, and the raw and canonical predicates share one first-bad-edge scan.
 """
 from typing import Dict, List, Optional, Set, Tuple
 
@@ -56,7 +65,12 @@ from cgd.blocks import (
     _induced_raw,
     _mark_partition,
 )
-from cgd.dynamics import Dynamics, DynamicsError, VertexCorrespondence
+from cgd.dynamics import (
+    Dynamics,
+    DynamicsError,
+    VertexCorrespondence,
+    identity_correspondence,
+)
 from cgd.modulo import (
     CanonicalGraph,
     DiskGraph,
@@ -519,3 +533,147 @@ def equal_by_names(X: CanonicalGraph, Y: CanonicalGraph) -> bool:
     """`CanonicalGraph.__eq__` as it was: compare the vertex tuples, the
     label maps, the edge sets and the edge-label maps name by name."""
     return name_words(X) == name_words(Y)
+
+
+class SlicingMarks:
+    """`MarkSpace`'s token bookkeeping as it was: every call slices a bit
+    off a token, or appends one, and checks the base alphabets again."""
+
+    def __init__(self, space: MarkSpace):
+        self.base = space.base
+        self.marked = space.marked
+
+    def port(self, base_port: str, bit: int) -> str:
+        self.base.port_index(base_port)
+        return base_port + str(bit)
+
+    def port_base(self, marked_port: str) -> Tuple[str, int]:
+        base, bit = marked_port[:-1], marked_port[-1]
+        if bit not in "01" or base not in self.base.port_alphabet:
+            raise MarkError(f"not a marked port token: {marked_port!r}")
+        return base, int(bit)
+
+    def port_bit(self, marked_port: str) -> int:
+        return self.port_base(marked_port)[1]
+
+    def toggle_port(self, marked_port: str) -> str:
+        base, bit = self.port_base(marked_port)
+        return self.port(base, 1 - bit)
+
+    def label(self, base_label: str, bit: int) -> str:
+        if base_label not in self.base.vertex_labels:
+            raise MarkError(f"unknown base label {base_label!r}")
+        return base_label + str(bit)
+
+    def label_base(self, marked_label: str) -> Tuple[str, int]:
+        base, bit = marked_label[:-1], marked_label[-1]
+        if bit not in "01" or base not in self.base.vertex_labels:
+            raise MarkError(f"not a marked label token: {marked_label!r}")
+        return base, int(bit)
+
+    def toggle_label(self, marked_label: str) -> str:
+        base, bit = self.label_base(marked_label)
+        return self.label(base, 1 - bit)
+
+    def vertex_mark(self, X: CanonicalGraph, v: Path) -> int:
+        label = X.vertex_labels.get(v)
+        if label is None:
+            raise MarkError(f"vertex {format_path(v)} is unlabelled; "
+                            f"its mark is undefined")
+        return self.label_base(label)[1]
+
+    def lift_with_names(self, X: CanonicalGraph):
+        raw = relabel(X, ports={p: self.port(p, 0) for p in self.base.ports},
+                      labels={l: self.label(l, 0) for l in self.base.vertex_labels},
+                      alphabets=self.marked)
+        return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+
+    def drop_with_names(self, X: CanonicalGraph):
+        raw = relabel(
+            X, ports={p: self.port_base(p)[0] for p in self.marked.ports},
+            labels={l: self.label_base(l)[0] for l in self.marked.vertex_labels},
+            alphabets=self.base)
+        return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+
+    def mark_consistency_violation(self, X: CanonicalGraph) -> Optional[str]:
+        if X.alphabets != self.marked:
+            return "graph is not over the marked alphabets"
+        for v in X.vertices:
+            if v not in X.vertex_labels:
+                return f"vertex {format_path(v)} is unlabelled"
+        for e in X.edges:
+            (u, p), (w, q) = tuple(e)
+            if self.port_bit(q) != self.vertex_mark(X, u):
+                return (f"edge {{{format_path(u)}:{p}, {format_path(w)}:{q}}}: "
+                        f"far bit disagrees with the mark of {format_path(u)}")
+            if self.port_bit(p) != self.vertex_mark(X, w):
+                return (f"edge {{{format_path(u)}:{p}, {format_path(w)}:{q}}}: "
+                        f"far bit disagrees with the mark of {format_path(w)}")
+        return None
+
+    def is_mark_consistent(self, X: CanonicalGraph) -> bool:
+        return self.mark_consistency_violation(X) is None
+
+    def raw_mark_consistent(self, g: RawGraph) -> bool:
+        marks = {}
+        for v in g.vertices:
+            label = g.vertex_labels.get(v)
+            if label is None:
+                return False
+            marks[v] = self.label_base(label)[1]
+        for e in g.edges:
+            (u, p), (w, q) = tuple(e)
+            if self.port_bit(q) != marks[u] or self.port_bit(p) != marks[w]:
+                return False
+        return True
+
+    def all_unmarked(self, X: CanonicalGraph) -> bool:
+        return (all(self.vertex_mark(X, v) == 0 for v in X.vertices)
+                and all(self.port_bit(p) == 0 for e in X.edges for (_v, p) in e))
+
+    def all_marked(self, X: CanonicalGraph) -> bool:
+        return (all(self.vertex_mark(X, v) == 1 for v in X.vertices)
+                and all(self.port_bit(p) == 1 for e in X.edges for (_v, p) in e))
+
+
+def mark_with_names_by_slicing(X: CanonicalGraph, marks: SlicingMarks):
+    """The mark gate as it was: a list of the origin's incident edges, a
+    conflict check per orientation and a three-way toggle per edge."""
+    adj = X.adjacency
+    incident = [e for e in X.edges if any(v == EPSILON for (v, _p) in e)]
+    for e in incident:
+        h1, h2 = tuple(e)
+        for (near, far) in ((h1, h2), (h2, h1)):
+            if near[0] != EPSILON:
+                continue
+            far_vertex, far_port = far
+            if marks.toggle_port(far_port) in adj[far_vertex]:
+                return X, identity_correspondence(X)
+
+    label = X.vertex_labels.get(EPSILON)
+    if label is None:
+        raise MarkError("origin is unlabelled; its mark is undefined")
+    edge_map = {}
+    for e in X.edges:
+        if e not in incident:
+            edge_map[e] = e
+            continue
+        (u, p), (w, q) = tuple(e)
+        if u == EPSILON and w == EPSILON:
+            new = frozenset(((u, marks.toggle_port(p)),
+                             (w, marks.toggle_port(q))))
+        elif u == EPSILON:
+            new = frozenset(((u, p), (w, marks.toggle_port(q))))
+        else:
+            new = frozenset(((u, marks.toggle_port(p)), (w, q)))
+        edge_map[e] = new
+    vertex_labels = dict(X.vertex_labels)
+    vertex_labels[EPSILON] = marks.toggle_label(label)
+    raw = RawGraph(
+        alphabets=X.alphabets,
+        vertices=X.vertices,
+        edges=frozenset(edge_map.values()),
+        vertex_labels=vertex_labels,
+        edge_labels={edge_map[e]: l for e, l in X.edge_labels.items()},
+    )
+    return canonicalize_with_names(PointedRawGraph(raw, EPSILON))

@@ -5,7 +5,10 @@ bench from going unnoticed until it is next run by hand.  The
 `tape-decompose` round checks `decompose` and `check-blocks` against their
 closed-form answers, so it also guards the block kit's path.  The
 `tape-walk` round compares every step file byte for byte with the text of
-the closed-form tape, so it guards the names' text as well.
+the closed-form tape, so it guards the names' text as well.  The traced
+`tape-decompose` round runs `perfbench/spans.py`, which imports classes
+from `cgd.blocks` and wraps its public functions, so it fails when a change
+to `blocks` breaks the per-layer metrics.
 """
 import json
 import subprocess
@@ -15,10 +18,10 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def quick_round(workload):
+def quick_round(workload, *extra):
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload,
-         "--seed", "1", "--seconds", "1", "--quick"],
+         "--seed", "1", "--seconds", "1", "--quick", *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
@@ -34,3 +37,9 @@ def test_tape_walk_quick_round():
 
 def test_tape_decompose_quick_round():
     assert quick_round("tape-decompose")["failed"] == 0
+
+
+def test_tape_decompose_traced_round():
+    result = quick_round("tape-decompose", "--trace", "1")
+    assert result["failed"] == 0
+    assert result["metrics"]["blocks.mark.calls"]["value"] > 0

@@ -3,6 +3,8 @@ import random
 from itertools import permutations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cgd import (
     Alphabets,
@@ -40,10 +42,11 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.modulo import ball, shift
+from cgd.modulo import CanonicalGraph, ball, shift
 from cgd.paths import EPSILON, format_path
-from cgd.portgraph import GraphError
+from cgd.portgraph import GraphError, relabel
 from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
+from oracles import SlicingMarks, mark_with_names_by_slicing
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
 AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
@@ -70,18 +73,18 @@ class TestMarkSpace:
         assert SPACE.marked.vertex_labels == ("00", "01")
 
     def test_token_round_trips(self):
-        assert SPACE.port("a", 1) == "a1"
-        assert SPACE.port_base("b0") == ("b", 0)
-        assert SPACE.toggle_port("a0") == "a1"
-        assert SPACE.label("0", 1) == "01"
-        assert SPACE.toggle_label("01") == "00"
+        assert SPACE.split["a1"] == ("a", 1)
+        assert SPACE.split["b0"] == ("b", 0)
+        assert SPACE.toggled["a0"] == "a1"
+        assert SPACE.split["01"] == ("0", 1)
+        assert SPACE.toggled["01"] == "00"
 
     def test_mixed_length_base_ports_round_trip(self):
         mixed = MarkSpace.for_base(Alphabets.make(("a", "a0"),
                                                   vertex_labels=("0",)))
-        assert mixed.port_base("a0") == ("a", 0)
-        assert mixed.port_base("a01") == ("a0", 1)
-        assert mixed.toggle_port("a00") == "a01"
+        assert mixed.split["a0"] == ("a", 0)
+        assert mixed.split["a01"] == ("a0", 1)
+        assert mixed.toggled["a00"] == "a01"
 
     def test_needs_vertex_labels(self):
         with pytest.raises(MarkError, match="vertex alphabet is empty"):
@@ -103,7 +106,7 @@ class TestMarkSpace:
     def test_lift_drop_round_trip(self, ab_family_4):
         for X in list(ab_family_4)[::9]:
             lifted = SPACE.lift(X)
-            assert SPACE.all_unmarked(lifted)
+            assert SPACE.uniform_mark(lifted) == 0
             assert SPACE.is_mark_consistent(lifted)
             assert SPACE.drop(lifted) == X
 
@@ -123,6 +126,161 @@ class TestMarkSpace:
         X = canonicalize(PointedRawGraph(bad, 0))
         assert SPACE.mark_consistency_violation(X) is not None
         assert not SPACE.raw_mark_consistent(bad)
+
+
+MIXED_SPACE = MarkSpace.for_base(Alphabets.make(
+    ("a", "a0", "b"), vertex_labels=("0", "1"), edge_labels=("e",)))
+
+
+def outcome(f, *args):
+    """f's result, or the type and text of the GraphError it raised."""
+    try:
+        return f(*args)
+    except GraphError as err:
+        return type(err), str(err)
+
+
+def agree_on_predicates(space, X, raw):
+    old = SlicingMarks(space)
+    assert space.mark_consistency_violation(X) == old.mark_consistency_violation(X)
+    assert space.is_mark_consistent(X) == old.is_mark_consistent(X)
+    assert space.raw_mark_consistent(raw) == old.raw_mark_consistent(raw)
+    if all(v in X.vertex_labels for v in X.vertices):
+        expected = 0 if old.all_unmarked(X) else 1 if old.all_marked(X) else None
+        assert space.uniform_mark(X) == expected
+
+
+def agree_on_gate_and_round_trips(space, X):
+    old = SlicingMarks(space)
+    assert mark_with_names(X, space) == mark_with_names_by_slicing(X, old)
+    dropped = outcome(space.drop_with_names, X)
+    assert dropped == outcome(old.drop_with_names, X)
+    if isinstance(dropped[0], CanonicalGraph):
+        # A vertex that uses a base port both ways drops to a graph that
+        # does not lift; both must then fail alike.
+        lifted = outcome(space.lift_with_names, dropped[0])
+        assert lifted == outcome(old.lift_with_names, dropped[0])
+        if space.uniform_mark(X) == 0:
+            assert lifted[0] == X
+
+
+@st.composite
+def marked_graphs(draw, space, max_vertices=6):
+    """Connected graphs over `space.marked`, mark-consistent by construction
+    and then, at random, broken: a port bit or a label bit flipped, or a
+    label dropped.  A vertex may use a base port both ways."""
+    n = draw(st.integers(1, max_vertices))
+    marks = [draw(st.integers(0, 1)) for _ in range(n)]
+    free = {v: list(space.marked.ports) for v in range(n)}
+
+    def half(v, bit):
+        """A free port of v whose bit is `bit`, or None."""
+        ports = [p for p in free[v] if p.endswith(str(bit))]
+        return draw(st.sampled_from(ports)) if ports else None
+
+    def link(u, w):
+        p, q = half(u, marks[w]), half(w, marks[u])
+        if p is None or q is None or (u == w and p == q):
+            return None
+        free[u].remove(p)
+        free[w].remove(q)
+        return make_edge(u, p, w, q)
+
+    edges = []
+    for v in range(1, n):
+        e = link(draw(st.integers(0, v - 1)), v)
+        if e is None:
+            n = v
+            break
+        edges.append(e)
+    for _ in range(draw(st.integers(0, n))):
+        e = link(draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1)))
+        if e is not None:
+            edges.append(e)
+    labels = {v: draw(st.sampled_from(space.base.vertex_labels)) + str(marks[v])
+              for v in range(n)}
+    flaw = draw(st.sampled_from(["none", "port", "label", "unlabelled"]))
+    if flaw == "label":
+        v = draw(st.integers(0, n - 1))
+        labels[v] = labels[v][:-1] + str(1 - marks[v])
+    elif flaw == "unlabelled":
+        del labels[draw(st.integers(0, n - 1))]
+    elif flaw == "port" and edges:
+        i = draw(st.integers(0, len(edges) - 1))
+        (u, p), (w, q) = sorted(edges[i], key=repr)
+        flipped = p[:-1] + str(1 - int(p[-1]))
+        if flipped in free[u]:
+            edges[i] = make_edge(u, flipped, w, q)
+    edge_labels = {e: "e" for e in edges
+                   if space.marked.edge_labels and draw(st.booleans())}
+    return RawGraph(alphabets=space.marked, vertices=tuple(range(n)),
+                    edges=frozenset(edges), vertex_labels=labels,
+                    edge_labels=edge_labels)
+
+
+class TestMarkTablesAgainstSlicing:
+    """The tables agree with the old string-slicing bookkeeping."""
+
+    def test_every_graph_up_to_two_vertices(self):
+        family = enumerate_family(SPACE.marked, 2)
+        assert len(family) == 2676
+        assert any(not SPACE.is_mark_consistent(X) for X in family)
+        for X in family:
+            agree_on_predicates(SPACE, X, relabel(X))
+
+    def test_mark_consistent_graphs_up_to_three_vertices(self):
+        old = SlicingMarks(SPACE)
+        family = enumerate_family(SPACE.marked, 3,
+                                  predicate=old.is_mark_consistent,
+                                  raw_prune=old.raw_mark_consistent)
+        assert len(family) == 1008
+        assert family.members == enumerate_family(
+            SPACE.marked, 3, predicate=SPACE.is_mark_consistent,
+            raw_prune=SPACE.raw_mark_consistent).members
+        for X in family:
+            agree_on_gate_and_round_trips(SPACE, X)
+
+    @settings(max_examples=200, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_random_marked_graphs(self, data):
+        space = data.draw(st.sampled_from([SPACE, TAPE_SPACE, MIXED_SPACE]))
+        raw = data.draw(marked_graphs(space))
+        X = canonicalize(PointedRawGraph(raw, data.draw(
+            st.sampled_from(raw.vertices))))
+        agree_on_predicates(space, X, raw)
+        if SlicingMarks(space).is_mark_consistent(X):
+            agree_on_gate_and_round_trips(space, X)
+
+
+class TestNoKeyErrorFromTables:
+    """A token outside the marked alphabets raises MarkError, not KeyError."""
+
+    def test_tables_reject_strangers(self):
+        for token in ("0", "a", "a2", "02", "", "a00"):
+            with pytest.raises(MarkError, match="not a marked"):
+                SPACE.split[token]
+            with pytest.raises(MarkError, match="not a marked"):
+                SPACE.toggled[token]
+
+    def test_vertex_mark_on_base_graph(self):
+        X = bare_tape(3, AB0)
+        with pytest.raises(MarkError, match="not a marked"):
+            SPACE.vertex_mark(X, EPSILON)
+        for check in (SPACE.uniform_mark, lambda G: mark(G, SPACE),
+                      lambda G: lower_projection(G, SPACE),
+                      lambda G: upper_projection(G, SPACE)):
+            with pytest.raises(MarkError):
+                check(X)
+
+    def test_vertex_mark_on_label_outside_marked_alphabets(self):
+        alphabets = Alphabets.make(SPACE.marked.ports, vertex_labels=("00", "07"))
+        raw = RawGraph(alphabets=alphabets, vertices=(0, 1),
+                       edges=frozenset((make_edge(0, "a0", 1, "b0"),)),
+                       vertex_labels={0: "00", 1: "07"})
+        X = canonicalize(PointedRawGraph(raw, 0))
+        assert SPACE.vertex_mark(X, EPSILON) == 0
+        with pytest.raises(MarkError, match="'07'"):
+            SPACE.vertex_mark(X, X.vertices[1])
 
 
 def conflict_graph():
@@ -148,7 +306,7 @@ class TestMarkGate:
             "v")))
         Y = mark(X, SPACE)
         assert SPACE.vertex_mark(Y, EPSILON) == 1
-        assert SPACE.all_marked(Y)
+        assert SPACE.uniform_mark(Y) == 1
 
     def test_self_loop_ports_toggle_together(self):
         solo, _ = turtle_graphs()
@@ -268,17 +426,17 @@ class TestShiftedDynamics:
 
 def _toggle_at(X, u):
     labels = dict(X.vertex_labels)
-    labels[u] = SPACE.toggle_label(labels[u])
+    labels[u] = SPACE.toggled[labels[u]]
     edges = set()
     for e in X.edges:
         (x, p), (y, q) = tuple(e)
         if x == u and y == u:
-            edges.add(frozenset(((x, SPACE.toggle_port(p)),
-                                 (y, SPACE.toggle_port(q)))))
+            edges.add(frozenset(((x, SPACE.toggled[p]),
+                                 (y, SPACE.toggled[q]))))
         elif x == u:
-            edges.add(frozenset(((x, p), (y, SPACE.toggle_port(q)))))
+            edges.add(frozenset(((x, p), (y, SPACE.toggled[q]))))
         elif y == u:
-            edges.add(frozenset(((x, SPACE.toggle_port(p)), (y, q))))
+            edges.add(frozenset(((x, SPACE.toggled[p]), (y, q))))
         else:
             edges.add(e)
     raw = RawGraph(alphabets=X.alphabets, vertices=X.vertices,
@@ -296,7 +454,7 @@ class TestProducts:
     def test_marking_every_vertex(self):
         X = SPACE.lift(bare_tape(3, AB0))
         Y, corr = apply_product(MarkDynamics(SPACE), X.vertices, X)
-        assert SPACE.all_marked(Y)
+        assert SPACE.uniform_mark(Y) == 1
         assert set(corr) == set(X.vertices)
 
     def test_order_independence(self):
@@ -317,7 +475,7 @@ class TestProducts:
             Y, _ = apply_product(gate, list(order), X)
             results.add(Y)
         assert len(results) == 1
-        assert SPACE.all_marked(next(iter(results)))
+        assert SPACE.uniform_mark(next(iter(results))) == 1
 
 
 class TestProjections:

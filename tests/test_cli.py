@@ -548,6 +548,13 @@ class TestExportDot:
         assert main(["export-dot", "--input", tape_file, "--marked"]) == EXIT_BAD_INPUT
         assert "doubling" in capsys.readouterr().err
 
+    def test_marked_with_doubled_labels_but_plain_ports(self, tmp_path, capsys):
+        path = tmp_path / "half-marked.graph"
+        path.write_text("ports a b\nvlabels 00 01\nvertex x label=00\n"
+                        "vertex y label=01\nedge x:a y:b\npointer x\n")
+        assert main(["export-dot", "--input", str(path), "--marked"]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "doubling")
+
 
 class TestDeterminism:
     def test_inflating_grid_report_ignores_hash_seed(self):
