@@ -47,7 +47,7 @@ class UnionInconsistencyError(GraphError):
 
 
 class _MarkTable(dict):
-    """A token table that answers MarkError, never KeyError, for a stranger."""
+    """A token table whose misses raise MarkError, never KeyError."""
 
     def __missing__(self, token):
         raise MarkError(f"not a marked port or label token: {token!r}")
