@@ -12,7 +12,7 @@ a product of unmarks, each acting only inside a bounded disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 from .dynamics import (
     CompositeDynamics,
@@ -33,6 +33,7 @@ from .portgraph import (
     GraphError,
     PointedRawGraph,
     RawGraph,
+    induced_subgraph,
     relabel,
 )
 from .reversibility import GraphFamily, build_inverse
@@ -130,9 +131,17 @@ class MarkSpace:
 
     def drop_with_names(self, X: CanonicalGraph
                         ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
-        """Strip all bits; only sound when no vertex uses a port both ways."""
+        """Strip all bits.  Raises MarkError when a vertex uses a port both
+        ways, with bit 0 and bit 1: the two would merge into one port."""
         if X.alphabets != self.marked:
             raise MarkError("drop expects a graph over the marked alphabets")
+        for v, hops in X.adjacency.items():
+            for p in self.marked.ports:
+                if p in hops and self.toggled[p] in hops:
+                    raise MarkError(
+                        f"drop: vertex {format_path(v)} uses port "
+                        f"{self.split[p][0]} both ways, as {p} and "
+                        f"{self.toggled[p]}")
         return self._retokenize(
             X, self.base, {token: t for token, (t, _bit) in self.split.items()})
 
@@ -339,26 +348,11 @@ def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
     return out
 
 
-def _induced_raw(X: CanonicalGraph, vertices: Iterable[Path]) -> RawGraph:
-    kept = set(vertices)
-    edges = frozenset(e for e in X.edges if all(v in kept for (v, _p) in e))
-    return RawGraph(
-        alphabets=X.alphabets,
-        vertices=tuple(v for v in X.vertices if v in kept),
-        edges=edges,
-        vertex_labels={v: l for v, l in X.vertex_labels.items() if v in kept},
-        edge_labels={e: l for e, l in X.edge_labels.items() if e in edges},
-    )
-
-
 def _projection(X: CanonicalGraph, keep: Set[Path]) -> ProjectionSet:
-    comps = []
-    for comp in _components(X, keep):
-        anchor = comp[0]
-        graph = canonicalize_with_names(
-            PointedRawGraph(_induced_raw(X, comp), anchor))[0]
-        comps.append((anchor, graph))
-    return ProjectionSet(tuple(comps))
+    return ProjectionSet(tuple(
+        (comp[0], canonicalize_with_names(
+            PointedRawGraph(induced_subgraph(X, comp), comp[0]))[0])
+        for comp in _components(X, keep)))
 
 
 def lower_projection(X: CanonicalGraph, space: MarkSpace) -> ProjectionSet:
@@ -424,13 +418,13 @@ class ReversibleExtension(Dynamics):
         marked, unmarked, boundary = _mark_partition(X, space)
         upper_keep = marked | boundary
 
-        pieces = [_induced_raw(X, comp) for comp in _components(X, upper_keep)]
+        pieces = [induced_subgraph(X, comp) for comp in _components(X, upper_keep)]
         final_id: Dict[Path, object] = {v: v for v in upper_keep}
 
         for comp in _components(X, unmarked):
             anchor = comp[0]
             comp_graph, to_comp = canonicalize_with_names(
-                PointedRawGraph(_induced_raw(X, comp), anchor))
+                PointedRawGraph(induced_subgraph(X, comp), anchor))
             lifted, to_lifted = self._base_step(comp_graph)
             img = {v: to_lifted[to_comp[v]] for v in comp}
             seam: Dict[Path, Path] = {}

@@ -57,12 +57,9 @@ def single_head_tapes(max_length: int) -> List[CanonicalGraph]:
     One member per (length, head position, attachment); all pointed at the
     first tape cell, so lengths 1..L contribute 2*(1+...+L) members.
     """
-    out = []
-    for length in range(1, max_length + 1):
-        for position in range(length):
-            for attach in ("cc", "dd"):
-                out.append(single_head_tape(length, position, attach))
-    return out
+    return [single_head_tape(length, position, attach)
+            for length in range(1, max_length + 1)
+            for position in range(length) for attach in ("cc", "dd")]
 
 
 def bare_tapes(max_length: int) -> List[CanonicalGraph]:
@@ -71,15 +68,7 @@ def bare_tapes(max_length: int) -> List[CanonicalGraph]:
 
 def shift_closure(graphs: Iterable[CanonicalGraph]) -> List[CanonicalGraph]:
     """Close a collection under re-pointing at every vertex, deduplicated."""
-    seen = set()
-    out = []
-    for X in graphs:
-        for v in X.vertices:
-            Y = shift(X, v)
-            if Y not in seen:
-                seen.add(Y)
-                out.append(Y)
-    return out
+    return list(dict.fromkeys(shift(X, v) for X in graphs for v in X.vertices))
 
 
 LabelSpec = Union[str, Dict[Tuple[int, int], str], Callable[[int, int], str], None]

@@ -408,9 +408,8 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
             (key(v), X.alphabets.port_index(prt)) for (v, prt) in e))
         edges.discard(victim)
         edge_labels.pop(victim, None)
-        freed = sorted((prt for (v, prt) in victim if v == host),
-                       key=X.alphabets.port_index)
-        free = freed
+        free = sorted((prt for (v, prt) in victim if v == host),
+                      key=X.alphabets.port_index)
     attach_port = free[0]
 
     a, b = X.alphabets.ports[0], X.alphabets.ports[1]
@@ -418,19 +417,13 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
     line = [("line", i) for i in range(fresh)]
     vertices.extend(line)
     if sigma is not None:
-        for w in line:
-            vertex_labels[w] = sigma
+        vertex_labels.update(dict.fromkeys(line, sigma))
     edges.add(make_edge(host, attach_port, line[0], b))
     for i in range(fresh - 1):
         edges.add(make_edge(line[i], a, line[i + 1], b))
 
-    extended = RawGraph(
-        alphabets=X.alphabets,
-        vertices=tuple(vertices),
-        edges=frozenset(edges),
-        vertex_labels=vertex_labels,
-        edge_labels=edge_labels,
-    )
+    extended = RawGraph(X.alphabets, tuple(vertices), frozenset(edges),
+                        vertex_labels, edge_labels)
     return canonicalize_with_names(PointedRawGraph(extended, EPSILON))[0]
 
 

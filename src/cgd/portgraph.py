@@ -264,13 +264,19 @@ def connected_component(g: RawGraph, v: VertexId) -> RawGraph:
                     reached.add(w)
                     nxt.append(w)
         frontier = nxt
-    vertices = tuple(u for u in g.vertices if u in reached)
-    edges = frozenset(e for e in g.edges if all(u in reached for (u, _p) in e))
+    return induced_subgraph(g, reached)
+
+
+def induced_subgraph(g, vertices: Iterable[VertexId]) -> RawGraph:
+    """The `vertices`, in g's order, with every edge between them, labels
+    restricted.  `g` may be a RawGraph or a CanonicalGraph."""
+    kept = set(vertices)
+    edges = frozenset(e for e in g.edges if all(v in kept for (v, _p) in e))
     return RawGraph(
         alphabets=g.alphabets,
-        vertices=vertices,
+        vertices=tuple(v for v in g.vertices if v in kept),
         edges=edges,
-        vertex_labels={u: l for u, l in g.vertex_labels.items() if u in reached},
+        vertex_labels={v: l for v, l in g.vertex_labels.items() if v in kept},
         edge_labels={e: l for e, l in g.edge_labels.items() if e in edges},
     )
 

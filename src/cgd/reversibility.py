@@ -10,9 +10,9 @@ from __future__ import annotations
 
 import functools
 import os
-from collections import deque
 from dataclasses import dataclass, field
 from itertools import product as iter_product
+from operator import itemgetter
 from typing import Callable, Dict, Iterable, List, Optional, Tuple
 
 from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
@@ -31,7 +31,7 @@ from .patches import (
     RuleTable,
     glue_rule,
 )
-from .paths import Path, format_path
+from .paths import EPSILON, Path, format_path
 from .portgraph import (
     Alphabets,
     GraphError,
@@ -70,15 +70,10 @@ class GraphFamily:
     @staticmethod
     def from_graphs(graphs: Iterable[CanonicalGraph],
                     alphabets: Optional[Alphabets] = None) -> "GraphFamily":
-        members: List[CanonicalGraph] = []
-        seen = set()
-        for g in graphs:
-            if g not in seen:
-                seen.add(g)
-                members.append(g)
+        members = tuple(dict.fromkeys(graphs))
         if not members and alphabets is None:
             raise ValueError("empty family needs explicit alphabets")
-        return GraphFamily(tuple(members), alphabets or members[0].alphabets)
+        return GraphFamily(members, alphabets or members[0].alphabets)
 
     def __post_init__(self) -> None:
         self._index.update({g: i for i, g in enumerate(self.members)})
@@ -122,89 +117,117 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
                      cap: Optional[int] = None) -> GraphFamily:
     """All connected canonical graphs with at most `max_vertices` vertices.
 
-    Search by canonical extension: grow one fresh pendant vertex or one new
-    edge between free ports at a time, deduplicating canonical forms, which
-    reaches every pointed connected graph from its origin seed.  Vertices
-    are labelled totally when the vertex alphabet is non-empty (likewise
-    edges), matching how the finite families are counted.
+    Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
+    1998; Read, "Every one a winner", 1978) builds each graph once, from
+    its parent: the graph less its last vertex in canonical order, with
+    that vertex's edges.  That vertex is a farthest one, last in its layer,
+    so the parent is connected and keeps every name.  A child is its
+    parent plus a vertex w with a label, self-loops and at least one edge
+    to a free parent port; the seeds, children of the empty graph, are one
+    vertex with any label and any self-loops.  Ports fix every vertex once
+    the origin is fixed, so no graph has a non-trivial automorphism and
+    there is no orbit test.
 
-    `predicate` filters the output.  `raw_prune`, when given, gates the
-    search: it discards candidate presentations, seeds included, before
-    they are canonicalized.  The search stays complete when `raw_prune`
-    is closed under removing a pendant vertex or an edge (mark
-    consistency is; "has a head" is not).
+    A child is accepted exactly when w comes last in it.  w's name is the
+    least name u.(p, q) over its edges w:q -- u:p, so w comes last when
+    each follows the parent's last name in the order of `_canonical_names`:
+    (u's place in the vertex order, exit, entry).  Only such edges are
+    offered, so only ports on the parent's last two layers are.  The
+    child's canonical form is the parent's plus w's name: no BFS runs and
+    no duplicate is built.  Labelling is total when an alphabet is non-empty.
+
+    `predicate` filters the output.  `raw_prune` gates the search and must
+    be closed under taking subgraphs: when a graph passes, so does the graph
+    less an edge, or less a vertex with its edges (mark consistency is; "has
+    a head" is not).  No new edge or self-loop whose one-edge graph fails it
+    is offered; each child is then tested whole.  The cap counts the graphs
+    that pass it.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
     cap_n = _family_cap(cap)
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
     elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
+    ports = alphabets.ports
+    pidx = {p: i for i, p in enumerate(ports)}
+    found: List[CanonicalGraph] = []
 
-    seen = set()
-    queue: deque = deque()
-    # The one-vertex seeds first, then the extensions of each queued graph.
-    candidates: Iterable[RawGraph] = [
-        RawGraph(alphabets=alphabets, vertices=(0,),
-                 vertex_labels={} if sigma is None else {0: sigma})
-        for sigma in vlabels]
-    while True:
-        for raw in candidates:
-            if raw_prune is not None and not raw_prune(raw):
-                continue
-            h = canonicalize_with_names(PointedRawGraph(raw, raw.vertices[0]))[0]
-            if h in seen:
-                continue
-            seen.add(h)
-            if len(seen) > cap_n:
-                raise FamilyCapError(
-                    f"family exceeds cap of {cap_n} graphs "
-                    f"(set {FAMILY_CAP_ENV} to raise it)")
-            queue.append(h)
-        if not queue:
-            break
-        candidates = _extensions(queue.popleft(), max_vertices, vlabels, elabels)
-    members = [g for g in seen if predicate is None or predicate(g)]
-    return GraphFamily(_sorted_members(members), alphabets)
+    @functools.cache
+    def edge_passes(loop, u_label, p, w_label, q, delta) -> bool:
+        """`raw_prune` of one edge u:p -- w:q, or self-loop w:p -- w:q."""
+        u = 1 if loop else 0
+        e = make_edge(u, p, 1, q)
+        return raw_prune is None or raw_prune(RawGraph(
+            alphabets, (1,) if loop else (0, 1), frozenset((e,)),
+            {v: l for v, l in ((u, u_label), (1, w_label)) if l is not None},
+            {} if delta is None else {e: delta}))
 
+    def w_edges(todo, options, used):
+        """Every way to give each of w's ports in `todo` a self-loop or an
+        edge from `options` whose far end is not `used`, or nothing: lists
+        of (key of the name u.(p, q) it offers w, q, u:p, label), or (None,
+        q, q2, label) for a self-loop."""
+        if not todo:
+            yield []
+            return
+        q, rest = todo[0], todo[1:]
+        yield from w_edges(rest, options, used)
+        if q not in used:
+            for key, far, delta in options[q]:
+                if far not in used:
+                    for tail in w_edges(rest, options, used | {far}):
+                        yield [(key, q, far, delta)] + tail
 
-def _extensions(X: CanonicalGraph, max_vertices: int,
-                vlabels: Tuple[Optional[str], ...],
-                elabels: Tuple[Optional[str], ...]) -> Iterable[RawGraph]:
-    """Candidate one-step extensions, as raw graphs pointed at their first id."""
-    alphabets = X.alphabets
-    adj = X.adjacency
-    free = [(v, p) for v in X.vertices for p in alphabets.ports
-            if p not in adj[v]]
-    base = X.to_pointed_raw().graph
-    fresh = "fresh"
-    if len(X.vertices) < max_vertices:
-        for (v, p) in free:
-            for q in alphabets.ports:
-                for sigma in vlabels:
-                    for delta in elabels:
-                        e = make_edge(v, p, fresh, q)
-                        vertex_labels = dict(base.vertex_labels)
-                        if sigma is not None:
-                            vertex_labels[fresh] = sigma
-                        edge_labels = dict(base.edge_labels)
-                        if delta is not None:
-                            edge_labels[e] = delta
-                        yield RawGraph(alphabets=alphabets,
-                                       vertices=base.vertices + (fresh,),
-                                       edges=base.edges | {e},
-                                       vertex_labels=vertex_labels,
-                                       edge_labels=edge_labels)
-    for i, (v, p) in enumerate(free):
-        for (w, q) in free[i + 1:]:
-            for delta in elabels:
-                e = make_edge(v, p, w, q)
-                edge_labels = dict(base.edge_labels)
-                if delta is not None:
-                    edge_labels[e] = delta
-                yield RawGraph(alphabets=alphabets, vertices=base.vertices,
-                               edges=base.edges | {e},
-                               vertex_labels=dict(base.vertex_labels),
-                               edge_labels=edge_labels)
+    def grow(parent: CanonicalGraph) -> None:
+        """Keep the accepted children of `parent`."""
+        vertices, labels = parent.vertices, parent.vertex_labels
+        offered, last_key = [], (-1,)
+        if vertices:
+            last, first = vertices[-1], 0
+            if last.length:
+                first = vertices.index(last.parent)
+                last_key = (first, pidx[last.last[0]], pidx[last.last[1]])
+            offered = [((i, pidx[p]), vertices[i], p)
+                       for i in range(first, len(vertices)) for p in ports
+                       if p not in parent.adjacency[vertices[i]]]
+        for sigma in vlabels:
+            # A self-loop's far end is w's port q2, an edge's is u:p.
+            options = {q: [(None, q2, delta) for q2 in ports[i + 1:] for delta in elabels
+                           if edge_passes(True, sigma, q, sigma, q2, delta)]
+                       + [(key + (pidx[q],), (u, p), delta)
+                          for key, u, p in offered if key + (pidx[q],) > last_key
+                          for delta in elabels
+                          if edge_passes(False, labels.get(u), p, sigma, q, delta)]
+                       for i, q in enumerate(ports)}
+            for choice in w_edges(ports, options, frozenset()):
+                keyed = [c for c in choice if c[0] is not None]
+                if keyed:
+                    _key, q, (u, p), _delta = min(keyed, key=itemgetter(0))
+                    w = u.child((p, q))
+                elif not vertices:
+                    w = EPSILON
+                else:
+                    continue
+                new = {frozenset(((w, q), far if key else (w, far))): delta
+                       for key, q, far, delta in choice}
+                g = RawGraph(alphabets, vertices + (w,), parent.edges.union(new),
+                             labels if sigma is None else {**labels, w: sigma},
+                             {**parent.edge_labels,
+                              **{e: d for e, d in new.items() if d is not None}})
+                if raw_prune is None or raw_prune(g):
+                    found.append(CanonicalGraph(alphabets, g.vertices,
+                                                g.vertex_labels, g.edges,
+                                                g.edge_labels))
+                if len(found) > cap_n:
+                    raise FamilyCapError(f"family exceeds cap of {cap_n} graphs "
+                                         f"(set {FAMILY_CAP_ENV} to raise it)")
+
+    grow(CanonicalGraph(alphabets, (), {}, (), {}))
+    for X in found:     # `found` grows as it is walked: breadth first
+        if len(X.vertices) < max_vertices:
+            grow(X)
+    return GraphFamily(_sorted_members(
+        g for g in found if predicate is None or predicate(g)), alphabets)
 
 
 def brute_force_family(alphabets: Alphabets, max_vertices: int,
@@ -212,8 +235,8 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
                        cap: Optional[int] = None) -> GraphFamily:
     """Independent generator: every partial port matching, every pointing.
 
-    Exponential in vertices times ports; used only to cross-validate the
-    extension search at very small sizes.
+    Exponential in vertices times ports; used only to cross-validate
+    `enumerate_family` at very small sizes.
     """
     cap_n = _family_cap(cap)
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
@@ -223,30 +246,24 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
         half_edges = [(v, p) for v in range(n) for p in alphabets.ports]
         for matching in _partial_matchings(half_edges):
             edges = frozenset(frozenset(pair) for pair in matching)
-            if any(len(e) != 2 for e in edges):
-                continue
             bare = RawGraph(alphabets=alphabets, vertices=tuple(range(n)),
                             edges=edges)
             if len(connected_component(bare, 0).vertices) != n:
                 continue
-            for labelling in iter_product(vlabels, repeat=n):
-                vertex_labels = {v: l for v, l in enumerate(labelling)
-                                 if l is not None}
-                for edge_labelling in iter_product(elabels, repeat=len(edges)):
-                    edge_labels = {e: l for e, l in
-                                   zip(sorted(edges, key=repr), edge_labelling)
-                                   if l is not None}
-                    raw = RawGraph(alphabets=alphabets,
-                                   vertices=tuple(range(n)),
-                                   edges=edges, vertex_labels=vertex_labels,
-                                   edge_labels=edge_labels)
-                    for origin in range(n):
-                        g = canonicalize(PointedRawGraph(raw, origin))
-                        if predicate is None or predicate(g):
-                            out.add(g)
-                            if len(out) > cap_n:
-                                raise FamilyCapError(
-                                    f"family exceeds cap of {cap_n}")
+            for labelling, edge_labelling in iter_product(
+                    iter_product(vlabels, repeat=n),
+                    iter_product(elabels, repeat=len(edges))):
+                raw = RawGraph(
+                    alphabets, bare.vertices, edges,
+                    {v: l for v, l in enumerate(labelling) if l is not None},
+                    {e: l for e, l in zip(sorted(edges, key=repr),
+                                          edge_labelling) if l is not None})
+                for origin in range(n):
+                    g = canonicalize(PointedRawGraph(raw, origin))
+                    if predicate is None or predicate(g):
+                        out.add(g)
+                        if len(out) > cap_n:
+                            raise FamilyCapError(f"family exceeds cap of {cap_n}")
     return GraphFamily(_sorted_members(out), alphabets)
 
 

@@ -53,8 +53,16 @@ and `all_unmarked`.  `mark_with_names_by_slicing` is the mark gate built on
 them.  `MarkSpace` now reads and toggles bits through its `split` and
 `toggled` tables, built once; one `uniform_mark` scan replaces the two
 scans, and the raw and canonical predicates share one first-bad-edge scan.
+
+`enumerate_family` is the enumerator as it was before canonical
+augmentation: it grows every queued graph by one pendant vertex or one
+edge between free ports (`_extensions`), canonicalizes each candidate by
+BFS and drops the ones already in its `seen` set.
+`reversibility.enumerate_family` now builds each member once, from its
+parent, and runs no BFS.
 """
-from typing import Dict, List, Optional, Set, Tuple
+from collections import deque
+from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
 
 from cgd.blocks import (
     MarkError,
@@ -62,7 +70,6 @@ from cgd.blocks import (
     ReversibleExtension,
     UnionInconsistencyError,
     _components,
-    _induced_raw,
     _mark_partition,
 )
 from cgd.dynamics import (
@@ -82,12 +89,24 @@ from cgd.modulo import (
 )
 from cgd.patches import Patch, PatchError, PatchInconsistencyError, consistent
 from cgd.paths import EPSILON, Path, format_path
-from cgd.portgraph import PointedRawGraph, RawGraph, ensure_valid, relabel
+from cgd.portgraph import (
+    Alphabets,
+    PointedRawGraph,
+    RawGraph,
+    ensure_valid,
+    induced_subgraph,
+    make_edge,
+    relabel,
+)
 from cgd.reversibility import (
+    FAMILY_CAP_ENV,
+    FamilyCapError,
     GraphFamily,
     InverseConstructionError,
     InverseTable,
     OutOfFamilyError,
+    _family_cap,
+    _sorted_members,
 )
 
 
@@ -168,14 +187,14 @@ class FoldingExtension(ReversibleExtension):
         final_id: Dict[Path, object] = {}
 
         for comp in _components(X, upper_keep):
-            pieces.append(_induced_raw(X, comp))
+            pieces.append(induced_subgraph(X, comp))
         for v in upper_keep:
             final_id[v] = v
 
         for comp in _components(X, unmarked):
             anchor = comp[0]
             comp_graph, to_comp = canonicalize_with_names(
-                PointedRawGraph(_induced_raw(X, comp), anchor))
+                PointedRawGraph(induced_subgraph(X, comp), anchor))
             base_graph, to_base = space.drop_with_names(comp_graph)
             image, corr = self.base.apply(base_graph)
             lifted, to_lifted = space.lift_with_names(image)
@@ -677,3 +696,94 @@ def mark_with_names_by_slicing(X: CanonicalGraph, marks: SlicingMarks):
         edge_labels={edge_map[e]: l for e, l in X.edge_labels.items()},
     )
     return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+
+
+def enumerate_family(alphabets: Alphabets, max_vertices: int,
+                     predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
+                     raw_prune: Optional[Callable[[RawGraph], bool]] = None,
+                     cap: Optional[int] = None) -> GraphFamily:
+    """All connected canonical graphs with at most `max_vertices` vertices.
+
+    Search by canonical extension: grow one fresh pendant vertex or one new
+    edge between free ports at a time, deduplicating canonical forms, which
+    reaches every pointed connected graph from its origin seed.  Vertices
+    are labelled totally when the vertex alphabet is non-empty (likewise
+    edges), matching how the finite families are counted.
+
+    `predicate` filters the output.  `raw_prune`, when given, gates the
+    search: it discards candidate presentations, seeds included, before
+    they are canonicalized.  The search stays complete when `raw_prune`
+    is closed under removing a pendant vertex or an edge (mark
+    consistency is; "has a head" is not).
+    """
+    if max_vertices < 1:
+        raise ValueError("max_vertices must be >= 1")
+    cap_n = _family_cap(cap)
+    vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
+    elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
+
+    seen = set()
+    queue: deque = deque()
+    # The one-vertex seeds first, then the extensions of each queued graph.
+    candidates: Iterable[RawGraph] = [
+        RawGraph(alphabets=alphabets, vertices=(0,),
+                 vertex_labels={} if sigma is None else {0: sigma})
+        for sigma in vlabels]
+    while True:
+        for raw in candidates:
+            if raw_prune is not None and not raw_prune(raw):
+                continue
+            h = canonicalize_with_names(PointedRawGraph(raw, raw.vertices[0]))[0]
+            if h in seen:
+                continue
+            seen.add(h)
+            if len(seen) > cap_n:
+                raise FamilyCapError(
+                    f"family exceeds cap of {cap_n} graphs "
+                    f"(set {FAMILY_CAP_ENV} to raise it)")
+            queue.append(h)
+        if not queue:
+            break
+        candidates = _extensions(queue.popleft(), max_vertices, vlabels, elabels)
+    members = [g for g in seen if predicate is None or predicate(g)]
+    return GraphFamily(_sorted_members(members), alphabets)
+
+
+def _extensions(X: CanonicalGraph, max_vertices: int,
+                vlabels: Tuple[Optional[str], ...],
+                elabels: Tuple[Optional[str], ...]) -> Iterable[RawGraph]:
+    """Candidate one-step extensions, as raw graphs pointed at their first id."""
+    alphabets = X.alphabets
+    adj = X.adjacency
+    free = [(v, p) for v in X.vertices for p in alphabets.ports
+            if p not in adj[v]]
+    base = X.to_pointed_raw().graph
+    fresh = "fresh"
+    if len(X.vertices) < max_vertices:
+        for (v, p) in free:
+            for q in alphabets.ports:
+                for sigma in vlabels:
+                    for delta in elabels:
+                        e = make_edge(v, p, fresh, q)
+                        vertex_labels = dict(base.vertex_labels)
+                        if sigma is not None:
+                            vertex_labels[fresh] = sigma
+                        edge_labels = dict(base.edge_labels)
+                        if delta is not None:
+                            edge_labels[e] = delta
+                        yield RawGraph(alphabets=alphabets,
+                                       vertices=base.vertices + (fresh,),
+                                       edges=base.edges | {e},
+                                       vertex_labels=vertex_labels,
+                                       edge_labels=edge_labels)
+    for i, (v, p) in enumerate(free):
+        for (w, q) in free[i + 1:]:
+            for delta in elabels:
+                e = make_edge(v, p, w, q)
+                edge_labels = dict(base.edge_labels)
+                if delta is not None:
+                    edge_labels[e] = delta
+                yield RawGraph(alphabets=alphabets, vertices=base.vertices,
+                               edges=base.edges | {e},
+                               vertex_labels=dict(base.vertex_labels),
+                               edge_labels=edge_labels)

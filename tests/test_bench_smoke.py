@@ -1,7 +1,9 @@
 """The smallest bench workloads run and report no failed operation.
 
 `perfbench/run.py` is the repository's one bench script; this keeps a broken
-bench from going unnoticed until it is next run by hand.  The
+bench from going unnoticed until it is next run by hand.  The `enum-verify`
+round checks the SHA-256 of the enumeration listing and every `verify`
+report against their known answers, so it guards the enumerator.  The
 `tape-decompose` round checks `decompose` and `check-blocks` against their
 closed-form answers, so it also guards the block kit's path.  The
 `tape-walk` round compares every step file byte for byte with the text of
@@ -25,6 +27,12 @@ def quick_round(workload, *extra):
         cwd=ROOT, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_enum_verify_quick_round():
+    result = quick_round("enum-verify")
+    assert result["failed"] == 0
+    assert result["attempted"] >= 5     # one round runs five commands
 
 
 def test_tape_rule_quick_round():

@@ -44,7 +44,7 @@ from cgd.families import (
 )
 from cgd.modulo import CanonicalGraph, ball, shift
 from cgd.paths import EPSILON, format_path
-from cgd.portgraph import GraphError, relabel
+from cgd.portgraph import GraphError, relabel, validate
 from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
 from oracles import SlicingMarks, mark_with_names_by_slicing
 
@@ -119,6 +119,34 @@ class TestMarkSpace:
         assert {format_path(v): format_path(w) for v, w in names.items()} == \
                {"eps": "eps", "ab": "a0b0"}
 
+    def test_drop_refuses_a_port_used_both_ways(self):
+        # eps reaches a mark-0 vertex through a0 and a mark-1 one through a1.
+        raw = RawGraph(alphabets=SPACE.marked, vertices=(0, 1, 2),
+                       edges=frozenset((make_edge(0, "a0", 1, "b0"),
+                                        make_edge(0, "a1", 2, "b0"))),
+                       vertex_labels={0: "00", 1: "00", 2: "01"})
+        X = canonicalize(PointedRawGraph(raw, 0))
+        assert SPACE.is_mark_consistent(X)
+        with pytest.raises(MarkError,
+                           match="vertex eps uses port a both ways, as a0 and a1"):
+            SPACE.drop(X)
+
+    def test_drop_is_valid_or_refused(self):
+        family = enumerate_family(SPACE.marked, 3,
+                                  predicate=SPACE.is_mark_consistent,
+                                  raw_prune=SPACE.raw_mark_consistent)
+        dropped = refused = 0
+        for X in family:
+            try:
+                Y = SPACE.drop(X)
+            except MarkError as err:
+                assert "both ways" in str(err)
+                refused += 1
+            else:
+                assert validate(Y.to_pointed_raw().graph) is None
+                dropped += 1
+        assert (dropped, refused) == (156, 852)
+
     def test_inconsistent_detected(self):
         bad = RawGraph(alphabets=SPACE.marked, vertices=(0, 1),
                        edges=frozenset((make_edge(0, "a1", 1, "b0"),)),
@@ -154,10 +182,13 @@ def agree_on_gate_and_round_trips(space, X):
     old = SlicingMarks(space)
     assert mark_with_names(X, space) == mark_with_names_by_slicing(X, old)
     dropped = outcome(space.drop_with_names, X)
-    assert dropped == outcome(old.drop_with_names, X)
+    if dropped[0] is MarkError:
+        # The old drop did not check that no vertex uses a base port both
+        # ways; it returned a graph that reuses a port or failed elsewhere.
+        assert "both ways" in dropped[1]
+    else:
+        assert dropped == outcome(old.drop_with_names, X)
     if isinstance(dropped[0], CanonicalGraph):
-        # A vertex that uses a base port both ways drops to a graph that
-        # does not lift; both must then fail alike.
         lifted = outcome(space.lift_with_names, dropped[0])
         assert lifted == outcome(old.lift_with_names, dropped[0])
         if space.uniform_mark(X) == 0:

@@ -1,7 +1,12 @@
-"""Family constructors and the two independent enumerators."""
+"""Family constructors and the enumerators: the search, the brute-force
+generator and the old search kept in `oracles`."""
+import hashlib
+
 import pytest
 
-from cgd import Alphabets, enumerate_family
+import oracles
+from cgd import Alphabets, enumerate_family, reversibility
+from cgd.blocks import MarkSpace
 from cgd.families import (
     TAPE_ALPHABETS,
     bare_tape,
@@ -11,9 +16,35 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
+from cgd.modulo import canonicalize
+from cgd.portgraph import validate
 from cgd.reversibility import FamilyCapError, GraphFamily, brute_force_family
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
+AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
+ABCD0 = Alphabets.make("abcd", vertex_labels=("0",))
+MARKED = MarkSpace.for_base(AB0)
+
+
+def tape_like(raw):
+    """Every edge pairs a-b, c-c or d-d, with at most one c/d edge.
+
+    A superset of the tapes' shift closure, closed under taking subgraphs,
+    so it is a sound `raw_prune`.
+    """
+    head_edges = 0
+    for e in raw.edges:
+        ports = sorted(p for (_v, p) in e)
+        if ports in (["c", "c"], ["d", "d"]):
+            head_edges += 1
+        elif ports != ["a", "b"]:
+            return False
+    return head_edges <= 1
+
+
+def listing_sha256(fam):
+    return hashlib.sha256(
+        "\n".join(g.to_text() for g in fam).encode("utf-8")).hexdigest()
 
 
 class TestTapeConstructors:
@@ -114,21 +145,8 @@ class TestEnumeration:
         assert set(fast.members) == set(slow.members)
 
     def test_single_head_tapes_found_by_generic_enumeration(self):
-        # Pruning the search to "every edge pairs a-b, c-c or d-d, with at
-        # most one c/d edge" is sound: that superset of the target family
-        # is closed under removing an edge or a pendant vertex, so every
-        # member stays reachable.  The filter keeps only constructed
-        # members, so equality says the search reaches each of them.
-        def tape_like(raw):
-            head_edges = 0
-            for e in raw.edges:
-                ports = sorted(p for (_v, p) in e)
-                if ports in (["c", "c"], ["d", "d"]):
-                    head_edges += 1
-                elif ports != ["a", "b"]:
-                    return False
-            return head_edges <= 1
-
+        # The filter keeps only constructed members, so equality says the
+        # search reaches each of them.
         constructed = set(shift_closure(single_head_tapes(2)))
         fam = enumerate_family(TAPE_ALPHABETS, 3,
                                predicate=constructed.__contains__,
@@ -140,3 +158,70 @@ class TestEnumeration:
         assert single_head_tape(2, 1, "dd") in fam
         assert bare_tape(2) not in fam
         assert len(fam) == 12
+
+
+class TestCanonicalAugmentation:
+    """The search builds each member once, from its parent, and agrees
+    member for member, in order, with the old search that canonicalized
+    every candidate and dropped the ones it had seen."""
+
+    @pytest.mark.parametrize("alphabets, max_vertices, raw_prune", [
+        (AB0, 7, None),
+        (AB01, 5, None),
+        (ABCD0, 2, None),
+        (Alphabets.make("ab", ("0", "1"), ("x", "y")), 3, None),
+        (Alphabets.make("abc", edge_labels=("x",)), 3, None),
+        (MARKED.marked, 3, MARKED.raw_mark_consistent),
+        (TAPE_ALPHABETS, 4, tape_like),
+    ], ids=["ab-0-7", "ab-01-5", "abcd-0-2", "ab-01-xy-3", "abc-x-3",
+            "marked-ab-0-3", "tape-like-4"])
+    def test_matches_oracle(self, alphabets, max_vertices, raw_prune):
+        fam = enumerate_family(alphabets, max_vertices, raw_prune=raw_prune)
+        assert fam.members == oracles.enumerate_family(
+            alphabets, max_vertices, raw_prune=raw_prune).members
+
+    # Both were checked member for member, in order, against
+    # `oracles.enumerate_family`, which takes 14 to 22 s on each.
+    def test_abcd_up_to_three_vertices(self):
+        fam = enumerate_family(ABCD0, 3)
+        assert len(fam) == 60290
+        assert listing_sha256(fam) == (
+            "4a8f0eabca4e037987c8862adea63913391df753c07c9042176ee6c1dfc3042b")
+
+    def test_marked_up_to_four_vertices(self):
+        fam = enumerate_family(MARKED.marked, 4,
+                               raw_prune=MARKED.raw_mark_consistent)
+        assert len(fam) == 23040
+        assert listing_sha256(fam) == (
+            "2ad61a9361a5e451d5cc704c58833c7c66113e9a5800f478860146415f0c3029")
+
+    def test_members_are_valid_canonical_graphs(self):
+        # Members are built from their parents, never canonicalized, so
+        # each must already be a valid graph in canonical form.
+        for alphabets, max_vertices in (
+                (AB0, 5), (Alphabets.make("ab", ("0", "1"), ("x",)), 3)):
+            for X in enumerate_family(alphabets, max_vertices):
+                pg = X.to_pointed_raw()
+                assert validate(pg.graph) is None
+                assert canonicalize(pg) == X
+
+    def test_no_canonicalization(self, monkeypatch):
+        def refuse(*_args):
+            raise AssertionError("enumeration canonicalized a candidate")
+        monkeypatch.setattr(reversibility, "canonicalize_with_names", refuse)
+        assert len(enumerate_family(AB01, 4)) == 796
+        assert len(enumerate_family(MARKED.marked, 3,
+                                    raw_prune=MARKED.raw_mark_consistent)) == 1008
+
+    def test_cap_counts_members(self):
+        assert len(enumerate_family(AB0, 4, cap=64)) == 64
+        with pytest.raises(FamilyCapError, match="CGD_FAMILY_CAP"):
+            enumerate_family(AB0, 4, cap=63)
+
+    def test_cap_counts_only_graphs_that_pass_the_prune(self):
+        fam = enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like)
+        assert len(enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like,
+                                    cap=len(fam))) == len(fam)
+        with pytest.raises(FamilyCapError):
+            enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like,
+                             cap=len(fam) - 1)

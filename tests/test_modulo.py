@@ -745,10 +745,6 @@ class TestTrustedCallsGetValidGraphs:
         yield
         assert seen
 
-    def test_enumeration(self):
-        enumerate_family(AB0, 5)
-        enumerate_family(Alphabets.make("ab", ("0", "1"), ("x",)), 3)
-
     def test_tabulate(self, tape_closure_5):
         tabulate(get_dynamics("moving-head"), tape_closure_5).inverse()
         turtle = get_dynamics("turtle")
