@@ -12,9 +12,7 @@ from .portgraph import (
     GraphError,
     GraphFormatError,
     InvalidGraphError,
-    LabelAlphabets,
     PointedRawGraph,
-    PortAlphabet,
     RawGraph,
     connected_component,
     make_edge,

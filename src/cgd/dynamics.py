@@ -71,18 +71,17 @@ class IdentityDynamics(Dynamics):
 class RawStepDynamics(Dynamics):
     """Dynamics given by a rewrite of the raw presentation with id tracking.
 
-    `_step` receives the raw graph whose vertex ids are the canonical names
-    of the input and returns (new raw graph, new origin id, id map).
+    `_step` receives the canonical input itself, whose vertex ids are its
+    names, and returns (new raw graph, new origin id, id map).
     """
 
     def apply(self, X):
         self._check_signature(X)
-        raw = X.to_pointed_raw().graph
-        new_raw, origin, id_map = self._step(raw)
+        new_raw, origin, id_map = self._step(X)
         Y, names = canonicalize_with_names(PointedRawGraph(new_raw, origin))
         return Y, {v: names[id_map[v]] for v in X.vertices}
 
-    def _step(self, raw: RawGraph):
+    def _step(self, X: CanonicalGraph):
         raise NotImplementedError
 
 
@@ -100,8 +99,11 @@ class MovingHeadDynamics(RawStepDynamics):
     name = "moving-head"
     alphabets = TAPE_ALPHABETS
 
-    def _step(self, raw):
-        adj = raw.adjacency()
+    def _step(self, X):
+        # A throwaway adjacency, not the cached X.adjacency: a cache would
+        # outlive this step, and the cyclic GC's extra full collections
+        # while the image is canonicalized cost more than the rebuild.
+        adj = RawGraph.adjacency(X)
 
         def has_tape_edge(t):
             row = adj[t]
@@ -109,7 +111,7 @@ class MovingHeadDynamics(RawStepDynamics):
                     or ("b" in row and row["b"][1] == "a"))
 
         moves = []
-        for v in raw.vertices:
+        for v in X.vertices:
             row = adj[v]
             if len(row) != 1:
                 continue
@@ -121,7 +123,7 @@ class MovingHeadDynamics(RawStepDynamics):
                 continue
             moves.append((v, p, t))
 
-        edges = set(raw.edges)
+        edges = set(X.edges)
         for (head, p, t) in moves:
             forward = p == "c"
             step_port, far_port = ("a", "b") if forward else ("b", "a")
@@ -137,12 +139,12 @@ class MovingHeadDynamics(RawStepDynamics):
                 edges.discard(make_edge(head, p, t, p))
                 edges.add(new_edge)
 
-        stepped = RawGraph(alphabets=raw.alphabets, vertices=raw.vertices,
+        stepped = RawGraph(alphabets=X.alphabets, vertices=X.vertices,
                            edges=frozenset(edges),
-                           vertex_labels=dict(raw.vertex_labels),
-                           edge_labels={e: l for e, l in raw.edge_labels.items()
+                           vertex_labels=X.vertex_labels,
+                           edge_labels={e: l for e, l in X.edge_labels.items()
                                         if e in edges})
-        return stepped, EPSILON, {v: v for v in raw.vertices}
+        return stepped, EPSILON, {v: v for v in X.vertices}
 
 
 class InflatingGridDynamics(RawStepDynamics):
@@ -158,29 +160,29 @@ class InflatingGridDynamics(RawStepDynamics):
 
     _CHILDREN = ("NW", "NE", "SW", "SE")
 
-    def _step(self, raw):
-        bad = [e for e in raw.edges
+    def _step(self, X):
+        bad = [e for e in X.edges
                if tuple(sorted(p for (_v, p) in e)) not in (("a", "c"), ("b", "d"))]
         if bad:
             # The least bad edge in serialize_graph's order, not set order.
-            least = next(e for _h1, _h2, e in ordered_edges(raw) if e in bad)
-            p, q = sorted((h[1] for h in least), key=raw.alphabets.port_index)
+            least = next(e for _h1, _h2, e in ordered_edges(X) if e in bad)
+            p, q = sorted((h[1] for h in least), key=X.alphabets.port_index)
             raise DynamicsError(
                 f"{self.name}: edge pairing ports {p}/{q} is not a grid edge")
         vertices = []
         vertex_labels = {}
         edges = set()
-        for v in raw.vertices:
+        for v in X.vertices:
             kids = {c: (v, c) for c in self._CHILDREN}
             vertices.extend(kids[c] for c in self._CHILDREN)
-            if v in raw.vertex_labels:
+            if v in X.vertex_labels:
                 for kid in kids.values():
-                    vertex_labels[kid] = raw.vertex_labels[v]
+                    vertex_labels[kid] = X.vertex_labels[v]
             edges.add(make_edge(kids["NW"], "b", kids["NE"], "d"))
             edges.add(make_edge(kids["SW"], "b", kids["SE"], "d"))
             edges.add(make_edge(kids["NW"], "c", kids["SW"], "a"))
             edges.add(make_edge(kids["NE"], "c", kids["SE"], "a"))
-        for e in raw.edges:
+        for e in X.edges:
             (x, p), (y, q) = tuple(e)
             if (p, q) == ("c", "a") or (p, q) == ("d", "b"):
                 (x, p), (y, q) = (y, q), (x, p)
@@ -190,9 +192,9 @@ class InflatingGridDynamics(RawStepDynamics):
             else:
                 edges.add(make_edge((x, "NE"), "b", (y, "NW"), "d"))
                 edges.add(make_edge((x, "SE"), "b", (y, "SW"), "d"))
-        stepped = RawGraph(alphabets=raw.alphabets, vertices=tuple(vertices),
+        stepped = RawGraph(alphabets=X.alphabets, vertices=tuple(vertices),
                            edges=frozenset(edges), vertex_labels=vertex_labels)
-        return stepped, (EPSILON, "NW"), {v: (v, "NW") for v in raw.vertices}
+        return stepped, (EPSILON, "NW"), {v: (v, "NW") for v in X.vertices}
 
 
 class TurtleDynamics(Dynamics):

@@ -65,6 +65,11 @@ class CanonicalGraph:
     def __hash__(self) -> int:
         return self._hash
 
+    def __reduce__(self):
+        # Rebuild through __init__: string hashes differ between processes.
+        return (CanonicalGraph, (self.alphabets, self.vertices,
+                                 self.vertex_labels, self.edges, self.edge_labels))
+
     def __eq__(self, other: Any) -> bool:
         if self is other:
             return True
@@ -120,13 +125,7 @@ class CanonicalGraph:
     def adjacency(self) -> Dict[Path, Dict[str, Tuple[Path, str]]]:
         """Per-vertex map {port: (far vertex, far port)}."""
         if self._adj_cache is None:
-            adj: Dict[Path, Dict[str, Tuple[Path, str]]] = {
-                v: {} for v in self.vertices}
-            for e in self.edges:
-                (u, p), (w, q) = tuple(e)
-                adj[u][p] = (w, q)
-                adj[w][q] = (u, p)
-            self._adj_cache = adj
+            self._adj_cache = RawGraph.adjacency(self)
         return self._adj_cache
 
     def degree(self, v: Path) -> int:
@@ -145,17 +144,11 @@ class CanonicalGraph:
         return here
 
     def to_pointed_raw(self) -> PointedRawGraph:
-        """Present the canonical form as a raw graph whose ids are the names."""
-        return PointedRawGraph(
-            RawGraph(
-                alphabets=self.alphabets,
-                vertices=self.vertices,
-                edges=self.edges,
-                vertex_labels=dict(self.vertex_labels),
-                edge_labels=dict(self.edge_labels),
-            ),
-            EPSILON,
-        )
+        """Present the canonical form as a raw graph whose ids are the names;
+        the two share their label maps, which neither ever mutates."""
+        return PointedRawGraph(RawGraph(self.alphabets, self.vertices, self.edges,
+                                        self.vertex_labels, self.edge_labels),
+                               EPSILON)
 
     def to_text(self) -> str:
         """Serialize in the graph text format with path-name vertex tokens."""
@@ -213,10 +206,14 @@ def canonicalize_with_names(pg: PointedRawGraph
                             ) -> Tuple[CanonicalGraph, Dict[Any, Path]]:
     """Canonicalize and also return the id -> canonical name assignment.
 
-    Trusts the graph to be valid and checks only that it is connected.
+    Trusts the graph to be valid and checks only that the origin is one of
+    its vertices and that it is connected.
     """
     g = pg.graph
-    names = _canonical_names(g.adjacency(), pg.origin, g.alphabets)
+    adjacency = g.adjacency()
+    if pg.origin not in adjacency:
+        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
+    names = _canonical_names(adjacency, pg.origin, g.alphabets)
     if len(names) != len(g.vertices):
         missing = [v for v in g.vertices if v not in names]
         raise InvalidGraphError(

@@ -178,6 +178,13 @@ def _translate_id(vid, X, anchor):
 
 def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
     mapping = {vid: _translate_id(vid, X, anchor) for vid in patch.graph.vertices}
+    if len(set(mapping.values())) != len(patch.graph.vertices):
+        raise PatchError(
+            f"patch at {format_path(anchor)} has two vertices that resolve "
+            f"to the same host vertex")
+    if patch.successor not in mapping:
+        raise PatchError(f"patch at {format_path(anchor)} has a successor "
+                         f"{patch.successor!r} that is not one of its vertices")
     return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
 
 

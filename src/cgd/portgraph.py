@@ -31,75 +31,40 @@ class GraphFormatError(GraphError):
 
 
 @dataclass(frozen=True)
-class PortAlphabet:
-    """Finite ordered set of port symbols; the order drives all tie-breaking."""
+class Alphabets:
+    """The full signature a graph is written over: a non-empty ordered set
+    of port symbols, whose order drives all tie-breaking, and vertex and
+    edge label sets, either of which may be empty."""
 
     ports: Tuple[str, ...]
+    vertex_labels: Tuple[str, ...] = ()
+    edge_labels: Tuple[str, ...] = ()
+    _index: Dict[str, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.ports:
             raise ValueError("port alphabet must be non-empty")
         if len(set(self.ports)) != len(self.ports):
             raise ValueError(f"duplicate port symbols in {self.ports}")
-        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.ports)})
-
-    def __contains__(self, port: str) -> bool:
-        return port in self._index  # type: ignore[attr-defined]
-
-    def __len__(self) -> int:
-        return len(self.ports)
-
-    def index(self, port: str) -> int:
-        try:
-            return self._index[port]  # type: ignore[attr-defined]
-        except KeyError:
-            raise KeyError(f"unknown port {port!r} (alphabet {self.ports})") from None
-
-
-@dataclass(frozen=True)
-class LabelAlphabets:
-    """Finite vertex and edge label sets; either may be empty."""
-
-    vertex_labels: Tuple[str, ...] = ()
-    edge_labels: Tuple[str, ...] = ()
-
-    def __post_init__(self) -> None:
         for group in (self.vertex_labels, self.edge_labels):
             if len(set(group)) != len(group):
                 raise ValueError(f"duplicate labels in {group}")
-
-
-@dataclass(frozen=True)
-class Alphabets:
-    """The full signature a graph is written over: ports plus label sets."""
-
-    port_alphabet: PortAlphabet
-    label_alphabets: LabelAlphabets = LabelAlphabets()
+        object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.ports)})
 
     @staticmethod
     def make(ports: Iterable[str], vertex_labels: Iterable[str] = (),
              edge_labels: Iterable[str] = ()) -> "Alphabets":
-        return Alphabets(PortAlphabet(tuple(ports)),
-                         LabelAlphabets(tuple(vertex_labels), tuple(edge_labels)))
-
-    @property
-    def ports(self) -> Tuple[str, ...]:
-        return self.port_alphabet.ports
-
-    @property
-    def vertex_labels(self) -> Tuple[str, ...]:
-        return self.label_alphabets.vertex_labels
-
-    @property
-    def edge_labels(self) -> Tuple[str, ...]:
-        return self.label_alphabets.edge_labels
+        return Alphabets(tuple(ports), tuple(vertex_labels), tuple(edge_labels))
 
     def port_index(self, port: str) -> int:
-        return self.port_alphabet.index(port)
+        try:
+            return self._index[port]
+        except KeyError:
+            raise KeyError(f"unknown port {port!r} (alphabet {self.ports})") from None
 
     def path_key(self, path) -> Tuple[int, Tuple[Tuple[int, int], ...]]:
         """Length-then-lexicographic sort key for a path under the port order."""
-        idx = self.port_alphabet.index
+        idx = self.port_index
         return (len(path.pairs), tuple((idx(p), idx(q)) for (p, q) in path.pairs))
 
 
@@ -114,7 +79,8 @@ class RawGraph:
 
     Labellings are partial: absence from the map means unlabelled, which is
     distinct from every alphabet label.  Values are immutable by convention;
-    do not mutate the label dicts after construction.
+    do not mutate the label dicts after construction.  Construction checks
+    nothing: `validate` does, where a graph enters from outside.
     """
 
     alphabets: Alphabets
@@ -123,12 +89,9 @@ class RawGraph:
     vertex_labels: Mapping[VertexId, str] = field(default_factory=dict)
     edge_labels: Mapping[Edge, str] = field(default_factory=dict)
 
-    def __post_init__(self) -> None:
-        if len(set(self.vertices)) != len(self.vertices):
-            raise InvalidGraphError(f"duplicate vertex ids in {self.vertices}")
-
     def adjacency(self) -> Dict[VertexId, Dict[str, HalfEdge]]:
-        """Map each vertex to {port: far half-edge}; requires port uniqueness."""
+        """Map each vertex to {port: far half-edge}; requires port uniqueness.
+        Built afresh on each call; it also serves a CanonicalGraph."""
         adj: Dict[VertexId, Dict[str, HalfEdge]] = {v: {} for v in self.vertices}
         for e in self.edges:
             (u, p), (w, q) = tuple(e)
@@ -151,10 +114,10 @@ def _edge_token(e: Edge) -> Tuple[Tuple[str, str], ...]:
 def validate(g: RawGraph) -> Optional[str]:
     """Check structural constraints; return None if ok, else the first violation.
 
-    Checked in order: edge shape (two distinct half-edges on known vertices
-    and ports), label membership, then port uniqueness across edges.  The
-    message always names the same violation for the same graph regardless
-    of set iteration order.
+    Checked in order: distinct vertex ids, edge shape (two distinct
+    half-edges on known vertices and ports), label membership, then port
+    uniqueness across edges.  The message always names the same violation
+    for the same graph regardless of set iteration order.
     """
     if _scan(g, sort=False) is None:
         return None
@@ -162,8 +125,10 @@ def validate(g: RawGraph) -> Optional[str]:
 
 
 def _scan(g: RawGraph, sort: bool) -> Optional[str]:
-    ports = g.alphabets.port_alphabet
+    ports = g.alphabets.ports
     vertex_set = set(g.vertices)
+    if len(vertex_set) != len(g.vertices):
+        return f"duplicate vertex ids in {g.vertices}"
     edges = sorted(g.edges, key=_edge_token) if sort else g.edges
     for e in edges:
         if len(e) != 2:
@@ -288,10 +253,6 @@ class PointedRawGraph:
     graph: RawGraph
     origin: VertexId
 
-    def __post_init__(self) -> None:
-        if self.origin not in set(self.graph.vertices):
-            raise InvalidGraphError(f"origin {self.origin!r} is not a vertex")
-
 
 # ---------------------------------------------------------------------------
 # Text format
@@ -402,7 +363,7 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
         for (v, p) in e:
             if v not in vertex_set:
                 raise GraphFormatError(f"line {line_no}: undeclared vertex {v!r}")
-            if p not in alphabets.port_alphabet:
+            if p not in alphabets.ports:
                 raise GraphFormatError(f"line {line_no}: unknown port {p!r}")
             if (v, p) in used:
                 raise GraphFormatError(
@@ -437,8 +398,10 @@ def serialize_graph(pg: PointedRawGraph, token=str) -> str:
     """
     g = pg.graph
     tokens = {v: token(v) for v in g.vertices}
-    if len(set(tokens.values())) != len(tokens):
+    if len(set(tokens.values())) != len(g.vertices):    # a repeated id too
         raise GraphFormatError("vertex id tokens collide")
+    if pg.origin not in tokens:
+        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
     for t in tokens.values():
         if t.split() != [t] or ":" in t or "#" in t:
             raise GraphFormatError(f"vertex token {t!r} not writable")

@@ -568,7 +568,7 @@ class SlicingMarks:
 
     def port_base(self, marked_port: str) -> Tuple[str, int]:
         base, bit = marked_port[:-1], marked_port[-1]
-        if bit not in "01" or base not in self.base.port_alphabet:
+        if bit not in "01" or base not in self.base.ports:
             raise MarkError(f"not a marked port token: {marked_port!r}")
         return base, int(bit)
 

@@ -116,6 +116,18 @@ class TestRun:
         assert one_error_line(capsys) == (
             "error: no rule entry for a radius-0 disk of 2 vertices")
 
+    def test_patch_naming_one_host_vertex_twice(self, tmp_path, capsys):
+        # eps and ab both resolve to the looped vertex itself.
+        rule = tmp_path / "rule.txt"
+        rule.write_text("radius 0\ndisk\nports a b\nvertex eps\n"
+                        "edge eps:a eps:b\npointer eps\nmaps-to\n"
+                        "ports a b\nvertex eps\nvertex ab\npointer eps\n")
+        graph = tmp_path / "loop.graph"
+        graph.write_text("ports a b\nvertex v\nedge v:a v:b\npointer v\n")
+        assert main(["run", "--rule-file", str(rule), "--input", str(graph),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        one_error_line(capsys)
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["run", "--dynamics", "identity",
                      "--input", str(tmp_path / "nope.graph")]) == EXIT_IO

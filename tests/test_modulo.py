@@ -1,5 +1,6 @@
 """Canonical forms and the structural operations over them."""
 import random
+import re
 import sys
 from itertools import combinations
 
@@ -722,6 +723,22 @@ class TestTrustBoundary:
                      vertex_labels={"w": label})
         with pytest.raises(InvalidGraphError, match=f"^{message}$"):
             canonicalize(PointedRawGraph(g, "v"))
+
+    def test_validate_reports_duplicate_vertex_ids_first(self):
+        g = RawGraph(alphabets=AB0, vertices=("v", "w", "v"),
+                     edges=frozenset((make_edge("v", "a", "w", "z"),)),
+                     vertex_labels={"w": "q"})
+        message = "duplicate vertex ids in ('v', 'w', 'v')"
+        assert portgraph.validate(g) == message
+        with pytest.raises(InvalidGraphError, match=f"^{re.escape(message)}$"):
+            canonicalize(PointedRawGraph(g, "v"))
+
+    @pytest.mark.parametrize("call", [canonicalize, canonicalize_with_names])
+    def test_origin_outside_the_graph(self, call):
+        g = RawGraph(alphabets=AB0, vertices=("v", "w"),
+                     edges=frozenset((make_edge("v", "a", "w", "b"),)))
+        with pytest.raises(InvalidGraphError, match="^origin 'u' is not a vertex$"):
+            call(PointedRawGraph(g, "u"))
 
 
 class TestTrustedCallsGetValidGraphs:

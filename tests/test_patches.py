@@ -20,14 +20,16 @@ from cgd.patches import (
     LocalRule,
     LocalRuleDynamics,
     Patch,
+    PatchError,
     PatchInconsistencyError,
     RuleLookupError,
     identity_local_rule,
     parse_rule_file,
     serialize_rule_file,
 )
-from cgd.paths import EPSILON
-from cgd.portgraph import GraphFormatError, InvalidGraphError, validate
+from cgd.paths import EPSILON, parse_path
+from cgd.portgraph import (GraphError, GraphFormatError, InvalidGraphError,
+                            validate)
 
 AB = Alphabets.make("ab")
 ABL = Alphabets.make("ab", vertex_labels=("x", "y"))
@@ -130,6 +132,26 @@ class TestApplyLocalRule:
         with pytest.raises(PatchInconsistencyError) as err:
             apply_local_rule(rule, X)
         assert err.value.anchors is not None
+
+    def test_patch_naming_one_host_vertex_twice_is_rejected(self):
+        # On a vertex with an a-b self-loop the paths eps and ab both lead
+        # back to the vertex itself, so the patch's two vertices would merge.
+        loop = RawGraph(alphabets=AB, vertices=("v",),
+                        edges=frozenset((make_edge("v", "a", "v", "b"),)))
+        X = canonicalize(PointedRawGraph(loop, "v"))
+        ids = (frozenset((EPSILON,)), frozenset((parse_path("ab", "ab"),)))
+        patch = Patch(RawGraph(alphabets=AB, vertices=ids), ids[0])
+        rule = LocalRule(radius=0, rule=lambda view: patch)
+        with pytest.raises(GraphError):
+            apply_local_rule(rule, X)
+
+    def test_successor_outside_the_patch_is_rejected(self):
+        X = canonicalize(PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v"))
+        ids = (frozenset((EPSILON,)),)
+        patch = Patch(RawGraph(alphabets=AB, vertices=ids), frozenset((EPSILON, 1)))
+        rule = LocalRule(radius=0, rule=lambda view: patch)
+        with pytest.raises(PatchError, match="^patch at eps has a successor "):
+            apply_local_rule(rule, X)
 
 
 def degree_dependent_labeller():

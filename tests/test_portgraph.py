@@ -1,8 +1,15 @@
 """Raw port graphs: validation, components, the text format, and paths."""
+import os
+import pickle
+import re
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import cgd
 from cgd import (
     Alphabets,
     GraphFormatError,
@@ -17,7 +24,10 @@ from cgd import (
     serialize_graph,
     validate,
 )
+from cgd.families import single_head_tape
 from cgd.paths import EPSILON, Path, format_path, parse_path
+
+SRC = os.path.dirname(os.path.dirname(cgd.__file__))
 
 AB = Alphabets.make("ab")
 ABCD = Alphabets.make("abcd", vertex_labels=("0", "1"), edge_labels=("x",))
@@ -269,6 +279,15 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError, match="not writable"):
             serialize_graph(pg, token=lambda v: token)
 
+    @pytest.mark.parametrize("vertices, origin, error", [
+        (("v",), "w", InvalidGraphError),
+        (("v", "v"), "v", GraphFormatError),
+    ])
+    def test_unwritable_graph_rejected(self, vertices, origin, error):
+        pg = PointedRawGraph(RawGraph(alphabets=AB, vertices=vertices), origin)
+        with pytest.raises(error):
+            serialize_graph(pg)
+
     def test_undeclared_edge_vertex(self):
         with pytest.raises(GraphFormatError, match="undeclared"):
             parse_graph(SAMPLE + "edge v9:a v2:c\n")
@@ -292,6 +311,48 @@ class TestTextFormat:
         except (GraphFormatError, InvalidGraphError):
             return
         assert validate(pg.graph) is None
+
+
+class TestAlphabets:
+    """`Alphabets` is one frozen record, checked when it is built."""
+
+    @pytest.mark.parametrize("args, message", [
+        (((),), "port alphabet must be non-empty"),
+        ((("a", "b", "a"),), "duplicate port symbols in ('a', 'b', 'a')"),
+        (("ab", ("0", "0")), "duplicate labels in ('0', '0')"),
+        (("ab", (), ("x", "y", "x")), "duplicate labels in ('x', 'y', 'x')"),
+    ])
+    def test_construction_errors(self, args, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Alphabets.make(*args)
+
+    def test_unknown_port(self):
+        with pytest.raises(KeyError, match=re.escape(
+                "unknown port 'z' (alphabet ('a', 'b', 'c', 'd'))")):
+            ABCD.port_index("z")
+        assert [ABCD.port_index(p) for p in "dcba"] == [3, 2, 1, 0]
+
+    def test_equal_makes_are_equal_records(self):
+        again = Alphabets.make(["a", "b", "c", "d"], ("0", "1"), ["x"])
+        assert again == ABCD and hash(again) == hash(ABCD)
+        assert again != Alphabets.make("abcd", ("0", "1"))
+        assert repr(AB) == "Alphabets(ports=('a', 'b'), vertex_labels=(), edge_labels=())"
+
+    def test_canonical_graph_pickles(self):
+        X = single_head_tape(5, 2)
+        Y = pickle.loads(pickle.dumps(X))
+        assert Y == X and hash(Y) == hash(X) and Y.to_text() == X.to_text()
+        assert Y.alphabets.port_index("d") == 3
+
+    def test_canonical_graph_pickles_across_hash_seeds(self):
+        # Names and labels are strings, whose hashes change with the seed.
+        code = ("import pickle, sys; from cgd.families import single_head_tape; "
+                "sys.stdout.buffer.write(pickle.dumps(single_head_tape(5, 2)))")
+        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(
+            filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
+        data = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, check=True).stdout
+        assert pickle.loads(data) in {single_head_tape(5, 2)}
 
 
 class TestPaths:
