@@ -56,15 +56,12 @@ from .reversibility import (
 from .blocks import (
     BlockKit,
     MarkSpace,
-    ProjectionSet,
     ReversibleExtension,
     ShiftedDynamics,
     apply_product,
     check_locality,
     find_locality_radius,
-    lower_projection,
     mark,
-    upper_projection,
 )
 from .dot import export_dot
 

@@ -12,7 +12,8 @@ a product of unmarks, each acting only inside a bounded disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
+from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
+                    Tuple)
 
 from .dynamics import (
     CompositeDynamics,
@@ -297,15 +298,8 @@ def apply_product(base: Dynamics, anchors: Sequence[Path], X: CanonicalGraph,
 
 
 # ---------------------------------------------------------------------------
-# Projections
+# Reversible extension
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class ProjectionSet:
-    """Connected components, each re-pointed at its least original name."""
-
-    components: Tuple[Tuple[Path, CanonicalGraph], ...]
 
 
 def _mark_partition(X: CanonicalGraph, space: MarkSpace
@@ -346,30 +340,6 @@ def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
                         nxt.append(w)
             frontier = nxt
     return out
-
-
-def _projection(X: CanonicalGraph, keep: Set[Path]) -> ProjectionSet:
-    return ProjectionSet(tuple(
-        (comp[0], canonicalize_with_names(
-            PointedRawGraph(induced_subgraph(X, comp), comp[0]))[0])
-        for comp in _components(X, keep)))
-
-
-def lower_projection(X: CanonicalGraph, space: MarkSpace) -> ProjectionSet:
-    """Components left after deleting every marked vertex."""
-    _marked, unmarked, _boundary = _mark_partition(X, space)
-    return _projection(X, unmarked)
-
-
-def upper_projection(X: CanonicalGraph, space: MarkSpace) -> ProjectionSet:
-    """Components left after deleting unmarked vertices with no used 1-port."""
-    marked, _unmarked, boundary = _mark_partition(X, space)
-    return _projection(X, marked | boundary)
-
-
-# ---------------------------------------------------------------------------
-# Reversible extension
-# ---------------------------------------------------------------------------
 
 
 class ReversibleExtension(Dynamics):
@@ -418,7 +388,9 @@ class ReversibleExtension(Dynamics):
         marked, unmarked, boundary = _mark_partition(X, space)
         upper_keep = marked | boundary
 
-        pieces = [induced_subgraph(X, comp) for comp in _components(X, upper_keep)]
+        # One piece for the whole frozen part: its components share no
+        # vertex or edge, so no clash lies between them.
+        pieces = [induced_subgraph(X, upper_keep)]
         final_id: Dict[Path, object] = {v: v for v in upper_keep}
 
         for comp in _components(X, unmarked):
@@ -537,47 +509,51 @@ class BlockKit:
         return final
 
 
-def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
-    """Is every far image vertex a verbatim copy of some source vertex?
+def _unwitnessed(L: Dynamics, fam: GraphFamily
+                 ) -> Iterator[Tuple[CanonicalGraph, Path]]:
+    """Each image vertex that is no verbatim copy of a source vertex, with
+    its member, in family order; L is applied to a member when the scan
+    reaches it.
 
-    For each image vertex farther than `radius` from the origin there must
-    be a source vertex with the same radius-0 disk whose whole disk the
-    correspondence maps by plain path extension.
+    A witness is a source vertex with the same radius-0 disk whose whole
+    disk the correspondence maps by plain path extension.  Nothing here
+    depends on a radius, so every radius reads the same scan.
     """
     for X in fam:
         Y, S = L.apply(X)
         source_disks = {u: disk_at(X, u, 0) for u in X.vertices}
-        for far_vertex in Y.vertices:
-            if len(far_vertex) <= radius:
-                continue
-            image_disk = disk_at(Y, far_vertex, 0)
-            witnessed = False
-            for u in X.vertices:
-                if S[u] != far_vertex or source_disks[u] != image_disk:
-                    continue
-                ok = True
-                for v in source_disks[u].graph.vertices:
-                    uv = X.resolve(v, start=u)
-                    if uv is None or S[uv] != Y.resolve(v, start=far_vertex):
-                        ok = False
-                        break
-                if ok:
-                    witnessed = True
-                    break
-            if not witnessed:
-                return (f"image vertex {format_path(far_vertex)} of a "
-                        f"{len(X.vertices)}-vertex member has no source "
-                        f"witness at radius {radius}")
+        for y in Y.vertices:
+            image_disk = disk_at(Y, y, 0)
+            if not any(S[u] == y and source_disks[u] == image_disk
+                       and all((uv := X.resolve(v, start=u)) is not None
+                               and S[uv] == Y.resolve(v, start=y)
+                               for v in source_disks[u].graph.vertices)
+                       for u in X.vertices):
+                yield X, y
+
+
+def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
+    """Is every image vertex farther than `radius` from the origin a
+    verbatim copy of some source vertex?  None if so, else the first that
+    is not."""
+    for X, y in _unwitnessed(L, fam):
+        if len(y) > radius:
+            return (f"image vertex {format_path(y)} of a "
+                    f"{len(X.vertices)}-vertex member has no source "
+                    f"witness at radius {radius}")
     return None
 
 
 def find_locality_radius(L: Dynamics, fam: GraphFamily,
                          max_radius: int = 4) -> Optional[int]:
-    """Least radius at which check_locality passes, or None up to the bound."""
-    for r in range(max_radius + 1):
-        if check_locality(L, r, fam) is None:
-            return r
-    return None
+    """Least radius at which check_locality passes, or None up to the bound:
+    the longest unwitnessed name, read off one application per member."""
+    radius = 0
+    for _X, y in _unwitnessed(L, fam):
+        if len(y) > max_radius:
+            return None
+        radius = max(radius, len(y))
+    return radius
 
 
 def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
@@ -587,20 +563,12 @@ def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
     if len(set(T.values())) != len(T) or set(T.values()) != set(Y.vertices):
         raise MarkError("gate correspondence is not a bijection; "
                         "footprint undefined")
+    moved = relabel(X, ids=T)
+    altered = {w for w in Y.vertices
+               if moved.vertex_labels.get(w) != Y.vertex_labels.get(w)}
+    edges = moved.edges ^ Y.edges
+    edges |= {e for e in moved.edges & Y.edges
+              if moved.edge_labels.get(e) != Y.edge_labels.get(e)}
+    altered.update(w for e in edges for (w, _p) in e)
     back = {w: v for v, w in T.items()}
-    changed: Set[Path] = set()
-    for v in X.vertices:
-        if X.vertex_labels.get(v) != Y.vertex_labels.get(T[v]):
-            changed.add(v)
-    mapped = {}
-    for e in X.edges:
-        (u, p), (w, q) = tuple(e)
-        e2 = frozenset(((T[u], p), (T[w], q)))
-        mapped[e2] = e
-        if e2 not in Y.edges or X.edge_labels.get(e) != Y.edge_labels.get(e2):
-            changed.update((u, w))
-    for e2 in Y.edges:
-        if e2 not in mapped:
-            changed.update(back[w] for (w, _p) in e2)
-    return changed
-
+    return {back[w] for w in altered}

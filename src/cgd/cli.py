@@ -123,7 +123,6 @@ def _cmd_run(args) -> int:
     dynamics = _load_dynamics(args)
     X = _load_graph(args.input)
     out_dir = args.output_dir
-    os.makedirs(out_dir, exist_ok=True)
     current = X
     for step in range(args.steps + 1):
         _write_text(os.path.join(out_dir, f"step{step:03d}.graph"),
@@ -217,7 +216,6 @@ def _cmd_decompose(args) -> int:
     direct = dynamics.apply(X)[0]
     agree = result == direct
     if args.trace:
-        os.makedirs(args.output_dir, exist_ok=True)
         for i, stage in enumerate(trace):
             base = os.path.join(args.output_dir, f"stage{i:03d}")
             _write_text(base + ".graph", f"# {stage.label}\n" + stage.graph.to_text())

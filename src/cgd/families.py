@@ -1,7 +1,7 @@
 """Constructors for the structured graph families the built-in rules act on."""
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, List, Tuple, Union
+from typing import Dict, Iterable, List, Optional, Tuple
 
 from .modulo import CanonicalGraph, canonicalize, shift
 from .portgraph import Alphabets, PointedRawGraph, RawGraph, make_edge
@@ -71,29 +71,21 @@ def shift_closure(graphs: Iterable[CanonicalGraph]) -> List[CanonicalGraph]:
     return list(dict.fromkeys(shift(X, v) for X in graphs for v in X.vertices))
 
 
-LabelSpec = Union[str, Dict[Tuple[int, int], str], Callable[[int, int], str], None]
-
-
-def grid_graph(rows: int, cols: int, labels: LabelSpec = None,
+def grid_graph(rows: int, cols: int,
+               labels: Optional[Dict[Tuple[int, int], str]] = None,
                alphabets: Alphabets = GRID_ALPHABETS) -> CanonicalGraph:
     """A rows x cols grid pointed at the top-left cell.
 
     Vertical edges join a cell's upward port a to the cell above on its
-    downward port c; horizontal edges join b rightward to d.  `labels` may
-    be a single label, a dict/function over (row, col), or None for the
-    first label in the alphabet.
+    downward port c; horizontal edges join b rightward to d.  `labels` maps
+    each (row, col) to its label; None gives every cell the first label in
+    the alphabet.
     """
     if rows < 1 or cols < 1:
         raise ValueError("grid needs at least one row and one column")
-    if labels is None:
-        label_of = lambda i, j: alphabets.vertex_labels[0]
-    elif isinstance(labels, str):
-        label_of = lambda i, j: labels
-    elif isinstance(labels, dict):
-        label_of = lambda i, j: labels[(i, j)]
-    else:
-        label_of = labels
     cells = tuple((i, j) for i in range(rows) for j in range(cols))
+    if labels is None:
+        labels = dict.fromkeys(cells, alphabets.vertex_labels[0])
     edges = set()
     for (i, j) in cells:
         if i + 1 < rows:
@@ -101,7 +93,7 @@ def grid_graph(rows: int, cols: int, labels: LabelSpec = None,
         if j + 1 < cols:
             edges.add(make_edge((i, j), "b", (i, j + 1), "d"))
     raw = RawGraph(alphabets=alphabets, vertices=cells, edges=frozenset(edges),
-                   vertex_labels={c: label_of(*c) for c in cells})
+                   vertex_labels={c: labels[c] for c in cells})
     return canonicalize(PointedRawGraph(raw, (0, 0)))
 
 

@@ -128,9 +128,6 @@ class CanonicalGraph:
             self._adj_cache = RawGraph.adjacency(self)
         return self._adj_cache
 
-    def degree(self, v: Path) -> int:
-        return len(self.adjacency[v])
-
     def resolve(self, path: Path, start: Path = EPSILON) -> Optional[Path]:
         """Follow a port-pair word from `start` (by default the origin);
         None if some hop is missing."""

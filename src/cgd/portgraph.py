@@ -99,9 +99,6 @@ class RawGraph:
             adj[w][q] = (u, p)
         return adj
 
-    def degree(self, v: VertexId) -> int:
-        return sum(1 for e in self.edges for (u, _p) in e if u == v)
-
 
 def _half_edge_token(h: HalfEdge) -> Tuple[str, str]:
     return (repr(h[0]), repr(h[1]))

@@ -60,6 +60,13 @@ edge between free ports (`_extensions`), canonicalizes each candidate by
 BFS and drops the ones already in its `seen` set.
 `reversibility.enumerate_family` now builds each member once, from its
 parent, and runs no BFS.
+
+`check_locality`, `find_locality_radius` and `gate_footprint` are the
+locality checks as they were in `blocks`: the radius search called
+`check_locality` at r = 0, 1, ... and so applied the gate once per member
+per radius tried, and the footprint mapped every edge of the source by hand.
+`blocks` now reads the radius off one application per member and compares
+edges through `portgraph.relabel`.
 """
 from collections import deque
 from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
@@ -68,6 +75,7 @@ from cgd.blocks import (
     MarkError,
     MarkSpace,
     ReversibleExtension,
+    ShiftedDynamics,
     UnionInconsistencyError,
     _components,
     _mark_partition,
@@ -84,6 +92,7 @@ from cgd.modulo import (
     canonicalize,
     canonicalize_with_names,
     disk,
+    disk_at,
     shift,
     shift_equivalence_classes,
 )
@@ -787,3 +796,62 @@ def _extensions(X: CanonicalGraph, max_vertices: int,
                                edges=base.edges | {e},
                                vertex_labels=dict(base.vertex_labels),
                                edge_labels=edge_labels)
+
+
+def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
+    for X in fam:
+        Y, S = L.apply(X)
+        source_disks = {u: disk_at(X, u, 0) for u in X.vertices}
+        for far_vertex in Y.vertices:
+            if len(far_vertex) <= radius:
+                continue
+            image_disk = disk_at(Y, far_vertex, 0)
+            witnessed = False
+            for u in X.vertices:
+                if S[u] != far_vertex or source_disks[u] != image_disk:
+                    continue
+                ok = True
+                for v in source_disks[u].graph.vertices:
+                    uv = X.resolve(v, start=u)
+                    if uv is None or S[uv] != Y.resolve(v, start=far_vertex):
+                        ok = False
+                        break
+                if ok:
+                    witnessed = True
+                    break
+            if not witnessed:
+                return (f"image vertex {format_path(far_vertex)} of a "
+                        f"{len(X.vertices)}-vertex member has no source "
+                        f"witness at radius {radius}")
+    return None
+
+
+def find_locality_radius(L: Dynamics, fam: GraphFamily,
+                         max_radius: int = 4) -> Optional[int]:
+    for r in range(max_radius + 1):
+        if check_locality(L, r, fam) is None:
+            return r
+    return None
+
+
+def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path) -> Set[Path]:
+    Y, T = ShiftedDynamics(gate, anchor).apply(X)
+    if len(set(T.values())) != len(T) or set(T.values()) != set(Y.vertices):
+        raise MarkError("gate correspondence is not a bijection; "
+                        "footprint undefined")
+    back = {w: v for v, w in T.items()}
+    changed: Set[Path] = set()
+    for v in X.vertices:
+        if X.vertex_labels.get(v) != Y.vertex_labels.get(T[v]):
+            changed.add(v)
+    mapped = {}
+    for e in X.edges:
+        (u, p), (w, q) = tuple(e)
+        e2 = frozenset(((T[u], p), (T[w], q)))
+        mapped[e2] = e
+        if e2 not in Y.edges or X.edge_labels.get(e) != Y.edge_labels.get(e2):
+            changed.update((u, w))
+    for e2 in Y.edges:
+        if e2 not in mapped:
+            changed.update(back[w] for (w, _p) in e2)
+    return changed

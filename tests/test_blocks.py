@@ -13,10 +13,8 @@ from cgd import (
     apply_product,
     canonicalize,
     get_dynamics,
-    lower_projection,
     make_edge,
     mark,
-    upper_projection,
 )
 from cgd import cli
 from cgd.blocks import (
@@ -32,7 +30,13 @@ from cgd.blocks import (
     gate_footprint,
     mark_with_names,
 )
-from cgd.dynamics import CompositeDynamics, FuncDynamics, IdentityDynamics
+from cgd.dynamics import (
+    CompositeDynamics,
+    Dynamics,
+    DynamicsError,
+    FuncDynamics,
+    IdentityDynamics,
+)
 from cgd.families import (
     TAPE_ALPHABETS,
     bare_tape,
@@ -42,10 +46,11 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.modulo import CanonicalGraph, ball, shift
+from cgd.modulo import CanonicalGraph, ball, canonicalize_with_names, shift
 from cgd.paths import EPSILON, format_path
 from cgd.portgraph import GraphError, relabel, validate
 from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
+import oracles
 from oracles import SlicingMarks, mark_with_names_by_slicing
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
@@ -297,9 +302,7 @@ class TestNoKeyErrorFromTables:
         X = bare_tape(3, AB0)
         with pytest.raises(MarkError, match="not a marked"):
             SPACE.vertex_mark(X, EPSILON)
-        for check in (SPACE.uniform_mark, lambda G: mark(G, SPACE),
-                      lambda G: lower_projection(G, SPACE),
-                      lambda G: upper_projection(G, SPACE)):
+        for check in (SPACE.uniform_mark, lambda G: mark(G, SPACE)):
             with pytest.raises(MarkError):
                 check(X)
 
@@ -507,38 +510,6 @@ class TestProducts:
             results.add(Y)
         assert len(results) == 1
         assert SPACE.uniform_mark(next(iter(results))) == 1
-
-
-class TestProjections:
-    def test_all_unmarked(self):
-        X = TAPE_SPACE.lift(single_head_tape(2, 0, "cc"))
-        low = lower_projection(X, TAPE_SPACE)
-        up = upper_projection(X, TAPE_SPACE)
-        assert up.components == ()
-        assert len(low.components) == 1
-        anchor, component = low.components[0]
-        assert anchor == EPSILON
-        assert component == X
-
-    def test_all_marked(self):
-        X = TAPE_SPACE.lift(bare_tape(3))
-        Y, _ = apply_product(MarkDynamics(TAPE_SPACE), X.vertices, X)
-        low = lower_projection(Y, TAPE_SPACE)
-        up = upper_projection(Y, TAPE_SPACE)
-        assert low.components == ()
-        assert len(up.components) == 1
-        assert up.components[0] == (EPSILON, Y)
-
-    def test_marked_middle_cell_splits_tape(self):
-        X = TAPE_SPACE.lift(bare_tape(3))
-        middle = X.vertices[1]
-        M, _ = ShiftedDynamics(MarkDynamics(TAPE_SPACE), middle).apply(X)
-        low = lower_projection(M, TAPE_SPACE)
-        assert len(low.components) == 2
-        assert all(len(c.vertices) == 1 for (_a, c) in low.components)
-        up = upper_projection(M, TAPE_SPACE)
-        assert len(up.components) == 1
-        assert len(up.components[0][1].vertices) == 3
 
 
 class TestReversibleExtension:
@@ -763,6 +734,30 @@ class TestKitFromFamily:
         assert kit.decompose_step(X) == twice.apply(X)[0]
 
 
+def parity_flip_on_chains():
+    """A rule that flips every label of a graph with an even vertex count,
+    and the 3- and 4-vertex chains it runs on."""
+    def parity_flip(X):
+        if len(X.vertices) % 2 == 0:
+            flipped = {v: {"0": "1", "1": "0"}[l]
+                       for v, l in X.vertex_labels.items()}
+            raw = RawGraph(alphabets=AB01, vertices=X.vertices,
+                           edges=X.edges, vertex_labels=flipped)
+            return (canonicalize(PointedRawGraph(raw, EPSILON)),
+                    {v: v for v in X.vertices})
+        return X, {v: v for v in X.vertices}
+
+    chains = []
+    for n in (3, 4):
+        edges = frozenset(make_edge(i, "a", i + 1, "b")
+                          for i in range(n - 1))
+        raw = RawGraph(alphabets=AB01, vertices=tuple(range(n)),
+                       edges=edges, vertex_labels={i: "0" for i in range(n)})
+        chains.append(canonicalize(PointedRawGraph(raw, 0)))
+    return (FuncDynamics("parity-flip", parity_flip, AB01),
+            GraphFamily.from_graphs(chains, AB01))
+
+
 class TestLocality:
     def test_identity_is_zero_local(self):
         ident = IdentityDynamics()
@@ -780,25 +775,7 @@ class TestLocality:
         assert radius == 2
 
     def test_global_rule_is_not_local(self):
-        def parity_flip(X):
-            if len(X.vertices) % 2 == 0:
-                flipped = {v: {"0": "1", "1": "0"}[l]
-                           for v, l in X.vertex_labels.items()}
-                raw = RawGraph(alphabets=AB01, vertices=X.vertices,
-                               edges=X.edges, vertex_labels=flipped)
-                return (canonicalize(PointedRawGraph(raw, EPSILON)),
-                        {v: v for v in X.vertices})
-            return X, {v: v for v in X.vertices}
-
-        rule = FuncDynamics("parity-flip", parity_flip, AB01)
-        chains = []
-        for n in (3, 4):
-            edges = frozenset(make_edge(i, "a", i + 1, "b")
-                              for i in range(n - 1))
-            raw = RawGraph(alphabets=AB01, vertices=tuple(range(n)),
-                           edges=edges, vertex_labels={i: "0" for i in range(n)})
-            chains.append(canonicalize(PointedRawGraph(raw, 0)))
-        fam = GraphFamily.from_graphs(chains, AB01)
+        rule, fam = parity_flip_on_chains()
         for radius in (0, 1, 2):
             assert check_locality(rule, radius, fam) is not None
 
@@ -856,3 +833,152 @@ class TestClosureCrossValidation:
             got_graph, got_corr = kit.backward_ext.apply(m)
             assert got_graph == expected_graph
             assert got_corr == expected_corr
+
+
+class Recording(Dynamics):
+    """A gate that records each member it is applied to, and raises a
+    DynamicsError on the member at index `fail_at` of `fam`."""
+
+    def __init__(self, gate, fam=(), fail_at=None):
+        self.gate, self.name, self.alphabets = gate, gate.name, gate.alphabets
+        self.poison = None if fail_at is None else list(fam)[fail_at]
+        self.applied = []
+
+    def apply(self, X):
+        self.applied.append(X)
+        if X == self.poison:
+            raise DynamicsError(f"{self.name}: poisoned member")
+        return self.gate.apply(X)
+
+
+@pytest.fixture(scope="module")
+def cli_kits():
+    """The CLI's kits for moving-head, identity and two moving-head steps
+    at once, whose inverse has radius 2."""
+    mh = get_dynamics("moving-head")
+    twice = CompositeDynamics((mh, mh), name="moving-head-twice")
+    return [cli._tape_kit(D) for D in (mh, IdentityDynamics(), twice)]
+
+
+class Memo(Dynamics):
+    """A gate that keeps its results, so that the old radius-by-radius
+    search re-scans a family cheaply."""
+
+    def __init__(self, gate):
+        self.gate, self.name, self.alphabets = gate, gate.name, gate.alphabets
+        self.results = {}
+
+    def apply(self, X):
+        if X not in self.results:
+            self.results[X] = self.gate.apply(X)
+        return self.results[X]
+
+
+@pytest.fixture(scope="module")
+def conjugates(cli_kits):
+    """Each CLI kit's conjugate mark, with the lifted shift closure of the
+    single-head tapes of <= 6 vertices."""
+    return [(Memo(kit.conjugate), GraphFamily.from_graphs(
+        [kit.space.lift(g) for g in shift_closure(single_head_tapes(5))],
+        kit.space.marked)) for kit in cli_kits]
+
+
+EDGE_LABELLED = Alphabets.make("ab", vertex_labels=("0",), edge_labels=("x", "y"))
+
+
+def labelled_chain(n):
+    edges = [make_edge(i, "a", i + 1, "b") for i in range(n - 1)]
+    raw = RawGraph(alphabets=EDGE_LABELLED, vertices=tuple(range(n)),
+                   edges=frozenset(edges),
+                   vertex_labels=dict.fromkeys(range(n), "0"),
+                   edge_labels=dict.fromkeys(edges, "x"))
+    return canonicalize(PointedRawGraph(raw, 0))
+
+
+def flip_origin_edge_label(X):
+    """Flip the label of the edge on the origin's port a, if it has one."""
+    labels = dict(X.edge_labels)
+    hop = X.adjacency[EPSILON].get("a")
+    if hop is not None:
+        e = make_edge(EPSILON, "a", *hop)
+        labels[e] = {"x": "y", "y": "x"}[labels[e]]
+    raw = RawGraph(alphabets=X.alphabets, vertices=X.vertices, edges=X.edges,
+                   vertex_labels=X.vertex_labels, edge_labels=labels)
+    return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+
+
+class TestLocalityAgainstOracles:
+    """`check_locality`, `find_locality_radius` and `gate_footprint` agree
+    with the versions that searched radius by radius and mapped edges by
+    hand (`oracles`): results, messages and raised errors."""
+
+    def test_cli_kits_on_lifted_tapes(self, conjugates):
+        radii = []
+        for gate, fam in conjugates:
+            for r in range(5):
+                assert (check_locality(gate, r, fam)
+                        == oracles.check_locality(gate, r, fam))
+                assert (find_locality_radius(gate, fam, r)
+                        == oracles.find_locality_radius(gate, fam, r))
+            radii.append(find_locality_radius(gate, fam))
+        assert radii == [2, 1, 3]
+
+    def test_parity_flip(self):
+        rule, fam = parity_flip_on_chains()
+        for r in range(5):
+            assert check_locality(rule, r, fam) == oracles.check_locality(rule, r, fam)
+            got = find_locality_radius(rule, fam, r)
+            assert got == oracles.find_locality_radius(rule, fam, r)
+            # The flipped 4-chain's farthest vertex is 3 hops out.
+            assert got == (None if r < 3 else 3)
+
+    def test_empty_family(self, conjugates):
+        fam = GraphFamily.from_graphs([], TAPE_SPACE.marked)
+        gate = conjugates[0][0]
+        assert find_locality_radius(gate, fam) == 0
+        assert oracles.find_locality_radius(gate, fam) == 0
+        assert check_locality(gate, 0, fam) is None
+
+    def test_one_application_per_member(self, conjugates):
+        # The gate sees the members the old search's last radius showed it:
+        # all of them when a radius is found, else those up to the first
+        # member that fails at the bound.
+        for gate, fam in conjugates:
+            for r in range(5):
+                new, old = Recording(gate), Recording(gate)
+                radius = find_locality_radius(new, fam, r)
+                oracles.check_locality(old, r if radius is None else radius, fam)
+                assert new.applied == old.applied
+                if radius is not None:
+                    assert new.applied == list(fam)
+
+    def test_errors_from_the_gate_surface_alike(self, conjugates):
+        gate, fam = conjugates[0]
+        for fail_at in (0, len(fam) // 2, len(fam) - 1):
+            def poisoned():
+                return Recording(gate, fam, fail_at)
+            for r in range(5):
+                assert (outcome(find_locality_radius, poisoned(), fam, r)
+                        == outcome(oracles.find_locality_radius, poisoned(), fam, r))
+                assert (outcome(check_locality, poisoned(), r, fam)
+                        == outcome(oracles.check_locality, poisoned(), r, fam))
+
+    def test_footprints_on_lifted_tapes(self, cli_kits):
+        kit = cli_kits[0]
+        for X in single_head_tapes(6):
+            lifted = kit.space.lift(X)
+            for gate in (kit.conjugate, kit.mark_gate):
+                for anchor in lifted.vertices:
+                    assert (gate_footprint(gate, lifted, anchor)
+                            == oracles.gate_footprint(gate, lifted, anchor))
+
+    def test_footprint_of_an_edge_label_flip(self):
+        gate = FuncDynamics("flip-edge-label", flip_origin_edge_label,
+                            EDGE_LABELLED)
+        for n in range(1, 7):
+            X = labelled_chain(n)
+            for anchor in X.vertices:
+                got = gate_footprint(gate, X, anchor)
+                assert got == oracles.gate_footprint(gate, X, anchor)
+                hop = X.adjacency[anchor].get("a")
+                assert got == (set() if hop is None else {anchor, hop[0]})

@@ -367,6 +367,23 @@ def one_error_line(capsys, *needles):
     return line
 
 
+class TestOutputDirClash:
+    """An --output-dir that is a file, or lies under one, is an I/O error."""
+
+    @pytest.mark.parametrize("command", [["run", "--dynamics", "moving-head"],
+                                         ["decompose", "--trace"]])
+    @pytest.mark.parametrize("under", [(), ("sub",)])
+    def test_one_error_line_and_exit_3(self, command, under, tape_file,
+                                       tmp_path, capsys):
+        afile = tmp_path / "afile"
+        afile.write_text("")
+        out_dir = afile.joinpath(*under)
+        assert main(command + ["--input", tape_file,
+                               "--output-dir", str(out_dir)]) == EXIT_IO
+        assert one_error_line(capsys).startswith(
+            f"error: cannot write {out_dir}{os.sep}")
+
+
 class TestInputBounds:
     @pytest.mark.parametrize("argv", [
         ["verify", "--family", "all", "--max-vertices", "0"],

@@ -82,6 +82,10 @@ def golden_run(root) -> Dict[str, str]:
           "--trace", "--render", "--output-dir", f"{root}/decompose"]),
         ("check-blocks", EXIT_OK,
          ["check-blocks", "--dynamics", "moving-head", "--max-vertices", "4"]),
+        ("check-blocks-identity", EXIT_OK,
+         ["check-blocks", "--dynamics", "identity", "--max-vertices", "5"]),
+        ("check-blocks-rule-file", EXIT_OK,
+         ["check-blocks", "--rule-file", rules, "--max-vertices", "4"]),
         ("export-dot", EXIT_OK,
          ["export-dot", "--input", tape, "--output", f"{root}/tape.dot"]),
         ("export-dot-marked", EXIT_OK,
@@ -129,6 +133,10 @@ GOLDEN: Dict[str, str] = {
         "1c5bea0e1db5cbea9a355f61fbd58f7805022e304cead84fcc7fc0999f6bd76f",
     "stdout:check-blocks":
         "ddf74eaff2a233310ce134ae43ad1e46069ad4857eb80fdbced6498d30ef8479",
+    "stdout:check-blocks-identity":
+        "aaba32941254ad29e1e94fd2240202c3462d0be448e07a6d0483c2f4b3f047f7",
+    "stdout:check-blocks-rule-file":
+        "c3893f735fcb47f212611ebeed7414379012ce144a0b21fe2151ab5321441c19",
     "stdout:export-dot":
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     "stdout:export-dot-marked":

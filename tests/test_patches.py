@@ -159,7 +159,7 @@ def degree_dependent_labeller():
 
     def rule(view: DiskGraph) -> Patch:
         g = view.graph
-        label = "x" if g.degree(EPSILON) == 1 else "y"
+        label = "x" if len(g.adjacency[EPSILON]) == 1 else "y"
         ids = {v: frozenset((v,)) for v in g.vertices}
         edges = {e: frozenset((ids[v], p) for (v, p) in e) for e in g.edges}
         patch = RawGraph(alphabets=g.alphabets,
