@@ -93,8 +93,8 @@ class MarkSpace:
     @staticmethod
     def from_marked(marked: Alphabets) -> "MarkSpace":
         """The space whose doubled alphabets are exactly `marked`."""
-        def roots(tokens):
-            return tuple(dict.fromkeys(t[:-1] for t in tokens))
+        def roots(tokens):      # a token too short to have a root fails below
+            return tuple(dict.fromkeys(t[:-1] or t for t in tokens))
         space = MarkSpace.for_base(Alphabets.make(
             roots(marked.ports), roots(marked.vertex_labels), marked.edge_labels))
         if space.marked != marked:

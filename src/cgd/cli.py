@@ -197,8 +197,7 @@ def _emit_verify(lines, args) -> int:
 def _cmd_enumerate(args) -> int:
     alphabets = Alphabets.make(args.ports, args.vlabels, args.elabels)
     fam = enumerate_family(alphabets, args.max_vertices)
-    chunks = [g.to_text() for g in fam]
-    listing = f"# {len(fam)} graphs\n" + "\n".join(chunks)
+    listing = f"# {len(fam)} graphs\n" + "\n".join(g.to_text() for g in fam)
     if args.output:
         _write_text(args.output, listing)
     else:

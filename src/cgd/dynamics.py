@@ -15,7 +15,6 @@ from .modulo import (
     ball,
     canonicalize_with_names,
     disk,
-    shift,
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
@@ -286,17 +285,16 @@ def check_shift_invariance(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     """
     FX, R = D.apply(X)
     for u in X.vertices:
-        Xu, _ren = shift_with_names(X, u)
+        Xu, names = shift_with_names(X, u)
         FXu, Ru = D.apply(Xu)
-        expected = shift(FX, R[u])
+        expected, image_names = shift_with_names(FX, R[u])
         if FXu != expected:
             return (f"F(X_u) != F(X)_R(u) at u={format_path(u)}")
-        for v in Xu.vertices:
-            uv = X.resolve(u.concat(v))
-            if uv is None:
-                return (f"path {format_path(u.concat(v))} does not resolve in X")
-            lhs = R[uv]
-            rhs = FX.resolve(R[u].concat(Ru[v]))
+        # u.v is the x that `names` sends to v; R(u).w is read off `at_ru`.
+        at_ru = {name: y for y, name in image_names.items()}
+        for x, v in names.items():      # in X_u's vertex order
+            lhs, w = R[x], Ru[v]
+            rhs = at_ru[w] if w in at_ru else FX.resolve(R[u].concat(w))
             if rhs is None or lhs != rhs:
                 return (f"R(u.v) != R(u).R_Xu(v) at u={format_path(u)}, "
                         f"v={format_path(v)}")

@@ -43,7 +43,7 @@ class CanonicalGraph:
     """
 
     __slots__ = ("alphabets", "vertices", "vertex_labels", "edges",
-                 "edge_labels", "_hash", "_adj_cache")
+                 "edge_labels", "_hash", "_adj_cache", "_text")
 
     def __init__(self, alphabets: Alphabets, vertices: Iterable[Path],
                  vertex_labels: Mapping[Path, str], edges: Iterable[NameEdge],
@@ -54,6 +54,7 @@ class CanonicalGraph:
         self.edges: FrozenSet[NameEdge] = frozenset(edges)
         self.edge_labels: Dict[NameEdge, str] = dict(edge_labels)
         self._adj_cache: Optional[Dict[Path, Dict[str, Tuple[Path, str]]]] = None
+        self._text: Optional[str] = None
         self._hash = hash((
             self.alphabets,
             self.vertices,
@@ -148,8 +149,10 @@ class CanonicalGraph:
                                EPSILON)
 
     def to_text(self) -> str:
-        """Serialize in the graph text format with path-name vertex tokens."""
-        return serialize_graph(self.to_pointed_raw(), token=format_path)
+        """The graph text format with path-name vertex tokens, built once."""
+        if self._text is None:
+            self._text = serialize_graph(self.to_pointed_raw(), token=format_path)
+        return self._text
 
 
 @dataclass(frozen=True)
@@ -332,11 +335,26 @@ def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
     return set(_canonical_names(X.adjacency, center, X.alphabets, depth=radius))
 
 
+def shift_class_ids(X: CanonicalGraph, orbit: Dict[CanonicalGraph, Tuple[int, ...]]
+                    ) -> Tuple[int, ...]:
+    """Each vertex's shift-equivalence class id, in X's vertex order; a
+    missing X fills in `orbit` for every pointing of X.  With X_u, names_u
+    = shift_with_names(X, u), X_u re-pointed at names_u[w] is X_w, and
+    that vertex's id is X_w's index among the shifts of X."""
+    if X not in orbit:
+        shifts = {w: shift_with_names(X, w) for w in X.vertices}
+        index: Dict[CanonicalGraph, int] = {}
+        of = {w: index.setdefault(Xw, len(index)) for w, (Xw, _) in shifts.items()}
+        for Xu, names in shifts.values():   # names: in X_u's vertex order
+            orbit.setdefault(Xu, tuple(map(of.__getitem__, names)))
+    return orbit[X]
+
+
 def shift_equivalence_classes(X: CanonicalGraph) -> Tuple[Tuple[Path, ...], ...]:
     """Partition the vertices into groups that re-point to the same graph."""
-    groups: Dict[CanonicalGraph, list] = {}
-    for v in X.vertices:
-        groups.setdefault(shift(X, v), []).append(v)
+    groups: Dict[int, list] = {}
+    for v, i in zip(X.vertices, shift_class_ids(X, {})):
+        groups.setdefault(i, []).append(v)
     # X.vertices is in canonical order, so each group and the groups'
     # first members already are too.
     return tuple(tuple(g) for g in groups.values())

@@ -8,6 +8,7 @@ path names computed by :mod:`cgd.modulo`.
 from __future__ import annotations
 
 import io
+import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
@@ -40,6 +41,8 @@ class Alphabets:
     vertex_labels: Tuple[str, ...] = ()
     edge_labels: Tuple[str, ...] = ()
     _index: Dict[str, int] = field(init=False, repr=False, compare=False)
+    # Text splits at whitespace and '#'; half-edges use ':' and paths '.'.
+    _UNWRITABLE = {"port": re.compile(r"[\s#:.]|^$"), "label": re.compile(r"[\s#]|^$")}
 
     def __post_init__(self) -> None:
         if not self.ports:
@@ -49,6 +52,11 @@ class Alphabets:
         for group in (self.vertex_labels, self.edge_labels):
             if len(set(group)) != len(group):
                 raise ValueError(f"duplicate labels in {group}")
+        labels = self.vertex_labels + self.edge_labels
+        for what, tokens in (("port", self.ports), ("label", labels)):
+            if not ("".join(tokens).isalnum() and all(tokens)):  # fast path
+                for t in filter(self._UNWRITABLE[what].search, tokens):
+                    raise GraphFormatError(f"{what} {t!r} not writable")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.ports)})
 
     @staticmethod

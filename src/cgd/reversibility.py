@@ -22,7 +22,7 @@ from .modulo import (
     canonicalize,
     canonicalize_with_names,
     disk_at_with_names,
-    shift_equivalence_classes,
+    shift_class_ids,
 )
 from .patches import (
     LocalRuleDynamics,
@@ -306,7 +306,7 @@ def vertex_preservation_exceptions(D: Dynamics, fam: GraphFamily
 
 def check_class_preservation(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     """Shift-equivalence must transfer along the correspondence, both ways."""
-    return _class_problem(X, *D.apply(X), _class_ids)
+    return _class_problem(X, *D.apply(X), {})
 
 
 def _vertex_problem(X: CanonicalGraph, Y: CanonicalGraph,
@@ -324,12 +324,10 @@ def _vertex_problem(X: CanonicalGraph, Y: CanonicalGraph,
     return None
 
 
-def _class_problem(X: CanonicalGraph, Y: CanonicalGraph,
-                   R: VertexCorrespondence,
-                   class_ids: Callable[[CanonicalGraph], Dict[Path, int]]
-                   ) -> Optional[str]:
-    class_x = class_ids(X)
-    class_y = class_ids(Y)
+def _class_problem(X: CanonicalGraph, Y: CanonicalGraph, R: VertexCorrespondence,
+                   orbit: Dict[CanonicalGraph, Tuple[int, ...]]) -> Optional[str]:
+    class_x = dict(zip(X.vertices, shift_class_ids(X, orbit)))
+    class_y = dict(zip(Y.vertices, shift_class_ids(Y, orbit)))
     verts = X.vertices
     for i, u in enumerate(verts):
         for v in verts[i:]:
@@ -340,14 +338,6 @@ def _class_problem(X: CanonicalGraph, Y: CanonicalGraph,
                         f"equivalent in source={same_source}, "
                         f"in image={same_image}")
     return None
-
-
-def _class_ids(X: CanonicalGraph) -> Dict[Path, int]:
-    ids = {}
-    for i, cls in enumerate(shift_equivalence_classes(X)):
-        for v in cls:
-            ids[v] = i
-    return ids
 
 
 def tabulate(D: Dynamics, fam: GraphFamily) -> Tabulation:
@@ -372,6 +362,10 @@ class Tabulation:
 
         Raises OutOfFamilyError at the first image outside the family.
         """
+        return self._collision
+
+    @functools.cached_property
+    def _collision(self) -> Optional[str]:
         reached = set()
         for X, (Y, _R) in self.images.items():
             if Y not in self.family:
@@ -393,12 +387,9 @@ class Tabulation:
 
     def class_problem(self) -> Optional[str]:
         """The first member, in family order, that breaks class preservation."""
-        class_ids = functools.cache(_class_ids)
-        for X, (Y, R) in self.images.items():
-            problem = _class_problem(X, Y, R, class_ids)
-            if problem is not None:
-                return problem
-        return None
+        orbit: Dict[CanonicalGraph, Tuple[int, ...]] = {}
+        problems = (_class_problem(X, Y, R, orbit) for X, (Y, R) in self.images.items())
+        return next((p for p in problems if p is not None), None)
 
     def inverse(self) -> InverseTable:
         """Invert the table, correspondences included."""
@@ -416,7 +407,7 @@ class Tabulation:
             else:
                 exception_bound = max(exception_bound, len(X.vertices),
                                       len(Y.vertices))
-                class_y = _class_ids(Y)
+                class_y = dict(zip(Y.vertices, shift_class_ids(Y, {})))
                 inverse: VertexCorrespondence = {}
                 for w in Y.vertices:
                     candidates = [v for v in X.vertices
@@ -558,13 +549,9 @@ def serialize_inverse_table(table: InverseTable) -> str:
     chunks = []
     for X in table.family:
         Y = table.forward[X]
-        chunks.append("source")
-        chunks.append(X.to_text().rstrip("\n"))
-        chunks.append("image")
-        chunks.append(Y.to_text().rstrip("\n"))
         inverse = table.corr_inverse[Y]
-        for w in Y.vertices:
-            chunks.append(f"corr {format_path(w)} {format_path(inverse[w])}")
+        chunks += ["source", X.to_text().rstrip("\n"), "image", Y.to_text().rstrip("\n")]
+        chunks += [f"corr {format_path(w)} {format_path(inverse[w])}" for w in Y.vertices]
     return "\n".join(chunks) + "\n"
 
 

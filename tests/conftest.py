@@ -20,6 +20,13 @@ def ab_family_4(ab_family_6):
 
 
 @pytest.fixture(scope="session")
+def abcd_family_2():
+    """Every graph of at most 2 vertices over the tape alphabets: 66 of
+    the 674 have a non-trivial symmetry."""
+    return enumerate_family(TAPE_ALPHABETS, 2)
+
+
+@pytest.fixture(scope="session")
 def head_tapes_5():
     return GraphFamily.from_graphs(single_head_tapes(5), TAPE_ALPHABETS)
 

@@ -61,6 +61,13 @@ BFS and drops the ones already in its `seen` set.
 `reversibility.enumerate_family` now builds each member once, from its
 parent, and runs no BFS.
 
+`shift_equivalence_classes` and `_class_ids` are the symmetry classes as
+they were computed for every graph on its own, with one shift per vertex;
+`modulo.shift_class_ids` now fills in the classes of every pointing of a
+graph from one pass over one of them.  `check_shift_invariance` is the
+axiom checker as it was when it resolved u.v in X and R(u).R_Xu(v) in F(X)
+by walking paths; it now reads both off the maps its two shifts return.
+
 `check_locality`, `find_locality_radius` and `gate_footprint` are the
 locality checks as they were in `blocks`: the radius search called
 `check_locality` at r = 0, 1, ... and so applied the gate once per member
@@ -94,7 +101,7 @@ from cgd.modulo import (
     disk,
     disk_at,
     shift,
-    shift_equivalence_classes,
+    shift_with_names,
 )
 from cgd.patches import Patch, PatchError, PatchInconsistencyError, consistent
 from cgd.paths import EPSILON, Path, format_path
@@ -347,12 +354,41 @@ def check_class_preservation(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     return None
 
 
+def shift_equivalence_classes(X: CanonicalGraph) -> Tuple[Tuple[Path, ...], ...]:
+    """Partition the vertices into groups that re-point to the same graph."""
+    groups: Dict[CanonicalGraph, list] = {}
+    for v in X.vertices:
+        groups.setdefault(shift(X, v), []).append(v)
+    return tuple(tuple(g) for g in groups.values())
+
+
 def _class_ids(X: CanonicalGraph) -> Dict[Path, int]:
     ids = {}
     for i, cls in enumerate(shift_equivalence_classes(X)):
         for v in cls:
             ids[v] = i
     return ids
+
+
+def check_shift_invariance(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
+    """Same causes, same effects: re-pointing commutes with the dynamics."""
+    FX, R = D.apply(X)
+    for u in X.vertices:
+        Xu, _ren = shift_with_names(X, u)
+        FXu, Ru = D.apply(Xu)
+        expected = shift(FX, R[u])
+        if FXu != expected:
+            return (f"F(X_u) != F(X)_R(u) at u={format_path(u)}")
+        for v in Xu.vertices:
+            uv = X.resolve(u.concat(v))
+            if uv is None:
+                return (f"path {format_path(u.concat(v))} does not resolve in X")
+            lhs = R[uv]
+            rhs = FX.resolve(R[u].concat(Ru[v]))
+            if rhs is None or lhs != rhs:
+                return (f"R(u.v) != R(u).R_Xu(v) at u={format_path(u)}, "
+                        f"v={format_path(v)}")
+    return None
 
 
 def build_inverse(D: Dynamics, fam: GraphFamily) -> InverseTable:

@@ -7,7 +7,7 @@ import sys
 import pytest
 
 import cgd
-from cgd import canonicalize, cli, disk_at, get_dynamics, parse_graph
+from cgd import canonicalize, cli, disk_at, get_dynamics, modulo, parse_graph
 from cgd.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, main
 from cgd.blocks import BlockKit
 from cgd.dynamics import CompositeDynamics, RawStepDynamics
@@ -186,6 +186,33 @@ class TestEnumerate:
         assert code == EXIT_OK
         assert "members=2" in out
         assert target.read_text().startswith("# 2 graphs")
+
+    def test_each_member_is_written_once(self, monkeypatch, capsys):
+        # The sort by text and the listing share one text per member.
+        calls = []
+        real = modulo.serialize_graph
+        monkeypatch.setattr(modulo, "serialize_graph",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        assert main(["enumerate", "--ports", "a", "b", "--vlabels", "0", "1",
+                     "--max-vertices", "5"]) == EXIT_OK
+        assert capsys.readouterr().out.endswith("members=3868\n")
+        assert len(calls) == 3868
+
+    @pytest.mark.parametrize("argv, token", [
+        (["--ports", "a b", "c"], "port 'a b'"),
+        (["--ports", "a", "#"], "port '#'"),
+        (["--ports", "a:b"], "port 'a:b'"),
+        (["--ports", "a.b"], "port 'a.b'"),
+        (["--ports", "a", ""], "port ''"),
+        (["--vlabels", "x y"], "label 'x y'"),
+        (["--vlabels", "x#"], "label 'x#'"),
+        (["--elabels", ""], "label ''"),
+    ])
+    def test_unwritable_alphabet_is_bad_input(self, argv, token, capsys):
+        # Each would write a listing that reads back differently, or not at
+        # all; it is refused before the enumeration starts.
+        assert main(["enumerate", "--max-vertices", "1"] + argv) == EXIT_BAD_INPUT
+        one_error_line(capsys, token, "not writable")
 
 
 class TestDecompose:

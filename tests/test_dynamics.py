@@ -1,4 +1,6 @@
 """The built-in dynamics and the axiom checkers."""
+from itertools import product as iter_product
+
 import pytest
 
 from cgd import (
@@ -29,9 +31,10 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.paths import EPSILON, format_path
+from cgd.paths import EPSILON, Path, format_path
 
 import oracles
+from test_reversibility import DIFFERENTIAL_DYNAMICS, outcome
 
 
 class TestIdentity:
@@ -278,6 +281,82 @@ class TestShiftInvariance:
                        vertex_labels={0: "x", 1: "x"})
         X = canonicalize(PointedRawGraph(raw, 0))
         assert check_shift_invariance(rule, X) is not None
+
+
+def labelled_grids():
+    """test_05's grids: every white/black colouring of every shape up to 3x3."""
+    for rows, cols in iter_product((1, 2, 3), repeat=2):
+        cells = [(i, j) for i in range(rows) for j in range(cols)]
+        for colours in iter_product(("white", "black"), repeat=len(cells)):
+            yield grid_graph(rows, cols, labels=dict(zip(cells, colours)))
+
+
+def detour_dynamics():
+    """The identity whose correspondence sends v to v.ab.ba: a path that
+    resolves, back to v, wherever v has an a-port edge to a b-port, but is
+    never a canonical name."""
+    detour = Path((("a", "b"), ("b", "a")))
+    return FuncDynamics("detour", lambda X: (X, {v: v.concat(detour)
+                                                 for v in X.vertices}), None)
+
+
+class TestShiftInvarianceMatchesOldChecker:
+    """The checker reads u.v and R(u).R_Xu(v) off its two shifts' name maps;
+    the old one walked both paths.  Verdicts and messages must agree."""
+
+    def test_moving_head_on_head_tapes(self):
+        mh = get_dynamics("moving-head")
+        for X in single_head_tapes(6):
+            assert check_shift_invariance(mh, X) is None
+            assert oracles.check_shift_invariance(mh, X) is None
+
+    def test_inflating_grid_on_test_05_grids(self):
+        # Every eighth grid: both checkers on all 682 take about 12 s.
+        ig = get_dynamics("inflating-grid")
+        for X in list(labelled_grids())[::8]:
+            assert outcome(check_shift_invariance, ig, X) == \
+                outcome(oracles.check_shift_invariance, ig, X) == ("returned", None)
+
+    @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_DYNAMICS) + [
+        "origin-flipper", "detour"])
+    def test_differential_dynamics(self, name, ab_family_4):
+        D = {**DIFFERENTIAL_DYNAMICS, "origin-flipper": origin_label_flipper,
+             "detour": detour_dynamics}[name]()
+        verdicts = set()
+        for X in self.graphs(name, ab_family_4):
+            new = outcome(check_shift_invariance, D, X)
+            assert new == outcome(oracles.check_shift_invariance, D, X)
+            kind, said = new
+            verdicts.add(kind.__name__ if kind != "returned"
+                         else said and said.split(" at ")[0])
+        assert verdicts == self.VERDICTS[name]
+
+    # What each dynamics says over its graphs: a pass, a failure of either
+    # equation, or the error that its apply or a shift raises.  Collapsing
+    # or escaping with every vertex sent to the origin is shift-invariant;
+    # the family's dynamics other than identity reject the tapes.
+    MISMATCH = {None, "AlphabetMismatchError"}
+    VERDICTS = {
+        "identity": {None},
+        "moving-head": MISMATCH,
+        "turtle": MISMATCH,
+        "collapse": MISMATCH,
+        "escape": MISMATCH,
+        "collision-then-escape": MISMATCH,
+        "origin-flipper": {"F(X_u) != F(X)_R(u)"},
+        "detour": {"R(u.v) != R(u).R_Xu(v)", "PathResolutionError"},
+    }
+
+    @staticmethod
+    def graphs(name, ab_family_4):
+        if name != "origin-flipper":
+            return list(ab_family_4)[::3] + list(single_head_tapes(3))
+        # x-x-x and x-x-y triangles over the flipper's alphabets.
+        edges = frozenset(make_edge(i, "a", (i + 1) % 3, "b") for i in range(3))
+        return [canonicalize(PointedRawGraph(RawGraph(
+            alphabets=origin_label_flipper().alphabets, vertices=(0, 1, 2),
+            edges=edges, vertex_labels={0: "x", 1: "x", 2: label}), 0))
+            for label in "xy"]
 
 
 class TestBoundedness:

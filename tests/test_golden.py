@@ -64,6 +64,9 @@ def golden_run(root) -> Dict[str, str]:
         ("verify-moving-head", EXIT_OK,
          ["verify", "--dynamics", "moving-head", "--family", "tape-closure",
           "--max-vertices", "6", "--output-dir", f"{root}/verify-mh"]),
+        ("verify-moving-head-all", EXIT_OK,
+         ["verify", "--dynamics", "moving-head", "--family", "all",
+          "--max-vertices", "2", "--output-dir", f"{root}/verify-mh-all"]),
         ("verify-turtle", EXIT_OK,
          ["verify", "--dynamics", "turtle", "--family", "all",
           "--max-vertices", "4", "--expect-exceptions", "2",
@@ -121,6 +124,8 @@ GOLDEN: Dict[str, str] = {
         "8d9925dd895adc5c5f4eed6d9c339cc41ff94044b32c2f67dfda7cbe0d7ce973",
     "stdout:verify-moving-head":
         "830e63f8dfe0f95649c13fd6be7f74b32b520c645d777e7d1eb92e0db5eef66b",
+    "stdout:verify-moving-head-all":
+        "a0bf0def2154fa6b43eb3295cfb8f708388c8226cbe3533a3f5b94fab70f84b8",
     "stdout:verify-turtle":
         "4d23dc4907a89df4961507732611aa9d67866ead370e8d97f4982be9fae782d0",
     "stdout:verify-inflating-grid":
@@ -219,6 +224,10 @@ GOLDEN: Dict[str, str] = {
         "1210459a49fc717365027066206d3f09a188c20ccb1e2f819144691a796b8cc4",
     "verify-grid/verify-report.txt":
         "46eb6f17f4da8161899d405e88b9190137921493c1d9ce9192f4bc11a3a9257d",
+    "verify-mh-all/inverse-table.txt":
+        "416fd5d254353310e67cad0e80bf4c46ccbd8e81c7375661cd5952dbb4b75613",
+    "verify-mh-all/verify-report.txt":
+        "a0bf0def2154fa6b43eb3295cfb8f708388c8226cbe3533a3f5b94fab70f84b8",
     "verify-mh/inverse-table.txt":
         "67faa8bbcfb7f7832e37510058e1de795538cfdd1274f5c100a030d7ef7cf282",
     "verify-mh/verify-report.txt":

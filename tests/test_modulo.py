@@ -30,6 +30,7 @@ from cgd.blocks import BlockKit, mark
 from cgd.cli import main
 from cgd.dynamics import get_dynamics
 from cgd.families import (
+    TAPE_ALPHABETS,
     bare_tape,
     bare_tapes,
     grid_graph,
@@ -45,6 +46,7 @@ from cgd.modulo import (
     NoHostVertexError,
     PathResolutionError,
     ball,
+    shift_class_ids,
     smallest_prime_above,
 )
 from cgd.paths import EPSILON, Path, format_path, parse_path
@@ -54,6 +56,7 @@ from oracles import (
     ball_by_bfs,
     disk_by_canonicalization,
     disk_by_shift,
+    shift_equivalence_classes as old_classes,
 )
 from test_blocks import TAPE_SPACE, moving_head_kit
 from test_glue import marked_variants
@@ -512,6 +515,142 @@ class TestTrustedOrder:
         kit = BlockKit.from_family(mh, fam)
         assert kit.decompose_step(X) == mh.apply(X)[0]
         assert path_key_calls == []
+
+
+@st.composite
+def cyclic_graphs(draw):
+    """k copies of a drawn graph in a ring, copy i joined to copy i + 1 by
+    one edge between two drawn free half-edges, and k: turning the ring by
+    one copy keeps ports and labels, so for k > 1 no class is a singleton."""
+    g = draw(pointed_graphs(max_vertices=3)).graph
+    used = {h for e in g.edges for h in e}
+    free = [(v, p) for v in g.vertices for p in ABC_XY.ports if (v, p) not in used]
+    k = draw(st.integers(2, 4)) if len(free) > 1 else 1
+    edges, edge_labels = set(), {}
+    for i in range(k):
+        for e in g.edges:
+            f = frozenset(((i, v), p) for v, p in e)
+            edges.add(f)
+            if e in g.edge_labels:
+                edge_labels[f] = g.edge_labels[e]
+    if k > 1:
+        (v, p), (w, q) = draw(st.permutations(free))[:2]
+        edges.update(make_edge((i, v), p, ((i + 1) % k, w), q) for i in range(k))
+    raw = RawGraph(alphabets=ABC_XY,
+                   vertices=tuple((i, v) for i in range(k) for v in g.vertices),
+                   edges=frozenset(edges),
+                   vertex_labels={(i, v): l for i in range(k)
+                                  for v, l in g.vertex_labels.items()},
+                   edge_labels=edge_labels)
+    return canonicalize(PointedRawGraph(raw, (0, g.vertices[0]))), k
+
+
+def partition(vertices, ids):
+    groups = {}
+    for v, i in zip(vertices, ids):
+        groups.setdefault(i, set()).add(v)
+    return {frozenset(group) for group in groups.values()}
+
+
+def assert_orbit_classes_match(graphs):
+    """On every pointing of every graph, `shift_equivalence_classes` equals
+    the old classes, order included, and the ids read from one orbit table
+    shared by all the graphs, filled by whichever pointing came first,
+    partition the vertices as the old classes do."""
+    orbit, seen = {}, set()
+    for X in graphs:
+        for u in X.vertices:
+            Xu = shift(X, u)
+            if Xu in seen:
+                continue
+            seen.add(Xu)
+            old = old_classes(Xu)
+            assert shift_equivalence_classes(Xu) == old
+            assert partition(Xu.vertices, shift_class_ids(Xu, orbit)) == \
+                set(map(frozenset, old))
+    return seen
+
+
+class TestOrbitClasses:
+    """`shift_class_ids` fills in the classes of every pointing of a graph
+    from one shift per vertex; the old code shifted each pointing again."""
+
+    def test_ab_family_5(self, ab_family_6):
+        seen = assert_orbit_classes_match(g for g in ab_family_6 if len(g) <= 5)
+        assert sum(not is_asymmetric(X) for X in seen) == 18
+
+    def test_abcd_family_2(self):
+        seen = assert_orbit_classes_match(enumerate_family(TAPE_ALPHABETS, 2))
+        assert sum(not is_asymmetric(X) for X in seen) == 66
+
+    def test_tape_closure_8(self):
+        assert len(assert_orbit_classes_match(shift_closure(
+            bare_tapes(8) + single_head_tapes(7)))) == 370
+
+    def test_grids(self):
+        assert_orbit_classes_match(
+            [grid_graph(rows, cols) for rows in (1, 2, 3) for cols in (1, 2, 3)]
+            + [grid_graph(3, 3, labels={(i, j): ("white", "black")[(i + j) % 2]
+                                        for i in range(3) for j in range(3)})])
+
+    def test_symmetric_examples(self):
+        labels = {i: "xy"[i % 2] for i in range(6)}
+        graphs = [canonicalize(pointed_ring(n)) for n in (1, 2, 3, 5)] + [
+            canonicalize(pointed_ring(6, ABXY, labels)), turtle_graphs()[1]]
+        assert_orbit_classes_match(graphs)
+
+    @PROPERTY
+    @given(pg=pointed_graphs())
+    def test_hypothesis_graphs(self, pg):
+        assert_orbit_classes_match([canonicalize(pg)])
+
+    @PROPERTY
+    @given(Xk=cyclic_graphs())
+    def test_hypothesis_rings_of_copies(self, Xk):
+        X, k = Xk
+        assert k == 1 or not is_asymmetric(X)
+        assert_orbit_classes_match([X])
+
+    def test_one_pass_fills_every_pointing(self, monkeypatch):
+        # A 6-ring with alternating labels: 6 pointings, 2 distinct graphs.
+        calls = []
+        real = modulo.shift_with_names
+        monkeypatch.setattr(modulo, "shift_with_names",
+                            lambda X, u: calls.append(u) or real(X, u))
+        X = canonicalize(pointed_ring(6, ABXY, {i: "xy"[i % 2] for i in range(6)}))
+        orbit = {}
+        for Y in [X] + [real(X, u)[0] for u in X.vertices]:
+            by_label = [Y.vertex_labels[v] for v in Y.vertices]
+            assert partition(Y.vertices, shift_class_ids(Y, orbit)) == \
+                partition(Y.vertices, by_label)
+        assert len(calls) == 6 and len(orbit) == 2
+
+
+class TestTextSlot:
+    """A canonical graph builds its text on the first `to_text` and keeps it."""
+
+    def test_built_once(self, monkeypatch):
+        calls = []
+        real = modulo.serialize_graph
+        monkeypatch.setattr(modulo, "serialize_graph",
+                            lambda *a, **k: calls.append(1) or real(*a, **k))
+        X = single_head_tape(5, 2)
+        text = X.to_text()
+        assert X.to_text() is text and len(calls) == 1
+        assert text == portgraph.serialize_graph(X.to_pointed_raw(), token=format_path)
+
+    def test_each_graph_keeps_its_own(self, ab_family_4):
+        texts = [X.to_text() for X in ab_family_4]
+        assert len(set(texts)) == len(texts)
+        for X, text in zip(ab_family_4, texts):
+            assert X.to_text() == text == portgraph.serialize_graph(
+                X.to_pointed_raw(), token=format_path)
+
+    def test_equal_graphs_equal_texts(self):
+        X = single_head_tape(4, 1)
+        X.to_text()
+        Y = canonicalize(parse_graph(X.to_text()))
+        assert Y == X and Y._text is None and Y.to_text() == X.to_text()
 
 
 def assert_same_disk(X, radius):

@@ -94,6 +94,17 @@ class TestValidate:
                      edges=frozenset((make_edge("v", "a", "v", "b"),)))
         assert validate(g) is None
 
+    def test_labels_may_hold_what_ports_may_not(self):
+        # Labels are written only after "label=", never inside a half-edge
+        # or a path.
+        alphabets = Alphabets.make("ab", ("x:y", "x.y"), ("e:f",))
+        assert alphabets.vertex_labels == ("x:y", "x.y")
+
+    def test_parsed_port_that_a_path_cannot_hold(self):
+        with pytest.raises(GraphFormatError, match=re.escape(
+                "port 'a.b' not writable")):
+            parse_graph("ports a.b c\nvertex v\npointer v\n")
+
     def test_unknown_port(self):
         g = RawGraph(alphabets=AB, vertices=("v", "w"),
                      edges=frozenset((make_edge("v", "z", "w", "b"),)))
@@ -325,6 +336,23 @@ class TestAlphabets:
     ])
     def test_construction_errors(self, args, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            Alphabets.make(*args)
+
+    @pytest.mark.parametrize("args, token", [
+        ((("a", ""),), "port ''"),
+        ((("a b", "c"),), "port 'a b'"),
+        ((("a", "#"),), "port '#'"),
+        ((("a:b",),), "port 'a:b'"),
+        ((("a.b",),), "port 'a.b'"),
+        (("ab", ("x y",)), "label 'x y'"),
+        (("ab", ("x\u00a0y",)), "label 'x\\xa0y'"),
+        (("ab", (), ("x#",)), "label 'x#'"),
+        (("ab", (), ("",)), "label ''"),
+    ])
+    def test_unwritable_tokens(self, args, token):
+        # Each would be written as text that reads back differently.
+        with pytest.raises(GraphFormatError, match=re.escape(
+                f"{token} not writable")):
             Alphabets.make(*args)
 
     def test_unknown_port(self):

@@ -16,7 +16,7 @@ from cgd import (
     vertex_preservation_exceptions,
 )
 import oracles
-from cgd import cli, reversibility
+from cgd import cli, modulo, reversibility
 from cgd.blocks import BlockKit
 from cgd.cli import main
 from cgd.dynamics import (
@@ -421,7 +421,7 @@ class TestOnePassMatchesOldCheckers:
     """Every family check reads one table and says what the old loops said."""
 
     @pytest.mark.parametrize("family", ["ab_family_4", "head_tapes_5",
-                                        "tape_closure_5"])
+                                        "tape_closure_5", "abcd_family_2"])
     @pytest.mark.parametrize("name", sorted(DIFFERENTIAL_DYNAMICS))
     def test_same_verdicts(self, name, family, request):
         D = DIFFERENTIAL_DYNAMICS[name]()
@@ -483,6 +483,40 @@ class TestOneApplyPerMember:
                      "tape-closure", "--max-vertices", "8"]) == 0
         assert "members=370\n" in capsys.readouterr().out
         assert len(calls) == 370
+
+
+class TestWorkPerMember:
+    def test_class_check_shifts_once_per_orbit(self, monkeypatch):
+        # 370 members in 64 orbits of 372 vertices in all: one shift per
+        # vertex of one member of each orbit, since the images are members
+        # too.  Shifting each member on its own took 2,384.
+        fam = cli._family_for("tape-closure", get_dynamics("moving-head"), 8)
+        tab = tabulate(get_dynamics("moving-head"), fam)
+        calls = []
+        real = modulo.shift_with_names
+        monkeypatch.setattr(modulo, "shift_with_names",
+                            lambda X, u: calls.append(1) or real(X, u))
+        assert tab.class_problem() is None
+        assert 0 < len(calls) <= 372
+
+    def test_verify_scans_for_collisions_once(self, monkeypatch, capsys):
+        # The inverse reuses the bijectivity verdict of the same table.
+        calls = []
+        real = GraphFamily.__contains__
+        monkeypatch.setattr(GraphFamily, "__contains__",
+                            lambda self, g: calls.append(1) or real(self, g))
+        assert main(["verify", "--dynamics", "moving-head", "--family", "all",
+                     "--max-vertices", "2"]) == 0
+        assert "members=674\n" in capsys.readouterr().out
+        assert len(calls) == 674
+
+    def test_inverse_of_a_non_bijection_keeps_its_message(self, ab_family_4):
+        tab = tabulate(collapse_dynamics(), ab_family_4)
+        problem = tab.bijectivity_problem()
+        assert problem.startswith("not injective")
+        with pytest.raises(InverseConstructionError) as info:
+            tab.inverse()
+        assert str(info.value) == problem
 
 
 class TestStrayCorrespondence:
