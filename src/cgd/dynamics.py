@@ -15,6 +15,7 @@ from .modulo import (
     ball,
     canonicalize_with_names,
     disk,
+    shift,
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
@@ -287,15 +288,11 @@ def check_shift_invariance(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     for u in X.vertices:
         Xu, names = shift_with_names(X, u)
         FXu, Ru = D.apply(Xu)
-        expected, image_names = shift_with_names(FX, R[u])
-        if FXu != expected:
+        if FXu != shift(FX, R[u]):
             return (f"F(X_u) != F(X)_R(u) at u={format_path(u)}")
-        # u.v is the x that `names` sends to v; R(u).w is read off `at_ru`.
-        at_ru = {name: y for y, name in image_names.items()}
-        for x, v in names.items():      # in X_u's vertex order
-            lhs, w = R[x], Ru[v]
-            rhs = at_ru[w] if w in at_ru else FX.resolve(R[u].concat(w))
-            if rhs is None or lhs != rhs:
+        for x, v in names.items():      # x is u.v; in X_u's vertex order
+            rhs = FX.resolve(R[u].concat(Ru[v]))
+            if rhs is None or R[x] != rhs:
                 return (f"R(u.v) != R(u).R_Xu(v) at u={format_path(u)}, "
                         f"v={format_path(v)}")
     return None

@@ -337,10 +337,9 @@ def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
 
 def shift_class_ids(X: CanonicalGraph, orbit: Dict[CanonicalGraph, Tuple[int, ...]]
                     ) -> Tuple[int, ...]:
-    """Each vertex's shift-equivalence class id, in X's vertex order; a
-    missing X fills in `orbit` for every pointing of X.  With X_u, names_u
-    = shift_with_names(X, u), X_u re-pointed at names_u[w] is X_w, and
-    that vertex's id is X_w's index among the shifts of X."""
+    """Each vertex's shift-equivalence class id, in X's vertex order.  A missing
+    X fills in `orbit` for all its pointings: X_u, names_u = shift_with_names(X,
+    u), and X_u re-pointed at names_u[w] is X_w, whose index is that id."""
     if X not in orbit:
         shifts = {w: shift_with_names(X, w) for w in X.vertices}
         index: Dict[CanonicalGraph, int] = {}

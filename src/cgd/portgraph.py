@@ -8,7 +8,6 @@ path names computed by :mod:`cgd.modulo`.
 from __future__ import annotations
 
 import io
-import re
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
@@ -41,8 +40,6 @@ class Alphabets:
     vertex_labels: Tuple[str, ...] = ()
     edge_labels: Tuple[str, ...] = ()
     _index: Dict[str, int] = field(init=False, repr=False, compare=False)
-    # Text splits at whitespace and '#'; half-edges use ':' and paths '.'.
-    _UNWRITABLE = {"port": re.compile(r"[\s#:.]|^$"), "label": re.compile(r"[\s#]|^$")}
 
     def __post_init__(self) -> None:
         if not self.ports:
@@ -53,10 +50,16 @@ class Alphabets:
             if len(set(group)) != len(group):
                 raise ValueError(f"duplicate labels in {group}")
         labels = self.vertex_labels + self.edge_labels
-        for what, tokens in (("port", self.ports), ("label", labels)):
-            if not ("".join(tokens).isalnum() and all(tokens)):  # fast path
-                for t in filter(self._UNWRITABLE[what].search, tokens):
+        # Text splits at whitespace and '#', half-edges at ':' and paths at
+        # '.'; alphanumeric ports of one length write each path hop one way.
+        if not ("".join(self.ports + labels).isalnum() and all(self.ports + labels)
+                and len(set(map(len, self.ports))) == 1):
+            for what, tokens, chars in (("port", self.ports, "#:."), ("label", labels, "#")):
+                for t in (t for t in tokens if t.split() != [t] or set(chars) & set(t)):
                     raise GraphFormatError(f"{what} {t!r} not writable")
+            pairs = [p + q for p in self.ports for q in self.ports] + ["eps"]
+            for t in (t for i, t in enumerate(pairs) if t in pairs[i + 1:]):
+                raise GraphFormatError(f"port pair {t!r} not writable")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.ports)})
 
     @staticmethod
@@ -322,7 +325,7 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
         if keyword == "ports":
             if not args:
                 raise GraphFormatError(f"line {line_no}: empty port alphabet")
-            ports = distinct(args, "port", line_no)
+            ports, ports_line = distinct(args, "port", line_no), line_no
         elif keyword == "vlabels":
             vlabels = distinct(args, "vertex label", line_no)
         elif keyword == "elabels":
@@ -362,7 +365,10 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
     if pointer is None:
         raise GraphFormatError("missing pointer line")
 
-    alphabets = Alphabets.make(ports, vlabels, elabels)
+    try:
+        alphabets = Alphabets.make(ports, vlabels, elabels)
+    except GraphFormatError as err:     # a port that a path cannot hold
+        raise GraphFormatError(f"line {ports_line}: {err}") from None
     used: Dict[Tuple[str, str], int] = {}
     for e, line_no in edges:
         for (v, p) in e:

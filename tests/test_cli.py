@@ -203,6 +203,8 @@ class TestEnumerate:
         (["--ports", "a", "#"], "port '#'"),
         (["--ports", "a:b"], "port 'a:b'"),
         (["--ports", "a.b"], "port 'a.b'"),
+        (["--ports", "e", "ps"], "port pair 'eps'"),
+        (["--ports", "a", "aa"], "port pair 'aaa'"),
         (["--ports", "a", ""], "port ''"),
         (["--vlabels", "x y"], "label 'x y'"),
         (["--vlabels", "x#"], "label 'x#'"),

@@ -301,8 +301,8 @@ def detour_dynamics():
 
 
 class TestShiftInvarianceMatchesOldChecker:
-    """The checker reads u.v and R(u).R_Xu(v) off its two shifts' name maps;
-    the old one walked both paths.  Verdicts and messages must agree."""
+    """The checker reads u.v off its shift's name map; the old one walked
+    that path.  Verdicts and messages must agree."""
 
     def test_moving_head_on_head_tapes(self):
         mh = get_dynamics("moving-head")

@@ -101,9 +101,14 @@ class TestValidate:
         assert alphabets.vertex_labels == ("x:y", "x.y")
 
     def test_parsed_port_that_a_path_cannot_hold(self):
+        # The error names the ports line, though it is raised after the
+        # last line is read.
         with pytest.raises(GraphFormatError, match=re.escape(
-                "port 'a.b' not writable")):
-            parse_graph("ports a.b c\nvertex v\npointer v\n")
+                "line 3: port 'a.b' not writable")):
+            parse_graph("vertex v\npointer v\nports a.b c\n")
+        with pytest.raises(GraphFormatError, match=re.escape(
+                "line 8: port pair 'eps' not writable")):
+            parse_graph("ports e ps\nvertex v\npointer v\n", first_line=8)
 
     def test_unknown_port(self):
         g = RawGraph(alphabets=AB, vertices=("v", "w"),
@@ -340,10 +345,14 @@ class TestAlphabets:
 
     @pytest.mark.parametrize("args, token", [
         ((("a", ""),), "port ''"),
+        ((("",), ("x",)), "port ''"),
         ((("a b", "c"),), "port 'a b'"),
         ((("a", "#"),), "port '#'"),
         ((("a:b",),), "port 'a:b'"),
         ((("a.b",),), "port 'a.b'"),
+        ((("e", "ps"),), "port pair 'eps'"),
+        ((("a", "aa"),), "port pair 'aaa'"),
+        ((("ab", "c", "a", "bc"),), "port pair 'abc'"),
         (("ab", ("x y",)), "label 'x y'"),
         (("ab", ("x\u00a0y",)), "label 'x\\xa0y'"),
         (("ab", (), ("x#",)), "label 'x#'"),
@@ -354,6 +363,12 @@ class TestAlphabets:
         with pytest.raises(GraphFormatError, match=re.escape(
                 f"{token} not writable")):
             Alphabets.make(*args)
+
+    def test_ports_of_mixed_lengths_whose_hops_differ(self):
+        # aa, abc, bca, bcbc: every hop reads back one way.
+        assert Alphabets.make(("a", "bc")).ports == ("a", "bc")
+        path = Path((("a", "bc"), ("bc", "bc")))
+        assert parse_path(format_path(path), ("a", "bc")) == path
 
     def test_unknown_port(self):
         with pytest.raises(KeyError, match=re.escape(
