@@ -79,19 +79,22 @@ def _load_dynamics(args) -> Dynamics:
 
 
 def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily:
-    if name == "single-head-tape":
-        members = single_head_tapes(max_vertices - 1)
-        return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
-    if name == "tape-closure":
-        members = bare_tapes(max_vertices) + single_head_tapes(max_vertices - 1)
-        return GraphFamily.from_graphs(shift_closure(members), TAPE_ALPHABETS)
     if name == "all":
         if dynamics.alphabets is None:
             raise DynamicsError(
                 f"{dynamics.name} accepts any alphabets; choose a named family")
         return enumerate_family(dynamics.alphabets, max_vertices)
-    raise DynamicsError(f"unknown family {name!r} "
-                        f"(known: all, single-head-tape, tape-closure)")
+    if name not in ("single-head-tape", "tape-closure"):
+        raise DynamicsError(f"unknown family {name!r} "
+                            f"(known: all, single-head-tape, tape-closure)")
+    if dynamics.alphabets not in (None, TAPE_ALPHABETS):
+        raise DynamicsError(
+            f"--dynamics {dynamics.name}: the tape families and block "
+            f"decomposition need a dynamics over the tape alphabets")
+    members = single_head_tapes(max_vertices - 1)
+    if name == "tape-closure":
+        members = shift_closure(bare_tapes(max_vertices) + members)
+    return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
 
 
 def _tape_kit(dynamics: Dynamics) -> BlockKit:
@@ -104,10 +107,6 @@ def _tape_kit(dynamics: Dynamics) -> BlockKit:
     rule's radius for a rule file, and is rebuilt only if the inverse's
     radius comes out larger.
     """
-    if dynamics.alphabets not in (None, TAPE_ALPHABETS):
-        raise DynamicsError(
-            f"--dynamics {dynamics.name}: block decomposition needs a "
-            f"dynamics over the tape alphabets")
     radius = 1
     if isinstance(dynamics, LocalRuleDynamics):
         radius = max(radius, dynamics.rule.radius)
@@ -207,6 +206,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_decompose(args) -> int:
+    if args.render and not args.trace:
+        raise ValueError("--render needs --trace")
     dynamics = _load_dynamics(args)
     X = _load_graph(args.input)
     kit = _tape_kit(dynamics)

@@ -326,22 +326,23 @@ def continuity_probe(D: Dynamics, X: CanonicalGraph, Y: CanonicalGraph,
     agree at the source radius are vacuously fine.  This can refute a
     modulus, never prove continuity.
     """
-    if disk(X, source_radius) != disk(Y, source_radius):
+    source_x, source_y = disk(X, source_radius), disk(Y, source_radius)
+    if source_x != source_y:
         return None
     FX, RX = D.apply(X)
     FY, RY = D.apply(Y)
-    if disk(FX, image_radius) != disk(FY, image_radius):
+    image_x, image_y = disk(FX, image_radius), disk(FY, image_radius)
+    if image_x != image_y:
         return (f"images disagree on the radius-{image_radius} disk although "
                 f"sources agree at radius {source_radius}")
-    keep_x = set(disk(FX, image_radius).graph.vertices)
-    keep_y = set(disk(FY, image_radius).graph.vertices)
+    keep_x = set(image_x.graph.vertices)
+    keep_y = set(image_y.graph.vertices)
     RXm = {u: w for u, w in RX.items() if w in keep_x}
     RYm = {u: w for u, w in RY.items() if w in keep_y}
     if RXm != RYm:
         return (f"restricted correspondences disagree at image radius "
                 f"{image_radius}")
-    source_x = set(disk(X, source_radius).graph.vertices)
-    source_y = set(disk(Y, source_radius).graph.vertices)
-    if not set(RXm) <= source_x or not set(RYm) <= source_y:
+    if (not set(RXm) <= set(source_x.graph.vertices)
+            or not set(RYm) <= set(source_y.graph.vertices)):
         return "restricted correspondence domain escapes the source disk"
     return None

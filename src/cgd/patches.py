@@ -1,10 +1,9 @@
 """Patch graphs, consistency-checked unions, and locally generated dynamics.
 
-A patch is a raw graph whose vertex ids are disjoint token sets: a vertex
-that persists from the host graph is the singleton of its name, a fresh
-vertex is the singleton of a (name, index) tag.  Two patches may be glued
-exactly when they nowhere disagree, and a local rule builds a whole image
-graph as the union of one patch per vertex.
+A patch is a raw graph whose vertex ids are tokens: a vertex that persists
+from the host graph is its name, a fresh vertex is a (name, index) tag.
+Two patches may be glued exactly when they nowhere disagree, and a local
+rule builds a whole image graph as the union of one patch per vertex.
 """
 from __future__ import annotations
 
@@ -48,28 +47,15 @@ class PatchInconsistencyError(PatchError):
         self.pair = pair
 
 
-def _ids_clash(x: Hashable, y: Hashable) -> bool:
-    """Distinct ids that nevertheless overlap; only token sets can overlap."""
-    if x == y:
-        return False
-    if isinstance(x, frozenset) and isinstance(y, frozenset):
-        return bool(x & y)
-    return False
-
-
 def consistent(G: RawGraph, H: RawGraph) -> Optional[str]:
     """None when the two patches nowhere disagree, else the first conflict.
 
-    Four conditions: overlapping vertex ids must be equal; a shared
-    half-edge must carry the same edge; shared edges and shared vertices
-    must agree on labels wherever both sides define one.
+    Three conditions: a shared half-edge must carry the same edge; shared
+    edges and shared vertices must agree on labels wherever both sides
+    define one.
     """
     if G.alphabets != H.alphabets:
         return "patches use different alphabets"
-    for x in sorted(G.vertices, key=repr):
-        for y in sorted(H.vertices, key=repr):
-            if _ids_clash(x, y):
-                return f"vertex ids {x!r} and {y!r} overlap without being equal"
     adj_g = G.adjacency()
     adj_h = H.adjacency()
     shared = set(G.vertices) & set(H.vertices)
@@ -92,15 +78,15 @@ def consistent(G: RawGraph, H: RawGraph) -> Optional[str]:
 def glue(pieces: Sequence[RawGraph]) -> RawGraph:
     """The union of vertices (in order of first appearance), edges and labels.
 
-    One pass indexes the id tokens, half-edges and labels of the pieces
-    seen so far, so each piece is compared only where it overlaps earlier
-    ones.  A conflict is what `consistent` calls one; the error names the
-    lexicographically first pair (i, j) that `consistent` rejects, with its
-    message.  A mismatch inside one piece, such as a duplicate half-edge,
-    is no conflict: it is left to the validation of the glued graph.
+    Pieces share a vertex where they hold equal ids.  One pass indexes the
+    half-edges and labels of the pieces seen so far, so each piece is
+    compared only where it overlaps earlier ones.  A conflict is what
+    `consistent` calls one; the error names the lexicographically first
+    pair (i, j) that `consistent` rejects, with its message.  A mismatch
+    inside one piece, such as a duplicate half-edge, is no conflict: it is
+    left to the validation of the glued graph.
     """
     alphabets = pieces[0].alphabets
-    owner: Dict[Hashable, Hashable] = {}    # id token -> first id holding it
     far: Dict[HalfEdge, HalfEdge] = {}
     seen_labels: Dict[Hashable, str] = {}   # labels of listed vertices only
     vertices: Dict[Hashable, None] = {}     # an ordered set
@@ -109,9 +95,6 @@ def glue(pieces: Sequence[RawGraph]) -> RawGraph:
     for piece in pieces:
         clash |= piece.alphabets != alphabets
         for v in piece.vertices:
-            if isinstance(v, frozenset):
-                for t in v:
-                    clash |= owner.setdefault(t, v) != v
             label = piece.vertex_labels.get(v)
             if label is not None:
                 clash |= seen_labels.setdefault(v, label) != label
@@ -148,8 +131,8 @@ class Patch:
 class LocalRule:
     """A radius and a function turning each disk into a patch.
 
-    Patch vertex ids must be frozensets of tokens; a token is either a path
-    of the disk (a persisting vertex) or a (path, int) tag (a fresh one).
+    Patch vertex ids are tokens: a path of the disk (a persisting vertex)
+    or a (path, int) tag (a fresh one).
     """
 
     radius: int
@@ -158,26 +141,23 @@ class LocalRule:
 
 
 def _translate_token(token, X: CanonicalGraph, anchor: Path):
-    if isinstance(token, Path):
-        target = X.resolve(token, start=anchor)
-        if target is None:
-            raise PatchError(
-                f"patch at {format_path(anchor)} names {format_path(token)}, "
-                f"which does not resolve")
-        return target
-    if isinstance(token, tuple) and len(token) == 2 and isinstance(token[0], Path):
-        return (_translate_token(token[0], X, anchor), token[1])
-    raise PatchError(f"unsupported patch token {token!r}")
-
-
-def _translate_id(vid, X, anchor):
-    if not isinstance(vid, frozenset):
-        raise PatchError(f"patch vertex id {vid!r} is not a token set")
-    return frozenset(_translate_token(t, X, anchor) for t in vid)
+    fresh = isinstance(token, tuple) and len(token) == 2
+    path = token[0] if fresh else token
+    if not isinstance(path, Path) or fresh and not isinstance(token[1], int):
+        raise PatchError(
+            f"patch at {format_path(anchor)} has vertex id {token!r}, which "
+            f"is neither a path nor a (path, int) tag")
+    target = X.resolve(path, start=anchor)
+    if target is None:
+        raise PatchError(
+            f"patch at {format_path(anchor)} names {format_path(path)}, "
+            f"which does not resolve")
+    return (target, token[1]) if fresh else target
 
 
 def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
-    mapping = {vid: _translate_id(vid, X, anchor) for vid in patch.graph.vertices}
+    mapping = {vid: _translate_token(vid, X, anchor)
+               for vid in patch.graph.vertices}
     if len(set(mapping.values())) != len(patch.graph.vertices):
         raise PatchError(
             f"patch at {format_path(anchor)} has two vertices that resolve "
@@ -235,7 +215,7 @@ class LocalRuleDynamics(Dynamics):
 
 
 def identity_local_rule(radius: int = 0) -> LocalRule:
-    """Every disk maps to itself with singleton ids.
+    """Every disk maps to itself, its names as the patch's ids.
 
     From radius 1 up this is the do-nothing rule.  At radius 0 it drops
     the labels of edges between distinct vertices, which a radius-0 disk
@@ -243,8 +223,7 @@ def identity_local_rule(radius: int = 0) -> LocalRule:
     """
 
     def rule(view: DiskGraph) -> Patch:
-        ids = {v: frozenset((v,)) for v in view.graph.vertices}
-        return Patch(relabel(view.graph, ids=ids), ids[EPSILON])
+        return Patch(view.graph.to_pointed_raw().graph, EPSILON)
 
     return LocalRule(radius=radius, rule=rule, name="identity-local")
 
@@ -299,7 +278,10 @@ def _patch_token_of_text(text: str, ports) -> Hashable:
 def _patch_token_text(token) -> str:
     if isinstance(token, Path):
         return format_path(token)
-    return f"{format_path(token[0])}~{token[1]}"
+    if (isinstance(token, tuple) and len(token) == 2
+            and isinstance(token[0], Path) and isinstance(token[1], int)):
+        return f"{format_path(token[0])}~{token[1]}"
+    raise GraphFormatError(f"cannot serialize patch id {token!r}")
 
 
 def parse_rule_file(text: str) -> RuleTable:
@@ -348,7 +330,7 @@ def parse_rule_file(text: str) -> RuleTable:
 def _parse_patch(lines: List[str], first_line: int) -> Patch:
     pg = parse_graph("\n".join(lines), first_line=first_line)
     ports = pg.graph.alphabets.ports
-    ids: Dict[str, frozenset] = {}
+    ids: Dict[str, Hashable] = {}
     by_token: Dict[Hashable, str] = {}
     for v in pg.graph.vertices:
         token = _patch_token_of_text(v, ports)
@@ -360,19 +342,14 @@ def _parse_patch(lines: List[str], first_line: int) -> Patch:
                 f"line {line_no}: patch vertices {by_token[token]!r} and {v!r} "
                 f"name the same token")
         by_token[token] = v
-        ids[v] = frozenset((token,))
+        ids[v] = token
     return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
 
 
 def serialize_rule_file(table: RuleTable) -> str:
     def patch_text(patch: Patch) -> str:
-        tokens = {}
-        for vid in patch.graph.vertices:
-            if not isinstance(vid, frozenset) or len(vid) != 1:
-                raise GraphFormatError(f"cannot serialize patch id {vid!r}")
-            tokens[vid] = _patch_token_text(next(iter(vid)))
         return serialize_graph(PointedRawGraph(patch.graph, patch.successor),
-                               token=lambda v: tokens[v])
+                               token=_patch_token_text)
 
     chunks = [f"radius {table.radius}"]
     for view in sorted(table.entries, key=lambda d: d.graph.to_text()):

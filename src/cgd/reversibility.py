@@ -485,14 +485,14 @@ def _patch_of(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
               names: Dict[Path, Path]) -> Optional[Patch]:
     """Vertex x of X and its incident edges, each vertex named by `names`
     of its image in Y; None if an endpoint's image has no name."""
-    ids = {x: frozenset((names[to_y[x]],))}
+    ids = {x: names[to_y[x]]}
     edges, edge_labels = set(), {}
     for p, (w, q) in sorted(X.adjacency[x].items(),
                             key=lambda hop: X.alphabets.port_index(hop[0])):
         name = names.get(to_y[w])
         if name is None:
             return None
-        ids.setdefault(w, frozenset((name,)))
+        ids.setdefault(w, name)
         e = make_edge(ids[x], p, ids[w], q)
         edges.add(e)
         label = X.edge_labels.get(make_edge(x, p, w, q))

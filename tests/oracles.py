@@ -38,6 +38,13 @@ at the vertex, then cut.  `translate_patch_from_origin` resolves each patch
 token as anchor.token walked from the origin; `_translate_patch` now walks
 the token from the anchor.  `apply_local_rule_pairwise` uses both.
 
+`consistent`, `glue`, `_translate_patch` and `glue_rule` are the gluing
+code as it was when a local rule's patch vertex ids were sets of tokens,
+each a singleton in practice: `_ids_clash` rejected two ids that overlap
+without being equal, and `glue` indexed every token of every id.  Patch
+ids are now the tokens themselves.  The two references above fold with
+this `consistent`, which also serves plain ids.
+
 `TuplePath` is a vertex name as `paths.Path` held it before it became a
 trie node, one tuple per word, with `format_tuple_path` its old text and
 `tuple_canonical_names` the old canonical naming that copied the parent's
@@ -76,7 +83,9 @@ per radius tried, and the footprint mapped every edge of the source by hand.
 edges through `portgraph.relabel`.
 """
 from collections import deque
-from typing import Callable, Dict, Iterable, List, Optional, Set, Tuple
+from itertools import combinations
+from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+                    Sequence, Set, Tuple)
 
 from cgd.blocks import (
     MarkError,
@@ -103,7 +112,7 @@ from cgd.modulo import (
     shift,
     shift_with_names,
 )
-from cgd.patches import Patch, PatchError, PatchInconsistencyError, consistent
+from cgd.patches import LocalRule, Patch, PatchError, PatchInconsistencyError
 from cgd.paths import EPSILON, Path, format_path
 from cgd.portgraph import (
     Alphabets,
@@ -139,6 +148,136 @@ def union_pair(G: RawGraph, H: RawGraph) -> RawGraph:
                     edge_labels=edge_labels)
 
 
+def _ids_clash(x: Hashable, y: Hashable) -> bool:
+    """Distinct ids that nevertheless overlap; only token sets can overlap."""
+    if x == y:
+        return False
+    if isinstance(x, frozenset) and isinstance(y, frozenset):
+        return bool(x & y)
+    return False
+
+
+def consistent(G: RawGraph, H: RawGraph) -> Optional[str]:
+    """None when the two patches nowhere disagree, else the first conflict.
+
+    Four conditions: overlapping vertex ids must be equal; a shared
+    half-edge must carry the same edge; shared edges and shared vertices
+    must agree on labels wherever both sides define one.
+    """
+    if G.alphabets != H.alphabets:
+        return "patches use different alphabets"
+    for x in sorted(G.vertices, key=repr):
+        for y in sorted(H.vertices, key=repr):
+            if _ids_clash(x, y):
+                return f"vertex ids {x!r} and {y!r} overlap without being equal"
+    adj_g = G.adjacency()
+    adj_h = H.adjacency()
+    shared = set(G.vertices) & set(H.vertices)
+    for x in sorted(shared, key=repr):
+        for port in sorted(set(adj_g[x]) & set(adj_h[x])):
+            if adj_g[x][port] != adj_h[x][port]:
+                return (f"half-edge {x!r}:{port} leads to "
+                        f"{adj_g[x][port]!r} in one patch and "
+                        f"{adj_h[x][port]!r} in the other")
+    for e in G.edge_labels:
+        if e in H.edge_labels and G.edge_labels[e] != H.edge_labels[e]:
+            return f"edge {set(e)!r} labelled both {G.edge_labels[e]!r} and {H.edge_labels[e]!r}"
+    for x in sorted(shared, key=repr):
+        lg, lh = G.vertex_labels.get(x), H.vertex_labels.get(x)
+        if lg is not None and lh is not None and lg != lh:
+            return f"vertex {x!r} labelled both {lg!r} and {lh!r}"
+    return None
+
+
+def glue(pieces: Sequence[RawGraph]) -> RawGraph:
+    """The union of vertices (in order of first appearance), edges and labels;
+    the lexicographically first pair that `consistent` rejects is raised."""
+    alphabets = pieces[0].alphabets
+    owner: Dict[Hashable, Hashable] = {}    # id token -> first id holding it
+    far = {}
+    seen_labels: Dict[Hashable, str] = {}   # labels of listed vertices only
+    vertices: Dict[Hashable, None] = {}     # an ordered set
+    vertex_labels, edge_labels, edges = {}, {}, set()
+    clash = False
+    for piece in pieces:
+        clash |= piece.alphabets != alphabets
+        for v in piece.vertices:
+            if isinstance(v, frozenset):
+                for t in v:
+                    clash |= owner.setdefault(t, v) != v
+            label = piece.vertex_labels.get(v)
+            if label is not None:
+                clash |= seen_labels.setdefault(v, label) != label
+        for e in piece.edges:
+            if len(e) == 2:
+                h1, h2 = e
+                clash |= far.setdefault(h1, h2) != h2
+                clash |= far.setdefault(h2, h1) != h1
+        for e, label in piece.edge_labels.items():
+            clash |= edge_labels.setdefault(e, label) != label
+        vertices.update(dict.fromkeys(piece.vertices))
+        edges.update(piece.edges)
+        vertex_labels.update(piece.vertex_labels)
+    if clash:
+        for i, j in combinations(range(len(pieces)), 2):
+            problem = consistent(pieces[i], pieces[j])
+            if problem is not None:
+                raise PatchInconsistencyError(problem, pair=(i, j))
+    return RawGraph(alphabets=alphabets, vertices=tuple(vertices),
+                    edges=frozenset(edges), vertex_labels=vertex_labels,
+                    edge_labels=edge_labels)
+
+
+def _translate_token(token, X: CanonicalGraph, anchor: Path):
+    if isinstance(token, Path):
+        target = X.resolve(token, start=anchor)
+        if target is None:
+            raise PatchError(
+                f"patch at {format_path(anchor)} names {format_path(token)}, "
+                f"which does not resolve")
+        return target
+    if isinstance(token, tuple) and len(token) == 2 and isinstance(token[0], Path):
+        return (_translate_token(token[0], X, anchor), token[1])
+    raise PatchError(f"unsupported patch token {token!r}")
+
+
+def _translate_id(vid, X, anchor):
+    if not isinstance(vid, frozenset):
+        raise PatchError(f"patch vertex id {vid!r} is not a token set")
+    return frozenset(_translate_token(t, X, anchor) for t in vid)
+
+
+def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
+    mapping = {vid: _translate_id(vid, X, anchor) for vid in patch.graph.vertices}
+    if len(set(mapping.values())) != len(patch.graph.vertices):
+        raise PatchError(
+            f"patch at {format_path(anchor)} has two vertices that resolve "
+            f"to the same host vertex")
+    if patch.successor not in mapping:
+        raise PatchError(f"patch at {format_path(anchor)} has a successor "
+                         f"{patch.successor!r} that is not one of its vertices")
+    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+
+
+def glue_rule(rule: LocalRule, X: CanonicalGraph
+              ) -> Tuple[PointedRawGraph, Dict[Path, Hashable]]:
+    """Run the rule on every vertex's disk and glue the translated patches:
+    the glued graph, pointed at the origin's successor, and each vertex's
+    successor; a conflict names its two anchors."""
+    patches: Dict[Path, Patch] = {
+        u: _translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
+        for u in X.vertices}
+    try:
+        merged = glue([p.graph for p in patches.values()])
+    except PatchInconsistencyError as err:
+        u, w = (X.vertices[k] for k in err.pair)
+        raise PatchInconsistencyError(
+            f"patches at {format_path(u)} and {format_path(w)} "
+            f"conflict: {err}", anchors=(u, w)) from None
+    return (PointedRawGraph(merged, patches[EPSILON].successor),
+            {u: p.successor for u, p in patches.items()})
+
+
 def disk_by_shift(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
     return disk(shift(X, u), radius)
 
@@ -156,15 +295,9 @@ def _translate_token_from_origin(token, X: CanonicalGraph, anchor: Path):
     raise PatchError(f"unsupported patch token {token!r}")
 
 
-def _translate_id_from_origin(vid, X, anchor):
-    if not isinstance(vid, frozenset):
-        raise PatchError(f"patch vertex id {vid!r} is not a token set")
-    return frozenset(_translate_token_from_origin(t, X, anchor) for t in vid)
-
-
 def translate_patch_from_origin(patch: Patch, X: CanonicalGraph,
                                 anchor: Path) -> Patch:
-    mapping = {vid: _translate_id_from_origin(vid, X, anchor)
+    mapping = {vid: _translate_token_from_origin(vid, X, anchor)
                for vid in patch.graph.vertices}
     return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
 

@@ -440,6 +440,20 @@ class TestInputBounds:
                      "--input", tape_file]) == EXIT_BAD_INPUT
         one_error_line(capsys, "--dynamics", name)
 
+    @pytest.mark.parametrize("name, family", [("turtle", "tape-closure"),
+                                              ("inflating-grid", "single-head-tape")])
+    def test_tape_families_need_a_tape_dynamics(self, name, family, capsys):
+        assert main(["verify", "--dynamics", name, "--family", family,
+                     "--max-vertices", "3"]) == EXIT_BAD_INPUT
+        one_error_line(capsys, "--dynamics", name)
+
+    def test_render_needs_trace(self, tape_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        assert main(["decompose", "--dynamics", "moving-head", "--input",
+                     tape_file, "--render", "--output-dir", str(out)]) == EXIT_BAD_INPUT
+        assert one_error_line(capsys) == "error: --render needs --trace"
+        assert not out.exists()
+
 
 def tape_identity_rule_text():
     """The radius-1 identity rule on every disk of the bare and single-head

@@ -3,6 +3,9 @@
 Both the local-rule path and the reversible extension must produce the same
 graphs and correspondences as the references in `oracles.py`, and fail with
 the same exception types; a local rule must also report the same anchors.
+Plain-token patch ids must glue as the earlier token-set ids did: the same
+image and successors once each singleton set is unwrapped, and on failure
+the same exception type, pair and anchors.
 """
 from itertools import combinations
 
@@ -17,7 +20,9 @@ from cgd import (
     apply_local_rule,
     apply_product,
     canonicalize,
+    cli,
     consistent,
+    get_dynamics,
     glue,
     make_edge,
 )
@@ -29,20 +34,24 @@ from cgd.blocks import (
     mark,
 )
 from cgd.dynamics import FuncDynamics
-from cgd.families import bare_tape, grid_graph, single_head_tapes
+from cgd.families import bare_tape, bare_tapes, grid_graph, single_head_tapes
 from cgd.modulo import disk_at, shift_with_names
 from cgd.patches import (
     LocalRule,
     Patch,
     PatchInconsistencyError,
     RuleLookupError,
+    RuleTable,
     _translate_patch,
+    glue_rule,
     identity_local_rule,
     parse_rule_file,
+    serialize_rule_file,
 )
 from cgd.paths import EPSILON, parse_path
-from cgd.portgraph import GraphError
+from cgd.portgraph import GraphError, relabel, validate
 
+import oracles
 from oracles import FoldingExtension, apply_local_rule_pairwise, union_pair
 from test_blocks import TAPE_SPACE, moving_head_kit
 from test_patches import (
@@ -120,22 +129,7 @@ class TestLocalRuleAgainstOracle:
         # conflict first; the lexicographically first pair is (0, 3).
         X = ring(4, DIGITS, {i: str(i) for i in range(4)})
         A = X.vertices
-        claims = {}
-        for i, j in ((0, 3), (1, 2)):
-            to_anchor = shift_with_names(X, A[i])[1]
-            claims[X.vertex_labels[A[i]]] = to_anchor[A[j]]
-
-        def rule(view):
-            own = view.graph.vertex_labels[EPSILON]
-            me = frozenset((EPSILON,))
-            labels = {me: own}
-            if own in claims:
-                labels[frozenset((claims[own],))] = own
-            graph = RawGraph(alphabets=DIGITS, vertices=tuple(labels),
-                             vertex_labels=labels)
-            return Patch(graph, me)
-
-        got = assert_rule_agrees(LocalRule(radius=0, rule=rule), X)
+        got = assert_rule_agrees(claims_rule(X), X)
         assert got[0] is PatchInconsistencyError
         assert got[2] == (A[0], A[3])
 
@@ -149,26 +143,196 @@ class TestLocalRuleAgainstOracle:
 
     @pytest.mark.parametrize("labels", ["0000", "0001", "0110", "0101", "0123"])
     def test_neighbour_claims_name_the_same_anchors(self, labels):
-        # Each patch gives its anchor's label to the anchor and to the vertex
-        # one ab hop away, so the patches of differently labelled neighbours
-        # conflict on that vertex.  The claimed token is a non-empty path.
-        step = parse_path("ab", ("a", "b"))
-
-        def rule(view):
-            me = frozenset((EPSILON,))
-            own = view.graph.vertex_labels[EPSILON]
-            ids = {EPSILON: me, step: frozenset((step,))}
-            graph = RawGraph(alphabets=DIGITS, vertices=tuple(ids.values()),
-                             edges=frozenset((make_edge(me, "a", ids[step], "b"),)),
-                             vertex_labels={me: own, ids[step]: own})
-            return Patch(graph, me)
-
         X = ring(4, DIGITS, dict(enumerate(labels)))
-        got = assert_rule_agrees(LocalRule(radius=1, rule=rule), X)
+        got = assert_rule_agrees(neighbour_claims_rule(), X)
         if len(set(labels)) == 1:
             assert got[0] == X
         else:
             assert got[0] is PatchInconsistencyError and got[2] is not None
+
+
+def claims_rule(X):
+    """The mislabelling rule of `test_first_pair_in_order_is_not_first_found`
+    on its 4-ring X."""
+    A = X.vertices
+    claims = {}
+    for i, j in ((0, 3), (1, 2)):
+        to_anchor = shift_with_names(X, A[i])[1]
+        claims[X.vertex_labels[A[i]]] = to_anchor[A[j]]
+
+    def rule(view):
+        own = view.graph.vertex_labels[EPSILON]
+        labels = {EPSILON: own}
+        if own in claims:
+            labels[claims[own]] = own
+        graph = RawGraph(alphabets=DIGITS, vertices=tuple(labels),
+                         vertex_labels=labels)
+        return Patch(graph, EPSILON)
+
+    return LocalRule(radius=0, rule=rule)
+
+
+def neighbour_claims_rule():
+    """Each patch gives its anchor's label to the anchor and to the vertex
+    one ab hop away, so the patches of differently labelled neighbours
+    conflict on that vertex.  The claimed token is a non-empty path."""
+    step = parse_path("ab", ("a", "b"))
+
+    def rule(view):
+        own = view.graph.vertex_labels[EPSILON]
+        graph = RawGraph(alphabets=DIGITS, vertices=(EPSILON, step),
+                         edges=frozenset((make_edge(EPSILON, "a", step, "b"),)),
+                         vertex_labels={EPSILON: own, step: own})
+        return Patch(graph, EPSILON)
+
+    return LocalRule(radius=1, rule=rule)
+
+
+def leaf_claims_rule():
+    """Each patch hangs a fresh leaf on its anchor's port c and another on
+    the c port of the vertex one ab hop away, so on a tape of two or more
+    cells neighbouring patches send one half-edge to two fresh vertices."""
+    step = parse_path("ab", "abcd")
+
+    def rule(view):
+        g = view.graph
+        vertices = [EPSILON, (EPSILON, 1)]
+        edges = {make_edge(EPSILON, "c", (EPSILON, 1), "c")}
+        if step in g.vertices:
+            vertices += [step, (EPSILON, 2)]
+            edges |= {make_edge(EPSILON, "a", step, "b"),
+                      make_edge(step, "c", (EPSILON, 2), "c")}
+        graph = RawGraph(alphabets=g.alphabets, vertices=tuple(vertices),
+                         edges=frozenset(edges))
+        return Patch(graph, EPSILON)
+
+    return LocalRule(radius=1, rule=rule)
+
+
+def token_set_rule(rule):
+    """`rule` in the old id format: every patch id a one-token set."""
+    def wrapped(view):
+        return token_set_patch(rule.rule(view))
+    return LocalRule(radius=rule.radius, rule=wrapped, name=rule.name)
+
+
+def token_set_patch(patch):
+    ids = {v: frozenset((v,)) for v in patch.graph.vertices}
+    return Patch(relabel(patch.graph, ids=ids), frozenset((patch.successor,)))
+
+
+def unwrap(vid):
+    (token,) = vid
+    return token
+
+
+def glue_outcome(fn, *args):
+    """The result, else the error's type, `pair` and `anchors`."""
+    try:
+        return fn(*args)
+    except GraphError as err:
+        return type(err), getattr(err, "pair", None), getattr(err, "anchors", None)
+
+
+def assert_plain_ids_agree(rule, X):
+    """`glue_rule` and `glue` on plain ids give what the token-set code in
+    `oracles` gives on the same patches with singleton ids, once unwrapped."""
+    got = glue_outcome(glue_rule, rule, X)
+    old = glue_outcome(oracles.glue_rule, token_set_rule(rule), X)
+    if isinstance(old[0], PointedRawGraph):
+        glued, successors = old
+        ids = {v: unwrap(v) for v in glued.graph.vertices}
+        old = (PointedRawGraph(relabel(glued.graph, ids=ids), ids[glued.origin]),
+               {u: unwrap(s) for u, s in successors.items()})
+    assert got == old
+    try:
+        pieces = [_translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
+                  for u in X.vertices]
+    except GraphError:
+        return got
+    glued = glue_outcome(glue, [p.graph for p in pieces])
+    old = glue_outcome(oracles.glue, [token_set_patch(p).graph for p in pieces])
+    if isinstance(old, RawGraph):
+        old = relabel(old, ids={v: unwrap(v) for v in old.vertices})
+    assert glued == old
+    return got
+
+
+def grid_rule_file():
+    """The inflating-grid rule as rule-file text, read off the radius-0
+    disks of grids; its fresh vertices are written `~1` to `~4`."""
+    rule = inflating_grid_local_rule()
+    entries = {}
+    for X in (grid_graph(3, 3), grid_graph(1, 3), grid_graph(1, 1)):
+        for u in X.vertices:
+            view = disk_at(X, u, 0)
+            entries[view] = rule.rule(view)
+    return serialize_rule_file(RuleTable(radius=0, entries=entries))
+
+
+@pytest.fixture(scope="module")
+def cli_inverse_rules():
+    """The inverse rules of the CLI's `moving-head` and `identity` kits."""
+    return {name: cli._tape_kit(get_dynamics(name)).inverse.table
+            .local_rule().as_rule() for name in ("moving-head", "identity")}
+
+
+GRID_SHAPES = ((1, 1), (1, 3), (2, 2), (2, 3), (3, 2), (3, 3))
+
+
+class TestPlainIdsAgainstTokenSets:
+    @pytest.mark.parametrize("radius", [0, 1, 2])
+    def test_identity_rule(self, radius):
+        rule = identity_local_rule(radius)
+        hosts = [bare_tape(n, AB0) for n in range(1, 8)]
+        hosts += [ring(n) for n in range(1, 7)]
+        hosts += single_head_tapes(4)
+        hosts += [grid_graph(*shape) for shape in GRID_SHAPES]
+        for X in hosts:
+            glued, successors = assert_plain_ids_agree(rule, X)
+            assert successors == {v: v for v in X.vertices}
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(st.data())
+    def test_identity_and_degree_rules_on_random_graphs(self, data):
+        X = data.draw(graphs())
+        assert_plain_ids_agree(identity_local_rule(data.draw(st.integers(0, 2))), X)
+        assert_plain_ids_agree(degree_dependent_labeller(), X)
+
+    def test_grid_rule_and_its_rule_file(self):
+        text = grid_rule_file()
+        assert "~4" in text
+        for rule in (inflating_grid_local_rule(), parse_rule_file(text).as_rule()):
+            for shape in GRID_SHAPES:
+                glued, _successors = assert_plain_ids_agree(rule, grid_graph(*shape))
+                assert len(glued.graph.vertices) == 4 * shape[0] * shape[1]
+
+    def test_conflicting_rules(self):
+        path = RawGraph(alphabets=ABL, vertices=(0, 1, 2),
+                        edges=frozenset((make_edge(0, "a", 1, "b"),
+                                         make_edge(1, "a", 2, "b"))),
+                        vertex_labels={i: "x" for i in range(3)})
+        got = assert_plain_ids_agree(degree_dependent_labeller(),
+                                     canonicalize(PointedRawGraph(path, 0)))
+        assert got[0] is PatchInconsistencyError
+        X = ring(4, DIGITS, {i: str(i) for i in range(4)})
+        got = assert_plain_ids_agree(claims_rule(X), X)
+        assert got == (PatchInconsistencyError, None, (X.vertices[0], X.vertices[3]))
+        for labels in ("0000", "0001", "0110", "0101", "0123"):
+            X = ring(4, DIGITS, dict(enumerate(labels)))
+            got = assert_plain_ids_agree(neighbour_claims_rule(), X)
+            assert (got[0] is PatchInconsistencyError) == (len(set(labels)) > 1)
+        for n in range(1, 5):
+            got = assert_plain_ids_agree(leaf_claims_rule(), bare_tape(n))
+            assert (got[0] is PatchInconsistencyError) == (n > 1)
+
+    @pytest.mark.parametrize("name", ["moving-head", "identity"])
+    def test_cli_inverse_rules(self, name, cli_inverse_rules):
+        rule, step = cli_inverse_rules[name], get_dynamics(name)
+        tapes = bare_tapes(8) + single_head_tapes(7)
+        for X in tapes:
+            glued, _successors = assert_plain_ids_agree(rule, step.apply(X)[0])
+            assert len(glued.graph.vertices) == len(X.vertices)
 
 
 @st.composite
@@ -246,7 +410,7 @@ class TestExtensionAgainstOracle:
 
 
 class TestGlue:
-    U, V, W = (frozenset((t,)) for t in "uvw")
+    U, V, W = "uvw"
 
     def piece(self, vertices, edges=(), labels=None):
         return RawGraph(alphabets=ABL, vertices=tuple(vertices),
@@ -259,11 +423,10 @@ class TestGlue:
         assert union_pair(g, h) == glue([g, h])
         assert glue([g, h]).vertices == (self.U, self.V, self.W)
 
-    @pytest.mark.parametrize("conflict", ["token", "half-edge", "label", "alphabets"])
+    @pytest.mark.parametrize("conflict", ["half-edge", "label", "alphabets"])
     def test_reports_the_first_pair_with_its_message(self, conflict):
         clean = self.piece([self.U])
         bad = {
-            "token": self.piece([frozenset("uv")]),
             "half-edge": self.piece([self.U, self.W],
                                     [make_edge(self.U, "a", self.W, "b")]),
             "label": self.piece([self.U], labels={self.U: "y"}),
@@ -280,9 +443,14 @@ class TestGlue:
         assert str(err.value) == consistent(*(pieces[k] for k in expected))
 
     def test_mismatch_inside_one_piece_is_left_to_validation(self):
-        overlapping = self.piece([self.U, frozenset("uv")])
-        assert glue([overlapping, self.piece([self.W])]).vertices == \
-            (self.U, frozenset("uv"), self.W)
+        # Half-edge u:a is used twice, by two edges of the same piece.
+        doubled = self.piece([self.U, self.V, self.W],
+                             [make_edge(self.U, "a", self.V, "b"),
+                              make_edge(self.U, "a", self.W, "b")])
+        glued = glue([doubled, self.piece([self.W])])
+        assert glued.vertices == (self.U, self.V, self.W)
+        assert glued.edges == doubled.edges
+        assert "'u':a" in validate(glued)
 
 
 def identity_patches(X, radius):

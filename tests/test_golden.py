@@ -11,6 +11,9 @@ import io
 import os
 from typing import Dict
 
+import pytest
+
+from cgd import cli, get_dynamics
 from cgd.cli import EXIT_CHECK_FAILED, EXIT_OK, main
 from cgd.families import bare_tapes, shift_closure, single_head_tapes
 from cgd.modulo import disk
@@ -241,3 +244,19 @@ GOLDEN: Dict[str, str] = {
 
 def test_outputs_match_their_golden_digests(tmp_path):
     assert golden_run(tmp_path) == GOLDEN
+
+
+# The inverse rules of the CLI's tape kits, as rule-file text.
+INVERSE_RULE_GOLDEN: Dict[str, str] = {
+    "moving-head":
+        "662b31c7db8ce6a27300fea77c24f07d99dc241955c66a4d0b5de3a156954a76",
+    "identity":
+        "8986e0038f5a9d77f16c9dd15da2621fa2178a84a01945a9ee57f15cdada2849",
+}
+
+
+@pytest.mark.parametrize("name", sorted(INVERSE_RULE_GOLDEN))
+def test_inverse_rules_match_their_golden_digests(name):
+    table = cli._tape_kit(get_dynamics(name)).inverse.table
+    text = serialize_rule_file(table.local_rule())
+    assert _sha256(text.encode("utf-8")) == INVERSE_RULE_GOLDEN[name]

@@ -14,8 +14,8 @@ from cgd import (
     glue,
     make_edge,
 )
-from cgd.families import grid_graph
-from cgd.modulo import DiskGraph, disk
+from cgd.families import grid_graph, single_head_tapes
+from cgd.modulo import DiskGraph, disk, disk_at
 from cgd.patches import (
     LocalRule,
     LocalRuleDynamics,
@@ -23,13 +23,13 @@ from cgd.patches import (
     PatchError,
     PatchInconsistencyError,
     RuleLookupError,
+    RuleTable,
     identity_local_rule,
     parse_rule_file,
     serialize_rule_file,
 )
-from cgd.paths import EPSILON, parse_path
-from cgd.portgraph import (GraphError, GraphFormatError, InvalidGraphError,
-                            validate)
+from cgd.paths import EPSILON, format_path, parse_path
+from cgd.portgraph import GraphFormatError, InvalidGraphError, validate
 
 AB = Alphabets.make("ab")
 ABL = Alphabets.make("ab", vertex_labels=("x", "y"))
@@ -42,31 +42,26 @@ def patch_graph(vertices, edges=(), vlabels=None, alphabets=ABL):
 
 class TestConsistency:
     def test_patch_agrees_with_itself(self):
-        g = patch_graph([frozenset(("u",)), frozenset(("v",))],
-                        [make_edge(frozenset(("u",)), "a", frozenset(("v",)), "b")])
+        g = patch_graph(["u", "v"], [make_edge("u", "a", "v", "b")])
         assert consistent(g, g) is None
         assert glue([g, g]).edges == g.edges
 
-    def test_overlapping_ids_must_be_equal(self):
-        g = patch_graph([frozenset((1, 2))])
-        h = patch_graph([frozenset((2, 3))])
-        assert "overlap" in consistent(g, h)
-
     def test_shared_half_edge_must_agree(self):
-        u, v, w = frozenset(("u",)), frozenset(("v",)), frozenset(("w",))
+        u, v, w = "u", "v", "w"
         g = patch_graph([u, v], [make_edge(u, "a", v, "b")])
         h = patch_graph([u, w], [make_edge(u, "a", w, "b")])
-        assert "leads to" in consistent(g, h)
+        assert consistent(g, h) == ("half-edge 'u':a leads to ('v', 'b') in "
+                                    "one patch and ('w', 'b') in the other")
 
     def test_vertex_label_conflict(self):
-        u = frozenset(("u",))
+        u = "u"
         g = patch_graph([u], vlabels={u: "x"})
         h = patch_graph([u], vlabels={u: "y"})
         assert "labelled both" in consistent(g, h)
 
     def test_edge_label_conflict(self):
         alph = Alphabets.make("ab", edge_labels=("p", "q"))
-        u, v = frozenset(("u",)), frozenset(("v",))
+        u, v = "u", "v"
         e = make_edge(u, "a", v, "b")
         g = RawGraph(alphabets=alph, vertices=(u, v), edges=frozenset((e,)),
                      edge_labels={e: "p"})
@@ -75,7 +70,7 @@ class TestConsistency:
         assert consistent(g, h) is not None
 
     def test_partial_labels_never_conflict(self):
-        u = frozenset(("u",))
+        u = "u"
         g = patch_graph([u], vlabels={u: "x"})
         h = patch_graph([u])
         assert consistent(g, h) is None
@@ -84,12 +79,12 @@ class TestConsistency:
 
 class TestUnion:
     def test_disjoint(self):
-        g = patch_graph([frozenset(("u",))])
-        h = patch_graph([frozenset(("v",))])
+        g = patch_graph(["u"])
+        h = patch_graph(["v"])
         assert set(glue([g, h]).vertices) == set(g.vertices) | set(h.vertices)
 
     def test_glued_at_shared_vertex(self):
-        u, v, w = frozenset(("u",)), frozenset(("v",)), frozenset(("w",))
+        u, v, w = "u", "v", "w"
         g = patch_graph([u, v], [make_edge(u, "a", v, "b")])
         h = patch_graph([v, w], [make_edge(v, "a", w, "b")])
         merged = glue([g, h])
@@ -97,7 +92,7 @@ class TestUnion:
         assert len(merged.edges) == 2
 
     def test_inconsistent_union_raises(self):
-        u = frozenset(("u",))
+        u = "u"
         g = patch_graph([u], vlabels={u: "x"})
         h = patch_graph([u], vlabels={u: "y"})
         with pytest.raises(PatchInconsistencyError):
@@ -139,19 +134,40 @@ class TestApplyLocalRule:
         loop = RawGraph(alphabets=AB, vertices=("v",),
                         edges=frozenset((make_edge("v", "a", "v", "b"),)))
         X = canonicalize(PointedRawGraph(loop, "v"))
-        ids = (frozenset((EPSILON,)), frozenset((parse_path("ab", "ab"),)))
+        ids = (EPSILON, parse_path("ab", "ab"))
         patch = Patch(RawGraph(alphabets=AB, vertices=ids), ids[0])
         rule = LocalRule(radius=0, rule=lambda view: patch)
-        with pytest.raises(GraphError):
+        with pytest.raises(PatchError, match="^patch at eps has two vertices "
+                                             "that resolve to the same host"):
             apply_local_rule(rule, X)
 
     def test_successor_outside_the_patch_is_rejected(self):
         X = canonicalize(PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v"))
-        ids = (frozenset((EPSILON,)),)
-        patch = Patch(RawGraph(alphabets=AB, vertices=ids), frozenset((EPSILON, 1)))
+        patch = Patch(RawGraph(alphabets=AB, vertices=(EPSILON,)), (EPSILON, 1))
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError, match="^patch at eps has a successor "):
             apply_local_rule(rule, X)
+
+    @pytest.mark.parametrize("bad", [frozenset((EPSILON,)), "u", (EPSILON, "1")])
+    def test_an_id_that_is_no_token_names_its_anchor(self, bad):
+        # Only the y-labelled vertex's patch, not the origin's, has a bad id.
+        raw = RawGraph(alphabets=ABL, vertices=(0, 1),
+                       edges=frozenset((make_edge(0, "a", 1, "b"),)),
+                       vertex_labels={0: "x", 1: "y"})
+        X = canonicalize(PointedRawGraph(raw, 0))
+        identity = identity_local_rule(0).rule
+
+        def rule(view):
+            if view.graph.vertex_labels[EPSILON] == "x":
+                return identity(view)
+            return Patch(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
+
+        with pytest.raises(PatchError) as err:
+            apply_local_rule(LocalRule(radius=0, rule=rule), X)
+        assert type(err.value) is PatchError
+        assert str(err.value) == (
+            f"patch at {format_path(X.vertices[1])} has vertex id {bad!r}, "
+            f"which is neither a path nor a (path, int) tag")
 
 
 def degree_dependent_labeller():
@@ -160,13 +176,10 @@ def degree_dependent_labeller():
     def rule(view: DiskGraph) -> Patch:
         g = view.graph
         label = "x" if len(g.adjacency[EPSILON]) == 1 else "y"
-        ids = {v: frozenset((v,)) for v in g.vertices}
-        edges = {e: frozenset((ids[v], p) for (v, p) in e) for e in g.edges}
-        patch = RawGraph(alphabets=g.alphabets,
-                         vertices=tuple(ids[v] for v in g.vertices),
-                         edges=frozenset(edges.values()),
-                         vertex_labels={ids[v]: label for v in g.vertices})
-        return Patch(patch, ids[EPSILON])
+        patch = RawGraph(alphabets=g.alphabets, vertices=g.vertices,
+                         edges=g.edges,
+                         vertex_labels={v: label for v in g.vertices})
+        return Patch(patch, EPSILON)
 
     return LocalRule(radius=0, rule=rule, name="degree-labeller")
 
@@ -181,7 +194,7 @@ def inflating_grid_local_rule():
     NW, NE, SW, SE = 1, 2, 3, 4
 
     def kids(path):
-        return {k: frozenset(((path, k),)) for k in (NW, NE, SW, SE)}
+        return {k: (path, k) for k in (NW, NE, SW, SE)}
 
     def rule(view: DiskGraph) -> Patch:
         g = view.graph
@@ -319,6 +332,18 @@ class TestRuleFiles:
             assert again.entries == table.entries
             assert serialize_rule_file(again) == text
 
+    def test_identity_rule_table_round_trips(self):
+        # The identity rule's patches are raw graphs named like the disk, so
+        # a table of them reads back equal from its text.
+        rule = identity_local_rule(1)
+        entries = {}
+        for X in single_head_tapes(3) + [grid_graph(3, 3)]:
+            for u in X.vertices:
+                view = disk_at(X, u, 1)
+                entries.setdefault(view, rule.rule(view))
+        text = serialize_rule_file(RuleTable(radius=1, entries=entries))
+        assert parse_rule_file(text).entries == entries
+
     def test_lookup_miss(self):
         table = parse_rule_file(RULE_FILE)
         rule = table.as_rule()
@@ -355,9 +380,16 @@ pointer eps
 """
         table = parse_rule_file(text)
         (patch,) = table.entries.values()
-        tokens = {next(iter(vid)) for vid in patch.graph.vertices}
-        assert tokens == {EPSILON, (EPSILON, 1)}
+        assert patch.graph.vertices == (EPSILON, (EPSILON, 1))
         assert serialize_rule_file(table)  # fresh tags serialize back
+
+    @pytest.mark.parametrize("bad", [frozenset((EPSILON,)), "u", (EPSILON, "1")])
+    def test_serializing_an_id_that_is_no_token(self, bad):
+        view = next(iter(parse_rule_file(RULE_FILE).entries))
+        patch = Patch(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
+        with pytest.raises(GraphFormatError) as err:
+            serialize_rule_file(RuleTable(radius=0, entries={view: patch}))
+        assert str(err.value) == f"cannot serialize patch id {bad!r}"
 
     @pytest.mark.parametrize("token", ["zz", ".", "~1", "ab."])
     def test_unparsable_patch_vertex_names_its_token(self, token):
