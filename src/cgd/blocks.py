@@ -464,10 +464,10 @@ class BlockKit:
     def from_family(dynamics: Dynamics, family: GraphFamily) -> "BlockKit":
         """Read the inverse as a local rule off a closed family.
 
-        The rule applies to graphs of any size whose disks the family
-        shows.  The inverse table also fixes the rest of the kit: the marks
-        double the family's alphabets, and the exception bound is the
-        table's.
+        The rule applies to graphs of any size whose disks the family shows;
+        on a `GraphFamily.closure` it is read at member origins, trusting
+        `dynamics` to be shift-invariant, as a CGD is.  The table also fixes
+        the marks, doubling the family's alphabets, and the exception bound.
         """
         table = build_inverse(dynamics, family)
         return BlockKit(dynamics, table.as_dynamics(), table.exception_bound,

@@ -23,7 +23,6 @@ from .dynamics import Dynamics, DynamicsError, builtin_dynamics, get_dynamics
 from .families import (
     TAPE_ALPHABETS,
     bare_tapes,
-    shift_closure,
     single_head_tapes,
 )
 from .modulo import CanonicalGraph, canonicalize_with_names
@@ -93,7 +92,7 @@ def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily
             f"decomposition need a dynamics over the tape alphabets")
     members = single_head_tapes(max_vertices - 1)
     if name == "tape-closure":
-        members = shift_closure(bare_tapes(max_vertices) + members)
+        return GraphFamily.closure(bare_tapes(max_vertices) + members, TAPE_ALPHABETS)
     return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
 
 
@@ -242,9 +241,9 @@ def _cmd_check_blocks(args) -> int:
     print(f"members={len(tapes)}")
     print(f"block_identity={'ok' if failures == 0 else f'{failures} mismatches'}")
 
-    lifted = GraphFamily.from_graphs(
-        [kit.space.lift(g) for g in shift_closure(tapes)], kit.space.marked)
-    radius = find_locality_radius(kit.conjugate, lifted, max_radius=4)
+    lifted = GraphFamily.closure([kit.space.lift(g) for g in tapes], kit.space.marked)
+    gate = tabulate(kit.conjugate, lifted)    # every footprint below reads it too
+    radius = find_locality_radius(gate, lifted, max_radius=4)
     print(f"locality_radius={radius if radius is not None else 'not found <= 4'}")
     if radius is None:
         failures += 1
@@ -255,7 +254,7 @@ def _cmd_check_blocks(args) -> int:
             lifted_x = kit.space.lift(X)
             touching = {v: 0 for v in lifted_x.vertices}
             for anchor in lifted_x.vertices:
-                for v in gate_footprint(kit.conjugate, lifted_x, anchor):
+                for v in gate_footprint(gate, lifted_x, anchor):
                     touching[v] += 1
             worst = max(worst, max(touching.values(), default=0))
         print(f"observed_depth={worst}")

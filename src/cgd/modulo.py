@@ -28,6 +28,7 @@ from .portgraph import (
 )
 
 NameEdge = FrozenSet[Tuple[Path, str]]
+_adjacency = RawGraph.adjacency     # reads only `vertices` and `edges`
 
 
 class PathResolutionError(GraphError):
@@ -126,7 +127,7 @@ class CanonicalGraph:
     def adjacency(self) -> Dict[Path, Dict[str, Tuple[Path, str]]]:
         """Per-vertex map {port: (far vertex, far port)}."""
         if self._adj_cache is None:
-            self._adj_cache = RawGraph.adjacency(self)
+            self._adj_cache = _adjacency(self)
         return self._adj_cache
 
     def resolve(self, path: Path, start: Path = EPSILON) -> Optional[Path]:
@@ -276,17 +277,8 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
     whose two endpoints are within distance radius.  Shortest paths to kept
     vertices stay inside the disk, so it inherits X's names and their order.
     """
-    if radius < 0:
-        raise ValueError("radius must be >= 0")
-    vertices = tuple(takewhile(lambda v: len(v) <= radius + 1, X.vertices))
-    keep = set(vertices)
-    edges = [e for e in X.edges if all(v in keep for (v, _p) in e)]
-    vertex_labels = {v: l for v, l in X.vertex_labels.items()
-                     if len(v) <= radius}
-    edge_labels = {e: l for e, l in X.edge_labels.items()
-                   if all(len(v) <= radius for (v, _p) in e)}
-    return DiskGraph(CanonicalGraph(X.alphabets, vertices, vertex_labels,
-                                    edges, edge_labels), radius)
+    kept = takewhile(lambda v: len(v) <= radius + 1, X.vertices)
+    return _cut(X, {v: v for v in kept}, radius)
 
 
 def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
@@ -301,16 +293,20 @@ def disk_at_with_names(X: CanonicalGraph, u: Path, radius: int
     names in the disk, which are their paths from u.
 
     A BFS from u that stops at distance radius+1 names the kept vertices
-    exactly as the shifted graph would, in the same order; the induced
-    edges and the labels within `radius` are then taken from X.  The cost
-    is that of the disk, not of X.
+    exactly as the shifted graph would, in the same order.
     """
+    if u not in X.adjacency:
+        raise PathResolutionError(f"{format_path(u)} is not a vertex of {X!r}")
+    names = _canonical_names(X.adjacency, u, X.alphabets, depth=radius + 1)
+    return _cut(X, names, radius), names
+
+
+def _cut(X: CanonicalGraph, names: Dict[Path, Path], radius: int) -> DiskGraph:
+    """The disk on the vertices `names` renames, in its order, read off their
+    adjacency alone: the cost is that of the disk, not of X."""
     if radius < 0:
         raise ValueError("radius must be >= 0")
     adj = X.adjacency
-    if u not in adj:
-        raise PathResolutionError(f"{format_path(u)} is not a vertex of {X!r}")
-    names = _canonical_names(adj, u, X.alphabets, depth=radius + 1)
     vertex_labels, edges, edge_labels = {}, set(), {}
     for v, name in names.items():
         inner = len(name) <= radius
@@ -327,7 +323,7 @@ def disk_at_with_names(X: CanonicalGraph, u: Path, radius: int
                 if label is not None:
                     edge_labels[e] = label
     return DiskGraph(CanonicalGraph(X.alphabets, names.values(), vertex_labels,
-                                    edges, edge_labels), radius), names
+                                    edges, edge_labels), radius)
 
 
 def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:

@@ -165,7 +165,11 @@ def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
     if patch.successor not in mapping:
         raise PatchError(f"patch at {format_path(anchor)} has a successor "
                          f"{patch.successor!r} that is not one of its vertices")
-    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+    try:
+        return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+    except KeyError as err:     # an edge end or a label off the patch
+        raise PatchError(f"patch at {format_path(anchor)} refers to {err.args[0]!r}, "
+                         f"which is not one of its vertices or edges") from None
 
 
 def glue_rule(rule: LocalRule, X: CanonicalGraph

@@ -13,9 +13,10 @@ import os
 from dataclasses import dataclass, field
 from itertools import product as iter_product
 from operator import itemgetter
-from typing import Callable, Dict, Iterable, List, Optional, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
+from .families import shift_closure
 from .modulo import (
     CanonicalGraph,
     DiskGraph,
@@ -66,6 +67,7 @@ class GraphFamily:
     members: Tuple[CanonicalGraph, ...]
     alphabets: Alphabets
     _index: Dict[CanonicalGraph, int] = field(repr=False, default_factory=dict)
+    shift_closed: bool = False
 
     @staticmethod
     def from_graphs(graphs: Iterable[CanonicalGraph],
@@ -74,6 +76,14 @@ class GraphFamily:
         if not members and alphabets is None:
             raise ValueError("empty family needs explicit alphabets")
         return GraphFamily(members, alphabets or members[0].alphabets)
+
+    @staticmethod
+    def closure(graphs: Iterable[CanonicalGraph],
+                alphabets: Optional[Alphabets] = None) -> "GraphFamily":
+        """`graphs` at every pointing, flagged shift-closed: a dynamics over
+        it is trusted to be shift-invariant, as a CGD is."""
+        fam = GraphFamily.from_graphs(shift_closure(graphs), alphabets)
+        return GraphFamily(fam.members, fam.alphabets, shift_closed=True)
 
     def __post_init__(self) -> None:
         self._index.update({g: i for i, g in enumerate(self.members)})
@@ -357,6 +367,12 @@ class Tabulation:
     family: GraphFamily
     images: Dict[CanonicalGraph, Tuple[CanonicalGraph, VertexCorrespondence]]
 
+    def apply(self, X: CanonicalGraph) -> Tuple[CanonicalGraph, VertexCorrespondence]:
+        """(F(X), R_X) read off the table; OutOfFamilyError off the family."""
+        if X not in self.images:
+            raise OutOfFamilyError(f"{self.name}: graph not tabulated")
+        return self.images[X]
+
     def bijectivity_problem(self) -> Optional[str]:
         """None when the table permutes the family; else the first collision.
 
@@ -451,31 +467,29 @@ class InverseTable:
         vertex, with its label and its incident edges; every endpoint is
         named by its path from u in Y.  The radius is the least r >= 1, up
         to MAX_INVERSE_RADIUS, at which each patch lies in, and depends only
-        on, the radius-r disk around u.  Members of at most
-        `exception_bound` vertices are left out: their correspondences need
-        not invert.
+        on, the radius-r disk around u.  Members of at most `exception_bound`
+        vertices, whose correspondences need not invert, are left out.  On a
+        `GraphFamily.closure` u is each origin alone, as the disk at u of Y
+        is the origin disk of Y_u: that trusts the inverse to be
+        shift-invariant, as a CGD's is.
         """
         for radius in range(1, MAX_INVERSE_RADIUS + 1):
-            entries = self._patches(radius)
-            if entries is not None:
+            entries: Dict[DiskGraph, Patch] = {}
+            if all(patch is not None and entries.setdefault(view, patch) == patch
+                   for view, patch in self._read(radius)):
                 return RuleTable(radius, entries, name=self.name)
         raise InverseConstructionError(
             f"{self.name}: no radius up to {MAX_INVERSE_RADIUS} reads the "
             f"inverse off the disks of the family")
 
-    def _patches(self, radius: int) -> Optional[Dict[DiskGraph, Patch]]:
-        """The radius-`radius` entries, or None when some disk is too small."""
-        entries: Dict[DiskGraph, Patch] = {}
+    def _read(self, radius: int) -> Iterator[Tuple[DiskGraph, Optional[Patch]]]:
+        """(disk, patch) at each vertex read; None for a disk too small."""
         for Y, X in self.backward.items():
-            if len(Y.vertices) <= self.exception_bound:
-                continue
-            back, to_y = self.corr_inverse[Y], self.forward_corr[X]
-            for u in Y.vertices:
-                view, names = disk_at_with_names(Y, u, radius)
-                patch = _patch_of(X, back[u], to_y, names)
-                if patch is None or entries.setdefault(view, patch) != patch:
-                    return None
-        return entries
+            if len(Y.vertices) > self.exception_bound:
+                back, to_y = self.corr_inverse[Y], self.forward_corr[X]
+                for u in (EPSILON,) if self.family.shift_closed else Y.vertices:
+                    view, names = disk_at_with_names(Y, u, radius)
+                    yield view, _patch_of(X, back[u], to_y, names)
 
     def as_dynamics(self) -> "LocalInverse":
         return LocalInverse(self, self.local_rule())

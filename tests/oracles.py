@@ -75,6 +75,15 @@ graph from one pass over one of them.  `check_shift_invariance` is the
 axiom checker as it was when it resolved u.v in X and R(u).R_Xu(v) in F(X)
 by walking paths; it now reads both off the maps its two shifts return.
 
+`disk_scanning_edges` is `disk` as it was when it kept X's names but
+scanned every edge and label of X; `modulo.disk` now reads the adjacency
+of the kept vertices alone.
+
+`inverse_rule_at_every_vertex` reads the inverse's local rule as
+`InverseTable.local_rule` did on every family: one disk and one patch at
+each vertex of each image member.  On a shift-closed family the library
+now reads each member's origin alone.
+
 `check_locality`, `find_locality_radius` and `gate_footprint` are the
 locality checks as they were in `blocks`: the radius search called
 `check_locality` at r = 0, 1, ... and so applied the gate once per member
@@ -109,10 +118,12 @@ from cgd.modulo import (
     canonicalize_with_names,
     disk,
     disk_at,
+    disk_at_with_names,
     shift,
     shift_with_names,
 )
-from cgd.patches import LocalRule, Patch, PatchError, PatchInconsistencyError
+from cgd.patches import (LocalRule, Patch, PatchError, PatchInconsistencyError,
+                         RuleTable)
 from cgd.paths import EPSILON, Path, format_path
 from cgd.portgraph import (
     Alphabets,
@@ -129,6 +140,7 @@ from cgd.reversibility import (
     GraphFamily,
     InverseConstructionError,
     InverseTable,
+    MAX_INVERSE_RADIUS,
     OutOfFamilyError,
     _family_cap,
     _sorted_members,
@@ -644,6 +656,75 @@ def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:
         edge_labels=edge_labels,
     )
     return DiskGraph(canonicalize(PointedRawGraph(pruned, EPSILON)), radius)
+
+
+def disk_scanning_edges(X: CanonicalGraph, radius: int) -> DiskGraph:
+    """The disk around the origin, sliced from X's vertex order, with every
+    edge and label of X scanned."""
+    if radius < 0:
+        raise ValueError("radius must be >= 0")
+    vertices = tuple(v for v in X.vertices if len(v) <= radius + 1)
+    keep = set(vertices)
+    edges = [e for e in X.edges if all(v in keep for (v, _p) in e)]
+    vertex_labels = {v: l for v, l in X.vertex_labels.items()
+                     if len(v) <= radius}
+    edge_labels = {e: l for e, l in X.edge_labels.items()
+                   if all(len(v) <= radius for (v, _p) in e)}
+    return DiskGraph(CanonicalGraph(X.alphabets, vertices, vertex_labels,
+                                    edges, edge_labels), radius)
+
+
+def inverse_rule_at_every_vertex(table: InverseTable) -> RuleTable:
+    """The inverse's disk-to-patch table, read at every vertex of every
+    image member larger than the exception bound, at the least radius that
+    works."""
+    for radius in range(1, MAX_INVERSE_RADIUS + 1):
+        entries = _patches_at_every_vertex(table, radius)
+        if entries is not None:
+            return RuleTable(radius, entries, name=table.name)
+    raise InverseConstructionError(
+        f"{table.name}: no radius up to {MAX_INVERSE_RADIUS} reads the "
+        f"inverse off the disks of the family")
+
+
+def _patches_at_every_vertex(table: InverseTable, radius: int
+                             ) -> Optional[Dict[DiskGraph, Patch]]:
+    entries: Dict[DiskGraph, Patch] = {}
+    for Y, X in table.backward.items():
+        if len(Y.vertices) <= table.exception_bound:
+            continue
+        back, to_y = table.corr_inverse[Y], table.forward_corr[X]
+        for u in Y.vertices:
+            view, names = disk_at_with_names(Y, u, radius)
+            patch = _inverse_patch(X, back[u], to_y, names)
+            if patch is None or entries.setdefault(view, patch) != patch:
+                return None
+    return entries
+
+
+def _inverse_patch(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
+                   names: Dict[Path, Path]) -> Optional[Patch]:
+    """Vertex x of X and its incident edges, each vertex named by `names`
+    of its image in Y; None if an endpoint's image has no name."""
+    ids = {x: names[to_y[x]]}
+    edges, edge_labels = set(), {}
+    for p, (w, q) in sorted(X.adjacency[x].items(),
+                            key=lambda hop: X.alphabets.port_index(hop[0])):
+        name = names.get(to_y[w])
+        if name is None:
+            return None
+        ids.setdefault(w, name)
+        e = make_edge(ids[x], p, ids[w], q)
+        edges.add(e)
+        label = X.edge_labels.get(make_edge(x, p, w, q))
+        if label is not None:
+            edge_labels[e] = label
+    label = X.vertex_labels.get(x)
+    graph = RawGraph(alphabets=X.alphabets, vertices=tuple(ids.values()),
+                     edges=frozenset(edges),
+                     vertex_labels={} if label is None else {ids[x]: label},
+                     edge_labels=edge_labels)
+    return Patch(graph, ids[x])
 
 
 class TuplePath:

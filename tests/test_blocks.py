@@ -47,14 +47,23 @@ from cgd.families import (
     turtle_graphs,
 )
 from cgd.modulo import CanonicalGraph, ball, canonicalize_with_names, shift
+from cgd.patches import LocalRuleDynamics, parse_rule_file, serialize_rule_file
 from cgd.paths import EPSILON, format_path
 from cgd.portgraph import GraphError, relabel, validate
-from cgd.reversibility import GraphFamily, build_inverse, enumerate_family
+from cgd.reversibility import (
+    GraphFamily,
+    InverseConstructionError,
+    build_inverse,
+    enumerate_family,
+)
 import oracles
 from oracles import SlicingMarks, mark_with_names_by_slicing
+from test_cli import moving_head_twice_rule_text, tape_identity_rule_text
+from test_dynamics import origin_label_flipper
 
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
 AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
+ABXY = Alphabets.make("ab", vertex_labels=("x", "y"))
 SPACE = MarkSpace.for_base(AB0)
 TAPE_SPACE = MarkSpace.for_base(TAPE_ALPHABETS)
 
@@ -982,3 +991,74 @@ class TestLocalityAgainstOracles:
                 assert got == oracles.gate_footprint(gate, X, anchor)
                 hop = X.adjacency[anchor].get("a")
                 assert got == (set() if hop is None else {anchor, hop[0]})
+
+
+def rule_text_both_ways(table):
+    """The inverse rule as the library reads it, and as the read at every
+    vertex of every member does."""
+    return (serialize_rule_file(table.local_rule()),
+            serialize_rule_file(oracles.inverse_rule_at_every_vertex(table)))
+
+
+class TestOriginRead:
+    """On a family built by `GraphFamily.closure` the inverse rule is read
+    at member origins alone; it must be the rule read at every vertex."""
+
+    def test_only_closure_flags_a_family(self, ab_family_4):
+        graphs = bare_tapes(4) + single_head_tapes(3)
+        closed = GraphFamily.closure(graphs, TAPE_ALPHABETS)
+        assert closed.shift_closed
+        assert closed.members == tuple(shift_closure(graphs))
+        assert not GraphFamily.from_graphs(shift_closure(graphs)).shift_closed
+        assert not ab_family_4.shift_closed
+        assert not enumerate_family(AB0, 2).shift_closed
+
+    @pytest.mark.parametrize("vertices", [6, 8])
+    @pytest.mark.parametrize("name", ["moving-head", "identity"])
+    def test_tape_closure(self, name, vertices):
+        D = get_dynamics(name)
+        fam = cli._family_for("tape-closure", D, vertices)
+        assert fam.shift_closed
+        new, old = rule_text_both_ways(build_inverse(D, fam))
+        assert new == old
+
+    @pytest.mark.parametrize("source", [
+        "moving-head", "identity", "identity-rule-file", "twice-rule-file"])
+    def test_cli_kits(self, source):
+        if source.endswith("rule-file"):
+            text = (tape_identity_rule_text() if source.startswith("identity")
+                    else moving_head_twice_rule_text())
+            D = LocalRuleDynamics(parse_rule_file(text).as_rule())
+        else:
+            D = get_dynamics(source)
+        table = cli._tape_kit(D).inverse.table
+        assert table.family.shift_closed
+        new, old = rule_text_both_ways(table)
+        assert new == old
+
+    def test_family_that_is_not_shift_closed_reads_every_vertex(self):
+        # Every member is pointed at its first cell, so the origin disks
+        # alone show 13 of the 57 disks.
+        fam = GraphFamily.from_graphs(bare_tapes(5) + single_head_tapes(5))
+        assert len(fam) == 35 and not fam.shift_closed
+        table = build_inverse(get_dynamics("moving-head"), fam)
+        new, old = rule_text_both_ways(table)
+        assert new == old
+        assert len(table.local_rule().entries) == 57
+
+    def test_every_vertex_still_refuses_a_dynamics_that_is_not_shift_invariant(self):
+        # Two equal disks with two patches: seen only where the read visits
+        # every vertex, which an unflagged family still gets.
+        fam = enumerate_family(ABXY, 3)
+        assert len(fam) == 156 and not fam.shift_closed
+        table = build_inverse(origin_label_flipper(), fam)
+        with pytest.raises(InverseConstructionError):
+            table.local_rule()
+
+    def test_origin_read_trusts_shift_invariance(self):
+        # The precondition the flag states: forced onto the same family,
+        # the origin read returns a rule for the flipper, which is wrong.
+        fam = enumerate_family(ABXY, 3)
+        flagged = GraphFamily(fam.members, fam.alphabets, shift_closed=True)
+        rule = build_inverse(origin_label_flipper(), flagged).local_rule()
+        assert len(rule.entries) == 124

@@ -56,6 +56,7 @@ from oracles import (
     ball_by_bfs,
     disk_by_canonicalization,
     disk_by_shift,
+    disk_scanning_edges,
     shift_equivalence_classes as old_classes,
 )
 from test_blocks import TAPE_SPACE, moving_head_kit
@@ -659,6 +660,14 @@ def assert_same_disk(X, radius):
     assert got.graph.vertices == want.graph.vertices
 
 
+def assert_same_as_edge_scan(X, radius):
+    got, want = disk(X, radius).graph, disk_scanning_edges(X, radius).graph
+    assert got == want and hash(got) == hash(want)
+    assert got.vertices == want.vertices and got.edges == want.edges
+    assert (got.vertex_labels, got.edge_labels) == \
+        (want.vertex_labels, want.edge_labels)
+
+
 class TestDiskInheritsNames:
     """`disk` keeps X's names; the old disk canonicalized the pruned graph."""
 
@@ -679,6 +688,18 @@ class TestDiskInheritsNames:
         for u in X.vertices:
             for radius in range(4):
                 assert_same_disk(shift(X, u), radius)
+
+    def test_adjacency_read_matches_edge_scan(self, ab_family_6):
+        for X in ab_family_6:
+            for radius in range(4):
+                assert_same_as_edge_scan(X, radius)
+
+    @settings(max_examples=100, deadline=None, database=None, derandomize=True)
+    @given(pg=pointed_graphs())
+    def test_adjacency_read_matches_edge_scan_on_labelled_graphs(self, pg):
+        X = canonicalize(pg)
+        for radius in range(4):
+            assert_same_as_edge_scan(X, radius)
 
     def test_no_renaming(self, monkeypatch):
         X = single_head_tape(30, 11)

@@ -14,7 +14,7 @@ from cgd import (
     glue,
     make_edge,
 )
-from cgd.families import grid_graph, single_head_tapes
+from cgd.families import TAPE_ALPHABETS, bare_tape, grid_graph, single_head_tapes
 from cgd.modulo import DiskGraph, disk, disk_at
 from cgd.patches import (
     LocalRule,
@@ -147,6 +147,27 @@ class TestApplyLocalRule:
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError, match="^patch at eps has a successor "):
             apply_local_rule(rule, X)
+
+    def test_edge_endpoint_outside_the_patch_names_its_anchor(self):
+        # The edge's far end (eps, 1) is missing from the vertex list.
+        edge = make_edge(EPSILON, "c", (EPSILON, 1), "c")
+        patch = Patch(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
+                               edges=frozenset((edge,))), EPSILON)
+        rule = LocalRule(radius=0, rule=lambda view: patch)
+        with pytest.raises(PatchError) as err:
+            apply_local_rule(rule, bare_tape(2))
+        assert type(err.value) is PatchError
+        assert str(err.value) == (
+            "patch at eps refers to (Path('eps'), 1), which is not one of "
+            "its vertices or edges")
+
+    def test_label_outside_the_patch_names_its_anchor(self):
+        patch = Patch(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
+                               vertex_labels={(EPSILON, 1): "0"}), EPSILON)
+        rule = LocalRule(radius=0, rule=lambda view: patch)
+        with pytest.raises(PatchError, match=r"^patch at eps refers to "
+                                             r"\(Path\('eps'\), 1\)"):
+            apply_local_rule(rule, bare_tape(2))
 
     @pytest.mark.parametrize("bad", [frozenset((EPSILON,)), "u", (EPSILON, "1")])
     def test_an_id_that_is_no_token_names_its_anchor(self, bad):

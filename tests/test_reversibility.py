@@ -20,6 +20,7 @@ from cgd import cli, modulo, reversibility
 from cgd.blocks import BlockKit
 from cgd.cli import main
 from cgd.dynamics import (
+    CompositeDynamics,
     DynamicsError,
     FuncDynamics,
     IdentityDynamics,
@@ -510,6 +511,35 @@ class TestWorkPerMember:
         assert "members=674\n" in capsys.readouterr().out
         assert len(calls) == 674
 
+    def test_origin_read_takes_one_disk_per_member(self, monkeypatch):
+        # 159 members, one origin disk each; reading at every vertex of
+        # every member took 787 at the one radius tried.
+        fam = cli._family_for("tape-closure", get_dynamics("moving-head"), 6)
+        table = build_inverse(get_dynamics("moving-head"), fam)
+        calls = []
+        real = reversibility.disk_at_with_names
+        monkeypatch.setattr(reversibility, "disk_at_with_names",
+                            lambda *a: calls.append(1) or real(*a))
+        assert table.local_rule().radius == 1
+        assert len(fam) == len(calls) == 159
+
+    def test_check_blocks_applies_the_conjugate_once_per_graph(
+            self, monkeypatch, capsys):
+        # 80 gates in the 20 block-identity circuits, and one application
+        # to each of the 78 lifted members: the footprints read that table.
+        calls = []
+        real = CompositeDynamics.apply
+
+        def apply(self, X):
+            calls.append(self.name.startswith("conjugate-mark"))
+            return real(self, X)
+
+        monkeypatch.setattr(CompositeDynamics, "apply", apply)
+        assert main(["check-blocks", "--dynamics", "moving-head",
+                     "--max-vertices", "5"]) == 0
+        assert "result=pass\n" in capsys.readouterr().out
+        assert sum(calls) == 158
+
     def test_inverse_of_a_non_bijection_keeps_its_message(self, ab_family_4):
         tab = tabulate(collapse_dynamics(), ab_family_4)
         problem = tab.bijectivity_problem()
@@ -529,3 +559,13 @@ class TestStrayCorrespondence:
             TAPE_ALPHABETS)
         assert check_vertex_preserving(D, bare_tape(2)) == \
             "correspondence sends ab outside the image"
+
+
+class TestTabulationAsGate:
+    def test_reads_the_table_and_refuses_other_graphs(self):
+        D = get_dynamics("turtle")
+        tab = tabulate(D, enumerate_family(TURTLE_ALPH, 2))
+        X = next(iter(tab.family))
+        assert tab.apply(X) is tab.images[X]
+        with pytest.raises(OutOfFamilyError):
+            tab.apply(ab_line(3))
