@@ -59,26 +59,32 @@ class _MarkTable(dict):
 class MarkSpace:
     """The doubled alphabets and the bookkeeping between them.
 
-    A marked token is a base token with a 0/1 suffix.  Two tables built
+    A marked token is a base token with a 0/1 suffix.  Four tables built
     once from the base own that format: `split` maps each marked port and
     label token to (base token, bit), `toggled` to the token with the other
-    bit; the split is syntactic, so one table serves ports and labels.
-    Mark bits live on labels, so graphs must be fully labelled and the
-    base vertex alphabet non-empty.
+    bit, `dropping` to its base token, and `lifting` maps each base token
+    to its bit-0 token; the split is syntactic, so one table of each kind
+    serves ports and labels.  Mark bits live on labels, so graphs must be
+    fully labelled and the base vertex alphabet non-empty.
     """
 
     base: Alphabets
     marked: Alphabets
     split: Dict[str, Tuple[str, int]] = field(init=False, compare=False, repr=False)
     toggled: Dict[str, str] = field(init=False, compare=False, repr=False)
+    lifting: Dict[str, str] = field(init=False, compare=False, repr=False)
+    dropping: Dict[str, str] = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
-        split, toggled = _MarkTable(), _MarkTable()
+        split, toggled, lifting, dropping = (_MarkTable() for _ in range(4))
         for t in self.base.ports + self.base.vertex_labels:
-            split[t + "0"], split[t + "1"] = (t, 0), (t, 1)
-            toggled[t + "0"], toggled[t + "1"] = t + "1", t + "0"
-        object.__setattr__(self, "split", split)
-        object.__setattr__(self, "toggled", toggled)
+            zero, one = t + "0", t + "1"
+            split[zero], split[one] = (t, 0), (t, 1)
+            toggled[zero], toggled[one] = one, zero
+            lifting[t], dropping[zero], dropping[one] = zero, t, t
+        for name, table in (("split", split), ("toggled", toggled),
+                            ("lifting", lifting), ("dropping", dropping)):
+            object.__setattr__(self, name, table)
 
     @staticmethod
     def for_base(base: Alphabets) -> "MarkSpace":
@@ -119,19 +125,15 @@ class MarkSpace:
 
     # -- moving between the spaces ---------------------------------------
 
-    def lift_with_names(self, X: CanonicalGraph
-                        ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
+    def lift(self, X: CanonicalGraph) -> CanonicalGraph:
         """The same graph over the doubled alphabets, every bit zero."""
         if X.alphabets != self.base:
             raise MarkError("lift expects a graph over the base alphabets")
-        zero = {t: token for token, (t, bit) in self.split.items() if bit == 0}
-        return self._retokenize(X, self.marked, zero)
+        raw = relabel(X, ports=self.lifting, labels=self.lifting,
+                      alphabets=self.marked)
+        return canonicalize_with_names(PointedRawGraph(raw, EPSILON))[0]
 
-    def lift(self, X: CanonicalGraph) -> CanonicalGraph:
-        return self.lift_with_names(X)[0]
-
-    def drop_with_names(self, X: CanonicalGraph
-                        ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
+    def drop(self, X: CanonicalGraph) -> CanonicalGraph:
         """Strip all bits.  Raises MarkError when a vertex uses a port both
         ways, with bit 0 and bit 1: the two would merge into one port."""
         if X.alphabets != self.marked:
@@ -143,17 +145,9 @@ class MarkSpace:
                         f"drop: vertex {format_path(v)} uses port "
                         f"{self.split[p][0]} both ways, as {p} and "
                         f"{self.toggled[p]}")
-        return self._retokenize(
-            X, self.base, {token: t for token, (t, _bit) in self.split.items()})
-
-    def drop(self, X: CanonicalGraph) -> CanonicalGraph:
-        return self.drop_with_names(X)[0]
-
-    @staticmethod
-    def _retokenize(X: CanonicalGraph, alphabets: Alphabets, tokens: Dict[str, str]
-                    ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
-        raw = relabel(X, ports=tokens, labels=tokens, alphabets=alphabets)
-        return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+        raw = relabel(X, ports=self.dropping, labels=self.dropping,
+                      alphabets=self.base)
+        return canonicalize_with_names(PointedRawGraph(raw, EPSILON))[0]
 
     # -- structural predicates -------------------------------------------
 
@@ -345,12 +339,13 @@ def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
 class ReversibleExtension(Dynamics):
     """Lift a dynamics to marked graphs: act where unmarked, freeze the rest.
 
-    All-unmarked graphs evolve under the base dynamics; all-marked graphs
-    and small graphs carrying any mark are fixed.  Mixed graphs split into
-    a frozen upper part (marked vertices plus the unmarked vertices their
-    edges reach) and unmarked components that evolve under the base
-    dynamics and are glued back at the shared boundary vertices; any
-    disagreement at the seam raises UnionInconsistencyError.
+    A graph whose vertices are all marked, or that carries a mark and has
+    at most `exception_bound` vertices, is fixed.  Otherwise the marked
+    vertices and the unmarked ones their edges reach stay frozen; each
+    unmarked component, the whole graph when nothing is marked, has its
+    bits dropped, is stepped by the base, lifted back and glued to the
+    frozen part at the shared boundary vertices (a disagreement raises
+    UnionInconsistencyError), and the result is pointed at the origin's image.
     """
 
     def __init__(self, base: Dynamics, exception_bound: int, space: MarkSpace,
@@ -369,48 +364,35 @@ class ReversibleExtension(Dynamics):
         problem = space.mark_consistency_violation(X)
         if problem is not None:
             raise MarkError(f"{self.name}: input not mark-consistent: {problem}")
-        mark = space.uniform_mark(X)
-        if mark == 0:
-            return self._base_step(X)
-        if mark == 1 or len(X.vertices) <= self.exception_bound:
-            return X, identity_correspondence(X)
-        return self._mixed(X)
-
-    def _base_step(self, X):
-        """Drop the bits of an all-unmarked X, apply the base, lift back."""
-        base_graph, to_base = self.space.drop_with_names(X)
-        image, corr = self.base.apply(base_graph)
-        lifted, to_lifted = self.space.lift_with_names(image)
-        return lifted, {v: to_lifted[corr[to_base[v]]] for v in X.vertices}
-
-    def _mixed(self, X):
-        space = self.space
         marked, unmarked, boundary = _mark_partition(X, space)
-        upper_keep = marked | boundary
+        if not unmarked or marked and len(X.vertices) <= self.exception_bound:
+            return X, identity_correspondence(X)
+        frozen = marked | boundary
 
         # One piece for the whole frozen part: its components share no
         # vertex or edge, so no clash lies between them.
-        pieces = [induced_subgraph(X, upper_keep)]
-        final_id: Dict[Path, object] = {v: v for v in upper_keep}
+        pieces = [induced_subgraph(X, frozen)]
+        final_id: Dict[Path, object] = {v: v for v in frozen}
 
         for comp in _components(X, unmarked):
             anchor = comp[0]
+            dropped = relabel(induced_subgraph(X, comp), ports=space.dropping,
+                              labels=space.dropping, alphabets=space.base)
             comp_graph, to_comp = canonicalize_with_names(
-                PointedRawGraph(induced_subgraph(X, comp), anchor))
-            lifted, to_lifted = self._base_step(comp_graph)
-            img = {v: to_lifted[to_comp[v]] for v in comp}
+                PointedRawGraph(dropped, anchor))
+            image, corr = self.base.apply(comp_graph)
+            img = {v: corr[to_comp[v]] for v in comp}
             seam: Dict[Path, Path] = {}
-            for v in comp:
-                if v not in boundary:
-                    continue
+            for v in filter(boundary.__contains__, comp):
                 w = img[v]
                 if w in seam:
                     raise UnionInconsistencyError(
                         f"{self.name}: boundary vertices {format_path(seam[w])} "
                         f"and {format_path(v)} collide in the image")
                 seam[w] = v
-            piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in lifted.vertices}
-            pieces.append(relabel(lifted, ids=piece_id))
+            piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in image.vertices}
+            pieces.append(relabel(image, ids=piece_id, ports=space.lifting,
+                                  labels=space.lifting, alphabets=space.marked))
             for v in comp:
                 final_id[v] = piece_id[img[v]]
 

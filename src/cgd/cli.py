@@ -96,6 +96,13 @@ def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily
     return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
 
 
+def _refuse_empty(fam, name: str, max_vertices: int) -> None:
+    """Every check passes on an empty family (single-head tapes below 2)."""
+    if not fam:
+        raise ValueError(f"family {name} is empty at --max-vertices "
+                         f"{max_vertices}; use --max-vertices 2 or more")
+
+
 def _tape_kit(dynamics: Dynamics) -> BlockKit:
     """The kit read off `tape-closure` at 2r + 4 vertices, for tapes of any
     length.
@@ -139,6 +146,7 @@ def _cmd_run(args) -> int:
 def _cmd_verify(args) -> int:
     dynamics = _load_dynamics(args)
     fam = _family_for(args.family, dynamics, args.max_vertices)
+    _refuse_empty(fam, args.family, args.max_vertices)
     lines = [f"dynamics={dynamics.name}", f"family={args.family}",
              f"members={len(fam)}"]
     failures = 0
@@ -230,8 +238,9 @@ def _cmd_decompose(args) -> int:
 
 def _cmd_check_blocks(args) -> int:
     dynamics = _load_dynamics(args)
-    kit = _tape_kit(dynamics)
     tapes = single_head_tapes(args.max_vertices - 1)
+    _refuse_empty(tapes, "single-head-tape", args.max_vertices)
+    kit = _tape_kit(dynamics)
     failures = 0
     for X in tapes:
         if kit.decompose_step(X) != dynamics.apply(X)[0]:

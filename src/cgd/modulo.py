@@ -28,7 +28,6 @@ from .portgraph import (
 )
 
 NameEdge = FrozenSet[Tuple[Path, str]]
-_adjacency = RawGraph.adjacency     # reads only `vertices` and `edges`
 
 
 class PathResolutionError(GraphError):
@@ -127,7 +126,7 @@ class CanonicalGraph:
     def adjacency(self) -> Dict[Path, Dict[str, Tuple[Path, str]]]:
         """Per-vertex map {port: (far vertex, far port)}."""
         if self._adj_cache is None:
-            self._adj_cache = _adjacency(self)
+            self._adj_cache = RawGraph.adjacency(self)
         return self._adj_cache
 
     def resolve(self, path: Path, start: Path = EPSILON) -> Optional[Path]:

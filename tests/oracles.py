@@ -3,9 +3,13 @@
 `apply_local_rule_pairwise` checks every pair of patches with `consistent`
 and then folds them together with `union_pair`, the two-patch union as it
 was written before `patches.glue`.  `FoldingExtension` is the reversible
-extension whose mixed case builds each evolved piece by hand and folds
-`consistent` and `union_pair` over the pieces.  The library now does both
-jobs with `portgraph.relabel` and one call to `patches.glue`.
+extension as it was, on `SlicingMarks`: an all-unmarked graph took a path
+of its own (drop, step, lift, each canonicalized), and the mixed case
+canonicalized each unmarked component, dropped, stepped and lifted it, built
+each evolved piece by hand and folded `consistent` and `union_pair` over
+the pieces.  The library now evolves every unmarked region on one path,
+lifts it inside the `portgraph.relabel` that names its piece, and glues
+with one call to `patches.glue`.
 
 `export_dot_by_path_key` is the DOT renderer as it was when it ordered
 half-edges by `Alphabets.path_key`; `dot.export_dot` now orders them by the
@@ -99,11 +103,9 @@ from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
 from cgd.blocks import (
     MarkError,
     MarkSpace,
-    ReversibleExtension,
     ShiftedDynamics,
     UnionInconsistencyError,
     _components,
-    _mark_partition,
 )
 from cgd.dynamics import (
     Dynamics,
@@ -336,12 +338,43 @@ def apply_local_rule_pairwise(rule, X):
     return Y, corr
 
 
-class FoldingExtension(ReversibleExtension):
-    """The reversible extension with its mixed case glued by a fold."""
+class FoldingExtension(Dynamics):
+    """The reversible extension as it was: an all-unmarked graph took a
+    path of its own, and the mixed case was glued by a fold."""
+
+    def __init__(self, base: Dynamics, exception_bound: int, space: MarkSpace,
+                 name: Optional[str] = None):
+        self.base = base
+        self.exception_bound = exception_bound
+        self.marks = SlicingMarks(space)
+        self.name = name or f"marked[{base.name}]"
+        self.alphabets = space.marked
+
+    def apply(self, X):
+        self._check_signature(X)
+        marks = self.marks
+        problem = marks.mark_consistency_violation(X)
+        if problem is not None:
+            raise MarkError(f"{self.name}: input not mark-consistent: {problem}")
+        if marks.all_unmarked(X):
+            return self._base_step(X)
+        if marks.all_marked(X) or len(X.vertices) <= self.exception_bound:
+            return X, identity_correspondence(X)
+        return self._mixed(X)
+
+    def _base_step(self, X):
+        """Drop the bits of an all-unmarked X, apply the base, lift back."""
+        base_graph, to_base = self.marks.drop_with_names(X)
+        image, corr = self.base.apply(base_graph)
+        lifted, to_lifted = self.marks.lift_with_names(image)
+        return lifted, {v: to_lifted[corr[to_base[v]]] for v in X.vertices}
 
     def _mixed(self, X):
-        space = self.space
-        marked, unmarked, boundary = _mark_partition(X, space)
+        marks = self.marks
+        marked = {v for v in X.vertices if marks.vertex_mark(X, v) == 1}
+        unmarked = {v for v in X.vertices if v not in marked}
+        boundary = {v for v in unmarked
+                    if any(marks.port_bit(p) == 1 for p in X.adjacency[v])}
         upper_keep = marked | boundary
 
         pieces: List[RawGraph] = []
@@ -356,10 +389,8 @@ class FoldingExtension(ReversibleExtension):
             anchor = comp[0]
             comp_graph, to_comp = canonicalize_with_names(
                 PointedRawGraph(induced_subgraph(X, comp), anchor))
-            base_graph, to_base = space.drop_with_names(comp_graph)
-            image, corr = self.base.apply(base_graph)
-            lifted, to_lifted = space.lift_with_names(image)
-            img = {v: to_lifted[corr[to_base[to_comp[v]]]] for v in comp}
+            lifted, to_lifted = self._base_step(comp_graph)
+            img = {v: to_lifted[to_comp[v]] for v in comp}
             seam: Dict[Path, Path] = {}
             for v in comp:
                 if v not in boundary:
@@ -379,7 +410,7 @@ class FoldingExtension(ReversibleExtension):
                 (u, p), (w, q) = tuple(e)
                 edges[e] = frozenset(((piece_id(u), p), (piece_id(w), q)))
             pieces.append(RawGraph(
-                alphabets=space.marked,
+                alphabets=marks.marked,
                 vertices=tuple(piece_id(w) for w in lifted.vertices),
                 edges=frozenset(edges.values()),
                 vertex_labels={piece_id(w): l
@@ -401,7 +432,7 @@ class FoldingExtension(ReversibleExtension):
 
         result, names = canonicalize_with_names(
             PointedRawGraph(merged, final_id[EPSILON]))
-        problem = space.mark_consistency_violation(result)
+        problem = marks.mark_consistency_violation(result)
         if problem is not None:
             raise MarkError(
                 f"{self.name}: produced a mark-inconsistent graph: {problem}")

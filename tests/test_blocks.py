@@ -1,5 +1,6 @@
 """Marked graphs, mark gates, reversible extensions, conjugate marks, products."""
 import random
+import sys
 from itertools import permutations
 
 import pytest
@@ -16,7 +17,7 @@ from cgd import (
     make_edge,
     mark,
 )
-from cgd import cli
+from cgd import cli, modulo
 from cgd.blocks import (
     BlockKit,
     MarkDynamics,
@@ -129,7 +130,7 @@ class TestMarkSpace:
             RawGraph(alphabets=AB0, vertices=(0, 1),
                      edges=frozenset((make_edge(0, "a", 1, "b"),)),
                      vertex_labels={0: "0", 1: "0"}), 0))
-        lifted, names = SPACE.lift_with_names(X)
+        lifted, names = by_position(SPACE.lift)(X)
         assert {format_path(v): format_path(w) for v, w in names.items()} == \
                {"eps": "eps", "ab": "a0b0"}
 
@@ -192,10 +193,19 @@ def agree_on_predicates(space, X, raw):
         assert space.uniform_mark(X) == expected
 
 
+def by_position(f):
+    """f with each vertex's new name, as the old `*_with_names` gave them:
+    lift and drop keep the canonical order, so names pair up by position."""
+    def with_names(X):
+        Y = f(X)
+        return Y, dict(zip(X.vertices, Y.vertices))
+    return with_names
+
+
 def agree_on_gate_and_round_trips(space, X):
     old = SlicingMarks(space)
     assert mark_with_names(X, space) == mark_with_names_by_slicing(X, old)
-    dropped = outcome(space.drop_with_names, X)
+    dropped = outcome(by_position(space.drop), X)
     if dropped[0] is MarkError:
         # The old drop did not check that no vertex uses a base port both
         # ways; it returned a graph that reuses a port or failed elsewhere.
@@ -203,7 +213,7 @@ def agree_on_gate_and_round_trips(space, X):
     else:
         assert dropped == outcome(old.drop_with_names, X)
     if isinstance(dropped[0], CanonicalGraph):
-        lifted = outcome(space.lift_with_names, dropped[0])
+        lifted = outcome(by_position(space.lift), dropped[0])
         assert lifted == outcome(old.lift_with_names, dropped[0])
         if space.uniform_mark(X) == 0:
             assert lifted[0] == X
@@ -559,6 +569,47 @@ class TestReversibleExtension:
         assert kit.backward_ext.apply(marked)[0] == marked
         assert kit.inverse.apply(pair)[0] == solo
 
+    def test_small_mixed_graphs_fixed(self):
+        # A marked end, then two unmarked vertices.  The base step flips
+        # every label but its origin's, so the far vertex changes once the
+        # graph is larger than the bound, and not before.
+        space = MarkSpace.for_base(AB01)
+
+        def flip_all_but_origin(X):
+            labels = {v: l if v == EPSILON else {"0": "1", "1": "0"}[l]
+                      for v, l in X.vertex_labels.items()}
+            raw = RawGraph(alphabets=AB01, vertices=X.vertices, edges=X.edges,
+                           vertex_labels=labels)
+            return (canonicalize(PointedRawGraph(raw, EPSILON)),
+                    {v: v for v in X.vertices})
+
+        flipper = FuncDynamics("flipper", flip_all_but_origin, AB01)
+        path = RawGraph(alphabets=AB01, vertices=("m", "b", "u"),
+                        edges=frozenset((make_edge("m", "a", "b", "b"),
+                                         make_edge("b", "a", "u", "b"))),
+                        vertex_labels={"m": "0", "b": "0", "u": "0"})
+        M = mark(space.lift(canonicalize(PointedRawGraph(path, "m"))), space)
+        assert ReversibleExtension(flipper, 3, space).apply(M)[0] == M
+        moved, _ = ReversibleExtension(flipper, 2, space).apply(M)
+        assert [moved.vertex_labels[v] for v in moved.vertices] == ["01", "00", "10"]
+
+    def test_small_unmarked_graphs_evolve(self):
+        # The bound freezes only graphs that carry a mark: unmarked, the
+        # turtle solo and pair evolve on both sides, exceptions as they are.
+        turtle = get_dynamics("turtle")
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        assert kit.exception_bound == 2
+        solo, pair = (kit.space.lift(g) for g in turtle_graphs())
+
+        def named(result):
+            Y, corr = result
+            return Y, {format_path(v): format_path(w) for v, w in corr.items()}
+
+        assert named(kit.forward_ext.apply(solo)) == (pair, {"eps": "eps"})
+        assert named(kit.forward_ext.apply(pair)) == \
+               (solo, {"eps": "eps", "a0b0": "eps"})
+        assert kit.backward_ext.apply(pair)[0] == solo
+
     def test_frozen_region_blocks_the_head(self):
         # Head on the middle cell, the cell ahead of it marked: inside the
         # unmarked component the head sees a tape end and flips instead of
@@ -613,6 +664,42 @@ class TestReversibleExtension:
         X = canonicalize(PointedRawGraph(bad, 0))
         with pytest.raises(MarkError, match="not mark-consistent"):
             kit.forward_ext.apply(X)
+
+
+class TestExtensionWork:
+    """One application canonicalizes each of the k unmarked components
+    twice, at its anchor and inside the base step, and the glued graph
+    once: 2k + 1 graphs.  Dropping, stepping and lifting each component as
+    its own canonical graph took 4k + 1."""
+
+    @pytest.fixture
+    def canonicalizations(self, monkeypatch):
+        real = modulo.canonicalize_with_names
+        calls = []
+
+        def counted(pg):
+            calls.append(1)
+            return real(pg)
+
+        for name, module in list(sys.modules.items()):
+            if name == "cgd" or name.startswith("cgd."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is real:
+                        monkeypatch.setattr(module, attr, counted)
+        return calls
+
+    @pytest.mark.parametrize("marked_cells, k", [
+        ((), 1), ((0,), 1), ((6,), 1), ((3,), 2), ((2, 4), 3)])
+    def test_two_per_component_and_one_for_the_glue(
+            self, canonicalizations, marked_cells, k):
+        kit = moving_head_kit()
+        X = TAPE_SPACE.lift(single_head_tape(7, 1, "cc"))
+        cells = [v for v in X.vertices if format_path(v) in
+                 [".".join(["a0b0"] * i) or "eps" for i in marked_cells]]
+        M = apply_product(kit.mark_gate, cells, X)[0]
+        canonicalizations.clear()
+        kit.forward_ext.apply(M)
+        assert len(canonicalizations) == 2 * k + 1
 
 
 class TestConjugateMark:

@@ -359,10 +359,11 @@ class TestFamilySizes:
         fam = cli._family_for(name, get_dynamics(dynamics), n)
         assert all(len(X.vertices) <= n for X in fam)
 
-    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_reported_members(self, n, capsys):
         # Single-head tapes of at most n vertices, the head included: two
-        # attachments at each cell of tapes of 1 .. n - 1 cells.
+        # attachments at each cell of tapes of 1 .. n - 1 cells.  At n = 1
+        # the family is empty, and both commands refuse it (TestInputBounds).
         expected = n * (n - 1)
         assert main(["verify", "--dynamics", "moving-head", "--family",
                      "single-head-tape", "--max-vertices", str(n)]) == EXIT_OK
@@ -424,6 +425,17 @@ class TestInputBounds:
     def test_max_vertices_below_one(self, argv, capsys):
         assert main(argv) == EXIT_BAD_INPUT
         one_error_line(capsys, "--max-vertices", "at least 1")
+
+    def test_single_head_family_needs_two_vertices(self, capsys):
+        # A single-head tape has a cell and a head, so at one vertex the
+        # family is empty and every check over it would pass.
+        for argv in (["verify", "--dynamics", "moving-head", "--family",
+                      "single-head-tape", "--max-vertices", "1"],
+                     ["check-blocks", "--max-vertices", "1"]):
+            assert main(argv) == EXIT_BAD_INPUT
+            assert capsys.readouterr() == (
+                "", "error: family single-head-tape is empty at "
+                    "--max-vertices 1; use --max-vertices 2 or more\n")
 
     def test_negative_steps(self, tape_file, tmp_path, capsys):
         assert main(["run", "--input", tape_file, "--steps", "-1",

@@ -27,6 +27,7 @@ from cgd import (
     make_edge,
 )
 from cgd.blocks import (
+    BlockKit,
     MarkDynamics,
     MarkSpace,
     ReversibleExtension,
@@ -35,7 +36,7 @@ from cgd.blocks import (
 )
 from cgd.dynamics import FuncDynamics
 from cgd.families import bare_tape, bare_tapes, grid_graph, single_head_tapes
-from cgd.modulo import disk_at, shift_with_names
+from cgd.modulo import canonicalize_with_names, disk_at, shift_with_names
 from cgd.patches import (
     LocalRule,
     Patch,
@@ -50,6 +51,7 @@ from cgd.patches import (
 )
 from cgd.paths import EPSILON, parse_path
 from cgd.portgraph import GraphError, relabel, validate
+from cgd.reversibility import enumerate_family
 
 import oracles
 from oracles import FoldingExtension, apply_local_rule_pairwise, union_pair
@@ -65,6 +67,7 @@ AB = Alphabets.make("ab")
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
 AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
 DIGITS = Alphabets.make("ab", vertex_labels=("0", "1", "2", "3"))
+ABC = Alphabets.make("abc", vertex_labels=("0",))
 
 
 def ring(n, alphabets=AB0, labels=None):
@@ -361,27 +364,38 @@ def graphs(draw, max_vertices=6):
 
 
 def marked_variants(X, space):
-    """X with every non-empty proper subset of its vertices marked."""
+    """X with every subset of its vertices marked, the empty and the full
+    one included."""
     gate = MarkDynamics(space)
-    for k in range(1, len(X.vertices)):
+    for k in range(len(X.vertices) + 1):
         for subset in combinations(X.vertices, k):
             yield apply_product(gate, subset, X)[0]
 
 
+def compare_extensions(kit, graphs):
+    """Both extensions of the kit against the oracle on every marked
+    variant of every graph; the number of comparisons."""
+    pairs = [(ext, FoldingExtension(ext.base, ext.exception_bound,
+                                    ext.space, name=ext.name))
+             for ext in (kit.forward_ext, kit.backward_ext)]
+    checked = 0
+    for X in graphs:
+        for M in marked_variants(kit.space.lift(X), kit.space):
+            for ext, oracle in pairs:
+                assert outcome(ext.apply, M) == outcome(oracle.apply, M)
+                checked += 1
+    return checked
+
+
 class TestExtensionAgainstOracle:
     def test_moving_head_extensions_on_partly_marked_tapes(self):
-        kit = moving_head_kit()
-        pairs = [(ext, FoldingExtension(ext.base, ext.exception_bound,
-                                        ext.space, name=ext.name))
-                 for ext in (kit.forward_ext, kit.backward_ext)]
-        checked = 0
-        for X in single_head_tapes(3):
-            for M in marked_variants(TAPE_SPACE.lift(X), TAPE_SPACE):
-                for ext, oracle in pairs:
-                    got = outcome(ext.apply, M)
-                    assert got == outcome(oracle.apply, M)
-                    checked += 1
-        assert checked > 100
+        assert compare_extensions(moving_head_kit(), single_head_tapes(3)) == 272
+
+    def test_turtle_extensions_on_marked_graphs(self):
+        turtle = get_dynamics("turtle")
+        family = enumerate_family(turtle.alphabets, 3)
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        assert compare_extensions(kit, family) == 312
 
     def test_seam_conflict(self):
         # A label-flipping base dynamics relabels the frozen boundary of the
@@ -408,6 +422,60 @@ class TestExtensionAgainstOracle:
         assert got[0] is UnionInconsistencyError
         assert "transformed region conflicts with the frozen part:" in got[1]
 
+    def test_seam_conflict_at_a_fresh_vertex(self):
+        # The base step puts a fresh vertex between the two boundary
+        # vertices, whose frozen edge it thereby contradicts.  The piece is
+        # lifted as it is named, so the fresh vertex's name in the message
+        # keeps the base tokens the step gave it.
+        def insert(X):
+            raw = RawGraph(alphabets=ABC, vertices=("x", "z", "y"),
+                           edges=frozenset((make_edge("x", "a", "z", "b"),
+                                            make_edge("z", "a", "y", "b"))),
+                           vertex_labels={"x": "0", "y": "0", "z": "0"})
+            Y, names = canonicalize_with_names(PointedRawGraph(raw, "x"))
+            (far,) = X.vertices[1:]
+            return Y, {EPSILON: names["x"], far: names["y"]}
+
+        got, want = extensions_on_marked_ends(insert)
+        assert got[0] is want[0] is UnionInconsistencyError
+        assert got[1] == (
+            "marked[two-vertex]: transformed region conflicts with the frozen "
+            "part: half-edge Path('a0c1'):a0 leads to (Path('a0c1.a0b0'), "
+            "'b0') in one patch and (('fresh', Path('a0c1'), Path('ab')), "
+            "'b0') in the other")
+        assert want[1] == got[1].replace("Path('ab')", "Path('a0b0')")
+
+    def test_boundary_vertices_that_collide(self):
+        # The base step merges the two boundary vertices into one.
+        def collapse(X):
+            raw = RawGraph(alphabets=ABC, vertices=("v",), vertex_labels={"v": "0"})
+            return (canonicalize(PointedRawGraph(raw, "v")),
+                    {v: EPSILON for v in X.vertices})
+
+        got, want = extensions_on_marked_ends(collapse)
+        assert got == want
+        assert got[:2] == (UnionInconsistencyError,
+                           "marked[two-vertex]: boundary vertices a0c1 and "
+                           "a0c1.a0b0 collide in the image")
+
+
+def extensions_on_marked_ends(step):
+    """The outcomes of the extension and its oracle, at bound 0, on the path
+    m1 - x - y - m2 with both ends marked, when `step` evolves the unmarked
+    pair x - y and fixes every other graph."""
+    space = MarkSpace.for_base(ABC)
+    base = FuncDynamics("two-vertex", lambda X: step(X) if len(X.vertices) == 2
+                        else (X, {v: v for v in X.vertices}), ABC)
+    path = RawGraph(
+        alphabets=ABC, vertices=("m1", "x", "y", "m2"),
+        edges=frozenset((make_edge("m1", "a", "x", "c"),
+                         make_edge("x", "a", "y", "b"),
+                         make_edge("y", "c", "m2", "b"))),
+        vertex_labels={v: "0" for v in ("m1", "x", "y", "m2")})
+    X = space.lift(canonicalize(PointedRawGraph(path, "m1")))
+    M = apply_product(MarkDynamics(space), (EPSILON, X.vertices[-1]), X)[0]
+    return (outcome(ReversibleExtension(base, 0, space).apply, M),
+            outcome(FoldingExtension(base, 0, space).apply, M))
 
 class TestGlue:
     U, V, W = "uvw"

@@ -704,10 +704,13 @@ class TestDiskInheritsNames:
     def test_no_renaming(self, monkeypatch):
         X = single_head_tape(30, 11)
         calls = []
-        for name in ("_canonical_names", "RawGraph"):
-            real = getattr(modulo, name)
-            monkeypatch.setattr(modulo, name, lambda *a, real=real, name=name, **k:
-                                calls.append(name) or real(*a, **k))
+        real = modulo._canonical_names
+        monkeypatch.setattr(modulo, "_canonical_names", lambda *a, **k:
+                            calls.append("_canonical_names") or real(*a, **k))
+        # Wrapping the constructor counts a graph built under any name.
+        init = RawGraph.__init__
+        monkeypatch.setattr(RawGraph, "__init__", lambda self, *a, **k:
+                            calls.append("RawGraph") or init(self, *a, **k))
         for radius in range(4):
             disk(X, radius)
         assert calls == []
