@@ -8,6 +8,7 @@ rule builds a whole image graph as the union of one patch per vertex.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from itertools import combinations
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
@@ -24,10 +25,11 @@ from .portgraph import (
     GraphError,
     GraphFormatError,
     HalfEdge,
+    InvalidGraphError,
     PointedRawGraph,
     RawGraph,
     ensure_valid,
-    parse_graph,
+    parse_rows,
     relabel,
     serialize_graph,
 )
@@ -266,17 +268,24 @@ class RuleTable:
         return LocalRule(radius=self.radius, rule=rule, name=self.name)
 
 
-def _patch_token_of_text(text: str, ports) -> Hashable:
-    body, sep, tag = text.partition("~")
-    try:
-        path = parse_path(body, ports)
-    except ValueError as exc:
-        raise GraphFormatError(f"bad patch vertex {text!r}: {exc}") from None
-    if not sep:
-        return path
-    if not tag.isdecimal():
-        raise GraphFormatError(f"bad fresh-vertex tag in {text!r}")
-    return (path, int(tag))
+def _patch_token(parsed: Dict[Tuple[str, Tuple[str, ...]], Hashable],
+                 named: Dict[Hashable, str], text: str, ports: Tuple[str, ...]) -> Hashable:
+    """A patch vertex text as its token; `named` holds this patch's tokens."""
+    token = parsed.get((text, ports))
+    if token is None:
+        body, sep, tag = text.partition("~")
+        try:
+            path = parse_path(body, ports)
+        except ValueError as exc:
+            raise GraphFormatError(f"bad patch vertex {text!r}: {exc}") from None
+        if sep and not tag.isdecimal():
+            raise GraphFormatError(f"bad fresh-vertex tag in {text!r}")
+        token = parsed[text, ports] = (path, int(tag)) if sep else path
+    if token in named:
+        raise GraphFormatError(
+            f"patch vertices {named[token]!r} and {text!r} name the same token")
+    named[token] = text
+    return token
 
 
 def _patch_token_text(token) -> str:
@@ -289,65 +298,49 @@ def _patch_token_text(token) -> str:
 
 
 def parse_rule_file(text: str) -> RuleTable:
-    """Parse the rule-file format; every error names its line in `text`."""
+    """Parse the rule-file format, each line split once and each patch vertex text
+    parsed once; every error but a missing radius line names its line in `text`."""
     radius: Optional[int] = None
-    # (kind, line number of the section's first content line, content lines)
-    sections: List[Tuple[str, int, List[str]]] = []
+    # (disk or maps-to, the line of that keyword, the content rows after it)
+    sections: List[Tuple[str, int, list]] = []
     for line_no, raw_line in enumerate(text.splitlines(), start=1):
-        stripped = raw_line.split("#", 1)[0].strip()
-        parts = stripped.split()
-        if parts[:1] == ["radius"] and not sections:
-            if len(parts) != 2 or not parts[1].isdecimal() or radius is not None:
-                raise GraphFormatError(f"line {line_no}: bad radius line {raw_line!r}")
-            radius = int(parts[1])
-        elif stripped == "disk":
-            sections.append(("disk", line_no + 1, []))
-        elif stripped == "maps-to":
-            if not sections or sections[-1][0] != "disk":
-                raise GraphFormatError(
-                    f"line {line_no}: maps-to without a preceding disk")
-            sections.append(("patch", line_no + 1, []))
+        tokens = raw_line.split("#", 1)[0].split()
+        if not tokens:
+            continue
+        if len(tokens) == 1 and tokens[0] in ("disk", "maps-to"):
+            if tokens[0] == "maps-to" and (not sections or sections[-1][0] != "disk"):
+                raise GraphFormatError(f"line {line_no}: maps-to without a preceding disk")
+            sections.append((tokens[0], line_no, []))
+        elif sections:
+            sections[-1][2].append((line_no, tokens))
+        elif tokens[0] != "radius":
+            raise GraphFormatError(
+                f"line {line_no}: content before the radius line: {raw_line!r}")
+        elif len(tokens) != 2 or not tokens[1].isdecimal() or radius is not None:
+            raise GraphFormatError(f"line {line_no}: bad radius line {raw_line!r}")
         else:
-            if sections:
-                sections[-1][2].append(raw_line)
-            elif stripped:
-                raise GraphFormatError(
-                    f"line {line_no}: content before the radius line: {raw_line!r}")
+            radius = int(tokens[1])
     if radius is None:
         raise GraphFormatError("missing radius line")
-    if len(sections) % 2 != 0:
-        raise GraphFormatError("unpaired disk section")
+    for (_, line_no, _), after in zip(sections[::2], sections[1::2] + [("disk",)]):
+        if after[0] != "maps-to":
+            raise GraphFormatError(f"line {line_no}: unpaired disk section")
 
+    headers: Dict[tuple, Alphabets] = {}
+    parsed: Dict[Tuple[str, Tuple[str, ...]], Hashable] = {}
     entries: Dict[DiskGraph, Patch] = {}
-    for i in range(0, len(sections), 2):
-        _kind, disk_line, disk_lines = sections[i]
-        view = DiskGraph(canonicalize_with_names(
-            parse_graph("\n".join(disk_lines), first_line=disk_line))[0], radius)
-        patch = _parse_patch(sections[i + 1][2], sections[i + 1][1])
+    for (_, disk_line, disk_rows), (_, patch_line, patch_rows) in zip(
+            sections[::2], sections[1::2]):
+        pg = parse_rows(disk_rows, headers, block_line=disk_line)
+        try:
+            view = DiskGraph(canonicalize_with_names(pg)[0], radius)
+        except InvalidGraphError as err:    # a disk not connected to its pointer
+            raise InvalidGraphError(f"line {disk_line}: {err}") from None
+        pg = parse_rows(patch_rows, headers, partial(_patch_token, parsed, {}), patch_line)
         if view in entries:
-            raise GraphFormatError(
-                f"line {disk_line - 1}: duplicate disk entry in rule file")
-        entries[view] = patch
+            raise GraphFormatError(f"line {disk_line}: duplicate disk entry in rule file")
+        entries[view] = Patch(pg.graph, pg.origin)
     return RuleTable(radius=radius, entries=entries)
-
-
-def _parse_patch(lines: List[str], first_line: int) -> Patch:
-    pg = parse_graph("\n".join(lines), first_line=first_line)
-    ports = pg.graph.alphabets.ports
-    ids: Dict[str, Hashable] = {}
-    by_token: Dict[Hashable, str] = {}
-    for v in pg.graph.vertices:
-        token = _patch_token_of_text(v, ports)
-        if token in by_token:
-            line_no = first_line + next(
-                k for k, line in enumerate(lines)
-                if line.split("#", 1)[0].split()[:2] == ["vertex", v])
-            raise GraphFormatError(
-                f"line {line_no}: patch vertices {by_token[token]!r} and {v!r} "
-                f"name the same token")
-        by_token[token] = v
-        ids[v] = token
-    return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
 
 
 def serialize_rule_file(table: RuleTable) -> str:

@@ -283,120 +283,127 @@ def _parse_half_edge(token: str, line_no: int) -> Tuple[str, str]:
     return head, port
 
 
-def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
-    """Parse the text format into a pointed raw graph; all errors are hard.
+def _distinct(args: List[str], what: str, line_no: int) -> Tuple[str, ...]:
+    if len(set(args)) < len(args):
+        t = next(t for i, t in enumerate(args) if t in args[:i])
+        raise GraphFormatError(f"line {line_no}: duplicate {what} {t!r}")
+    return tuple(args)
 
-    Error messages number the lines of `text` from `first_line`.
-    """
+
+def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
+    """Parse the text format into a pointed raw graph; all errors are hard
+    and number the lines of `text` from `first_line`."""
+    return parse_rows([(n, tokens) for n, line in enumerate(text.splitlines(), first_line)
+                       if (tokens := line.split("#", 1)[0].split())], {})
+
+
+def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alphabets],
+               token=None, block_line: Optional[int] = None) -> PointedRawGraph:
+    """`parse_graph` over rows (line number, tokens) of non-blank lines with
+    comments cut.  `headers` maps each (ports, vlabels, elabels) read so far
+    to its alphabets.  `token(text, ports)`, run after every check, turns a
+    vertex's text into its id; its errors name the vertex's line.  A missing
+    ports or pointer line names `block_line`."""
     ports: Optional[Tuple[str, ...]] = None
-    vlabels: Tuple[str, ...] = ()
-    elabels: Tuple[str, ...] = ()
-    vertices: list = []
-    vertex_set: set = set()
-    vertex_labels: Dict[str, str] = {}
-    edges: list = []
-    edge_labels: Dict[Edge, str] = {}
     pointer: Optional[str] = None
+    vlabels = elabels = ()
+    vertices: Dict[str, int] = {}   # each vertex's line
+    vertex_labels: Dict[str, str] = {}
+    edges: List[Edge] = []
+    edge_lines: List[int] = []
+    edge_labels: Dict[Edge, str] = {}
     once: set = set()    # the keywords allowed on one line only
 
-    def take_label(tokens: list, line_no: int) -> Optional[str]:
-        if tokens and tokens[-1].startswith("label="):
-            return tokens.pop()[len("label="):]
-        if any(t.startswith("label=") for t in tokens):
-            raise GraphFormatError(f"line {line_no}: label= must come last")
-        return None
-
-    def distinct(tokens: list, what: str, line_no: int) -> Tuple[str, ...]:
-        for i, t in enumerate(tokens):
-            if t in tokens[:i]:
-                raise GraphFormatError(f"line {line_no}: duplicate {what} {t!r}")
-        return tuple(tokens)
-
-    for line_no, raw_line in enumerate(text.splitlines(), start=first_line):
-        line = raw_line.split("#", 1)[0].strip()
-        if not line:
-            continue
-        tokens = line.split()
-        keyword, args = tokens[0], tokens[1:]
-        if keyword in ("ports", "vlabels", "elabels", "pointer"):
-            if keyword in once:
-                raise GraphFormatError(f"line {line_no}: duplicate {keyword} line")
-            once.add(keyword)
-        if keyword == "ports":
-            if not args:
-                raise GraphFormatError(f"line {line_no}: empty port alphabet")
-            ports, ports_line = distinct(args, "port", line_no), line_no
-        elif keyword == "vlabels":
-            vlabels = distinct(args, "vertex label", line_no)
-        elif keyword == "elabels":
-            elabels = distinct(args, "edge label", line_no)
-        elif keyword == "vertex":
-            label = take_label(args, line_no)
-            if len(args) != 1:
-                raise GraphFormatError(f"line {line_no}: vertex wants one id")
-            vid = args[0]
-            if vid in vertex_set:
-                raise GraphFormatError(f"line {line_no}: duplicate vertex {vid!r}")
-            vertices.append(vid)
-            vertex_set.add(vid)
-            if label is not None:
-                vertex_labels[vid] = label
-        elif keyword == "edge":
-            label = take_label(args, line_no)
-            if len(args) != 2:
-                raise GraphFormatError(f"line {line_no}: edge wants two half-edges")
-            h1 = _parse_half_edge(args[0], line_no)
-            h2 = _parse_half_edge(args[1], line_no)
+    for line_no, tokens in rows:
+        keyword = tokens[0]
+        if keyword == "vertex" or keyword == "edge":
+            n, label = (2 if keyword == "vertex" else 3), None
+            if tokens[-1].startswith("label="):
+                label, tokens = tokens[-1][len("label="):], tokens[:-1]
+            elif len(tokens) != n or tokens[1].startswith("label="):   # else none can
+                if any(t.startswith("label=") for t in tokens):
+                    raise GraphFormatError(f"line {line_no}: label= must come last")
+            if len(tokens) != n:
+                raise GraphFormatError(f"line {line_no}: {keyword} wants "
+                                       f"{'one id' if n == 2 else 'two half-edges'}")
+            if n == 2:
+                if tokens[1] in vertices:
+                    raise GraphFormatError(f"line {line_no}: duplicate vertex {tokens[1]!r}")
+                vertices[tokens[1]] = line_no
+                if label is not None:
+                    vertex_labels[tokens[1]] = label
+                continue
+            h1 = _parse_half_edge(tokens[1], line_no)
+            h2 = _parse_half_edge(tokens[2], line_no)
             if h1 == h2:
-                raise GraphFormatError(f"line {line_no}: degenerate edge {args[0]}")
-            e = frozenset((h1, h2))
-            edges.append((e, line_no))
+                raise GraphFormatError(f"line {line_no}: degenerate edge {tokens[1]}")
+            edges.append(e := frozenset((h1, h2)))
+            edge_lines.append(line_no)
             if label is not None:
                 edge_labels[e] = label
-        elif keyword == "pointer":
-            if len(args) != 1:
-                raise GraphFormatError(f"line {line_no}: pointer wants one id")
-            pointer = args[0]
-        else:
+        elif keyword not in ("ports", "vlabels", "elabels", "pointer"):
             raise GraphFormatError(f"line {line_no}: unknown keyword {keyword!r}")
+        elif keyword in once:
+            raise GraphFormatError(f"line {line_no}: duplicate {keyword} line")
+        else:
+            once.add(keyword)
+            if keyword == "ports":
+                if len(tokens) == 1:
+                    raise GraphFormatError(f"line {line_no}: empty port alphabet")
+                ports, ports_line = _distinct(tokens[1:], "port", line_no), line_no
+            elif keyword == "vlabels":
+                vlabels = _distinct(tokens[1:], "vertex label", line_no)
+            elif keyword == "elabels":
+                elabels = _distinct(tokens[1:], "edge label", line_no)
+            elif len(tokens) != 2:
+                raise GraphFormatError(f"line {line_no}: pointer wants one id")
+            else:
+                pointer, pointer_line = tokens[1], line_no
 
-    if ports is None:
-        raise GraphFormatError("missing ports line")
-    if pointer is None:
-        raise GraphFormatError("missing pointer line")
-
-    try:
-        alphabets = Alphabets.make(ports, vlabels, elabels)
-    except GraphFormatError as err:     # a port that a path cannot hold
-        raise GraphFormatError(f"line {ports_line}: {err}") from None
-    used: Dict[Tuple[str, str], int] = {}
-    for e, line_no in edges:
-        for (v, p) in e:
-            if v not in vertex_set:
-                raise GraphFormatError(f"line {line_no}: undeclared vertex {v!r}")
-            if p not in alphabets.ports:
-                raise GraphFormatError(f"line {line_no}: unknown port {p!r}")
-            if (v, p) in used:
+    if ports is None or pointer is None:
+        raise GraphFormatError(("" if block_line is None else f"line {block_line}: ")
+                               + f"missing {'pointer' if ports else 'ports'} line")
+    alphabets = headers.get((ports, vlabels, elabels))
+    if alphabets is None:
+        try:
+            alphabets = headers[ports, vlabels, elabels] = Alphabets(ports, vlabels, elabels)
+        except GraphFormatError as err:     # a port that a path cannot hold
+            raise GraphFormatError(f"line {ports_line}: {err}") from None
+    used: Dict[HalfEdge, int] = {}
+    for e, line_no in zip(edges, edge_lines):
+        for h in e:
+            if h[0] not in vertices:
+                raise GraphFormatError(f"line {line_no}: undeclared vertex {h[0]!r}")
+            if h[1] not in ports:
+                raise GraphFormatError(f"line {line_no}: unknown port {h[1]!r}")
+            if h in used:
                 raise GraphFormatError(
-                    f"line {line_no}: half-edge {v}:{p} already used on line {used[(v, p)]}")
-            used[(v, p)] = line_no
+                    f"line {line_no}: half-edge {h[0]}:{h[1]} already used on line {used[h]}")
+            used[h] = line_no
     for v, l in vertex_labels.items():
-        if l not in alphabets.vertex_labels:
-            raise GraphFormatError(f"unknown vertex label {l!r} on {v!r}")
-    for e, l in edge_labels.items():
-        if l not in alphabets.edge_labels:
-            raise GraphFormatError(f"unknown edge label {l!r}")
-    if pointer not in vertex_set:
-        raise GraphFormatError(f"pointer {pointer!r} is not a declared vertex")
+        if l not in vlabels:
+            raise GraphFormatError(f"line {vertices[v]}: unknown vertex label {l!r} on {v!r}")
+    for e, line_no in zip(edges, edge_lines):
+        if e in edge_labels and edge_labels[e] not in elabels:
+            raise GraphFormatError(f"line {line_no}: unknown edge label {edge_labels[e]!r}")
+    if pointer not in vertices:
+        raise GraphFormatError(
+            f"line {pointer_line}: pointer {pointer!r} is not a declared vertex")
 
     # The checks above cover every rule of `validate`, with line numbers.
-    g = RawGraph(
-        alphabets=alphabets,
-        vertices=tuple(vertices),
-        edges=frozenset(e for e, _ in edges),
-        vertex_labels=vertex_labels,
-        edge_labels=edge_labels,
-    )
+    if token is not None:
+        ids = {}
+        for v in vertices:
+            try:
+                ids[v] = token(v, ports)
+            except GraphFormatError as err:
+                raise GraphFormatError(f"line {vertices[v]}: {err}") from None
+        named = {e: frozenset(((ids[u], p), (ids[w], q)))
+                 for e in edges for (u, p), (w, q) in [e]}
+        vertices, pointer, edges = ids.values(), ids[pointer], named.values()
+        vertex_labels = {ids[v]: l for v, l in vertex_labels.items()}
+        edge_labels = {named[e]: l for e, l in edge_labels.items()}
+    g = RawGraph(alphabets, tuple(vertices), frozenset(edges), vertex_labels, edge_labels)
     return PointedRawGraph(g, pointer)
 
 

@@ -94,6 +94,16 @@ locality checks as they were in `blocks`: the radius search called
 per radius tried, and the footprint mapped every edge of the source by hand.
 `blocks` now reads the radius off one application per member and compares
 edges through `portgraph.relabel`.
+
+`parse_graph`, `parse_rule_file` and `_parse_patch` are the text parsers as
+they were before rule files loaded in one pass: the rule-file scan kept
+each section's raw lines, `parse_graph` split them again and built one
+`Alphabets` per block, and each patch was copied through `relabel` to turn
+its ids into tokens, each id parsed by `parse_path` on its own.  Some of
+their errors name no line, and a `disk` section followed by another `disk`
+was read as the first disk's patch.  `portgraph.parse_rows` now parses
+rows split once, shares one alphabet per header, and turns patch ids into
+tokens as the block is built.
 """
 from collections import deque
 from itertools import combinations
@@ -126,9 +136,11 @@ from cgd.modulo import (
 )
 from cgd.patches import (LocalRule, Patch, PatchError, PatchInconsistencyError,
                          RuleTable)
-from cgd.paths import EPSILON, Path, format_path
+from cgd.paths import EPSILON, Path, format_path, parse_path
 from cgd.portgraph import (
     Alphabets,
+    Edge,
+    GraphFormatError,
     PointedRawGraph,
     RawGraph,
     ensure_valid,
@@ -1136,3 +1148,196 @@ def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path) -> Set[Path]
         if e2 not in mapped:
             changed.update(back[w] for (w, _p) in e2)
     return changed
+
+
+def _parse_half_edge(token: str, line_no: int) -> Tuple[str, str]:
+    head, sep, port = token.rpartition(":")
+    if not sep or not head or not port:
+        raise GraphFormatError(f"line {line_no}: malformed half-edge {token!r}")
+    return head, port
+
+
+def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
+    ports: Optional[Tuple[str, ...]] = None
+    vlabels: Tuple[str, ...] = ()
+    elabels: Tuple[str, ...] = ()
+    vertices: list = []
+    vertex_set: set = set()
+    vertex_labels: Dict[str, str] = {}
+    edges: list = []
+    edge_labels: Dict[Edge, str] = {}
+    pointer: Optional[str] = None
+    once: set = set()    # the keywords allowed on one line only
+
+    def take_label(tokens: list, line_no: int) -> Optional[str]:
+        if tokens and tokens[-1].startswith("label="):
+            return tokens.pop()[len("label="):]
+        if any(t.startswith("label=") for t in tokens):
+            raise GraphFormatError(f"line {line_no}: label= must come last")
+        return None
+
+    def distinct(tokens: list, what: str, line_no: int) -> Tuple[str, ...]:
+        for i, t in enumerate(tokens):
+            if t in tokens[:i]:
+                raise GraphFormatError(f"line {line_no}: duplicate {what} {t!r}")
+        return tuple(tokens)
+
+    for line_no, raw_line in enumerate(text.splitlines(), start=first_line):
+        line = raw_line.split("#", 1)[0].strip()
+        if not line:
+            continue
+        tokens = line.split()
+        keyword, args = tokens[0], tokens[1:]
+        if keyword in ("ports", "vlabels", "elabels", "pointer"):
+            if keyword in once:
+                raise GraphFormatError(f"line {line_no}: duplicate {keyword} line")
+            once.add(keyword)
+        if keyword == "ports":
+            if not args:
+                raise GraphFormatError(f"line {line_no}: empty port alphabet")
+            ports, ports_line = distinct(args, "port", line_no), line_no
+        elif keyword == "vlabels":
+            vlabels = distinct(args, "vertex label", line_no)
+        elif keyword == "elabels":
+            elabels = distinct(args, "edge label", line_no)
+        elif keyword == "vertex":
+            label = take_label(args, line_no)
+            if len(args) != 1:
+                raise GraphFormatError(f"line {line_no}: vertex wants one id")
+            vid = args[0]
+            if vid in vertex_set:
+                raise GraphFormatError(f"line {line_no}: duplicate vertex {vid!r}")
+            vertices.append(vid)
+            vertex_set.add(vid)
+            if label is not None:
+                vertex_labels[vid] = label
+        elif keyword == "edge":
+            label = take_label(args, line_no)
+            if len(args) != 2:
+                raise GraphFormatError(f"line {line_no}: edge wants two half-edges")
+            h1 = _parse_half_edge(args[0], line_no)
+            h2 = _parse_half_edge(args[1], line_no)
+            if h1 == h2:
+                raise GraphFormatError(f"line {line_no}: degenerate edge {args[0]}")
+            e = frozenset((h1, h2))
+            edges.append((e, line_no))
+            if label is not None:
+                edge_labels[e] = label
+        elif keyword == "pointer":
+            if len(args) != 1:
+                raise GraphFormatError(f"line {line_no}: pointer wants one id")
+            pointer = args[0]
+        else:
+            raise GraphFormatError(f"line {line_no}: unknown keyword {keyword!r}")
+
+    if ports is None:
+        raise GraphFormatError("missing ports line")
+    if pointer is None:
+        raise GraphFormatError("missing pointer line")
+
+    try:
+        alphabets = Alphabets.make(ports, vlabels, elabels)
+    except GraphFormatError as err:     # a port that a path cannot hold
+        raise GraphFormatError(f"line {ports_line}: {err}") from None
+    used: Dict[Tuple[str, str], int] = {}
+    for e, line_no in edges:
+        for (v, p) in e:
+            if v not in vertex_set:
+                raise GraphFormatError(f"line {line_no}: undeclared vertex {v!r}")
+            if p not in alphabets.ports:
+                raise GraphFormatError(f"line {line_no}: unknown port {p!r}")
+            if (v, p) in used:
+                raise GraphFormatError(
+                    f"line {line_no}: half-edge {v}:{p} already used on line {used[(v, p)]}")
+            used[(v, p)] = line_no
+    for v, l in vertex_labels.items():
+        if l not in alphabets.vertex_labels:
+            raise GraphFormatError(f"unknown vertex label {l!r} on {v!r}")
+    for e, l in edge_labels.items():
+        if l not in alphabets.edge_labels:
+            raise GraphFormatError(f"unknown edge label {l!r}")
+    if pointer not in vertex_set:
+        raise GraphFormatError(f"pointer {pointer!r} is not a declared vertex")
+
+    g = RawGraph(
+        alphabets=alphabets,
+        vertices=tuple(vertices),
+        edges=frozenset(e for e, _ in edges),
+        vertex_labels=vertex_labels,
+        edge_labels=edge_labels,
+    )
+    return PointedRawGraph(g, pointer)
+
+
+def _patch_token_of_text(text: str, ports) -> Hashable:
+    body, sep, tag = text.partition("~")
+    try:
+        path = parse_path(body, ports)
+    except ValueError as exc:
+        raise GraphFormatError(f"bad patch vertex {text!r}: {exc}") from None
+    if not sep:
+        return path
+    if not tag.isdecimal():
+        raise GraphFormatError(f"bad fresh-vertex tag in {text!r}")
+    return (path, int(tag))
+
+
+def parse_rule_file(text: str) -> RuleTable:
+    radius: Optional[int] = None
+    # (kind, line number of the section's first content line, content lines)
+    sections: List[Tuple[str, int, List[str]]] = []
+    for line_no, raw_line in enumerate(text.splitlines(), start=1):
+        stripped = raw_line.split("#", 1)[0].strip()
+        parts = stripped.split()
+        if parts[:1] == ["radius"] and not sections:
+            if len(parts) != 2 or not parts[1].isdecimal() or radius is not None:
+                raise GraphFormatError(f"line {line_no}: bad radius line {raw_line!r}")
+            radius = int(parts[1])
+        elif stripped == "disk":
+            sections.append(("disk", line_no + 1, []))
+        elif stripped == "maps-to":
+            if not sections or sections[-1][0] != "disk":
+                raise GraphFormatError(
+                    f"line {line_no}: maps-to without a preceding disk")
+            sections.append(("patch", line_no + 1, []))
+        else:
+            if sections:
+                sections[-1][2].append(raw_line)
+            elif stripped:
+                raise GraphFormatError(
+                    f"line {line_no}: content before the radius line: {raw_line!r}")
+    if radius is None:
+        raise GraphFormatError("missing radius line")
+    if len(sections) % 2 != 0:
+        raise GraphFormatError("unpaired disk section")
+
+    entries: Dict[DiskGraph, Patch] = {}
+    for i in range(0, len(sections), 2):
+        _kind, disk_line, disk_lines = sections[i]
+        view = DiskGraph(canonicalize_with_names(
+            parse_graph("\n".join(disk_lines), first_line=disk_line))[0], radius)
+        patch = _parse_patch(sections[i + 1][2], sections[i + 1][1])
+        if view in entries:
+            raise GraphFormatError(
+                f"line {disk_line - 1}: duplicate disk entry in rule file")
+        entries[view] = patch
+    return RuleTable(radius=radius, entries=entries)
+
+
+def _parse_patch(lines: List[str], first_line: int) -> Patch:
+    pg = parse_graph("\n".join(lines), first_line=first_line)
+    ports = pg.graph.alphabets.ports
+    ids: Dict[str, Hashable] = {}
+    by_token: Dict[Hashable, str] = {}
+    for v in pg.graph.vertices:
+        token = _patch_token_of_text(v, ports)
+        if token in by_token:
+            line_no = first_line + next(
+                k for k, line in enumerate(lines)
+                if line.split("#", 1)[0].split()[:2] == ["vertex", v])
+            raise GraphFormatError(
+                f"line {line_no}: patch vertices {by_token[token]!r} and {v!r} "
+                f"name the same token")
+        by_token[token] = v
+        ids[v] = token
+    return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])

@@ -116,6 +116,20 @@ class TestRun:
         assert one_error_line(capsys) == (
             "error: no rule entry for a radius-0 disk of 2 vertices")
 
+    @pytest.mark.parametrize("rule_text, message", [
+        ("label=q".join(IDENTITY_RULE_FILE.rsplit("label=x", 1)),
+         "error: line 10: unknown vertex label 'q' on 'eps'"),
+        (IDENTITY_RULE_FILE + "disk\n", "error: line 12: unpaired disk section"),
+    ], ids=["unknown-label", "dangling-disk"])
+    def test_rule_file_error_names_its_line(self, tmp_path, capsys, rule_text, message):
+        rule = tmp_path / "rule.txt"
+        rule.write_text(rule_text)
+        graph = tmp_path / "dot.graph"
+        graph.write_text("ports a b\nvlabels x\nvertex v label=x\npointer v\n")
+        assert main(["run", "--rule-file", str(rule), "--input", str(graph),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert one_error_line(capsys) == message
+
     def test_patch_naming_one_host_vertex_twice(self, tmp_path, capsys):
         # eps and ab both resolve to the looped vertex itself.
         rule = tmp_path / "rule.txt"

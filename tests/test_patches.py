@@ -1,10 +1,14 @@
 """Patch consistency, unions, local rules, and the rule-file format."""
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracles
 from cgd import (
     Alphabets,
+    GraphError,
     PointedRawGraph,
     RawGraph,
     apply_local_rule,
@@ -14,6 +18,7 @@ from cgd import (
     glue,
     make_edge,
 )
+from cgd import cli, patches
 from cgd.families import TAPE_ALPHABETS, bare_tape, grid_graph, single_head_tapes
 from cgd.modulo import DiskGraph, disk, disk_at
 from cgd.patches import (
@@ -30,6 +35,7 @@ from cgd.patches import (
 )
 from cgd.paths import EPSILON, format_path, parse_path
 from cgd.portgraph import GraphFormatError, InvalidGraphError, validate
+from test_golden import identity_rule_text
 
 AB = Alphabets.make("ab")
 ABL = Alphabets.make("ab", vertex_labels=("x", "y"))
@@ -417,7 +423,7 @@ pointer eps
         text = ("radius 0\ndisk\nports a b\nvertex eps\npointer eps\nmaps-to\n"
                 f"ports a b\nvertex eps\nvertex {token}\nedge eps:a {token}:b\n"
                 "pointer eps\n")
-        with pytest.raises(GraphFormatError, match=f"^bad patch vertex '{token}': "):
+        with pytest.raises(GraphFormatError, match=f"^line 9: bad patch vertex '{token}': "):
             parse_rule_file(text)
 
     @pytest.mark.parametrize("line", ["radiusfoo 1", "radius_1 1", "radius1"])
@@ -459,14 +465,170 @@ pointer eps
             parse_rule_file(text)
         with pytest.raises(GraphFormatError, match="^line 3: maps-to without"):
             parse_rule_file("radius 0\n\nmaps-to\n")
+        # A label, edge label or pointer names its own line; a missing line
+        # or a dangling or disconnected disk names its disk or maps-to line.
+        patch_end = "vertex eps label=y\npointer eps\ndisk"
+        first_disk_end = "vertex eps label=x\npointer eps\nmaps-to"
+        one_disk = "disk\nports a b\nvertex eps\npointer eps\n"
+        cases = [
+            (RULE_FILE.replace(patch_end, "vertex eps label=1\npointer eps\ndisk"),
+             GraphFormatError, "line 10: unknown vertex label '1' on 'eps'"),
+            (TWO_VERTEX_RULE_FILE.replace("ab:b\n", "ab:b\nedge eps:b ab:a label=z\n", 1),
+             GraphFormatError, "line 8: unknown edge label 'z'"),
+            (RULE_FILE.replace(first_disk_end, "vertex eps label=x\npointer x\nmaps-to"),
+             GraphFormatError, "line 6: pointer 'x' is not a declared vertex"),
+            (RULE_FILE.replace("maps-to\nports a b\n", "maps-to\n", 1),
+             GraphFormatError, "line 7: missing ports line"),
+            (RULE_FILE.replace(first_disk_end, "vertex eps label=x\nmaps-to"),
+             GraphFormatError, "line 2: missing pointer line"),
+            (RULE_FILE + one_disk, GraphFormatError, "line 22: unpaired disk section"),
+            (RULE_FILE.replace("radius 0\n", "radius 0\n" + one_disk),
+             GraphFormatError, "line 2: unpaired disk section"),
+            ("radius 0\n" + one_disk * 2, GraphFormatError, "line 2: unpaired disk section"),
+            (RULE_FILE.replace(patch_end, "vertex eps label=y\nvertex zz\npointer eps\ndisk"),
+             GraphFormatError, "line 11: bad patch vertex 'zz': cannot split 'zz' "
+                               "into two ports from ('a', 'b')"),
+            (RULE_FILE.replace(first_disk_end, "vertex eps label=x\nvertex x\n"
+                                               "pointer eps\nmaps-to"),
+             InvalidGraphError, "line 2: graph is not connected to the origin: "
+                                "unreachable ['x']"),
+        ]
+        for text, kind, message in cases:
+            with pytest.raises(kind) as err:
+                parse_rule_file(text)
+            assert str(err.value) == message
 
     @settings(max_examples=300, deadline=None, database=None, derandomize=True)
     @given(text=rule_soup())
     def test_rule_soup_parses_or_raises_a_graph_error(self, text):
         try:
             table = parse_rule_file(text)
-        except (GraphFormatError, InvalidGraphError):
+        except (GraphFormatError, InvalidGraphError) as err:
+            assert str(err) == "missing radius line" or re.match(r"line \d+: ", str(err))
             return
         for view, patch in table.entries.items():
             assert validate(view.graph.to_pointed_raw().graph) is None
             assert validate(patch.graph) is None
+
+
+def rule_file_outcome(parse, text):
+    """What a rule-file parser makes of `text`: its entries and their text,
+    or its error's type and message."""
+    try:
+        table = parse(text)
+    except GraphError as err:
+        return type(err), str(err)
+    return table.entries, serialize_rule_file(table)
+
+
+def reads_a_disk_as_a_patch(text):
+    """Whether the old parser pairs a `disk` section with a `disk`."""
+    kinds = [line.split("#", 1)[0].strip() for line in text.splitlines()]
+    kinds = [k for k in kinds if k in ("disk", "maps-to")]
+    return ("disk", "disk") in zip(kinds[::2], kinds[1::2])
+
+
+def assert_parsed_as_before(text):
+    new, old = (rule_file_outcome(parse, text)
+                for parse in (parse_rule_file, oracles.parse_rule_file))
+    if isinstance(old[0], type):
+        # An error: the same type and text, which now also names its line.
+        assert new[0] is old[0]
+        assert new[1] == old[1] or re.fullmatch(r"line \d+: " + re.escape(old[1]), new[1])
+    elif reads_a_disk_as_a_patch(text):
+        assert new[0] is GraphFormatError and new[1].endswith(": unpaired disk section")
+    else:
+        assert new == old
+
+
+# Disk and patch blocks that declare different headers, and a patch whose
+# ports line follows its vertex lines.
+MIXED_HEADER_RULE_FILE = """\
+radius 0
+disk
+ports a b
+vlabels x y
+vertex eps label=x
+pointer eps
+maps-to
+vertex eps label=x
+vertex ab label=x
+edge eps:a ab:b label=e
+pointer eps
+vlabels x
+elabels e
+ports a b
+disk
+ports a b
+vlabels x y
+elabels e
+vertex eps label=y
+pointer eps
+maps-to
+ports a b
+vlabels x y
+vertex eps label=y
+pointer eps
+"""
+
+
+class TestAgainstTheOldParser:
+    """`parse_rule_file` against the parser it replaced (`oracles`): equal
+    tables and text, or the same error, which may now name its line."""
+
+    def test_bench_identity_table(self):
+        assert_parsed_as_before(identity_rule_text())
+
+    @pytest.mark.parametrize("name", ["identity", "moving-head"])
+    def test_inverse_rules_of_the_cli_kits(self, name):
+        table = cli._tape_kit(get_dynamics(name)).inverse.table
+        assert_parsed_as_before(serialize_rule_file(table.local_rule()))
+
+    @pytest.mark.parametrize("text", [
+        RULE_FILE, TWO_VERTEX_RULE_FILE, MIXED_HEADER_RULE_FILE,
+        # The old parser read the second disk as the first one's patch.
+        "radius 0\n" + "disk\nports a b\nvertex eps\npointer eps\n" * 2,
+    ], ids=["one-vertex", "two-vertex", "mixed-headers", "disk-after-disk"])
+    def test_fixed_rule_files(self, text):
+        assert_parsed_as_before(text)
+
+    def test_each_block_keeps_its_own_header(self):
+        table = parse_rule_file(MIXED_HEADER_RULE_FILE)
+        first, second = sorted(table.entries,
+                               key=lambda view: len(view.graph.alphabets.edge_labels))
+        assert first.graph.alphabets == Alphabets.make("ab", "xy")
+        assert table.entries[first].graph.alphabets == Alphabets.make("ab", "x", "e")
+        assert second.graph.alphabets == Alphabets.make("ab", "xy", "e")
+        assert table.entries[second].graph.alphabets == Alphabets.make("ab", "xy")
+        assert table.entries[first].graph.vertices == (EPSILON, parse_path("ab", "ab"))
+
+    def test_a_patch_text_is_read_under_its_own_ports(self):
+        # `ab` is a path under ports a b, and no path under ports c d.
+        text = MIXED_HEADER_RULE_FILE.replace(
+            "disk\nports a b\nvlabels x y\nelabels e",
+            "disk\nports c d\nvlabels x y\nelabels e").replace(
+            "maps-to\nports a b\nvlabels x y\nvertex eps label=y",
+            "maps-to\nports c d\nvlabels x y\nvertex eps label=y\nvertex ab")
+        with pytest.raises(GraphFormatError, match="^line 25: bad patch vertex 'ab': "):
+            parse_rule_file(text)
+        assert_parsed_as_before(text)
+
+    @settings(max_examples=300, deadline=None, database=None, derandomize=True)
+    @given(text=rule_soup())
+    def test_rule_soup(self, text):
+        assert_parsed_as_before(text)
+
+
+class TestRuleFileWork:
+    def test_identity_table_builds_one_alphabet_and_copies_no_patch(self, monkeypatch):
+        # 57 entries, 114 blocks under one header; each block built its own
+        # alphabet, and each patch was copied through `relabel`.
+        text = identity_rule_text()
+        built, copied = [], []
+        real_init, real_relabel = Alphabets.__post_init__, patches.relabel
+        monkeypatch.setattr(Alphabets, "__post_init__",
+                            lambda self: built.append(1) or real_init(self))
+        monkeypatch.setattr(patches, "relabel",
+                            lambda *a, **k: copied.append(1) or real_relabel(*a, **k))
+        assert len(parse_rule_file(text).entries) == 57
+        assert (len(built), len(copied)) == (1, 0)

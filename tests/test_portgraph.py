@@ -10,8 +10,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import cgd
+import oracles
 from cgd import (
     Alphabets,
+    GraphError,
     GraphFormatError,
     InvalidGraphError,
     PointedRawGraph,
@@ -57,6 +59,27 @@ def token_soup(draw):
             + lines(0, 1, ("junk", "ports", "pointer v", "label=0", "edge"),
                     ("", "v", "v:a w:a")))
     return "".join(l + "\n" for l in draw(st.permutations(text)))
+
+
+# Lines for the differential fuzz: well-formed ones, labels out of place,
+# wrong arities, malformed half-edges and repeated headers.
+LINE_POOL = (
+    "ports a b", "ports a b c", "ports a a", "ports", "ports a.b c", "vlabels x y",
+    "vlabels x x", "elabels e", "vertex eps", "vertex eps label=x", "vertex ab label=y",
+    "vertex ab", "vertex v label=z", "vertex", "vertex label=x", "vertex a b",
+    "vertex v label=x label=y", "vertex label=x v", "vertex label=x label=y",
+    "edge eps:a ab:b", "edge eps:b ab:a label=e", "edge ab:b eps:a label=q",
+    "edge eps:a eps:b", "edge eps:a eps:a", "edge eps:a", "edge eps ab:b", "edge :a ab:b",
+    "edge eps:c ab:b", "edge zz:a eps:b", "edge label=e eps:a ab:b",
+    "edge label=e eps:a label=f", "edge eps:a ab:b label=e x", "pointer eps", "pointer ab",
+    "pointer x", "pointer", "pointer a b", "bogus", "", "# note", "vertex v  # note")
+
+
+def graph_outcome(parse, text):
+    try:
+        return parse(text)
+    except GraphError as err:
+        return type(err), str(err)
 
 
 def ring4(alphabets=AB):
@@ -328,6 +351,20 @@ class TestTextFormat:
         except (GraphFormatError, InvalidGraphError):
             return
         assert validate(pg.graph) is None
+
+    @settings(max_examples=400, deadline=None, database=None, derandomize=True)
+    @given(lines=st.lists(st.sampled_from(LINE_POOL), max_size=9))
+    def test_line_soup_parses_as_the_old_parser(self, lines):
+        # The same graph or the same error; an unknown label or an
+        # undeclared pointer now also names its line.
+        text = "".join(line + "\n" for line in lines)
+        new, old = (graph_outcome(parse, text)
+                    for parse in (parse_graph, oracles.parse_graph))
+        assert new == old or (
+            isinstance(new, tuple) and isinstance(old, tuple)
+            and new[0] is old[0] is GraphFormatError
+            and re.fullmatch(r"line \d+: " + re.escape(old[1]), new[1])
+            and re.match("unknown (vertex|edge) label|pointer", old[1]))
 
 
 class TestAlphabets:
