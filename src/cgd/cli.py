@@ -8,6 +8,7 @@ or unparsable input, 3 I/O failure.
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import sys
 from typing import List, Optional
@@ -250,7 +251,8 @@ def _cmd_check_blocks(args) -> int:
     print(f"members={len(tapes)}")
     print(f"block_identity={'ok' if failures == 0 else f'{failures} mismatches'}")
 
-    lifted = GraphFamily.closure([kit.space.lift(g) for g in tapes], kit.space.marked)
+    lifted_tapes = [kit.space.lift(g) for g in tapes]
+    lifted = GraphFamily.closure(lifted_tapes, kit.space.marked)
     gate = tabulate(kit.conjugate, lifted)    # every footprint below reads it too
     radius = find_locality_radius(gate, lifted, max_radius=4)
     print(f"locality_radius={radius if radius is not None else 'not found <= 4'}")
@@ -259,8 +261,7 @@ def _cmd_check_blocks(args) -> int:
     else:
         depth_bound = len(kit.space.marked.ports) ** radius
         worst = 0
-        for X in tapes:
-            lifted_x = kit.space.lift(X)
+        for lifted_x in lifted_tapes:
             touching = {v: 0 for v in lifted_x.vertices}
             for anchor in lifted_x.vertices:
                 for v in gate_footprint(gate, lifted_x, anchor):
@@ -285,6 +286,7 @@ def _cmd_export_dot(args) -> int:
     return EXIT_OK
 
 
+@functools.cache     # one parser per process, built on first use
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="cgd",

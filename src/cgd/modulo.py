@@ -72,45 +72,15 @@ class CanonicalGraph:
                                  self.vertex_labels, self.edges, self.edge_labels))
 
     def __eq__(self, other: Any) -> bool:
-        if self is other:
-            return True
+        # A name is one node per word (`paths`), so this compares names by
+        # identity.
         if not isinstance(other, CanonicalGraph):
             return NotImplemented
-        if (self._hash != other._hash or self.alphabets != other.alphabets
-                or len(self.vertices) != len(other.vertices)
-                or len(self.vertex_labels) != len(other.vertex_labels)
-                or len(self.edges) != len(other.edges)
-                or len(self.edge_labels) != len(other.edge_labels)):
-            return False
-        # Pair the vertices position by position.  A canonical name is its
-        # parent's name plus one pair, so once the parents are paired each
-        # check is O(1); a parent that is not one of the vertex nodes (a
-        # graph built from parsed names) is compared by walking its chain.
-        paired: Dict[Path, Path] = {}
-        mine, theirs = self.vertex_labels, other.vertex_labels
-        for a, b in zip(self.vertices, other.vertices):
-            if a is not b:
-                if a._hash != b._hash or a.length != b.length:
-                    return False
-                if a.length:
-                    parent = paired.get(a.parent, a.parent)
-                    if (a.last != b.last
-                            or (parent is not b.parent and parent != b.parent)):
-                        return False
-            if mine.get(a) != theirs.get(b):
-                return False
-            paired[a] = b
-        labels, their_labels = self.edge_labels, other.edge_labels
-        try:
-            for e in self.edges:
-                (u, p), (w, q) = e
-                f = frozenset(((paired[u], p), (paired[w], q)))
-                if f not in other.edges or (
-                        labels and labels.get(e) != their_labels.get(f)):
-                    return False
-        except KeyError:    # an edge end that is not a vertex
-            return False
-        return True
+        return self is other or (
+            self._hash == other._hash and self.alphabets == other.alphabets
+            and self.vertices == other.vertices
+            and self.vertex_labels == other.vertex_labels
+            and self.edges == other.edges and self.edge_labels == other.edge_labels)
 
     def __repr__(self) -> str:
         return (f"<CanonicalGraph |V|={len(self.vertices)} "

@@ -5,13 +5,18 @@ leave the current vertex through port p, arrive at the next vertex on port
 q.  The empty word names the origin itself.
 
 Paths are trie nodes: a word is its prefix (`parent`) plus one last pair.
-The canonical names of a graph share their prefixes, so a name costs O(1)
-to build from its parent's and a graph of n vertices holds n nodes, not a
-word of every length.
+There is one node per word in a process: `child` looks (parent, pair) up in
+one table, `_NODES`, and builds a node only on a miss, and every way of
+building a word (`Path(pairs)`, `concat`, `reversed`, `parse_path`, pickle
+and copy) goes through `child`.  So equal words are one object, and a path
+hashes and compares by identity, in O(1) however long it is.  A name costs
+O(1) to build from its parent's, and the names of every graph share their
+nodes.  The table never forgets a word: a node, and the text `format_path`
+keeps on it, lives as long as the process.
 """
 from __future__ import annotations
 
-from typing import Any, Iterator, Tuple
+from typing import Any, Dict, Iterator, Tuple
 
 PortPair = Tuple[str, str]
 
@@ -21,14 +26,12 @@ class Path:
 
     A node holds the word without its last hop (`parent`), that hop
     (`last`) and the word's `length`.  The empty word, EPSILON, is the one
-    root; its parent and last hop are None.  A node is hashed once, at
-    construction, from its parent's hash and its last hop, so equal words
-    hash equally however they were built and a dict or set operation costs
-    O(1).  Two distinct nodes compare by walking their parent chains, which
-    stops at the first node they share.  A path never equals a plain tuple.
+    root; its parent and last hop are None.  Build paths with `child` or
+    the operations below, never directly, so that each word keeps its one
+    node.  A path never equals a plain tuple.
     """
 
-    __slots__ = ("parent", "last", "length", "_hash", "_text")
+    __slots__ = ("parent", "last", "length", "_text")
 
     def __new__(cls, pairs: Tuple[PortPair, ...] = ()) -> "Path":
         node = EPSILON
@@ -37,13 +40,17 @@ class Path:
         return node
 
     def child(self, pair: PortPair) -> "Path":
-        """This word followed by one more hop, in O(1)."""
-        node = _new_node(Path)
-        _set_parent(node, self)
-        _set_last(node, pair)
-        _set_length(node, self.length + 1)
-        _set_hash(node, hash((self._hash, pair)))
-        _set_text(node, None)
+        """This word followed by one more hop, in O(1): the word's one node."""
+        key = (self, pair)
+        node = _NODES.get(key)
+        if node is None:
+            node = _new_node(Path)
+            _set_parent(node, self)
+            _set_last(node, pair)
+            _set_length(node, self.length + 1)
+            _set_text(node, None)
+            # A thread that built the same word first keeps its node.
+            node = _NODES.setdefault(key, node)
         return node
 
     def __setattr__(self, name: str, value: Any = None) -> None:
@@ -52,23 +59,9 @@ class Path:
     __delattr__ = __setattr__
 
     def __reduce__(self):
-        # Rebuild from the pairs: string hashes differ between processes.
+        # Rebuild from the pairs, so an unpickled or copied path is this
+        # process's node for the word.
         return (Path, (self.pairs,))
-
-    def __hash__(self) -> int:
-        return self._hash
-
-    def __eq__(self, other: Any) -> bool:
-        if not isinstance(other, Path):
-            return NotImplemented
-        a, b = self, other
-        if a._hash != b._hash or a.length != b.length:
-            return False
-        while a is not b:
-            if a.last != b.last:
-                return False
-            a, b = a.parent, b.parent
-        return True
 
     def __len__(self) -> int:
         return self.length
@@ -109,14 +102,16 @@ class Path:
 
 # Slot writers for child(), past the __setattr__ that keeps paths immutable.
 _new_node = object.__new__
-_set_parent, _set_last, _set_length, _set_hash, _set_text = (
+_set_parent, _set_last, _set_length, _set_text = (
     getattr(Path, name).__set__ for name in Path.__slots__)
+
+# (parent, last pair) -> the node of that word; EPSILON is the one root.
+_NODES: Dict[Tuple[Path, PortPair], Path] = {}
 
 EPSILON = _new_node(Path)
 _set_parent(EPSILON, None)
 _set_last(EPSILON, None)
 _set_length(EPSILON, 0)
-_set_hash(EPSILON, hash(()))
 _set_text(EPSILON, "eps")
 
 

@@ -310,7 +310,7 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
     vertices: Dict[str, int] = {}   # each vertex's line
     vertex_labels: Dict[str, str] = {}
     edges: List[Edge] = []
-    edge_lines: List[int] = []
+    edge_rows: List[Tuple[int, Tuple[HalfEdge, HalfEdge]]] = []   # as written
     edge_labels: Dict[Edge, str] = {}
     once: set = set()    # the keywords allowed on one line only
 
@@ -338,7 +338,7 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
             if h1 == h2:
                 raise GraphFormatError(f"line {line_no}: degenerate edge {tokens[1]}")
             edges.append(e := frozenset((h1, h2)))
-            edge_lines.append(line_no)
+            edge_rows.append((line_no, (h1, h2)))
             if label is not None:
                 edge_labels[e] = label
         elif keyword not in ("ports", "vlabels", "elabels", "pointer"):
@@ -370,8 +370,8 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
         except GraphFormatError as err:     # a port that a path cannot hold
             raise GraphFormatError(f"line {ports_line}: {err}") from None
     used: Dict[HalfEdge, int] = {}
-    for e, line_no in zip(edges, edge_lines):
-        for h in e:
+    for line_no, halves in edge_rows:
+        for h in halves:    # in written order, not a frozenset's
             if h[0] not in vertices:
                 raise GraphFormatError(f"line {line_no}: undeclared vertex {h[0]!r}")
             if h[1] not in ports:
@@ -383,7 +383,7 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
     for v, l in vertex_labels.items():
         if l not in vlabels:
             raise GraphFormatError(f"line {vertices[v]}: unknown vertex label {l!r} on {v!r}")
-    for e, line_no in zip(edges, edge_lines):
+    for e, (line_no, _) in zip(edges, edge_rows):
         if e in edge_labels and edge_labels[e] not in elabels:
             raise GraphFormatError(f"line {line_no}: unknown edge label {edge_labels[e]!r}")
     if pointer not in vertices:

@@ -66,7 +66,7 @@ class GraphFamily:
 
     members: Tuple[CanonicalGraph, ...]
     alphabets: Alphabets
-    _index: Dict[CanonicalGraph, int] = field(repr=False, default_factory=dict)
+    _index: Dict[CanonicalGraph, int] = field(init=False, repr=False, default_factory=dict)
     shift_closed: bool = False
 
     @staticmethod

@@ -1220,7 +1220,7 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
             if h1 == h2:
                 raise GraphFormatError(f"line {line_no}: degenerate edge {args[0]}")
             e = frozenset((h1, h2))
-            edges.append((e, line_no))
+            edges.append((e, line_no, (h1, h2)))
             if label is not None:
                 edge_labels[e] = label
         elif keyword == "pointer":
@@ -1240,8 +1240,8 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
     except GraphFormatError as err:     # a port that a path cannot hold
         raise GraphFormatError(f"line {ports_line}: {err}") from None
     used: Dict[Tuple[str, str], int] = {}
-    for e, line_no in edges:
-        for (v, p) in e:
+    for _, line_no, halves in edges:
+        for (v, p) in halves:
             if v not in vertex_set:
                 raise GraphFormatError(f"line {line_no}: undeclared vertex {v!r}")
             if p not in alphabets.ports:
@@ -1262,7 +1262,7 @@ def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
     g = RawGraph(
         alphabets=alphabets,
         vertices=tuple(vertices),
-        edges=frozenset(e for e, _ in edges),
+        edges=frozenset(e for e, *_ in edges),
         vertex_labels=vertex_labels,
         edge_labels=edge_labels,
     )

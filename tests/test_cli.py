@@ -688,6 +688,20 @@ class TestParser:
             main(["run", "--dynamics", "unknown", "--input", "x"])
         assert exit_info.value.code == 2
 
+    def test_one_parser_per_process(self, capsys):
+        cli.build_parser.cache_clear()
+        for _ in range(3):
+            assert main(["enumerate", "--max-vertices", "1"]) == EXIT_OK
+        with pytest.raises(SystemExit):
+            main(["run", "--dynamics", "unknown", "--input", "x"])
+        info = cli.build_parser.cache_info()
+        assert (info.misses, info.hits) == (1, 3)
+        # Importing the module builds none.
+        code = "import cgd.cli as c; print(c.build_parser.cache_info().currsize)"
+        out = subprocess.run([sys.executable, "-c", code], env=SUBPROCESS_ENV,
+                             capture_output=True, text=True, check=True).stdout
+        assert out == "0\n"
+
     def test_console_entry_point(self, tmp_path):
         graph = tmp_path / "g.graph"
         graph.write_text("ports a b\nvertex v\npointer v\n")

@@ -5,6 +5,7 @@ import json
 import pickle
 import subprocess
 import sys
+import threading
 from itertools import product
 
 import pytest
@@ -12,6 +13,7 @@ from hypothesis import given
 
 import oracles
 from cgd import Alphabets, enumerate_family
+from cgd import paths
 from cgd.modulo import CanonicalGraph, _canonical_names, canonicalize
 from cgd.paths import EPSILON, Path, format_path, parse_path
 from cgd.portgraph import parse_graph, relabel
@@ -40,8 +42,7 @@ def check_path(new: Path, old: oracles.TuplePath, ports) -> None:
     for twin in (parse_path(text, ports), Path(old.pairs),
                  pickle.loads(pickle.dumps(new)), copy.copy(new),
                  copy.deepcopy(new)):
-        assert twin == new and hash(twin) == hash(new)
-        assert twin.pairs == new.pairs
+        assert twin is new
     assert new.reversed().pairs == old.reversed().pairs
     assert new.reversed().reversed() == new
 
@@ -56,12 +57,12 @@ def check_names(adjacency, origin, alphabets) -> None:
         assert (new[u] == new[w]) == (old[u] == old[w])
         joined = new[u].concat(new[w])
         assert joined.pairs == old[u].concat(old[w]).pairs
-        assert joined == Path(joined.pairs) and hash(joined) == hash(Path(joined.pairs))
+        assert joined is Path(joined.pairs)
 
 
 def parsed_names(X: CanonicalGraph) -> CanonicalGraph:
-    """X rebuilt from its own text with each name parsed on its own, so no
-    name's parent is one of the graph's vertex nodes."""
+    """X rebuilt from its own text with each name parsed on its own, not
+    from its parent's node."""
     g = parse_graph(X.to_text()).graph
     raw = relabel(g, ids={v: parse_path(v, g.alphabets.ports) for v in g.vertices})
     return CanonicalGraph(raw.alphabets, raw.vertices, raw.vertex_labels,
@@ -103,10 +104,59 @@ class TestNamesMatchTupleWords:
                  Path((ba, ab, ba)).reversed(),
                  parse_path("ab.ba.ab", ("a", "b"))]
         for other in built:
-            assert other is not word
+            assert other is word
             assert other == word and hash(other) == hash(word)
         assert Path(()) is EPSILON and EPSILON.concat(EPSILON) is EPSILON
         assert Path((ab, ba)) != word and Path((ab, ab, ab)) != word
+
+
+def chain_text(n: int, ports: str = "ab", pointer: int = 0, reverse=False) -> str:
+    """A chain of n labelled cells joined by (ports[0], ports[1]) edges; its
+    ids and lines in reverse when `reverse`."""
+    p, q = ports
+    cells = range(n - 1, -1, -1) if reverse else range(n)
+    lines = [f"ports {p} {q}", "vlabels 0"] + [f"vertex c{i} label=0" for i in cells]
+    lines += [f"edge c{i}:{p} c{i + 1}:{q}" for i in cells if i + 1 < n]
+    return "\n".join(lines + [f"pointer c{pointer}"]) + "\n"
+
+
+class TestOneNodePerWord:
+    def test_separate_canonicalizations_share_every_name(self):
+        X = canonicalize(parse_graph(chain_text(4000, pointer=1000)))
+        Y = canonicalize(parse_graph(chain_text(4000, pointer=1000, reverse=True)))
+        assert X == Y and all(a is b for a, b in zip(X.vertices, Y.vertices))
+        assert all(v in X.vertex_labels for v in Y.vertices)
+
+    def test_canonicalizing_again_builds_no_node(self):
+        pg = parse_graph(chain_text(300, pointer=120))
+        X = canonicalize(pg)
+        before = len(paths._NODES)
+        for Y in (canonicalize(pg), canonicalize(parse_graph(X.to_text())),
+                  parsed_names(X), pickle.loads(pickle.dumps(X))):
+            assert Y == X
+        assert len(paths._NODES) == before
+
+    def test_threads_build_one_node_per_word(self):
+        # Ports no other test uses, so the words are new to every thread.
+        pg = parse_graph(chain_text(2000, ports="xy", pointer=700))
+        start, out = threading.Barrier(4), [None] * 4
+
+        def work(i):
+            start.wait()
+            out[i] = canonicalize(pg).vertices
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)     # switch threads inside `child`
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert len(out[0]) == 2000
+        assert all(a is b for vertices in out[1:] for a, b in zip(out[0], vertices))
 
 
 class TestGraphEqualityMatchesNameByName:
@@ -123,10 +173,8 @@ class TestGraphEqualityMatchesNameByName:
             for X in fam:
                 for Y in (canonicalize(parse_graph(X.to_text())), parsed_names(X)):
                     assert X == Y and Y == X and hash(X) == hash(Y)
-                # No parent of a parsed name is a vertex node.
-                nodes = set(map(id, Y.vertices))
-                assert all(id(v.parent) not in nodes
-                           for v in Y.vertices if len(v) > 1)
+                # Parsed names are the canonical nodes themselves.
+                assert all(a is b for a, b in zip(X.vertices, Y.vertices))
 
     @PROPERTY
     @given(pg=pointed_graphs(), other=pointed_graphs())
@@ -152,13 +200,6 @@ pointer o
 """
 
 
-def forged(word: str, like: Path) -> Path:
-    """The path spelled `word`, made to claim the hash of `like`."""
-    path = parse_path(word, ("a", "b"))
-    Path._hash.__set__(path, hash(like))
-    return path
-
-
 class TestEqualityBeyondTheHash:
     """Graphs and names whose hashes agree, or are made to, but that differ."""
 
@@ -177,18 +218,16 @@ class TestEqualityBeyondTheHash:
             assert not oracles.equal_by_names(X, Y)
 
     def test_colliding_names(self):
-        ab_ab = parse_path("ab.ab", ("a", "b"))
-        for word in ("ab.ba", "ba.ab", "bb.ab"):
-            other = forged(word, ab_ab)
-            assert hash(other) == hash(ab_ab) and len(other) == len(ab_ab)
-            assert other != ab_ab and ab_ab != other
-        # The same collision inside two edgeless vertex sets.
+        # Two edgeless vertex sets that differ in one name of equal length,
+        # made to claim one hash.
         alphabets = Alphabets.make("ab")
-        ab, ba = parse_path("ab", ("a", "b")), parse_path("ba", ("a", "b"))
+        ab, ba, ab_ab = (parse_path(w, ("a", "b")) for w in ("ab", "ba", "ab.ab"))
+        X = CanonicalGraph(alphabets, (EPSILON, ab, ba, ab_ab), {}, (), {})
         for word in ("ab.ba", "ba.ab"):
-            X = CanonicalGraph(alphabets, (EPSILON, ab, ba, ab_ab), {}, (), {})
-            Y = CanonicalGraph(alphabets, (EPSILON, ab, ba,
-                                           forged(word, ab_ab)), {}, (), {})
+            other = parse_path(word, ("a", "b"))
+            assert len(other) == len(ab_ab) and other != ab_ab
+            Y = with_hash(CanonicalGraph(alphabets, (EPSILON, ab, ba, other),
+                                         {}, (), {}), hash(X))
             assert hash(X) == hash(Y)
             check_equality(X, Y)
             check_equality(Y, X)

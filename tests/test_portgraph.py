@@ -1,4 +1,5 @@
 """Raw port graphs: validation, components, the text format, and paths."""
+import json
 import os
 import pickle
 import re
@@ -30,6 +31,13 @@ from cgd.families import single_head_tape
 from cgd.paths import EPSILON, Path, format_path, parse_path
 
 SRC = os.path.dirname(os.path.dirname(cgd.__file__))
+
+
+def seeded_env(seed: str) -> dict:
+    """The environment of a subprocess that imports this `cgd` under a
+    given hash seed."""
+    return {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": os.pathsep.join(
+        filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
 
 AB = Alphabets.make("ab")
 ABCD = Alphabets.make("abcd", vertex_labels=("0", "1"), edge_labels=("x",))
@@ -289,6 +297,25 @@ class TestTextFormat:
         with pytest.raises(GraphFormatError, match="already used"):
             parse_graph(bad)
 
+    @pytest.mark.parametrize("seed", ["0", "5"])
+    def test_first_bad_half_is_the_first_written(self, seed):
+        # An edge's halves are checked as written, not in the order of a
+        # frozenset, which moves with the hash seed.
+        head = "ports a b\nvertex u\nvertex v\n"
+        texts = [head + "edge u:a v:b\nedge u:a v:b\npointer u\n",
+                 head + "edge x:a y:b\npointer u\n",
+                 head + "edge u:c v:d\npointer u\n"]
+        code = ("import json, sys; from cgd import GraphFormatError, parse_graph\n"
+                "for text in json.load(sys.stdin):\n"
+                "    try: parse_graph(text)\n"
+                "    except GraphFormatError as err: print(err)\n")
+        out = subprocess.run([sys.executable, "-c", code], input=json.dumps(texts),
+                             env=seeded_env(seed), capture_output=True, text=True,
+                             check=True).stdout
+        assert out.splitlines() == ["line 5: half-edge u:a already used on line 4",
+                                    "line 4: undeclared vertex 'x'",
+                                    "line 4: unknown port 'c'"]
+
     def test_unknown_port(self):
         bad = SAMPLE + "edge v2:z v0:b\n"
         with pytest.raises(GraphFormatError):
@@ -429,9 +456,7 @@ class TestAlphabets:
         # Names and labels are strings, whose hashes change with the seed.
         code = ("import pickle, sys; from cgd.families import single_head_tape; "
                 "sys.stdout.buffer.write(pickle.dumps(single_head_tape(5, 2)))")
-        env = {**os.environ, "PYTHONHASHSEED": "1", "PYTHONPATH": os.pathsep.join(
-            filter(None, (SRC, os.environ.get("PYTHONPATH"))))}
-        data = subprocess.run([sys.executable, "-c", code], env=env,
+        data = subprocess.run([sys.executable, "-c", code], env=seeded_env("1"),
                               capture_output=True, check=True).stdout
         assert pickle.loads(data) in {single_head_tape(5, 2)}
 
@@ -473,7 +498,7 @@ class TestPaths:
     def test_equal_paths_hash_equal(self):
         p = Path((("a", "b"), ("c", "d")))
         q = parse_path("ab.cd", ("a", "b", "c", "d"))
-        assert p is not q
+        assert p is q
         assert p == q and hash(p) == hash(q)
         assert len({p, q, EPSILON, Path()}) == 2
         assert p != Path((("a", "b"),))
