@@ -24,7 +24,7 @@ from .portgraph import (
     connected_component,
     ensure_valid,
     make_edge,
-    serialize_graph,
+    write_graph,
 )
 
 NameEdge = FrozenSet[Tuple[Path, str]]
@@ -118,10 +118,24 @@ class CanonicalGraph:
                                         self.vertex_labels, self.edge_labels),
                                EPSILON)
 
+    def name_texts(self) -> Dict[Path, str]:
+        """Each vertex's `format_path` text, in vertex order, in one walk:
+        a name's prefix is an earlier vertex's name, so its text is that
+        name's text plus one pair."""
+        texts: Dict[Path, str] = {}
+        for v in self.vertices:
+            base = texts.get(v.parent)
+            if base is None:
+                texts[v] = format_path(v)
+            else:
+                p, q = v.last
+                texts[v] = f"{base}.{p}{q}" if v.length > 1 else p + q
+        return texts
+
     def to_text(self) -> str:
         """The graph text format with path-name vertex tokens, built once."""
         if self._text is None:
-            self._text = serialize_graph(self.to_pointed_raw(), token=format_path)
+            self._text = write_graph(self, self.name_texts(), EPSILON)
         return self._text
 
 

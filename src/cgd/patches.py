@@ -344,14 +344,10 @@ def parse_rule_file(text: str) -> RuleTable:
 
 
 def serialize_rule_file(table: RuleTable) -> str:
-    def patch_text(patch: Patch) -> str:
-        return serialize_graph(PointedRawGraph(patch.graph, patch.successor),
-                               token=_patch_token_text)
-
     chunks = [f"radius {table.radius}"]
     for view in sorted(table.entries, key=lambda d: d.graph.to_text()):
-        chunks.append("disk")
-        chunks.append(view.graph.to_text().rstrip("\n"))
-        chunks.append("maps-to")
-        chunks.append(patch_text(table.entries[view]).rstrip("\n"))
+        patch = table.entries[view]
+        chunks += ["disk", view.graph.to_text().rstrip("\n"), "maps-to",
+                   serialize_graph(PointedRawGraph(patch.graph, patch.successor),
+                                   token=_patch_token_text).rstrip("\n")]
     return "\n".join(chunks) + "\n"

@@ -11,8 +11,9 @@ building a word (`Path(pairs)`, `concat`, `reversed`, `parse_path`, pickle
 and copy) goes through `child`.  So equal words are one object, and a path
 hashes and compares by identity, in O(1) however long it is.  A name costs
 O(1) to build from its parent's, and the names of every graph share their
-nodes.  The table never forgets a word: a node, and the text `format_path`
-keeps on it, lives as long as the process.
+nodes.  The table never forgets a word, so a node lives as long as the
+process; it holds no text.  A graph writes its names' texts itself, each
+from its parent's (`CanonicalGraph.name_texts`).
 """
 from __future__ import annotations
 
@@ -31,7 +32,7 @@ class Path:
     node.  A path never equals a plain tuple.
     """
 
-    __slots__ = ("parent", "last", "length", "_text")
+    __slots__ = ("parent", "last", "length")
 
     def __new__(cls, pairs: Tuple[PortPair, ...] = ()) -> "Path":
         node = EPSILON
@@ -48,7 +49,6 @@ class Path:
             _set_parent(node, self)
             _set_last(node, pair)
             _set_length(node, self.length + 1)
-            _set_text(node, None)
             # A thread that built the same word first keeps its node.
             node = _NODES.setdefault(key, node)
         return node
@@ -102,7 +102,7 @@ class Path:
 
 # Slot writers for child(), past the __setattr__ that keeps paths immutable.
 _new_node = object.__new__
-_set_parent, _set_last, _set_length, _set_text = (
+_set_parent, _set_last, _set_length = (
     getattr(Path, name).__set__ for name in Path.__slots__)
 
 # (parent, last pair) -> the node of that word; EPSILON is the one root.
@@ -112,27 +112,11 @@ EPSILON = _new_node(Path)
 _set_parent(EPSILON, None)
 _set_last(EPSILON, None)
 _set_length(EPSILON, 0)
-_set_text(EPSILON, "eps")
 
 
 def format_path(path: Path) -> str:
-    """Render as dot-separated concatenated port pairs; the empty path is "eps".
-
-    A node's text is built once, as its parent's text plus its last pair,
-    and kept on the node, so the names of a graph cost the length of their
-    text, not a join of every pair of every name.
-    """
-    pending = []
-    node = path
-    while node._text is None:
-        pending.append(node)
-        node = node.parent
-    text = node._text
-    for node in reversed(pending):
-        p, q = node.last
-        text = f"{p}{q}" if node.length == 1 else f"{text}.{p}{q}"
-        _set_text(node, text)
-    return text
+    """Render as dot-separated concatenated port pairs; the empty path is "eps"."""
+    return ".".join(p + q for p, q in path.pairs) if path.length else "eps"
 
 
 def parse_path(text: str, ports: Tuple[str, ...]) -> Path:

@@ -7,7 +7,6 @@ path names computed by :mod:`cgd.modulo`.
 """
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from operator import itemgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
@@ -206,16 +205,19 @@ def ordered_edges(g) -> List[Tuple[HalfEdge, HalfEdge, Edge]]:
     index); each edge's halves come in that order, and edges sort by their
     ordered halves.  `g` may be a RawGraph or a CanonicalGraph.
     """
-    rank = {v: i for i, v in enumerate(g.vertices)}
-    port_index = g.alphabets.port_index
+    index = g.alphabets._index
+    width = len(index)
+    # A half-edge's (rank, port index) as one int, and an edge's two as one.
+    rank = {v: i * width for i, v in enumerate(g.vertices)}
+    span = len(g.vertices) * width
     keyed = []
     for e in g.edges:
         h1, h2 = e
-        k1 = (rank[h1[0]], port_index(h1[1]))
-        k2 = (rank[h2[0]], port_index(h2[1]))
-        keyed.append(((k1, k2), h1, h2, e) if k1 < k2 else ((k2, k1), h2, h1, e))
+        k1 = rank[h1[0]] + index[h1[1]]
+        k2 = rank[h2[0]] + index[h2[1]]
+        keyed.append((k1 * span + k2, h1, h2, e) if k1 < k2 else (k2 * span + k1, h2, h1, e))
     keyed.sort(key=itemgetter(0))
-    return [(h1, h2, e) for _key, h1, h2, e in keyed]
+    return [k[1:] for k in keyed]
 
 
 def connected_component(g: RawGraph, v: VertexId) -> RawGraph:
@@ -408,36 +410,35 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
 
 
 def serialize_graph(pg: PointedRawGraph, token=str) -> str:
-    """Write the text format deterministically.
+    """`write_graph` with each vertex written as `token(vertex)`."""
+    return write_graph(pg.graph, {v: token(v) for v in pg.graph.vertices}, pg.origin)
 
-    Vertices appear in declared order; edges are sorted by their half-edge
-    pairs under (vertex declared order, port order).  `token` renders a
-    vertex id as its file token and must be injective on the vertices.
+
+def write_graph(g, tokens: Mapping[VertexId, str], origin: VertexId) -> str:
+    """Write the text format of (g, origin) deterministically, each vertex
+    as its `tokens` entry, which must be distinct and writable.
+
+    Vertices appear in g's order; edges are sorted by their half-edge pairs
+    under (vertex order, port order).  `g` may be a RawGraph or a
+    CanonicalGraph.
     """
-    g = pg.graph
-    tokens = {v: token(v) for v in g.vertices}
     if len(set(tokens.values())) != len(g.vertices):    # a repeated id too
         raise GraphFormatError("vertex id tokens collide")
-    if pg.origin not in tokens:
-        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
+    if origin not in tokens:
+        raise InvalidGraphError(f"origin {origin!r} is not a vertex")
     for t in tokens.values():
         if t.split() != [t] or ":" in t or "#" in t:
             raise GraphFormatError(f"vertex token {t!r} not writable")
-    out = io.StringIO()
-    out.write("ports " + " ".join(g.alphabets.ports) + "\n")
-    if g.alphabets.vertex_labels:
-        out.write("vlabels " + " ".join(g.alphabets.vertex_labels) + "\n")
-    if g.alphabets.edge_labels:
-        out.write("elabels " + " ".join(g.alphabets.edge_labels) + "\n")
+    a = g.alphabets
+    lines = [f"{head} {' '.join(words)}" for head, words in (
+        ("ports", a.ports), ("vlabels", a.vertex_labels), ("elabels", a.edge_labels)) if words]
     for v in g.vertices:
-        line = f"vertex {tokens[v]}"
-        if v in g.vertex_labels:
-            line += f" label={g.vertex_labels[v]}"
-        out.write(line + "\n")
-    for h1, h2, e in ordered_edges(g):
-        line = f"edge {tokens[h1[0]]}:{h1[1]} {tokens[h2[0]]}:{h2[1]}"
-        if e in g.edge_labels:
-            line += f" label={g.edge_labels[e]}"
-        out.write(line + "\n")
-    out.write(f"pointer {tokens[pg.origin]}\n")
-    return out.getvalue()
+        label = g.vertex_labels.get(v)
+        lines.append(f"vertex {tokens[v]}" if label is None
+                     else f"vertex {tokens[v]} label={label}")
+    for (u, p), (w, q), e in ordered_edges(g):
+        label = g.edge_labels.get(e)
+        lines.append(f"edge {tokens[u]}:{p} {tokens[w]}:{q}" if label is None
+                     else f"edge {tokens[u]}:{p} {tokens[w]}:{q} label={label}")
+    lines.append(f"pointer {tokens[origin]}\n")
+    return "\n".join(lines)

@@ -564,8 +564,9 @@ def serialize_inverse_table(table: InverseTable) -> str:
     for X in table.family:
         Y = table.forward[X]
         inverse = table.corr_inverse[Y]
+        source, image = X.name_texts(), Y.name_texts()
         chunks += ["source", X.to_text().rstrip("\n"), "image", Y.to_text().rstrip("\n")]
-        chunks += [f"corr {format_path(w)} {format_path(inverse[w])}" for w in Y.vertices]
+        chunks += [f"corr {text} {source[inverse[w]]}" for w, text in image.items()]
     return "\n".join(chunks) + "\n"
 
 

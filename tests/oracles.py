@@ -104,7 +104,21 @@ their errors name no line, and a `disk` section followed by another `disk`
 was read as the first disk's patch.  `portgraph.parse_rows` now parses
 rows split once, shares one alphabet per header, and turns patch ids into
 tokens as the block is built.
+
+`serialize_graph_by_stringio`, `ordered_edges_by_tuples` and
+`format_path_cached` are the text writer as it was before a canonical
+graph wrote its text in one pass: `CanonicalGraph.to_text` was
+`serialize_graph(X.to_pointed_raw(), token=format_path)`, which wrote into
+a `StringIO`, sorted edges by tuple keys built with `Alphabets.port_index`,
+and rendered each name with a `format_path` that kept every name's text on
+its node (here, in `_TEXTS`) and built it from its parent's.
+`text_by_cached_names`, `export_dot_per_name` and
+`serialize_inverse_table_per_name` are the canonical text, the DOT renderer
+and the inverse-table writer built on them.  The library now builds a
+graph's name texts once per graph (`CanonicalGraph.name_texts`) and writes
+every text through one line list (`portgraph.write_graph`).
 """
+import io
 from collections import deque
 from itertools import combinations
 from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
@@ -141,6 +155,7 @@ from cgd.portgraph import (
     Alphabets,
     Edge,
     GraphFormatError,
+    InvalidGraphError,
     PointedRawGraph,
     RawGraph,
     ensure_valid,
@@ -1341,3 +1356,107 @@ def _parse_patch(lines: List[str], first_line: int) -> Patch:
         by_token[token] = v
         ids[v] = token
     return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
+
+
+# (path -> its text), kept for the life of the process, as on the nodes.
+_TEXTS: Dict[Path, str] = {EPSILON: "eps"}
+
+
+def format_path_cached(path: Path) -> str:
+    pending = []
+    node = path
+    while node not in _TEXTS:
+        pending.append(node)
+        node = node.parent
+    text = _TEXTS[node]
+    for node in reversed(pending):
+        p, q = node.last
+        text = f"{p}{q}" if node.length == 1 else f"{text}.{p}{q}"
+        _TEXTS[node] = text
+    return text
+
+
+def ordered_edges_by_tuples(g):
+    rank = {v: i for i, v in enumerate(g.vertices)}
+    port_index = g.alphabets.port_index
+    keyed = []
+    for e in g.edges:
+        h1, h2 = e
+        k1 = (rank[h1[0]], port_index(h1[1]))
+        k2 = (rank[h2[0]], port_index(h2[1]))
+        keyed.append(((k1, k2), h1, h2, e) if k1 < k2 else ((k2, k1), h2, h1, e))
+    keyed.sort(key=lambda k: k[0])
+    return [(h1, h2, e) for _key, h1, h2, e in keyed]
+
+
+def serialize_graph_by_stringio(pg: PointedRawGraph, token=str) -> str:
+    g = pg.graph
+    tokens = {v: token(v) for v in g.vertices}
+    if len(set(tokens.values())) != len(g.vertices):
+        raise GraphFormatError("vertex id tokens collide")
+    if pg.origin not in tokens:
+        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
+    for t in tokens.values():
+        if t.split() != [t] or ":" in t or "#" in t:
+            raise GraphFormatError(f"vertex token {t!r} not writable")
+    out = io.StringIO()
+    out.write("ports " + " ".join(g.alphabets.ports) + "\n")
+    if g.alphabets.vertex_labels:
+        out.write("vlabels " + " ".join(g.alphabets.vertex_labels) + "\n")
+    if g.alphabets.edge_labels:
+        out.write("elabels " + " ".join(g.alphabets.edge_labels) + "\n")
+    for v in g.vertices:
+        line = f"vertex {tokens[v]}"
+        if v in g.vertex_labels:
+            line += f" label={g.vertex_labels[v]}"
+        out.write(line + "\n")
+    for h1, h2, e in ordered_edges_by_tuples(g):
+        line = f"edge {tokens[h1[0]]}:{h1[1]} {tokens[h2[0]]}:{h2[1]}"
+        if e in g.edge_labels:
+            line += f" label={g.edge_labels[e]}"
+        out.write(line + "\n")
+    out.write(f"pointer {tokens[pg.origin]}\n")
+    return out.getvalue()
+
+
+def text_by_cached_names(X: CanonicalGraph) -> str:
+    return serialize_graph_by_stringio(X.to_pointed_raw(), token=format_path_cached)
+
+
+def export_dot_per_name(X: CanonicalGraph, space: Optional[MarkSpace] = None) -> str:
+    lines = ["graph cgd {", "  node [shape=circle];"]
+    for v in X.vertices:
+        name = format_path_cached(v)
+        text = name
+        label = X.vertex_labels.get(v)
+        if label is not None:
+            text += f"\\n{label}"
+        attrs = [f'label="{text}"']
+        if v == EPSILON:
+            attrs.append("peripheries=2")
+        if space is not None:
+            filled = space.vertex_mark(X, v) == 1
+            attrs.append("style=filled")
+            attrs.append(f'fillcolor="{"gray70" if filled else "white"}"')
+        lines.append(f'  "{name}" [{", ".join(attrs)}];')
+    for (u, p), (w, q), e in ordered_edges_by_tuples(X):
+        attrs = [f'taillabel="{p}"', f'headlabel="{q}"']
+        label = X.edge_labels.get(e)
+        if label is not None:
+            attrs.append(f'label="{label}"')
+        lines.append(f'  "{format_path_cached(u)}" -- "{format_path_cached(w)}" '
+                     f'[{", ".join(attrs)}];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
+def serialize_inverse_table_per_name(table: InverseTable) -> str:
+    chunks = []
+    for X in table.family:
+        Y = table.forward[X]
+        inverse = table.corr_inverse[Y]
+        chunks += ["source", text_by_cached_names(X).rstrip("\n"),
+                   "image", text_by_cached_names(Y).rstrip("\n")]
+        chunks += [f"corr {format_path_cached(w)} {format_path_cached(inverse[w])}"
+                   for w in Y.vertices]
+    return "\n".join(chunks) + "\n"

@@ -1,6 +1,7 @@
 """Command-line behaviour: artifacts, reports, exit codes."""
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -204,8 +205,8 @@ class TestEnumerate:
     def test_each_member_is_written_once(self, monkeypatch, capsys):
         # The sort by text and the listing share one text per member.
         calls = []
-        real = modulo.serialize_graph
-        monkeypatch.setattr(modulo, "serialize_graph",
+        real = modulo.write_graph
+        monkeypatch.setattr(modulo, "write_graph",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         assert main(["enumerate", "--ports", "a", "b", "--vlabels", "0", "1",
                      "--max-vertices", "5"]) == EXIT_OK
@@ -641,6 +642,23 @@ class TestExportDot:
         space = MarkSpace.for_base(TAPE_ALPHABETS)
         marked = mark(space.lift(X), space)
         assert export_dot(marked, space) == export_dot_by_path_key(marked, space)
+
+    def test_quotes_and_backslashes_read_back(self, tmp_path, capsys):
+        # Ports and labels may hold a quote or a backslash; DOT escapes both.
+        path = tmp_path / "quoted.graph"
+        path.write_text('ports a" b\\\nvlabels x"y z\\\nelabels e"\\\n'
+                        'vertex u label=x"y\nvertex v label=z\\\n'
+                        'edge u:a" v:b\\ label=e"\\\npointer u\n')
+        assert main(["export-dot", "--input", str(path)]) == EXIT_OK
+        lines = capsys.readouterr().out.splitlines()
+        quoted = re.compile(r'"((?:[^"\\]|\\.)*)"')
+        read = [[re.sub(r"\\(.)", lambda m: "\n" if m[1] == "n" else m[1], s)
+                 for s in quoted.findall(line)] for line in lines]
+        v = 'a"b\\'
+        assert read == [[], [], ["eps", 'eps\nx"y'], [v, v + "\nz\\"],
+                        ["eps", v, 'a"', "b\\", 'e"\\'], []]
+        for line in lines:      # nothing is left outside the quoted strings
+            assert not set(quoted.sub("", line)) & {'"', "\\"}
 
     def test_marked_needs_doubled_alphabets(self, tape_file, capsys):
         assert main(["export-dot", "--input", tape_file, "--marked"]) == EXIT_BAD_INPUT

@@ -632,8 +632,8 @@ class TestTextSlot:
 
     def test_built_once(self, monkeypatch):
         calls = []
-        real = modulo.serialize_graph
-        monkeypatch.setattr(modulo, "serialize_graph",
+        real = modulo.write_graph
+        monkeypatch.setattr(modulo, "write_graph",
                             lambda *a, **k: calls.append(1) or real(*a, **k))
         X = single_head_tape(5, 2)
         text = X.to_text()

@@ -1,11 +1,13 @@
 """Trie-node names against the tuple words and name-by-name equality they
 replaced (`oracles.TuplePath`, `oracles.equal_by_names`)."""
 import copy
+import gc
 import json
 import pickle
 import subprocess
 import sys
 import threading
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -14,6 +16,7 @@ from hypothesis import given
 import oracles
 from cgd import Alphabets, enumerate_family
 from cgd import paths
+from cgd.families import bare_tape
 from cgd.modulo import CanonicalGraph, _canonical_names, canonicalize
 from cgd.paths import EPSILON, Path, format_path, parse_path
 from cgd.portgraph import parse_graph, relabel
@@ -38,7 +41,7 @@ def check_path(new: Path, old: oracles.TuplePath, ports) -> None:
     assert tuple(new) == tuple(old)
     text = format_path(new)
     assert text == oracles.format_tuple_path(old)
-    assert format_path(new) is text     # built once, kept on the node
+    assert not hasattr(new, "_text")    # a node keeps no text: graphs write it
     for twin in (parse_path(text, ports), Path(old.pairs),
                  pickle.loads(pickle.dumps(new)), copy.copy(new),
                  copy.deepcopy(new)):
@@ -126,6 +129,21 @@ class TestOneNodePerWord:
         Y = canonicalize(parse_graph(chain_text(4000, pointer=1000, reverse=True)))
         assert X == Y and all(a is b for a, b in zip(X.vertices, Y.vertices))
         assert all(v in X.vertex_labels for v in Y.vertices)
+
+    def test_a_text_leaves_nothing_behind(self):
+        # A name's text lives with its graph's text, not on the node, so a
+        # tape's texts (quadratic in its length) go with the tape.
+        gc.collect()
+        tracemalloc.start()
+        try:
+            X = bare_tape(3000)
+            text = X.to_text()
+            del X, text
+            gc.collect()
+            held, _peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert held < 1_000_000
 
     def test_canonicalizing_again_builds_no_node(self):
         pg = parse_graph(chain_text(300, pointer=120))
