@@ -153,36 +153,30 @@ def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
     """Assign every vertex within `depth` hops (default: every reachable
     vertex) its least shortest path name.
 
-    Layered BFS: a vertex at distance d+1 takes the minimum over
-    (parent name).(exit, entry) for every edge from a distance-d vertex.
-    All candidates have equal length and each layer is already sorted, so
-    (parent's rank in its layer, exit index, entry index) orders them.
-    A layer depends only on the layers before it, so stopping early leaves
-    the names and order of the layers already built unchanged.  Only the
-    winner's name is built, as a child of its parent's node, in O(1).
+    A BFS that walks each layer in order, and each vertex's ports in
+    `alphabets.ports` order, names a vertex (parent name).(exit, entry) when
+    it first reaches it.  A row holds one hop per port, so (parent's place
+    in its layer, exit) orders a layer's candidates totally, and the first
+    to reach a vertex is its least.  Stopping early leaves the layers
+    already built unchanged.  Each name is a child of its parent's node.
     """
-    # Order invariant: origin first, then each layer sorted, which is
-    # `Alphabets.path_key` order; CanonicalGraph trusts it and never sorts.
-    pidx = {p: i for i, p in enumerate(alphabets.ports)}
+    # Origin first, then each layer in discovery order: `Alphabets.path_key`
+    # order, which CanonicalGraph trusts and never sorts.
+    ports = alphabets.ports
     names: Dict[Any, Path] = {origin: EPSILON}
     frontier = [origin]
     layers = len(adjacency) if depth is None else depth
     while frontier and layers > 0:
         layers -= 1
-        best: Dict[Any, Tuple[Tuple[int, int, int], Path, Tuple[str, str]]] = {}
-        for rank, v in enumerate(frontier):
-            base = names[v]
-            for p, (w, q) in adjacency[v].items():
-                if w in names:
-                    continue
-                cand_key = (rank, pidx[p], pidx[q])
-                prev = best.get(w)
-                if prev is None or cand_key < prev[0]:
-                    best[w] = (cand_key, base, (p, q))
-        frontier = sorted(best, key=lambda w: best[w][0])
-        for w in frontier:
-            _key, base, pair = best[w]
-            names[w] = base.child(pair)
+        reached = []
+        for v in frontier:
+            base, row = names[v], adjacency[v]
+            for p in ports:
+                hop = row.get(p)
+                if hop is not None and hop[0] not in names:
+                    names[hop[0]] = base.child((p, hop[1]))
+                    reached.append(hop[0])
+        frontier = reached
     return names
 
 
@@ -310,7 +304,9 @@ def _cut(X: CanonicalGraph, names: Dict[Path, Path], radius: int) -> DiskGraph:
 
 
 def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:
-    """Vertices within `radius` hops of `center`."""
+    """Vertices within `radius` hops of `center`, a vertex of X."""
+    if center not in X.adjacency:
+        raise PathResolutionError(f"{format_path(center)} is not a vertex of {X!r}")
     return set(_canonical_names(X.adjacency, center, X.alphabets, depth=radius))
 
 

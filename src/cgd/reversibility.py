@@ -140,11 +140,12 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
 
     A child is accepted exactly when w comes last in it.  w's name is the
     least name u.(p, q) over its edges w:q -- u:p, so w comes last when
-    each follows the parent's last name in the order of `_canonical_names`:
-    (u's place in the vertex order, exit, entry).  Only such edges are
-    offered, so only ports on the parent's last two layers are.  The
-    child's canonical form is the parent's plus w's name: no BFS runs and
-    no duplicate is built.  Labelling is total when an alphabet is non-empty.
+    each follows the parent's last name in `_canonical_names` order: (u's
+    place in the vertex order, exit); the entry the keys end with never
+    decides, as a half-edge holds one edge.  Only such edges are offered,
+    so only ports on the parent's last two layers are.  The child's
+    canonical form is the parent's plus w's name: no BFS runs and no
+    duplicate is built.  Labelling is total when an alphabet is non-empty.
 
     `predicate` filters the output.  `raw_prune` gates the search and must
     be closed under taking subgraphs: when a graph passes, so does the graph

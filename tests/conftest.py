@@ -1,4 +1,4 @@
-"""Shared fixtures: small enumerated families, built once per session."""
+"""Shared fixtures: enumerated families, built once per session."""
 import pytest
 
 from cgd import Alphabets, enumerate_family
@@ -24,6 +24,14 @@ def abcd_family_2():
     """Every graph of at most 2 vertices over the tape alphabets: 66 of
     the 674 have a non-trivial symmetry."""
     return enumerate_family(TAPE_ALPHABETS, 2)
+
+
+@pytest.fixture(scope="session")
+def abcd_family_3():
+    """Every graph of at most 3 vertices over the tape alphabets: 60,290,
+    the suite's largest enumeration, built once for the tests that read
+    it whole."""
+    return enumerate_family(TAPE_ALPHABETS, 3)
 
 
 @pytest.fixture(scope="session")

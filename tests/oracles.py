@@ -117,6 +117,13 @@ its node (here, in `_TEXTS`) and built it from its parent's.
 and the inverse-table writer built on them.  The library now builds a
 graph's name texts once per graph (`CanonicalGraph.name_texts`) and writes
 every text through one line list (`portgraph.write_graph`).
+
+`layered_canonical_names` is `modulo._canonical_names` as it was, depth
+bound included: each BFS layer kept one (parent's rank, exit index, entry
+index) key per half-edge in a candidate table, sorted the next layer by
+those keys and then built its names in a second loop.  The library now
+walks each layer's ports in `alphabets.ports` order and names a vertex
+when it first reaches it.
 """
 import io
 from collections import deque
@@ -1460,3 +1467,28 @@ def serialize_inverse_table_per_name(table: InverseTable) -> str:
         chunks += [f"corr {format_path_cached(w)} {format_path_cached(inverse[w])}"
                    for w in Y.vertices]
     return "\n".join(chunks) + "\n"
+
+
+def layered_canonical_names(adjacency, origin, alphabets,
+                            depth: Optional[int] = None) -> Dict[object, Path]:
+    pidx = {p: i for i, p in enumerate(alphabets.ports)}
+    names: Dict[object, Path] = {origin: EPSILON}
+    frontier = [origin]
+    layers = len(adjacency) if depth is None else depth
+    while frontier and layers > 0:
+        layers -= 1
+        best = {}
+        for rank, v in enumerate(frontier):
+            base = names[v]
+            for p, (w, q) in adjacency[v].items():
+                if w in names:
+                    continue
+                cand_key = (rank, pidx[p], pidx[q])
+                prev = best.get(w)
+                if prev is None or cand_key < prev[0]:
+                    best[w] = (cand_key, base, (p, q))
+        frontier = sorted(best, key=lambda w: best[w][0])
+        for w in frontier:
+            _key, base, pair = best[w]
+            names[w] = base.child(pair)
+    return names

@@ -47,7 +47,7 @@ from cgd.families import (
     single_head_tapes,
     turtle_graphs,
 )
-from cgd.modulo import CanonicalGraph, ball, canonicalize_with_names, shift
+from cgd.modulo import CanonicalGraph, ball, canonicalize_with_names, disk_at, shift
 from cgd.patches import LocalRuleDynamics, parse_rule_file, serialize_rule_file
 from cgd.paths import EPSILON, format_path
 from cgd.portgraph import GraphError, relabel, validate
@@ -811,6 +811,19 @@ class TestKitFromFamily:
             X = single_head_tape(48, rng.randrange(48), rng.choice(("cc", "dd")))
             X = shift(X, rng.choice(X.vertices))
             assert kit.decompose_step(X) == mh.apply(X)[0]
+
+    @pytest.mark.parametrize("radius, disks", [(1, 57), (2, 144), (3, 285)])
+    def test_cli_kit_family_shows_every_tape_disk(self, radius, disks):
+        # `_tape_kit` reads a kit of radius r off tape-closure at 2r + 4
+        # vertices.  Its radius-r disks are every radius-r disk of bare
+        # tapes of up to 2r + 12 cells and single-head tapes of up to
+        # 2r + 11.
+        fam = cli._family_for("tape-closure", get_dynamics("moving-head"),
+                              2 * radius + 4)
+        tapes = bare_tapes(2 * radius + 12) + single_head_tapes(2 * radius + 11)
+        seen = [{disk_at(X, u, radius) for X in graphs for u in X.vertices}
+                for graphs in (fam, tapes)]
+        assert seen[0] == seen[1] and len(seen[0]) == disks
 
     def test_cli_kit_grows_once_for_a_larger_radius(self, monkeypatch):
         # Two moving-head steps at once: the inverse walks each head back

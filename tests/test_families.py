@@ -182,8 +182,9 @@ class TestCanonicalAugmentation:
 
     # Both were checked member for member, in order, against
     # `oracles.enumerate_family`, which takes 14 to 22 s on each.
-    def test_abcd_up_to_three_vertices(self):
-        fam = enumerate_family(ABCD0, 3)
+    def test_abcd_up_to_three_vertices(self, abcd_family_3):
+        fam = abcd_family_3
+        assert fam.alphabets == ABCD0
         assert len(fam) == 60290
         assert listing_sha256(fam) == (
             "4a8f0eabca4e037987c8862adea63913391df753c07c9042176ee6c1dfc3042b")

@@ -826,6 +826,13 @@ class TestBall:
         assert ball(X, EPSILON, 0) == {EPSILON}
         assert ball(X, EPSILON, 5) == set(X.vertices)
 
+    def test_non_vertex_rejected_like_disk_at(self):
+        X = bare_tape(3)
+        cc = Path((("c", "c"),))
+        for call in (ball, disk_at):
+            with pytest.raises(PathResolutionError, match="^cc is not a vertex"):
+                call(X, cc, 1)
+
 
 class TestTrustBoundary:
     """Graphs are validated where they enter, not on every canonicalization."""

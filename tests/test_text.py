@@ -54,8 +54,9 @@ class TestTextAsBefore:
         for X in fam:
             check_text(X)
 
-    def test_abcd0_family_3(self):
-        for X in enumerate_family(TAPE_ALPHABETS, 3):
+    def test_abcd0_family_3(self, abcd_family_3):
+        assert len(abcd_family_3) == 60290
+        for X in abcd_family_3:
             check_text(X)
 
     def test_tape_closure_8(self, closure_8):
