@@ -23,7 +23,6 @@ from .portgraph import (
 )
 from .modulo import (
     CanonicalGraph,
-    DiskGraph,
     canonicalize,
     canonicalize_with_names,
     disk,
@@ -42,7 +41,7 @@ from .dynamics import (
     continuity_probe,
     get_dynamics,
 )
-from .patches import LocalRule, Patch, apply_local_rule, consistent, glue
+from .patches import LocalRule, apply_local_rule, consistent, glue
 from .reversibility import (
     GraphFamily,
     InverseTable,

@@ -509,7 +509,7 @@ def _unwitnessed(L: Dynamics, fam: GraphFamily
             if not any(S[u] == y and source_disks[u] == image_disk
                        and all((uv := X.resolve(v, start=u)) is not None
                                and S[uv] == Y.resolve(v, start=y)
-                               for v in source_disks[u].graph.vertices)
+                               for v in source_disks[u].vertices)
                        for u in X.vertices):
                 yield X, y
 

@@ -335,14 +335,14 @@ def continuity_probe(D: Dynamics, X: CanonicalGraph, Y: CanonicalGraph,
     if image_x != image_y:
         return (f"images disagree on the radius-{image_radius} disk although "
                 f"sources agree at radius {source_radius}")
-    keep_x = set(image_x.graph.vertices)
-    keep_y = set(image_y.graph.vertices)
+    keep_x = set(image_x.vertices)
+    keep_y = set(image_y.vertices)
     RXm = {u: w for u, w in RX.items() if w in keep_x}
     RYm = {u: w for u, w in RY.items() if w in keep_y}
     if RXm != RYm:
         return (f"restricted correspondences disagree at image radius "
                 f"{image_radius}")
-    if (not set(RXm) <= set(source_x.graph.vertices)
-            or not set(RYm) <= set(source_y.graph.vertices)):
+    if (not set(RXm) <= set(source_x.vertices)
+            or not set(RYm) <= set(source_y.vertices)):
         return "restricted correspondence domain escapes the source disk"
     return None

@@ -28,8 +28,7 @@ def bare_tape(length: int, alphabets: Alphabets = TAPE_ALPHABETS) -> CanonicalGr
     return canonicalize(PointedRawGraph(raw, 0))
 
 
-def single_head_tape(length: int, position: int, attach: str = "cc",
-                     alphabets: Alphabets = TAPE_ALPHABETS) -> CanonicalGraph:
+def single_head_tape(length: int, position: int, attach: str = "cc") -> CanonicalGraph:
     """A tape with one head hanging off cell `position` (0-based).
 
     attach="cc" is a forward-travelling head, "dd" a backward one.  The
@@ -44,8 +43,8 @@ def single_head_tape(length: int, position: int, attach: str = "cc",
     head = "head"
     edges = {make_edge(i, "a", i + 1, "b") for i in range(length - 1)}
     edges.add(make_edge(position, port, head, port))
-    sigma = alphabets.vertex_labels[0]
-    raw = RawGraph(alphabets=alphabets, vertices=cells + (head,),
+    sigma = TAPE_ALPHABETS.vertex_labels[0]
+    raw = RawGraph(alphabets=TAPE_ALPHABETS, vertices=cells + (head,),
                    edges=frozenset(edges),
                    vertex_labels={v: sigma for v in cells + (head,)})
     return canonicalize(PointedRawGraph(raw, 0))
@@ -72,8 +71,7 @@ def shift_closure(graphs: Iterable[CanonicalGraph]) -> List[CanonicalGraph]:
 
 
 def grid_graph(rows: int, cols: int,
-               labels: Optional[Dict[Tuple[int, int], str]] = None,
-               alphabets: Alphabets = GRID_ALPHABETS) -> CanonicalGraph:
+               labels: Optional[Dict[Tuple[int, int], str]] = None) -> CanonicalGraph:
     """A rows x cols grid pointed at the top-left cell.
 
     Vertical edges join a cell's upward port a to the cell above on its
@@ -85,30 +83,29 @@ def grid_graph(rows: int, cols: int,
         raise ValueError("grid needs at least one row and one column")
     cells = tuple((i, j) for i in range(rows) for j in range(cols))
     if labels is None:
-        labels = dict.fromkeys(cells, alphabets.vertex_labels[0])
+        labels = dict.fromkeys(cells, GRID_ALPHABETS.vertex_labels[0])
     edges = set()
     for (i, j) in cells:
         if i + 1 < rows:
             edges.add(make_edge((i + 1, j), "a", (i, j), "c"))
         if j + 1 < cols:
             edges.add(make_edge((i, j), "b", (i, j + 1), "d"))
-    raw = RawGraph(alphabets=alphabets, vertices=cells, edges=frozenset(edges),
+    raw = RawGraph(alphabets=GRID_ALPHABETS, vertices=cells, edges=frozenset(edges),
                    vertex_labels={c: labels[c] for c in cells})
     return canonicalize(PointedRawGraph(raw, (0, 0)))
 
 
-def turtle_graphs(alphabets: Alphabets = TURTLE_ALPHABETS
-                  ) -> Tuple[CanonicalGraph, CanonicalGraph]:
+def turtle_graphs() -> Tuple[CanonicalGraph, CanonicalGraph]:
     """The oscillating pair: a self-looped singleton and a doubled 2-cycle.
 
     The two vertices of the second graph are shift-equivalent, so collapsing
     them back to the singleton is well-defined on pointed graphs modulo.
     """
-    sigma = alphabets.vertex_labels[0]
-    solo = RawGraph(alphabets=alphabets, vertices=(0,),
+    sigma = TURTLE_ALPHABETS.vertex_labels[0]
+    solo = RawGraph(alphabets=TURTLE_ALPHABETS, vertices=(0,),
                     edges=frozenset((make_edge(0, "a", 0, "b"),)),
                     vertex_labels={0: sigma})
-    pair = RawGraph(alphabets=alphabets, vertices=(0, 1),
+    pair = RawGraph(alphabets=TURTLE_ALPHABETS, vertices=(0, 1),
                     edges=frozenset((make_edge(0, "a", 1, "b"),
                                      make_edge(0, "b", 1, "a"))),
                     vertex_labels={0: sigma, 1: sigma})

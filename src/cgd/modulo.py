@@ -9,7 +9,6 @@ equality is the only graph equality this package ever needs.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import takewhile
 from typing import Any, Dict, FrozenSet, Iterable, Mapping, Optional, Set, Tuple
 
@@ -139,14 +138,6 @@ class CanonicalGraph:
         return self._text
 
 
-@dataclass(frozen=True)
-class DiskGraph:
-    """A radius-r neighbourhood of the origin with its unlabelled outer rim."""
-
-    graph: CanonicalGraph
-    radius: int
-
-
 def _canonical_names(adjacency: Mapping[Any, Mapping[str, Tuple[Any, str]]],
                      origin: Any, alphabets: Alphabets,
                      depth: Optional[int] = None) -> Dict[Any, Path]:
@@ -246,7 +237,7 @@ def shift(X: CanonicalGraph, path: Path) -> CanonicalGraph:
     return shift_with_names(X, path)[0]
 
 
-def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
+def disk(X: CanonicalGraph, radius: int) -> CanonicalGraph:
     """The disk of the given radius around the origin.
 
     Vertices up to distance radius+1 survive with all induced edges; vertex
@@ -258,14 +249,14 @@ def disk(X: CanonicalGraph, radius: int) -> DiskGraph:
     return _cut(X, {v: v for v in kept}, radius)
 
 
-def disk_at(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
+def disk_at(X: CanonicalGraph, u: Path, radius: int) -> CanonicalGraph:
     """`disk(shift(X, u), radius)` for a vertex u of X, read off the
     vertices near u alone."""
     return disk_at_with_names(X, u, radius)[0]
 
 
 def disk_at_with_names(X: CanonicalGraph, u: Path, radius: int
-                       ) -> Tuple[DiskGraph, Dict[Path, Path]]:
+                       ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
     """`disk_at`, and the map from X's names of the kept vertices to their
     names in the disk, which are their paths from u.
 
@@ -278,7 +269,7 @@ def disk_at_with_names(X: CanonicalGraph, u: Path, radius: int
     return _cut(X, names, radius), names
 
 
-def _cut(X: CanonicalGraph, names: Dict[Path, Path], radius: int) -> DiskGraph:
+def _cut(X: CanonicalGraph, names: Dict[Path, Path], radius: int) -> CanonicalGraph:
     """The disk on the vertices `names` renames, in its order, read off their
     adjacency alone: the cost is that of the disk, not of X."""
     if radius < 0:
@@ -299,8 +290,8 @@ def _cut(X: CanonicalGraph, names: Dict[Path, Path], radius: int) -> DiskGraph:
                 label = X.edge_labels.get(frozenset(((v, p), (w, q))))
                 if label is not None:
                     edge_labels[e] = label
-    return DiskGraph(CanonicalGraph(X.alphabets, names.values(), vertex_labels,
-                                    edges, edge_labels), radius)
+    return CanonicalGraph(X.alphabets, names.values(), vertex_labels, edges,
+                          edge_labels)
 
 
 def ball(X: CanonicalGraph, center: Path, radius: int) -> Set[Path]:

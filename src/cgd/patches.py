@@ -13,12 +13,7 @@ from itertools import combinations
 from typing import Callable, Dict, Hashable, List, Mapping, Optional, Sequence, Tuple
 
 from .dynamics import Dynamics, VertexCorrespondence
-from .modulo import (
-    CanonicalGraph,
-    DiskGraph,
-    canonicalize_with_names,
-    disk_at,
-)
+from .modulo import CanonicalGraph, canonicalize_with_names, disk_at
 from .paths import EPSILON, Path, format_path, parse_path
 from .portgraph import (
     Alphabets,
@@ -121,24 +116,17 @@ def glue(pieces: Sequence[RawGraph]) -> RawGraph:
 
 
 @dataclass(frozen=True)
-class Patch:
-    """A rule's output around one vertex: a patch graph plus the vertex the
-    disk's origin becomes."""
-
-    graph: RawGraph
-    successor: Hashable
-
-
-@dataclass(frozen=True)
 class LocalRule:
     """A radius and a function turning each disk into a patch.
 
-    Patch vertex ids are tokens: a path of the disk (a persisting vertex)
-    or a (path, int) tag (a fresh one).
+    A disk is the `CanonicalGraph` that `disk_at` cuts at this radius.  A
+    patch is a `PointedRawGraph` pointed at the vertex the disk's origin
+    becomes, its successor.  Patch vertex ids are tokens: a path of the
+    disk (a persisting vertex) or a (path, int) tag (a fresh one).
     """
 
     radius: int
-    rule: Callable[[DiskGraph], Patch]
+    rule: Callable[[CanonicalGraph], PointedRawGraph]
     name: str = "local-rule"
 
 
@@ -157,18 +145,19 @@ def _translate_token(token, X: CanonicalGraph, anchor: Path):
     return (target, token[1]) if fresh else target
 
 
-def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
+def _translate_patch(patch: PointedRawGraph, X: CanonicalGraph,
+                     anchor: Path) -> PointedRawGraph:
     mapping = {vid: _translate_token(vid, X, anchor)
                for vid in patch.graph.vertices}
     if len(set(mapping.values())) != len(patch.graph.vertices):
         raise PatchError(
             f"patch at {format_path(anchor)} has two vertices that resolve "
             f"to the same host vertex")
-    if patch.successor not in mapping:
+    if patch.origin not in mapping:
         raise PatchError(f"patch at {format_path(anchor)} has a successor "
-                         f"{patch.successor!r} that is not one of its vertices")
+                         f"{patch.origin!r} that is not one of its vertices")
     try:
-        return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+        return PointedRawGraph(relabel(patch.graph, ids=mapping), mapping[patch.origin])
     except KeyError as err:     # an edge end or a label off the patch
         raise PatchError(f"patch at {format_path(anchor)} refers to {err.args[0]!r}, "
                          f"which is not one of its vertices or edges") from None
@@ -183,7 +172,7 @@ def glue_rule(rule: LocalRule, X: CanonicalGraph
     Any two patches must be consistent; the first failure is reported with
     the two offending anchor vertices.  The glued graph is not validated.
     """
-    patches: Dict[Path, Patch] = {
+    patches: Dict[Path, PointedRawGraph] = {
         u: _translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
         for u in X.vertices}
     try:
@@ -193,8 +182,8 @@ def glue_rule(rule: LocalRule, X: CanonicalGraph
         raise PatchInconsistencyError(
             f"patches at {format_path(u)} and {format_path(w)} "
             f"conflict: {err}", anchors=(u, w)) from None
-    return (PointedRawGraph(merged, patches[EPSILON].successor),
-            {u: p.successor for u, p in patches.items()})
+    return (PointedRawGraph(merged, patches[EPSILON].origin),
+            {u: p.origin for u, p in patches.items()})
 
 
 def apply_local_rule(rule: LocalRule, X: CanonicalGraph
@@ -227,11 +216,7 @@ def identity_local_rule(radius: int = 0) -> LocalRule:
     the labels of edges between distinct vertices, which a radius-0 disk
     does not show; labels on self-loops and on vertices survive.
     """
-
-    def rule(view: DiskGraph) -> Patch:
-        return Patch(view.graph.to_pointed_raw().graph, EPSILON)
-
-    return LocalRule(radius=radius, rule=rule, name="identity-local")
+    return LocalRule(radius, CanonicalGraph.to_pointed_raw, "identity-local")
 
 
 # ---------------------------------------------------------------------------
@@ -254,17 +239,17 @@ class RuleLookupError(PatchError):
 @dataclass(frozen=True)
 class RuleTable:
     radius: int
-    entries: Mapping[DiskGraph, Patch]
+    entries: Mapping[CanonicalGraph, PointedRawGraph]
     name: str = "rule-table"
 
     def as_rule(self) -> LocalRule:
-        def rule(view: DiskGraph) -> Patch:
+        def rule(view: CanonicalGraph) -> PointedRawGraph:
             try:
                 return self.entries[view]
             except KeyError:
                 raise RuleLookupError(
-                    f"no rule entry for a radius-{view.radius} disk of "
-                    f"{len(view.graph)} vertices") from None
+                    f"no rule entry for a radius-{self.radius} disk of "
+                    f"{len(view)} vertices") from None
         return LocalRule(radius=self.radius, rule=rule, name=self.name)
 
 
@@ -328,26 +313,25 @@ def parse_rule_file(text: str) -> RuleTable:
 
     headers: Dict[tuple, Alphabets] = {}
     parsed: Dict[Tuple[str, Tuple[str, ...]], Hashable] = {}
-    entries: Dict[DiskGraph, Patch] = {}
+    entries: Dict[CanonicalGraph, PointedRawGraph] = {}
     for (_, disk_line, disk_rows), (_, patch_line, patch_rows) in zip(
             sections[::2], sections[1::2]):
         pg = parse_rows(disk_rows, headers, block_line=disk_line)
         try:
-            view = DiskGraph(canonicalize_with_names(pg)[0], radius)
+            view = canonicalize_with_names(pg)[0]
         except InvalidGraphError as err:    # a disk not connected to its pointer
             raise InvalidGraphError(f"line {disk_line}: {err}") from None
-        pg = parse_rows(patch_rows, headers, partial(_patch_token, parsed, {}), patch_line)
+        patch = parse_rows(patch_rows, headers, partial(_patch_token, parsed, {}), patch_line)
         if view in entries:
             raise GraphFormatError(f"line {disk_line}: duplicate disk entry in rule file")
-        entries[view] = Patch(pg.graph, pg.origin)
+        entries[view] = patch
     return RuleTable(radius=radius, entries=entries)
 
 
 def serialize_rule_file(table: RuleTable) -> str:
     chunks = [f"radius {table.radius}"]
-    for view in sorted(table.entries, key=lambda d: d.graph.to_text()):
-        patch = table.entries[view]
-        chunks += ["disk", view.graph.to_text().rstrip("\n"), "maps-to",
-                   serialize_graph(PointedRawGraph(patch.graph, patch.successor),
+    for view in sorted(table.entries, key=CanonicalGraph.to_text):
+        chunks += ["disk", view.to_text().rstrip("\n"), "maps-to",
+                   serialize_graph(table.entries[view],
                                    token=_patch_token_text).rstrip("\n")]
     return "\n".join(chunks) + "\n"

@@ -19,7 +19,6 @@ from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from .families import shift_closure
 from .modulo import (
     CanonicalGraph,
-    DiskGraph,
     canonicalize,
     canonicalize_with_names,
     disk_at_with_names,
@@ -27,7 +26,6 @@ from .modulo import (
 )
 from .patches import (
     LocalRuleDynamics,
-    Patch,
     RuleLookupError,
     RuleTable,
     glue_rule,
@@ -141,11 +139,10 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     A child is accepted exactly when w comes last in it.  w's name is the
     least name u.(p, q) over its edges w:q -- u:p, so w comes last when
     each follows the parent's last name in `_canonical_names` order: (u's
-    place in the vertex order, exit); the entry the keys end with never
-    decides, as a half-edge holds one edge.  Only such edges are offered,
-    so only ports on the parent's last two layers are.  The child's
-    canonical form is the parent's plus w's name: no BFS runs and no
-    duplicate is built.  Labelling is total when an alphabet is non-empty.
+    place in the vertex order, exit).  Only such edges are offered, so
+    only ports on the parent's last two layers are.  The child's canonical
+    form is the parent's plus w's name: no BFS runs and no duplicate is
+    built.  Labelling is total when an alphabet is non-empty.
 
     `predicate` filters the output.  `raw_prune` gates the search and must
     be closed under taking subgraphs: when a graph passes, so does the graph
@@ -192,21 +189,21 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     def grow(parent: CanonicalGraph) -> None:
         """Keep the accepted children of `parent`."""
         vertices, labels = parent.vertices, parent.vertex_labels
-        offered, last_key = [], (-1,)
+        offered = []
         if vertices:
-            last, first = vertices[-1], 0
+            last, first, last_key = vertices[-1], 0, (-1,)
             if last.length:
                 first = vertices.index(last.parent)
-                last_key = (first, pidx[last.last[0]], pidx[last.last[1]])
+                last_key = (first, pidx[last.last[0]])
             offered = [((i, pidx[p]), vertices[i], p)
                        for i in range(first, len(vertices)) for p in ports
-                       if p not in parent.adjacency[vertices[i]]]
+                       if p not in parent.adjacency[vertices[i]]
+                       and (i, pidx[p]) > last_key]
         for sigma in vlabels:
             # A self-loop's far end is w's port q2, an edge's is u:p.
             options = {q: [(None, q2, delta) for q2 in ports[i + 1:] for delta in elabels
                            if edge_passes(True, sigma, q, sigma, q2, delta)]
-                       + [(key + (pidx[q],), (u, p), delta)
-                          for key, u, p in offered if key + (pidx[q],) > last_key
+                       + [(key, (u, p), delta) for key, u, p in offered
                           for delta in elabels
                           if edge_passes(False, labels.get(u), p, sigma, q, delta)]
                        for i, q in enumerate(ports)}
@@ -475,7 +472,7 @@ class InverseTable:
         shift-invariant, as a CGD's is.
         """
         for radius in range(1, MAX_INVERSE_RADIUS + 1):
-            entries: Dict[DiskGraph, Patch] = {}
+            entries: Dict[CanonicalGraph, PointedRawGraph] = {}
             if all(patch is not None and entries.setdefault(view, patch) == patch
                    for view, patch in self._read(radius)):
                 return RuleTable(radius, entries, name=self.name)
@@ -483,7 +480,8 @@ class InverseTable:
             f"{self.name}: no radius up to {MAX_INVERSE_RADIUS} reads the "
             f"inverse off the disks of the family")
 
-    def _read(self, radius: int) -> Iterator[Tuple[DiskGraph, Optional[Patch]]]:
+    def _read(self, radius: int
+              ) -> Iterator[Tuple[CanonicalGraph, Optional[PointedRawGraph]]]:
         """(disk, patch) at each vertex read; None for a disk too small."""
         for Y, X in self.backward.items():
             if len(Y.vertices) > self.exception_bound:
@@ -497,7 +495,7 @@ class InverseTable:
 
 
 def _patch_of(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
-              names: Dict[Path, Path]) -> Optional[Patch]:
+              names: Dict[Path, Path]) -> Optional[PointedRawGraph]:
     """Vertex x of X and its incident edges, each vertex named by `names`
     of its image in Y; None if an endpoint's image has no name."""
     ids = {x: names[to_y[x]]}
@@ -518,7 +516,7 @@ def _patch_of(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
                      edges=frozenset(edges),
                      vertex_labels={} if label is None else {ids[x]: label},
                      edge_labels=edge_labels)
-    return Patch(graph, ids[x])
+    return PointedRawGraph(graph, ids[x])
 
 
 class LocalInverse(LocalRuleDynamics):

@@ -146,7 +146,6 @@ from cgd.dynamics import (
 )
 from cgd.modulo import (
     CanonicalGraph,
-    DiskGraph,
     canonicalize,
     canonicalize_with_names,
     disk,
@@ -155,7 +154,7 @@ from cgd.modulo import (
     shift,
     shift_with_names,
 )
-from cgd.patches import (LocalRule, Patch, PatchError, PatchInconsistencyError,
+from cgd.patches import (LocalRule, PatchError, PatchInconsistencyError,
                          RuleTable)
 from cgd.paths import EPSILON, Path, format_path, parse_path
 from cgd.portgraph import (
@@ -295,16 +294,17 @@ def _translate_id(vid, X, anchor):
     return frozenset(_translate_token(t, X, anchor) for t in vid)
 
 
-def _translate_patch(patch: Patch, X: CanonicalGraph, anchor: Path) -> Patch:
+def _translate_patch(patch: PointedRawGraph, X: CanonicalGraph,
+                     anchor: Path) -> PointedRawGraph:
     mapping = {vid: _translate_id(vid, X, anchor) for vid in patch.graph.vertices}
     if len(set(mapping.values())) != len(patch.graph.vertices):
         raise PatchError(
             f"patch at {format_path(anchor)} has two vertices that resolve "
             f"to the same host vertex")
-    if patch.successor not in mapping:
+    if patch.origin not in mapping:
         raise PatchError(f"patch at {format_path(anchor)} has a successor "
-                         f"{patch.successor!r} that is not one of its vertices")
-    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+                         f"{patch.origin!r} that is not one of its vertices")
+    return PointedRawGraph(relabel(patch.graph, ids=mapping), mapping[patch.origin])
 
 
 def glue_rule(rule: LocalRule, X: CanonicalGraph
@@ -312,7 +312,7 @@ def glue_rule(rule: LocalRule, X: CanonicalGraph
     """Run the rule on every vertex's disk and glue the translated patches:
     the glued graph, pointed at the origin's successor, and each vertex's
     successor; a conflict names its two anchors."""
-    patches: Dict[Path, Patch] = {
+    patches: Dict[Path, PointedRawGraph] = {
         u: _translate_patch(rule.rule(disk_at(X, u, rule.radius)), X, u)
         for u in X.vertices}
     try:
@@ -322,11 +322,11 @@ def glue_rule(rule: LocalRule, X: CanonicalGraph
         raise PatchInconsistencyError(
             f"patches at {format_path(u)} and {format_path(w)} "
             f"conflict: {err}", anchors=(u, w)) from None
-    return (PointedRawGraph(merged, patches[EPSILON].successor),
-            {u: p.successor for u, p in patches.items()})
+    return (PointedRawGraph(merged, patches[EPSILON].origin),
+            {u: p.origin for u, p in patches.items()})
 
 
-def disk_by_shift(X: CanonicalGraph, u: Path, radius: int) -> DiskGraph:
+def disk_by_shift(X: CanonicalGraph, u: Path, radius: int) -> CanonicalGraph:
     return disk(shift(X, u), radius)
 
 
@@ -343,11 +343,11 @@ def _translate_token_from_origin(token, X: CanonicalGraph, anchor: Path):
     raise PatchError(f"unsupported patch token {token!r}")
 
 
-def translate_patch_from_origin(patch: Patch, X: CanonicalGraph,
-                                anchor: Path) -> Patch:
+def translate_patch_from_origin(patch: PointedRawGraph, X: CanonicalGraph,
+                                anchor: Path) -> PointedRawGraph:
     mapping = {vid: _translate_token_from_origin(vid, X, anchor)
                for vid in patch.graph.vertices}
-    return Patch(relabel(patch.graph, ids=mapping), mapping[patch.successor])
+    return PointedRawGraph(relabel(patch.graph, ids=mapping), mapping[patch.origin])
 
 
 def apply_local_rule_pairwise(rule, X):
@@ -366,9 +366,9 @@ def apply_local_rule_pairwise(rule, X):
     for (_u, p) in patches[1:]:
         merged = union_pair(merged, p.graph)
     ensure_valid(merged)
-    origin = next(p.successor for (u, p) in patches if u == EPSILON)
+    origin = next(p.origin for (u, p) in patches if u == EPSILON)
     Y, names = canonicalize_with_names(PointedRawGraph(merged, origin))
-    corr = {u: names[p.successor] for (u, p) in patches}
+    corr = {u: names[p.origin] for (u, p) in patches}
     return Y, corr
 
 
@@ -698,7 +698,7 @@ def check_boundedness_by_bfs(D: Dynamics, X: CanonicalGraph,
     return None
 
 
-def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:
+def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> CanonicalGraph:
     """The disk of the given radius around the origin.
 
     Vertices up to distance radius+1 survive with all induced edges; vertex
@@ -720,10 +720,10 @@ def disk_by_canonicalization(X: CanonicalGraph, radius: int) -> DiskGraph:
         vertex_labels=vertex_labels,
         edge_labels=edge_labels,
     )
-    return DiskGraph(canonicalize(PointedRawGraph(pruned, EPSILON)), radius)
+    return canonicalize(PointedRawGraph(pruned, EPSILON))
 
 
-def disk_scanning_edges(X: CanonicalGraph, radius: int) -> DiskGraph:
+def disk_scanning_edges(X: CanonicalGraph, radius: int) -> CanonicalGraph:
     """The disk around the origin, sliced from X's vertex order, with every
     edge and label of X scanned."""
     if radius < 0:
@@ -735,8 +735,8 @@ def disk_scanning_edges(X: CanonicalGraph, radius: int) -> DiskGraph:
                      if len(v) <= radius}
     edge_labels = {e: l for e, l in X.edge_labels.items()
                    if all(len(v) <= radius for (v, _p) in e)}
-    return DiskGraph(CanonicalGraph(X.alphabets, vertices, vertex_labels,
-                                    edges, edge_labels), radius)
+    return CanonicalGraph(X.alphabets, vertices, vertex_labels, edges,
+                          edge_labels)
 
 
 def inverse_rule_at_every_vertex(table: InverseTable) -> RuleTable:
@@ -753,8 +753,8 @@ def inverse_rule_at_every_vertex(table: InverseTable) -> RuleTable:
 
 
 def _patches_at_every_vertex(table: InverseTable, radius: int
-                             ) -> Optional[Dict[DiskGraph, Patch]]:
-    entries: Dict[DiskGraph, Patch] = {}
+                             ) -> Optional[Dict[CanonicalGraph, PointedRawGraph]]:
+    entries: Dict[CanonicalGraph, PointedRawGraph] = {}
     for Y, X in table.backward.items():
         if len(Y.vertices) <= table.exception_bound:
             continue
@@ -768,7 +768,7 @@ def _patches_at_every_vertex(table: InverseTable, radius: int
 
 
 def _inverse_patch(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
-                   names: Dict[Path, Path]) -> Optional[Patch]:
+                   names: Dict[Path, Path]) -> Optional[PointedRawGraph]:
     """Vertex x of X and its incident edges, each vertex named by `names`
     of its image in Y; None if an endpoint's image has no name."""
     ids = {x: names[to_y[x]]}
@@ -789,7 +789,7 @@ def _inverse_patch(X: CanonicalGraph, x: Path, to_y: VertexCorrespondence,
                      edges=frozenset(edges),
                      vertex_labels={} if label is None else {ids[x]: label},
                      edge_labels=edge_labels)
-    return Patch(graph, ids[x])
+    return PointedRawGraph(graph, ids[x])
 
 
 class TuplePath:
@@ -1126,7 +1126,7 @@ def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
                 if S[u] != far_vertex or source_disks[u] != image_disk:
                     continue
                 ok = True
-                for v in source_disks[u].graph.vertices:
+                for v in source_disks[u].vertices:
                     uv = X.resolve(v, start=u)
                     if uv is None or S[uv] != Y.resolve(v, start=far_vertex):
                         ok = False
@@ -1333,11 +1333,11 @@ def parse_rule_file(text: str) -> RuleTable:
     if len(sections) % 2 != 0:
         raise GraphFormatError("unpaired disk section")
 
-    entries: Dict[DiskGraph, Patch] = {}
+    entries: Dict[CanonicalGraph, PointedRawGraph] = {}
     for i in range(0, len(sections), 2):
         _kind, disk_line, disk_lines = sections[i]
-        view = DiskGraph(canonicalize_with_names(
-            parse_graph("\n".join(disk_lines), first_line=disk_line))[0], radius)
+        view = canonicalize_with_names(
+            parse_graph("\n".join(disk_lines), first_line=disk_line))[0]
         patch = _parse_patch(sections[i + 1][2], sections[i + 1][1])
         if view in entries:
             raise GraphFormatError(
@@ -1346,7 +1346,7 @@ def parse_rule_file(text: str) -> RuleTable:
     return RuleTable(radius=radius, entries=entries)
 
 
-def _parse_patch(lines: List[str], first_line: int) -> Patch:
+def _parse_patch(lines: List[str], first_line: int) -> PointedRawGraph:
     pg = parse_graph("\n".join(lines), first_line=first_line)
     ports = pg.graph.alphabets.ports
     ids: Dict[str, Hashable] = {}
@@ -1362,7 +1362,7 @@ def _parse_patch(lines: List[str], first_line: int) -> Patch:
                 f"name the same token")
         by_token[token] = v
         ids[v] = token
-    return Patch(relabel(pg.graph, ids=ids), ids[pg.origin])
+    return PointedRawGraph(relabel(pg.graph, ids=ids), ids[pg.origin])
 
 
 # (path -> its text), kept for the life of the process, as on the nodes.

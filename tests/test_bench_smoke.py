@@ -10,7 +10,9 @@ closed-form answers, so it also guards the block kit's path.  The
 the closed-form tape, so it guards the names' text as well.  The traced
 `tape-decompose` round runs `perfbench/spans.py`, which imports classes
 from `cgd.blocks` and wraps its public functions, so it fails when a change
-to `blocks` breaks the per-layer metrics.
+to `blocks` breaks the per-layer metrics.  The traced `tape-rule` round does
+the same for `patches` and `modulo`: a change that takes the rule-file step
+off `apply_local_rule` or off canonicalization zeroes a metric it asserts.
 """
 import json
 import subprocess
@@ -51,3 +53,10 @@ def test_tape_decompose_traced_round():
     result = quick_round("tape-decompose", "--trace", "1")
     assert result["failed"] == 0
     assert result["metrics"]["blocks.mark.calls"]["value"] > 0
+
+
+def test_tape_rule_traced_round():
+    result = quick_round("tape-rule", "--trace", "1")
+    assert result["failed"] == 0
+    assert result["metrics"]["patches.apply_local_rule.self_s"]["value"] > 0
+    assert result["metrics"]["modulo.canonicalize.calls"]["value"] > 0

@@ -39,7 +39,6 @@ from cgd.families import bare_tape, bare_tapes, grid_graph, single_head_tapes
 from cgd.modulo import canonicalize_with_names, disk_at, shift_with_names
 from cgd.patches import (
     LocalRule,
-    Patch,
     PatchInconsistencyError,
     RuleLookupError,
     RuleTable,
@@ -164,13 +163,13 @@ def claims_rule(X):
         claims[X.vertex_labels[A[i]]] = to_anchor[A[j]]
 
     def rule(view):
-        own = view.graph.vertex_labels[EPSILON]
+        own = view.vertex_labels[EPSILON]
         labels = {EPSILON: own}
         if own in claims:
             labels[claims[own]] = own
         graph = RawGraph(alphabets=DIGITS, vertices=tuple(labels),
                          vertex_labels=labels)
-        return Patch(graph, EPSILON)
+        return PointedRawGraph(graph, EPSILON)
 
     return LocalRule(radius=0, rule=rule)
 
@@ -182,11 +181,11 @@ def neighbour_claims_rule():
     step = parse_path("ab", ("a", "b"))
 
     def rule(view):
-        own = view.graph.vertex_labels[EPSILON]
+        own = view.vertex_labels[EPSILON]
         graph = RawGraph(alphabets=DIGITS, vertices=(EPSILON, step),
                          edges=frozenset((make_edge(EPSILON, "a", step, "b"),)),
                          vertex_labels={EPSILON: own, step: own})
-        return Patch(graph, EPSILON)
+        return PointedRawGraph(graph, EPSILON)
 
     return LocalRule(radius=1, rule=rule)
 
@@ -197,8 +196,7 @@ def leaf_claims_rule():
     cells neighbouring patches send one half-edge to two fresh vertices."""
     step = parse_path("ab", "abcd")
 
-    def rule(view):
-        g = view.graph
+    def rule(g):
         vertices = [EPSILON, (EPSILON, 1)]
         edges = {make_edge(EPSILON, "c", (EPSILON, 1), "c")}
         if step in g.vertices:
@@ -207,7 +205,7 @@ def leaf_claims_rule():
                       make_edge(step, "c", (EPSILON, 2), "c")}
         graph = RawGraph(alphabets=g.alphabets, vertices=tuple(vertices),
                          edges=frozenset(edges))
-        return Patch(graph, EPSILON)
+        return PointedRawGraph(graph, EPSILON)
 
     return LocalRule(radius=1, rule=rule)
 
@@ -221,7 +219,7 @@ def token_set_rule(rule):
 
 def token_set_patch(patch):
     ids = {v: frozenset((v,)) for v in patch.graph.vertices}
-    return Patch(relabel(patch.graph, ids=ids), frozenset((patch.successor,)))
+    return PointedRawGraph(relabel(patch.graph, ids=ids), frozenset((patch.origin,)))
 
 
 def unwrap(vid):

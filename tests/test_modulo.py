@@ -241,13 +241,12 @@ class TestDisk:
         labels = {i: "x" if i % 2 else "y" for i in range(4)}
         X = canonicalize(pointed_ring(4, ABXY, labels))
         d = disk(X, 2)
-        assert d.graph == X
-        assert d.radius == 2
+        assert d == X
 
     def test_labelled_singleton(self):
         g = RawGraph(alphabets=ABXY, vertices=("v",), vertex_labels={"v": "x"})
         X = canonicalize(PointedRawGraph(g, "v"))
-        assert disk(X, 0).graph == X
+        assert disk(X, 0) == X
 
     def test_chain_radius_one(self):
         # Distance oracle: name length equals BFS distance from the origin.
@@ -259,7 +258,7 @@ class TestDisk:
                        edge_labels={e: "e" for e in edges})
         X = canonicalize(PointedRawGraph(raw, 0))
         assert {len(v) for v in X.vertices} == {0, 1, 2, 3}
-        d = disk(X, 1).graph
+        d = disk(X, 1)
         assert names_of(d) == {"eps", "ab", "ab.ab"}
         assert {format_path(v) for v in d.vertex_labels} == {"eps", "ab"}
         assert len(d.edges) == 2
@@ -271,9 +270,9 @@ class TestDisk:
         # The labelled part of a small disk is unchanged by first taking a
         # bigger disk.
         for X in list(ab_family_4)[::7]:
-            big = disk(X, 2).graph
-            small_direct = disk(X, 1).graph
-            small_via_big = disk(big, 1).graph
+            big = disk(X, 2)
+            small_direct = disk(X, 1)
+            small_via_big = disk(big, 1)
             assert small_direct.vertex_labels == small_via_big.vertex_labels
             assert small_direct.edge_labels == small_via_big.edge_labels
 
@@ -477,7 +476,7 @@ class TestTrustedOrder:
         for u in X.vertices:
             Xu = shift(X, u)
             assert in_path_key_order(Xu)
-            assert in_path_key_order(disk(Xu, 1).graph)
+            assert in_path_key_order(disk(Xu, 1))
             assert shift(Xu, u.reversed()) == X
 
     def test_exhaustive_family_in_order(self, ab_family_6):
@@ -505,7 +504,7 @@ class TestTrustedOrder:
         far = shift(X, X.vertices[-1])
         local = disk(far, 2)
         assert path_key_calls == []
-        assert raw == X and len(far) == len(X) and len(local.graph) == 4
+        assert raw == X and len(far) == len(X) and len(local) == 4
 
     def test_no_path_key_calls_on_the_block_path(self, path_key_calls):
         # The kit and family `cgd decompose` builds for a 6-cell tape.
@@ -656,12 +655,12 @@ class TestTextSlot:
 
 def assert_same_disk(X, radius):
     got, want = disk(X, radius), disk_by_canonicalization(X, radius)
-    assert got == want and hash(got.graph) == hash(want.graph)
-    assert got.graph.vertices == want.graph.vertices
+    assert got == want and hash(got) == hash(want)
+    assert got.vertices == want.vertices
 
 
 def assert_same_as_edge_scan(X, radius):
-    got, want = disk(X, radius).graph, disk_scanning_edges(X, radius).graph
+    got, want = disk(X, radius), disk_scanning_edges(X, radius)
     assert got == want and hash(got) == hash(want)
     assert got.vertices == want.vertices and got.edges == want.edges
     assert (got.vertex_labels, got.edge_labels) == \
@@ -718,8 +717,8 @@ class TestDiskInheritsNames:
 
 def assert_disk_at_is_disk_of_shift(X, u, radius):
     got, want = disk_at(X, u, radius), disk_by_shift(X, u, radius)
-    assert got == want and hash(got.graph) == hash(want.graph)
-    assert got.graph.vertices == want.graph.vertices
+    assert got == want and hash(got) == hash(want)
+    assert got.vertices == want.vertices
 
 
 class TestDiskAt:
@@ -752,7 +751,7 @@ class TestDiskAt:
         X = canonicalize(pg)
         for radius in range(4):
             got, want = disk_at(X, EPSILON, radius), disk(X, radius)
-            assert got == want and got.graph.vertices == want.graph.vertices
+            assert got == want and got.vertices == want.vertices
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValueError, match="radius"):

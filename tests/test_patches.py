@@ -20,11 +20,10 @@ from cgd import (
 )
 from cgd import cli, patches
 from cgd.families import TAPE_ALPHABETS, bare_tape, grid_graph, single_head_tapes
-from cgd.modulo import DiskGraph, disk, disk_at
+from cgd.modulo import CanonicalGraph, disk, disk_at
 from cgd.patches import (
     LocalRule,
     LocalRuleDynamics,
-    Patch,
     PatchError,
     PatchInconsistencyError,
     RuleLookupError,
@@ -141,7 +140,7 @@ class TestApplyLocalRule:
                         edges=frozenset((make_edge("v", "a", "v", "b"),)))
         X = canonicalize(PointedRawGraph(loop, "v"))
         ids = (EPSILON, parse_path("ab", "ab"))
-        patch = Patch(RawGraph(alphabets=AB, vertices=ids), ids[0])
+        patch = PointedRawGraph(RawGraph(alphabets=AB, vertices=ids), ids[0])
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError, match="^patch at eps has two vertices "
                                              "that resolve to the same host"):
@@ -149,7 +148,7 @@ class TestApplyLocalRule:
 
     def test_successor_outside_the_patch_is_rejected(self):
         X = canonicalize(PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v"))
-        patch = Patch(RawGraph(alphabets=AB, vertices=(EPSILON,)), (EPSILON, 1))
+        patch = PointedRawGraph(RawGraph(alphabets=AB, vertices=(EPSILON,)), (EPSILON, 1))
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError, match="^patch at eps has a successor "):
             apply_local_rule(rule, X)
@@ -157,8 +156,8 @@ class TestApplyLocalRule:
     def test_edge_endpoint_outside_the_patch_names_its_anchor(self):
         # The edge's far end (eps, 1) is missing from the vertex list.
         edge = make_edge(EPSILON, "c", (EPSILON, 1), "c")
-        patch = Patch(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
-                               edges=frozenset((edge,))), EPSILON)
+        patch = PointedRawGraph(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
+                                         edges=frozenset((edge,))), EPSILON)
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError) as err:
             apply_local_rule(rule, bare_tape(2))
@@ -168,8 +167,8 @@ class TestApplyLocalRule:
             "its vertices or edges")
 
     def test_label_outside_the_patch_names_its_anchor(self):
-        patch = Patch(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
-                               vertex_labels={(EPSILON, 1): "0"}), EPSILON)
+        patch = PointedRawGraph(RawGraph(alphabets=TAPE_ALPHABETS, vertices=(EPSILON,),
+                                         vertex_labels={(EPSILON, 1): "0"}), EPSILON)
         rule = LocalRule(radius=0, rule=lambda view: patch)
         with pytest.raises(PatchError, match=r"^patch at eps refers to "
                                              r"\(Path\('eps'\), 1\)"):
@@ -185,9 +184,9 @@ class TestApplyLocalRule:
         identity = identity_local_rule(0).rule
 
         def rule(view):
-            if view.graph.vertex_labels[EPSILON] == "x":
+            if view.vertex_labels[EPSILON] == "x":
                 return identity(view)
-            return Patch(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
+            return PointedRawGraph(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
 
         with pytest.raises(PatchError) as err:
             apply_local_rule(LocalRule(radius=0, rule=rule), X)
@@ -200,13 +199,12 @@ class TestApplyLocalRule:
 def degree_dependent_labeller():
     """Labels every visible vertex by the origin's degree: clashes on paths."""
 
-    def rule(view: DiskGraph) -> Patch:
-        g = view.graph
+    def rule(g: CanonicalGraph) -> PointedRawGraph:
         label = "x" if len(g.adjacency[EPSILON]) == 1 else "y"
         patch = RawGraph(alphabets=g.alphabets, vertices=g.vertices,
                          edges=g.edges,
                          vertex_labels={v: label for v in g.vertices})
-        return Patch(patch, EPSILON)
+        return PointedRawGraph(patch, EPSILON)
 
     return LocalRule(radius=0, rule=rule, name="degree-labeller")
 
@@ -223,8 +221,7 @@ def inflating_grid_local_rule():
     def kids(path):
         return {k: (path, k) for k in (NW, NE, SW, SE)}
 
-    def rule(view: DiskGraph) -> Patch:
-        g = view.graph
+    def rule(g: CanonicalGraph) -> PointedRawGraph:
         mine = kids(EPSILON)
         vertices = list(mine.values())
         edges = set()
@@ -254,7 +251,7 @@ def inflating_grid_local_rule():
                 edges.add(make_edge(ks_x[SE], "b", ks_y[SW], "d"))
         patch = RawGraph(alphabets=g.alphabets, vertices=tuple(vertices),
                          edges=frozenset(edges), vertex_labels=vlabels)
-        return Patch(patch, mine[NW])
+        return PointedRawGraph(patch, mine[NW])
 
     return LocalRule(radius=0, rule=rule, name="inflating-grid-local")
 
@@ -413,7 +410,7 @@ pointer eps
     @pytest.mark.parametrize("bad", [frozenset((EPSILON,)), "u", (EPSILON, "1")])
     def test_serializing_an_id_that_is_no_token(self, bad):
         view = next(iter(parse_rule_file(RULE_FILE).entries))
-        patch = Patch(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
+        patch = PointedRawGraph(RawGraph(alphabets=ABL, vertices=(bad,)), bad)
         with pytest.raises(GraphFormatError) as err:
             serialize_rule_file(RuleTable(radius=0, entries={view: patch}))
         assert str(err.value) == f"cannot serialize patch id {bad!r}"
@@ -507,7 +504,7 @@ pointer eps
             assert str(err) == "missing radius line" or re.match(r"line \d+: ", str(err))
             return
         for view, patch in table.entries.items():
-            assert validate(view.graph.to_pointed_raw().graph) is None
+            assert validate(view.to_pointed_raw().graph) is None
             assert validate(patch.graph) is None
 
 
@@ -595,10 +592,10 @@ class TestAgainstTheOldParser:
     def test_each_block_keeps_its_own_header(self):
         table = parse_rule_file(MIXED_HEADER_RULE_FILE)
         first, second = sorted(table.entries,
-                               key=lambda view: len(view.graph.alphabets.edge_labels))
-        assert first.graph.alphabets == Alphabets.make("ab", "xy")
+                               key=lambda view: len(view.alphabets.edge_labels))
+        assert first.alphabets == Alphabets.make("ab", "xy")
         assert table.entries[first].graph.alphabets == Alphabets.make("ab", "x", "e")
-        assert second.graph.alphabets == Alphabets.make("ab", "xy", "e")
+        assert second.alphabets == Alphabets.make("ab", "xy", "e")
         assert table.entries[second].graph.alphabets == Alphabets.make("ab", "xy")
         assert table.entries[first].graph.vertices == (EPSILON, parse_path("ab", "ab"))
 

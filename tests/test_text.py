@@ -77,13 +77,13 @@ class TestTextAsBefore:
     def test_disks(self, closure_8):
         for X in closure_8:
             for radius in (1, 2):
-                check_text(disk(X, radius).graph)
-                check_text(disk_at(X, X.vertices[-1], radius).graph)
+                check_text(disk(X, radius))
+                check_text(disk_at(X, X.vertices[-1], radius))
 
     def test_long_tapes(self):
         for X in (bare_tape(400), single_head_tape(400, 0), single_head_tape(400, 199),
                   single_head_tape(400, 399, "dd")):
-            for Y in (X, disk_at(X, X.vertices[len(X) // 2], 2).graph):
+            for Y in (X, disk_at(X, X.vertices[len(X) // 2], 2)):
                 check_text(Y)
 
     @PROPERTY
