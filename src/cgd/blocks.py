@@ -3,7 +3,7 @@
 The label and port alphabets are doubled with a mark bit.  A vertex's mark
 lives in its label; every port at the far end of one of its edges carries
 the same bit, so marks can be read off locally from either side.  On top of
-this sit: the mark gate (toggle the origin's mark), the reversible
+this sit: the mark gate (toggle one vertex's mark), the reversible
 extension of a dynamics to marked graphs (act on unmarked regions, freeze
 marked ones), its conjugate mark gate, and anchored products of gates.
 One global step then factors into a product of conjugate marks followed by
@@ -16,8 +16,8 @@ from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
                     Tuple)
 
 from .dynamics import (
-    CompositeDynamics,
     Dynamics,
+    FuncDynamics,
     VertexCorrespondence,
     identity_correspondence,
 )
@@ -35,6 +35,7 @@ from .portgraph import (
     PointedRawGraph,
     RawGraph,
     induced_subgraph,
+    make_edge,
     relabel,
 )
 from .reversibility import GraphFamily, build_inverse
@@ -186,39 +187,32 @@ class MarkSpace:
                 and self._first_bad_edge(g) is None)
 
 
-def mark_with_names(X: CanonicalGraph, space: MarkSpace
+def mark_with_names(X: CanonicalGraph, space: MarkSpace, anchor: Path = EPSILON
                     ) -> Tuple[CanonicalGraph, Dict[Path, Path]]:
-    """Toggle the origin's mark and the far halves of its edges.
-
-    If any toggled far port is already in use the whole operation backs
-    off and returns the graph unchanged, so the gate is total and, away
-    from that conflict case, an involution.
-    """
+    """Toggle the anchor's mark and the far halves of its edges, then
+    canonicalize once, at X's origin.  If a toggled far port is already in
+    use the gate backs off and returns X unchanged, so it is total and,
+    away from that conflict case, an involution."""
     adj = X.adjacency
     toggled = space.toggled
-    # adj[EPSILON] lists both halves of an origin self-loop.
-    for far_vertex, far_port in adj[EPSILON].values():
+    for far_vertex, far_port in adj[anchor].values():
         if toggled[far_port] in adj[far_vertex]:
             return X, identity_correspondence(X)
 
-    label = X.vertex_labels.get(EPSILON)
+    label = X.vertex_labels.get(anchor)
     if label is None:
-        raise MarkError("origin is unlabelled; its mark is undefined")
-    edge_map = {}
-    for e in X.edges:
-        (u, p), (w, q) = tuple(e)
-        if u != EPSILON and w != EPSILON:
-            edge_map[e] = e
-            continue
-        # A half is a far half when the other end is the origin.
-        edge_map[e] = frozenset(((u, toggled[p] if w == EPSILON else p),
-                                 (w, toggled[q] if u == EPSILON else q)))
+        raise MarkError("anchor is unlabelled; its mark is undefined")
+    # The far half of each anchor edge toggles; a self-loop's halves are
+    # both far, and adj[anchor] lists the loop once from each of them.
+    edge_map = {make_edge(anchor, p, w, q):
+                make_edge(anchor, toggled[p] if w == anchor else p, w, toggled[q])
+                for p, (w, q) in adj[anchor].items()}
     raw = RawGraph(
         alphabets=X.alphabets,
         vertices=X.vertices,
-        edges=frozenset(edge_map.values()),
-        vertex_labels={**X.vertex_labels, EPSILON: toggled[label]},
-        edge_labels={edge_map[e]: l for e, l in X.edge_labels.items()},
+        edges=X.edges.difference(edge_map).union(edge_map.values()),
+        vertex_labels={**X.vertex_labels, anchor: toggled[label]},
+        edge_labels={edge_map.get(e, e): l for e, l in X.edge_labels.items()},
     )
     return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
 
@@ -235,9 +229,9 @@ class MarkDynamics(Dynamics):
         self.name = "mark"
         self.alphabets = space.marked
 
-    def apply(self, X):
+    def apply(self, X, anchor: Path = EPSILON):
         self._check_signature(X)
-        return mark_with_names(X, self.space)
+        return mark_with_names(X, self.space, anchor)
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +244,8 @@ class ShiftedDynamics:
     """A dynamics re-anchored at a path; identity where the path is absent.
 
     Shift to the anchor, apply, then shift back to where the old origin
-    went.  The correspondence threads all three renamings.
+    went.  The correspondence threads all three renamings.  It serves a
+    dynamics that acts only at the origin, such as a `Tabulation`.
     """
 
     base: Dynamics
@@ -267,24 +262,23 @@ class ShiftedDynamics:
         return result, {v: to_result[corr[to_shifted[v]]] for v in X.vertices}
 
 
-def apply_product(base: Dynamics, anchors: Sequence[Path], X: CanonicalGraph,
+def apply_product(gate: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence]],
+                  anchors: Sequence[Path], X: CanonicalGraph,
                   corr: Optional[VertexCorrespondence] = None,
                   observer: Optional[Callable[[Path, CanonicalGraph], None]] = None
                   ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
-    """Fold the gate over the anchors, re-anchoring through the running map.
+    """Fold the gate over the anchors, each located through the running map.
 
-    Anchors name vertices of the graph the accumulated correspondence
-    starts from (X itself when `corr` is omitted); anchors it does not
-    cover are skipped, matching the shifted gate's identity clause.
+    `gate(G, a)` acts at the vertex a of G and keeps G's origin.  Anchors
+    name vertices of the graph the accumulated correspondence starts from
+    (X itself when `corr` is omitted); anchors it does not cover are skipped.
     """
-    G = X
-    T: VertexCorrespondence = dict(corr) if corr is not None \
-        else identity_correspondence(X)
+    G, T = X, (dict(corr) if corr is not None else identity_correspondence(X))
     for u in anchors:
         a = T.get(u)
         if a is None:
             continue
-        G, S = ShiftedDynamics(base, a).apply(G)
+        G, S = gate(G, a)
         T = {v: S[w] for v, w in T.items()}
         if observer is not None:
             observer(u, G)
@@ -438,9 +432,6 @@ class BlockKit:
             inverse, exception_bound, self.space,
             name=f"marked-inverse[{dynamics.name}]")
         self.mark_gate = MarkDynamics(self.space)
-        self.conjugate = CompositeDynamics(
-            (self.forward_ext, self.mark_gate, self.backward_ext),
-            name=f"conjugate-mark[{dynamics.name}]")
 
     @staticmethod
     def from_family(dynamics: Dynamics, family: GraphFamily) -> "BlockKit":
@@ -455,10 +446,20 @@ class BlockKit:
         return BlockKit(dynamics, table.as_dynamics(), table.exception_bound,
                         MarkSpace.for_base(family.alphabets))
 
-    def conjugate_mark(self, X: CanonicalGraph
+    @property
+    def conjugate(self) -> FuncDynamics:
+        """The origin gate as a dynamics; new on each use, so the kit holds no cycle."""
+        return FuncDynamics(f"conjugate-mark[{self.dynamics.name}]",
+                            self.conjugate_mark, self.space.marked)
+
+    def conjugate_mark(self, X: CanonicalGraph, anchor: Path = EPSILON
                        ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
-        """Apply the extension, mark the origin's image, then undo the extension."""
-        return self.conjugate.apply(X)
+        """Apply the extension, mark the anchor's image, then undo the
+        extension; X's origin stays the origin."""
+        Y, R = self.forward_ext.apply(X)
+        Z, M = self.mark_gate.apply(Y, R[anchor])
+        W, B = self.backward_ext.apply(Z)
+        return W, {v: B[M[w]] for v, w in R.items()}
 
     def decompose_step(self, X: CanonicalGraph,
                        trace: Optional[List[TraceStage]] = None
@@ -479,9 +480,9 @@ class BlockKit:
                 TraceStage(f"{phase} @ {format_path(u)}", G))
 
         anchors = lifted.vertices
-        staged, running = apply_product(self.conjugate, anchors, lifted,
+        staged, running = apply_product(self.conjugate_mark, anchors, lifted,
                                         observer=watch("conjugate-mark"))
-        cleared, _ = apply_product(self.mark_gate, anchors, staged,
+        cleared, _ = apply_product(self.mark_gate.apply, anchors, staged,
                                    corr=running, observer=watch("unmark"))
         if space.uniform_mark(cleared) != 0:
             raise MarkError("marks survived the unmark sweep")

@@ -15,7 +15,6 @@ from .modulo import (
     ball,
     canonicalize_with_names,
     disk,
-    shift,
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
@@ -288,11 +287,11 @@ def check_shift_invariance(D: Dynamics, X: CanonicalGraph) -> Optional[str]:
     for u in X.vertices:
         Xu, names = shift_with_names(X, u)
         FXu, Ru = D.apply(Xu)
-        if FXu != shift(FX, R[u]):
+        shifted, to_shifted = shift_with_names(FX, R[u])
+        if FXu != shifted:
             return (f"F(X_u) != F(X)_R(u) at u={format_path(u)}")
         for x, v in names.items():      # x is u.v; in X_u's vertex order
-            rhs = FX.resolve(R[u].concat(Ru[v]))
-            if rhs is None or R[x] != rhs:
+            if to_shifted.get(R[x]) != Ru[v]:
                 return (f"R(u.v) != R(u).R_Xu(v) at u={format_path(u)}, "
                         f"v={format_path(v)}")
     return None

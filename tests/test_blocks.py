@@ -1,7 +1,9 @@
 """Marked graphs, mark gates, reversible extensions, conjugate marks, products."""
+import gc
 import random
 import sys
-from itertools import permutations
+import weakref
+from itertools import combinations, permutations
 
 import pytest
 from hypothesis import given, settings
@@ -437,7 +439,7 @@ class TestMarkInvolutionProperty:
             lifted = SPACE.lift(random_ab_graph(rng, 7))
             sizes.add(len(lifted.vertices))
             anchors = [v for v in lifted.vertices if rng.random() < 0.5]
-            M = apply_product(gate, anchors, lifted)[0]
+            M = apply_product(gate.apply, anchors, lifted)[0]
             assert SPACE.is_mark_consistent(M)
             for v in M.vertices:
                 X = shift(M, v)
@@ -500,20 +502,20 @@ def _toggle_at(X, u):
 class TestProducts:
     def test_empty_product(self):
         X = SPACE.lift(bare_tape(2, AB0))
-        Y, corr = apply_product(MarkDynamics(SPACE), [], X)
+        Y, corr = apply_product(MarkDynamics(SPACE).apply, [], X)
         assert Y == X
         assert corr == {v: v for v in X.vertices}
 
     def test_marking_every_vertex(self):
         X = SPACE.lift(bare_tape(3, AB0))
-        Y, corr = apply_product(MarkDynamics(SPACE), X.vertices, X)
+        Y, corr = apply_product(MarkDynamics(SPACE).apply, X.vertices, X)
         assert SPACE.uniform_mark(Y) == 1
         assert set(corr) == set(X.vertices)
 
     def test_order_independence(self):
         gate = MarkDynamics(SPACE)
         X = SPACE.lift(bare_tape(3, AB0))
-        results = {apply_product(gate, list(order), X)[0]
+        results = {apply_product(gate.apply, list(order), X)[0]
                    for order in permutations(X.vertices)}
         assert len(results) == 1
 
@@ -525,7 +527,7 @@ class TestProducts:
         gate = MarkDynamics(SPACE)
         results = set()
         for order in permutations(X.vertices):
-            Y, _ = apply_product(gate, list(order), X)
+            Y, _ = apply_product(gate.apply, list(order), X)
             results.add(Y)
         assert len(results) == 1
         assert SPACE.uniform_mark(next(iter(results))) == 1
@@ -545,7 +547,7 @@ class TestReversibleExtension:
     def test_fully_marked_fixed(self):
         kit = moving_head_kit()
         X = TAPE_SPACE.lift(single_head_tape(2, 0, "cc"))
-        M, _ = apply_product(kit.mark_gate, X.vertices, X)
+        M, _ = apply_product(kit.mark_gate.apply, X.vertices, X)
         Y, corr = kit.forward_ext.apply(M)
         assert Y == M
         assert corr == {v: v for v in M.vertices}
@@ -696,7 +698,7 @@ class TestExtensionWork:
         X = TAPE_SPACE.lift(single_head_tape(7, 1, "cc"))
         cells = [v for v in X.vertices if format_path(v) in
                  [".".join(["a0b0"] * i) or "eps" for i in marked_cells]]
-        M = apply_product(kit.mark_gate, cells, X)[0]
+        M = apply_product(kit.mark_gate.apply, cells, X)[0]
         canonicalizations.clear()
         kit.forward_ext.apply(M)
         assert len(canonicalizations) == 2 * k + 1
@@ -767,6 +769,95 @@ class TestDecomposeStep:
         assert falling == sorted(falling, reverse=True)
         assert counts[-1] == 0
         assert max(counts) == gates
+
+
+def marked_variants(X, space):
+    """X with every subset of its vertices marked, the empty and the full
+    one included."""
+    gate = MarkDynamics(space)
+    for k in range(len(X.vertices) + 1):
+        for subset in combinations(X.vertices, k):
+            yield apply_product(gate.apply, subset, X)[0]
+
+
+class TestAnchoredGates:
+    """A gate acts at its anchor: it equals the gate at the origin of the
+    graph re-pointed at the anchor and back (`ShiftedDynamics`), graph and
+    correspondence both, at every anchor of every mark subset."""
+
+    @staticmethod
+    def pairs_agreeing(kit, graphs):
+        whole = CompositeDynamics((kit.forward_ext, kit.mark_gate, kit.backward_ext))
+        pairs = 0
+        for X in graphs:
+            for M in marked_variants(kit.space.lift(X), kit.space):
+                for a in M.vertices:
+                    assert (kit.mark_gate.apply(M, a)
+                            == ShiftedDynamics(kit.mark_gate, a).apply(M))
+                    assert (outcome(kit.conjugate_mark, M, a)
+                            == outcome(ShiftedDynamics(whole, a).apply, M))
+                    pairs += 1
+        return pairs
+
+    @pytest.mark.parametrize("which", [0, 1])
+    def test_cli_kits_on_tapes(self, cli_kits, which):
+        # The moving-head and identity kits, on single-head tapes of up to
+        # 3 cells and bare tapes of up to 5.
+        tapes = single_head_tapes(3) + bare_tapes(5)
+        assert self.pairs_agreeing(cli_kits[which], tapes) == 754
+
+    def test_turtle_kit(self):
+        turtle = get_dynamics("turtle")
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        assert kit.exception_bound == 2
+        fam = enumerate_family(turtle.alphabets, 3)
+        assert self.pairs_agreeing(kit, fam) == 436
+
+    def test_mark_on_enumerated_marked_family(self):
+        # Every mark-consistent ab/0 graph of up to 3 vertices, back-offs at
+        # an anchor that is not the origin among them.
+        fam = enumerate_family(SPACE.marked, 3,
+                               predicate=SPACE.is_mark_consistent,
+                               raw_prune=SPACE.raw_mark_consistent)
+        gate = MarkDynamics(SPACE)
+        backed_off = 0
+        for X in fam:
+            for a in X.vertices:
+                got = gate.apply(X, a)
+                assert got == ShiftedDynamics(gate, a).apply(X)
+                backed_off += a != EPSILON and got[0] is X
+        assert backed_off > 0
+
+    def test_decompose_re_points_no_graph(self, monkeypatch):
+        # The anchored gates never shift the whole graph; through
+        # `ShiftedDynamics` a 13-vertex step made 4 shifts per vertex.
+        kit = cli._tape_kit(get_dynamics("moving-head"))
+        X = single_head_tape(12, 5, "cc")
+        assert len(X.vertices) == 13
+        calls = []
+        real = modulo.shift_with_names
+        for name, module in list(sys.modules.items()):
+            if name == "cgd" or name.startswith("cgd."):
+                for attr, obj in list(vars(module).items()):
+                    if obj is real:
+                        monkeypatch.setattr(
+                            module, attr,
+                            lambda *a: calls.append(1) or real(*a))
+        assert kit.decompose_step(X) == get_dynamics("moving-head").apply(X)[0]
+        assert len(calls) == 0
+
+    def test_kit_is_freed_without_the_cycle_collector(self):
+        # A kit that held its own conjugate would be a reference cycle and
+        # keep its tables alive until a full collection.
+        kit = cli._tape_kit(get_dynamics("identity"))
+        assert kit.conjugate.apply(kit.space.lift(bare_tape(2)))
+        gone = weakref.ref(kit)
+        gc.disable()
+        try:
+            del kit
+            assert gone() is None
+        finally:
+            gc.enable()
 
 
 class TestKitFromFamily:

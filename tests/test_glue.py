@@ -54,7 +54,7 @@ from cgd.reversibility import enumerate_family
 
 import oracles
 from oracles import FoldingExtension, apply_local_rule_pairwise, union_pair
-from test_blocks import TAPE_SPACE, moving_head_kit
+from test_blocks import TAPE_SPACE, marked_variants, moving_head_kit
 from test_patches import (
     ABL,
     RULE_FILE,
@@ -361,15 +361,6 @@ def graphs(draw, max_vertices=6):
     return canonicalize(PointedRawGraph(raw, 0))
 
 
-def marked_variants(X, space):
-    """X with every subset of its vertices marked, the empty and the full
-    one included."""
-    gate = MarkDynamics(space)
-    for k in range(len(X.vertices) + 1):
-        for subset in combinations(X.vertices, k):
-            yield apply_product(gate, subset, X)[0]
-
-
 def compare_extensions(kit, graphs):
     """Both extensions of the kit against the oracle on every marked
     variant of every graph; the number of comparisons."""
@@ -471,7 +462,7 @@ def extensions_on_marked_ends(step):
                          make_edge("y", "c", "m2", "b"))),
         vertex_labels={v: "0" for v in ("m1", "x", "y", "m2")})
     X = space.lift(canonicalize(PointedRawGraph(path, "m1")))
-    M = apply_product(MarkDynamics(space), (EPSILON, X.vertices[-1]), X)[0]
+    M = apply_product(MarkDynamics(space).apply, (EPSILON, X.vertices[-1]), X)[0]
     return (outcome(ReversibleExtension(base, 0, space).apply, M),
             outcome(FoldingExtension(base, 0, space).apply, M))
 

@@ -59,8 +59,7 @@ from oracles import (
     disk_scanning_edges,
     shift_equivalence_classes as old_classes,
 )
-from test_blocks import TAPE_SPACE, moving_head_kit
-from test_glue import marked_variants
+from test_blocks import TAPE_SPACE, marked_variants, moving_head_kit
 from test_patches import inflating_grid_local_rule
 
 AB = Alphabets.make("ab")
