@@ -40,6 +40,9 @@ from .portgraph import (
 )
 from .reversibility import GraphFamily, build_inverse
 
+# The largest radius `find_locality_radius` tries unless told otherwise.
+MAX_LOCALITY_RADIUS = 4
+
 
 class MarkError(GraphError):
     """Mark structure is missing or inconsistent."""
@@ -435,12 +438,13 @@ class BlockKit:
 
     @staticmethod
     def from_family(dynamics: Dynamics, family: GraphFamily) -> "BlockKit":
-        """Read the inverse as a local rule off a closed family.
+        """Read the inverse as a local rule off a family that `dynamics`
+        permutes.
 
-        The rule applies to graphs of any size whose disks the family shows;
-        on a `GraphFamily.closure` it is read at member origins, trusting
-        `dynamics` to be shift-invariant, as a CGD is.  The table also fixes
-        the marks, doubling the family's alphabets, and the exception bound.
+        The rule is read at every vertex of every member, and applies to
+        graphs of any size whose disks the family shows.  The table also
+        fixes the marks, doubling the family's alphabets, and the exception
+        bound.
         """
         table = build_inverse(dynamics, family)
         return BlockKit(dynamics, table.as_dynamics(), table.exception_bound,
@@ -498,21 +502,21 @@ def _unwitnessed(L: Dynamics, fam: GraphFamily
     its member, in family order; L is applied to a member when the scan
     reaches it.
 
-    A witness is a source vertex with the same radius-0 disk whose whole
-    disk the correspondence maps by plain path extension.  Nothing here
+    A witness of y is a preimage u of y with the same radius-0 disk whose
+    whole disk the correspondence maps by plain path extension, so each
+    source vertex is tried once, against its own image.  Nothing here
     depends on a radius, so every radius reads the same scan.
     """
     for X in fam:
         Y, S = L.apply(X)
-        source_disks = {u: disk_at(X, u, 0) for u in X.vertices}
-        for y in Y.vertices:
-            image_disk = disk_at(Y, y, 0)
-            if not any(S[u] == y and source_disks[u] == image_disk
-                       and all((uv := X.resolve(v, start=u)) is not None
-                               and S[uv] == Y.resolve(v, start=y)
-                               for v in source_disks[u].vertices)
-                       for u in X.vertices):
-                yield X, y
+        witnessed = set()
+        for u in X.vertices:
+            y, disk = S[u], disk_at(X, u, 0)
+            if y not in witnessed and y in Y and disk == disk_at(Y, y, 0) and all(
+                    (uv := X.resolve(v, start=u)) is not None
+                    and S[uv] == Y.resolve(v, start=y) for v in disk.vertices):
+                witnessed.add(y)
+        yield from ((X, y) for y in Y.vertices if y not in witnessed)
 
 
 def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
@@ -528,7 +532,7 @@ def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
 
 
 def find_locality_radius(L: Dynamics, fam: GraphFamily,
-                         max_radius: int = 4) -> Optional[int]:
+                         max_radius: int = MAX_LOCALITY_RADIUS) -> Optional[int]:
     """Least radius at which check_locality passes, or None up to the bound:
     the longest unwitnessed name, read off one application per member."""
     radius = 0

@@ -14,6 +14,7 @@ import sys
 from typing import List, Optional
 
 from .blocks import (
+    MAX_LOCALITY_RADIUS,
     BlockKit,
     MarkSpace,
     find_locality_radius,
@@ -24,6 +25,7 @@ from .dynamics import Dynamics, DynamicsError, builtin_dynamics, get_dynamics
 from .families import (
     TAPE_ALPHABETS,
     bare_tapes,
+    shift_closure,
     single_head_tapes,
 )
 from .modulo import CanonicalGraph, canonicalize_with_names
@@ -87,14 +89,18 @@ def _family_for(name: str, dynamics: Dynamics, max_vertices: int) -> GraphFamily
     if name not in ("single-head-tape", "tape-closure"):
         raise DynamicsError(f"unknown family {name!r} "
                             f"(known: all, single-head-tape, tape-closure)")
-    if dynamics.alphabets not in (None, TAPE_ALPHABETS):
-        raise DynamicsError(
-            f"--dynamics {dynamics.name}: the tape families and block "
-            f"decomposition need a dynamics over the tape alphabets")
     members = single_head_tapes(max_vertices - 1)
     if name == "tape-closure":
-        return GraphFamily.closure(bare_tapes(max_vertices) + members, TAPE_ALPHABETS)
-    return GraphFamily.from_graphs(members, TAPE_ALPHABETS)
+        members = shift_closure(bare_tapes(max_vertices) + members)
+    return _tape_family(dynamics, members)
+
+
+def _tape_family(dynamics: Dynamics, tapes: List[CanonicalGraph]) -> GraphFamily:
+    """The tapes as a family, for a dynamics over the tape alphabets."""
+    if dynamics.alphabets not in (None, TAPE_ALPHABETS):
+        raise DynamicsError(f"--dynamics {dynamics.name}: the tape families and block "
+                            f"decomposition need a dynamics over the tape alphabets")
+    return GraphFamily.from_graphs(tapes, TAPE_ALPHABETS)
 
 
 def _refuse_empty(fam, name: str, max_vertices: int) -> None:
@@ -105,21 +111,20 @@ def _refuse_empty(fam, name: str, max_vertices: int) -> None:
 
 
 def _tape_kit(dynamics: Dynamics) -> BlockKit:
-    """The kit read off `tape-closure` at 2r + 4 vertices, for tapes of any
-    length.
-
-    A tape of 2r + 3 cells plus a head shows every radius-r disk that any
-    bare or single-head tape shows.  The inverse's radius is inferred from
-    the family it is read off, so the family starts at r = 1, or at the
-    rule's radius for a rule file, and is rebuilt only if the inverse's
-    radius comes out larger.
+    """The kit for tapes of any length, read off the bare tapes of at most
+    2r + 4 cells and the single-head tapes of at most 2r + 3, each pointed
+    at its first cell: read at every vertex, these show every radius-r disk
+    that any bare or single-head tape shows.  The inverse's radius is
+    inferred from the family it is read off, so the family starts at r = 1,
+    or at the rule's radius for a rule file, and is rebuilt only if the
+    inverse's radius comes out larger.
     """
     radius = 1
     if isinstance(dynamics, LocalRuleDynamics):
         radius = max(radius, dynamics.rule.radius)
     while True:
-        kit = BlockKit.from_family(
-            dynamics, _family_for("tape-closure", dynamics, 2 * radius + 4))
+        kit = BlockKit.from_family(dynamics, _tape_family(
+            dynamics, bare_tapes(2 * radius + 4) + single_head_tapes(2 * radius + 3)))
         if kit.inverse.rule.radius <= radius:
             return kit
         radius = kit.inverse.rule.radius
@@ -252,10 +257,11 @@ def _cmd_check_blocks(args) -> int:
     print(f"block_identity={'ok' if failures == 0 else f'{failures} mismatches'}")
 
     lifted_tapes = [kit.space.lift(g) for g in tapes]
-    lifted = GraphFamily.closure(lifted_tapes, kit.space.marked)
+    lifted = GraphFamily.from_graphs(shift_closure(lifted_tapes), kit.space.marked)
     gate = tabulate(kit.conjugate, lifted)    # every footprint below reads it too
-    radius = find_locality_radius(gate, lifted, max_radius=4)
-    print(f"locality_radius={radius if radius is not None else 'not found <= 4'}")
+    radius = find_locality_radius(gate, lifted)
+    found = radius if radius is not None else f"not found <= {MAX_LOCALITY_RADIUS}"
+    print(f"locality_radius={found}")
     if radius is None:
         failures += 1
     else:

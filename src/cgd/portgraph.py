@@ -292,10 +292,10 @@ def _distinct(args: List[str], what: str, line_no: int) -> Tuple[str, ...]:
     return tuple(args)
 
 
-def parse_graph(text: str, first_line: int = 1) -> PointedRawGraph:
+def parse_graph(text: str) -> PointedRawGraph:
     """Parse the text format into a pointed raw graph; all errors are hard
-    and number the lines of `text` from `first_line`."""
-    return parse_rows([(n, tokens) for n, line in enumerate(text.splitlines(), first_line)
+    and name their line of `text`, counted from 1."""
+    return parse_rows([(n, tokens) for n, line in enumerate(text.splitlines(), 1)
                        if (tokens := line.split("#", 1)[0].split())], {})
 
 

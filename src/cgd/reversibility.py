@@ -16,7 +16,6 @@ from operator import itemgetter
 from typing import Callable, Dict, Iterable, Iterator, List, Optional, Tuple
 
 from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
-from .families import shift_closure
 from .modulo import (
     CanonicalGraph,
     canonicalize,
@@ -65,7 +64,6 @@ class GraphFamily:
     members: Tuple[CanonicalGraph, ...]
     alphabets: Alphabets
     _index: Dict[CanonicalGraph, int] = field(init=False, repr=False, default_factory=dict)
-    shift_closed: bool = False
 
     @staticmethod
     def from_graphs(graphs: Iterable[CanonicalGraph],
@@ -74,14 +72,6 @@ class GraphFamily:
         if not members and alphabets is None:
             raise ValueError("empty family needs explicit alphabets")
         return GraphFamily(members, alphabets or members[0].alphabets)
-
-    @staticmethod
-    def closure(graphs: Iterable[CanonicalGraph],
-                alphabets: Optional[Alphabets] = None) -> "GraphFamily":
-        """`graphs` at every pointing, flagged shift-closed: a dynamics over
-        it is trusted to be shift-invariant, as a CGD is."""
-        fam = GraphFamily.from_graphs(shift_closure(graphs), alphabets)
-        return GraphFamily(fam.members, fam.alphabets, shift_closed=True)
 
     def __post_init__(self) -> None:
         self._index.update({g: i for i, g in enumerate(self.members)})
@@ -466,10 +456,9 @@ class InverseTable:
         named by its path from u in Y.  The radius is the least r >= 1, up
         to MAX_INVERSE_RADIUS, at which each patch lies in, and depends only
         on, the radius-r disk around u.  Members of at most `exception_bound`
-        vertices, whose correspondences need not invert, are left out.  On a
-        `GraphFamily.closure` u is each origin alone, as the disk at u of Y
-        is the origin disk of Y_u: that trusts the inverse to be
-        shift-invariant, as a CGD's is.
+        vertices, whose correspondences need not invert, are left out; u is
+        every vertex of every other member, so that two equal disks with two
+        patches, as a dynamics that is not shift-invariant shows, conflict.
         """
         for radius in range(1, MAX_INVERSE_RADIUS + 1):
             entries: Dict[CanonicalGraph, PointedRawGraph] = {}
@@ -486,7 +475,7 @@ class InverseTable:
         for Y, X in self.backward.items():
             if len(Y.vertices) > self.exception_bound:
                 back, to_y = self.corr_inverse[Y], self.forward_corr[X]
-                for u in (EPSILON,) if self.family.shift_closed else Y.vertices:
+                for u in Y.vertices:
                     view, names = disk_at_with_names(Y, u, radius)
                     yield view, _patch_of(X, back[u], to_y, names)
 

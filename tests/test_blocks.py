@@ -39,6 +39,8 @@ from cgd.dynamics import (
     DynamicsError,
     FuncDynamics,
     IdentityDynamics,
+    RawStepDynamics,
+    identity_correspondence,
 )
 from cgd.families import (
     TAPE_ALPHABETS,
@@ -780,6 +782,20 @@ def marked_variants(X, space):
             yield apply_product(gate.apply, subset, X)[0]
 
 
+def count_shifts(monkeypatch):
+    """A list that grows by one at each `shift_with_names` call, at every
+    name it is bound to in the `cgd` modules."""
+    calls = []
+    real = modulo.shift_with_names
+    for name, module in list(sys.modules.items()):
+        if name == "cgd" or name.startswith("cgd."):
+            for attr, obj in list(vars(module).items()):
+                if obj is real:
+                    monkeypatch.setattr(
+                        module, attr, lambda *a: calls.append(1) or real(*a))
+    return calls
+
+
 class TestAnchoredGates:
     """A gate acts at its anchor: it equals the gate at the origin of the
     graph re-pointed at the anchor and back (`ShiftedDynamics`), graph and
@@ -834,15 +850,7 @@ class TestAnchoredGates:
         kit = cli._tape_kit(get_dynamics("moving-head"))
         X = single_head_tape(12, 5, "cc")
         assert len(X.vertices) == 13
-        calls = []
-        real = modulo.shift_with_names
-        for name, module in list(sys.modules.items()):
-            if name == "cgd" or name.startswith("cgd."):
-                for attr, obj in list(vars(module).items()):
-                    if obj is real:
-                        monkeypatch.setattr(
-                            module, attr,
-                            lambda *a: calls.append(1) or real(*a))
+        calls = count_shifts(monkeypatch)
         assert kit.decompose_step(X) == get_dynamics("moving-head").apply(X)[0]
         assert len(calls) == 0
 
@@ -905,16 +913,30 @@ class TestKitFromFamily:
 
     @pytest.mark.parametrize("radius, disks", [(1, 57), (2, 144), (3, 285)])
     def test_cli_kit_family_shows_every_tape_disk(self, radius, disks):
-        # `_tape_kit` reads a kit of radius r off tape-closure at 2r + 4
-        # vertices.  Its radius-r disks are every radius-r disk of bare
-        # tapes of up to 2r + 12 cells and single-head tapes of up to
-        # 2r + 11.
-        fam = cli._family_for("tape-closure", get_dynamics("moving-head"),
-                              2 * radius + 4)
+        # `_tape_kit` reads a kit of radius r off the bare tapes of up to
+        # 2r + 4 cells and the single-head tapes of up to 2r + 3.  Their
+        # radius-r disks are every radius-r disk of bare tapes of up to
+        # 2r + 12 cells and single-head tapes of up to 2r + 11.
+        fam = bare_tapes(2 * radius + 4) + single_head_tapes(2 * radius + 3)
         tapes = bare_tapes(2 * radius + 12) + single_head_tapes(2 * radius + 11)
         seen = [{disk_at(X, u, radius) for X in graphs for u in X.vertices}
                 for graphs in (fam, tapes)]
         assert seen[0] == seen[1] and len(seen[0]) == disks
+
+    def test_cli_kit_build_shifts_nothing(self, monkeypatch):
+        # The kit reads the 36 plain tapes at every vertex, one forward
+        # application each, and re-points no graph.
+        calls = []
+        real_apply = RawStepDynamics.apply
+        monkeypatch.setattr(RawStepDynamics, "apply",
+                            lambda self, X: calls.append(1) or real_apply(self, X))
+        shifts = count_shifts(monkeypatch)
+        kit = cli._tape_kit(get_dynamics("moving-head"))
+        assert (len(shifts), len(calls)) == (0, 36)
+        assert kit.inverse.table.family.members == tuple(
+            bare_tapes(6) + single_head_tapes(5))
+        rule = kit.inverse.table.local_rule()
+        assert (rule.radius, len(rule.entries)) == (1, 57)
 
     def test_cli_kit_grows_once_for_a_larger_radius(self, monkeypatch):
         # Two moving-head steps at once: the inverse walks each head back
@@ -1132,6 +1154,37 @@ class TestLocalityAgainstOracles:
             # The flipped 4-chain's farthest vertex is 3 hops out.
             assert got == (None if r < 3 else 3)
 
+    def test_turtle_collapses_two_vertices_into_one(self):
+        # The pair's two vertices both go to the singleton's one: a
+        # correspondence that is not injective.
+        turtle = get_dynamics("turtle")
+        for n in (2, 3, 4):
+            fam = enumerate_family(turtle.alphabets, n)
+            for r in range(4):
+                assert (check_locality(turtle, r, fam)
+                        == oracles.check_locality(turtle, r, fam))
+                assert (find_locality_radius(turtle, fam, r)
+                        == oracles.find_locality_radius(turtle, fam, r))
+
+    def test_witness_that_is_not_the_first_preimage(self):
+        # The 5-chain, with its origin also sent to its far end, 4 hops
+        # out.  The origin's radius-0 disk is not the far end's; the far
+        # end itself is its witness.  Unwitnessed are the origin, with no
+        # preimage, and its neighbour, whose disk no longer maps by path
+        # extension, so the radius is 1.
+        chain = bare_tape(5, AB0)
+        far_end = chain.vertices[4]
+        gate = FuncDynamics("collapse-onto-far-end", lambda X: (
+            X, {**identity_correspondence(X), EPSILON: far_end}), AB0)
+        fam = GraphFamily.from_graphs([chain])
+        assert len(far_end) == 4
+        assert find_locality_radius(gate, fam) == 1
+        for r in range(5):
+            assert (check_locality(gate, r, fam)
+                    == oracles.check_locality(gate, r, fam))
+            assert (find_locality_radius(gate, fam, r)
+                    == oracles.find_locality_radius(gate, fam, r))
+
     def test_empty_family(self, conjugates):
         fam = GraphFamily.from_graphs([], TAPE_SPACE.marked)
         gate = conjugates[0][0]
@@ -1192,24 +1245,15 @@ def rule_text_both_ways(table):
 
 
 class TestOriginRead:
-    """On a family built by `GraphFamily.closure` the inverse rule is read
-    at member origins alone; it must be the rule read at every vertex."""
-
-    def test_only_closure_flags_a_family(self, ab_family_4):
-        graphs = bare_tapes(4) + single_head_tapes(3)
-        closed = GraphFamily.closure(graphs, TAPE_ALPHABETS)
-        assert closed.shift_closed
-        assert closed.members == tuple(shift_closure(graphs))
-        assert not GraphFamily.from_graphs(shift_closure(graphs)).shift_closed
-        assert not ab_family_4.shift_closed
-        assert not enumerate_family(AB0, 2).shift_closed
+    """The inverse rule, read at every vertex of every member of any
+    family, must be the rule that `oracles.inverse_rule_at_every_vertex`
+    reads."""
 
     @pytest.mark.parametrize("vertices", [6, 8])
     @pytest.mark.parametrize("name", ["moving-head", "identity"])
     def test_tape_closure(self, name, vertices):
         D = get_dynamics(name)
         fam = cli._family_for("tape-closure", D, vertices)
-        assert fam.shift_closed
         new, old = rule_text_both_ways(build_inverse(D, fam))
         assert new == old
 
@@ -1223,7 +1267,6 @@ class TestOriginRead:
         else:
             D = get_dynamics(source)
         table = cli._tape_kit(D).inverse.table
-        assert table.family.shift_closed
         new, old = rule_text_both_ways(table)
         assert new == old
 
@@ -1231,7 +1274,7 @@ class TestOriginRead:
         # Every member is pointed at its first cell, so the origin disks
         # alone show 13 of the 57 disks.
         fam = GraphFamily.from_graphs(bare_tapes(5) + single_head_tapes(5))
-        assert len(fam) == 35 and not fam.shift_closed
+        assert len(fam) == 35
         table = build_inverse(get_dynamics("moving-head"), fam)
         new, old = rule_text_both_ways(table)
         assert new == old
@@ -1239,17 +1282,9 @@ class TestOriginRead:
 
     def test_every_vertex_still_refuses_a_dynamics_that_is_not_shift_invariant(self):
         # Two equal disks with two patches: seen only where the read visits
-        # every vertex, which an unflagged family still gets.
+        # every vertex.
         fam = enumerate_family(ABXY, 3)
-        assert len(fam) == 156 and not fam.shift_closed
+        assert len(fam) == 156
         table = build_inverse(origin_label_flipper(), fam)
         with pytest.raises(InverseConstructionError):
             table.local_rule()
-
-    def test_origin_read_trusts_shift_invariance(self):
-        # The precondition the flag states: forced onto the same family,
-        # the origin read returns a rule for the flipper, which is wrong.
-        fam = enumerate_family(ABXY, 3)
-        flagged = GraphFamily(fam.members, fam.alphabets, shift_closed=True)
-        rule = build_inverse(origin_label_flipper(), flagged).local_rule()
-        assert len(rule.entries) == 124

@@ -304,7 +304,8 @@ class TestDecompose:
 
     def test_kit_build_ignores_input_size(self, tmp_path, monkeypatch, capsys):
         # Applies of the dynamics while the kit is built, for a 6-cell and a
-        # 48-cell input: one apply per member of the same fixed family.
+        # 48-cell input: one apply per member of the kit's own fixed
+        # family, the 36 plain tapes of up to 6 cells.
         calls = []
         real_apply = RawStepDynamics.apply
         monkeypatch.setattr(RawStepDynamics, "apply",
@@ -324,8 +325,8 @@ class TestDecompose:
             tape.write_text(single_head_tape(length, length // 2, "cc").to_text())
             assert main(["decompose", "--dynamics", "moving-head",
                          "--input", str(tape)]) == EXIT_OK
-        family = cli._family_for("tape-closure", get_dynamics("moving-head"), 6)
-        assert kit_applies == [len(family)] * 2
+        family = real_kit(get_dynamics("moving-head")).inverse.table.family
+        assert kit_applies == [len(family)] * 2 == [36, 36]
 
 
 class TestCheckBlocks:

@@ -139,7 +139,7 @@ class TestValidate:
             parse_graph("vertex v\npointer v\nports a.b c\n")
         with pytest.raises(GraphFormatError, match=re.escape(
                 "line 8: port pair 'eps' not writable")):
-            parse_graph("ports e ps\nvertex v\npointer v\n", first_line=8)
+            parse_graph("#\n" * 7 + "ports e ps\nvertex v\npointer v\n")
 
     def test_unknown_port(self):
         g = RawGraph(alphabets=AB, vertices=("v", "w"),

@@ -510,17 +510,17 @@ class TestWorkPerMember:
         assert "members=674\n" in capsys.readouterr().out
         assert len(calls) == 674
 
-    def test_origin_read_takes_one_disk_per_member(self, monkeypatch):
-        # 159 members, one origin disk each; reading at every vertex of
-        # every member took 787 at the one radius tried.
-        fam = cli._family_for("tape-closure", get_dynamics("moving-head"), 6)
-        table = build_inverse(get_dynamics("moving-head"), fam)
+    def test_inverse_read_takes_one_disk_per_vertex(self, monkeypatch):
+        # The CLI kit's 36 plain tapes have 161 vertices, one disk each, at
+        # the one radius tried.
+        table = cli._tape_kit(get_dynamics("moving-head")).inverse.table
         calls = []
         real = reversibility.disk_at_with_names
         monkeypatch.setattr(reversibility, "disk_at_with_names",
                             lambda *a: calls.append(1) or real(*a))
         assert table.local_rule().radius == 1
-        assert len(fam) == len(calls) == 159
+        assert len(table.family) == 36
+        assert len(calls) == sum(len(Y.vertices) for Y in table.backward) == 161
 
     def test_check_blocks_applies_the_conjugate_once_per_graph(
             self, monkeypatch, capsys):
