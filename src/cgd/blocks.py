@@ -12,8 +12,8 @@ a product of unmarks, each acting only inside a bounded disk.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import (Callable, Dict, Iterator, List, Optional, Sequence, Set,
-                    Tuple)
+from typing import (Callable, Dict, Iterable, Iterator, List, Optional, Sequence,
+                    Set, Tuple)
 
 from .dynamics import (
     Dynamics,
@@ -23,6 +23,7 @@ from .dynamics import (
 )
 from .modulo import (
     CanonicalGraph,
+    ball,
     canonicalize_with_names,
     disk_at,
     shift_with_names,
@@ -247,8 +248,8 @@ class ShiftedDynamics:
     """A dynamics re-anchored at a path; identity where the path is absent.
 
     Shift to the anchor, apply, then shift back to where the old origin
-    went.  The correspondence threads all three renamings.  It serves a
-    dynamics that acts only at the origin, such as a `Tabulation`.
+    went.  The correspondence threads all three renamings.  No gate here
+    needs it; it stays as the tests' reference and for traced bench runs.
     """
 
     base: Dynamics
@@ -460,10 +461,16 @@ class BlockKit:
                        ) -> Tuple[CanonicalGraph, VertexCorrespondence]:
         """Apply the extension, mark the anchor's image, then undo the
         extension; X's origin stays the origin."""
+        return next(self.conjugate_marks(X, (anchor,)))
+
+    def conjugate_marks(self, X: CanonicalGraph, anchors: Iterable[Path]
+                        ) -> Iterator[Tuple[CanonicalGraph, VertexCorrespondence]]:
+        """`conjugate_mark(X, a)` at each anchor, off one forward extension."""
         Y, R = self.forward_ext.apply(X)
-        Z, M = self.mark_gate.apply(Y, R[anchor])
-        W, B = self.backward_ext.apply(Z)
-        return W, {v: B[M[w]] for v, w in R.items()}
+        for anchor in anchors:
+            Z, M = self.mark_gate.apply(Y, R[anchor])
+            W, B = self.backward_ext.apply(Z)
+            yield W, {v: B[M[w]] for v, w in R.items()}
 
     def decompose_step(self, X: CanonicalGraph,
                        trace: Optional[List[TraceStage]] = None
@@ -496,38 +503,37 @@ class BlockKit:
         return final
 
 
-def _unwitnessed(L: Dynamics, fam: GraphFamily
-                 ) -> Iterator[Tuple[CanonicalGraph, Path]]:
-    """Each image vertex that is no verbatim copy of a source vertex, with
-    its member, in family order; L is applied to a member when the scan
-    reaches it.
+def _unwitnessed(X: CanonicalGraph, Y: CanonicalGraph, S: VertexCorrespondence,
+                 disks: Optional[Dict[Path, CanonicalGraph]] = None) -> List[Path]:
+    """The vertices of Y, a gate's image of X under the correspondence S,
+    that are no verbatim copy of a source vertex, in Y's order.
 
     A witness of y is a preimage u of y with the same radius-0 disk whose
     whole disk the correspondence maps by plain path extension, so each
     source vertex is tried once, against its own image.  Nothing here
-    depends on a radius, so every radius reads the same scan.
+    depends on a radius or on where Y is pointed, so every radius reads
+    the same scan, and X's radius-0 `disks` serve the gate at every anchor.
     """
-    for X in fam:
-        Y, S = L.apply(X)
-        witnessed = set()
-        for u in X.vertices:
-            y, disk = S[u], disk_at(X, u, 0)
-            if y not in witnessed and y in Y and disk == disk_at(Y, y, 0) and all(
-                    (uv := X.resolve(v, start=u)) is not None
-                    and S[uv] == Y.resolve(v, start=y) for v in disk.vertices):
-                witnessed.add(y)
-        yield from ((X, y) for y in Y.vertices if y not in witnessed)
+    witnessed = set()
+    for u, disk in (disks or {u: disk_at(X, u, 0) for u in X.vertices}).items():
+        y = S[u]
+        if y not in witnessed and y in Y and disk == disk_at(Y, y, 0) and all(
+                (uv := X.resolve(v, start=u)) is not None
+                and S[uv] == Y.resolve(v, start=y) for v in disk.vertices):
+            witnessed.add(y)
+    return [y for y in Y.vertices if y not in witnessed]
 
 
 def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
     """Is every image vertex farther than `radius` from the origin a
     verbatim copy of some source vertex?  None if so, else the first that
     is not."""
-    for X, y in _unwitnessed(L, fam):
-        if len(y) > radius:
-            return (f"image vertex {format_path(y)} of a "
-                    f"{len(X.vertices)}-vertex member has no source "
-                    f"witness at radius {radius}")
+    for X in fam:
+        for y in _unwitnessed(X, *L.apply(X)):
+            if len(y) > radius:
+                return (f"image vertex {format_path(y)} of a "
+                        f"{len(X.vertices)}-vertex member has no source "
+                        f"witness at radius {radius}")
     return None
 
 
@@ -536,17 +542,30 @@ def find_locality_radius(L: Dynamics, fam: GraphFamily,
     """Least radius at which check_locality passes, or None up to the bound:
     the longest unwitnessed name, read off one application per member."""
     radius = 0
-    for _X, y in _unwitnessed(L, fam):
-        if len(y) > max_radius:
+    for X in fam:
+        radius = max([radius, *map(len, _unwitnessed(X, *L.apply(X)))])
+        if radius > max_radius:
             return None
-        radius = max(radius, len(y))
     return radius
 
 
-def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
-                   ) -> Set[Path]:
-    """Source vertices whose label or incident edges the anchored gate alters."""
-    Y, T = ShiftedDynamics(gate, anchor).apply(X)
+def anchored_locality_radius(gates: Iterable[Tuple[CanonicalGraph, list]],
+                             max_radius: int = MAX_LOCALITY_RADIUS) -> Optional[int]:
+    """`find_locality_radius` over every pointing of each X, read off an
+    anchored gate's (W, T) at each vertex a of X, in X's order: W pointed at
+    T[a] is the image of X pointed at a, so distances count from T[a]."""
+    radius = 0
+    for X, results in gates:
+        disks = {u: disk_at(X, u, 0) for u in X.vertices}
+        for a, (W, T) in zip(X.vertices, results):
+            far = _unwitnessed(X, W, T, disks)
+            while radius <= max_radius and not ball(W, T[a], radius).issuperset(far):
+                radius += 1
+    return radius if radius <= max_radius else None
+
+
+def footprint(X: CanonicalGraph, Y: CanonicalGraph, T: VertexCorrespondence) -> Set[Path]:
+    """Source vertices whose label or incident edges the step X -> Y alters."""
     if len(set(T.values())) != len(T) or set(T.values()) != set(Y.vertices):
         raise MarkError("gate correspondence is not a bijection; "
                         "footprint undefined")
@@ -559,3 +578,8 @@ def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path
     altered.update(w for e in edges for (w, _p) in e)
     back = {w: v for v, w in T.items()}
     return {back[w] for w in altered}
+
+
+def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path) -> Set[Path]:
+    """The `footprint` of the gate acting at the anchor."""
+    return footprint(X, *gate.apply(X, anchor))

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+from collections import Counter
 import os
 import sys
 from typing import List, Optional
@@ -17,8 +18,8 @@ from .blocks import (
     MAX_LOCALITY_RADIUS,
     BlockKit,
     MarkSpace,
-    find_locality_radius,
-    gate_footprint,
+    anchored_locality_radius,
+    footprint,
 )
 from .dot import export_dot
 from .dynamics import Dynamics, DynamicsError, builtin_dynamics, get_dynamics
@@ -256,23 +257,18 @@ def _cmd_check_blocks(args) -> int:
     print(f"members={len(tapes)}")
     print(f"block_identity={'ok' if failures == 0 else f'{failures} mismatches'}")
 
-    lifted_tapes = [kit.space.lift(g) for g in tapes]
-    lifted = GraphFamily.from_graphs(shift_closure(lifted_tapes), kit.space.marked)
-    gate = tabulate(kit.conjugate, lifted)    # every footprint below reads it too
-    radius = find_locality_radius(gate, lifted)
+    gates = [(X, list(kit.conjugate_marks(X, X.vertices)))
+             for X in map(kit.space.lift, tapes)]
+    radius = anchored_locality_radius(gates)
     found = radius if radius is not None else f"not found <= {MAX_LOCALITY_RADIUS}"
     print(f"locality_radius={found}")
     if radius is None:
         failures += 1
     else:
         depth_bound = len(kit.space.marked.ports) ** radius
-        worst = 0
-        for lifted_x in lifted_tapes:
-            touching = {v: 0 for v in lifted_x.vertices}
-            for anchor in lifted_x.vertices:
-                for v in gate_footprint(gate, lifted_x, anchor):
-                    touching[v] += 1
-            worst = max(worst, max(touching.values(), default=0))
+        touching = [Counter(v for W, T in results for v in footprint(X, W, T))
+                    for X, results in gates]
+        worst = max((n for counts in touching for n in counts.values()), default=0)
         print(f"observed_depth={worst}")
         print(f"depth_bound={depth_bound}")
         if worst > depth_bound:

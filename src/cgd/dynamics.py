@@ -219,38 +219,18 @@ class TurtleDynamics(Dynamics):
 
 
 class FuncDynamics(Dynamics):
-    """Wrap a plain function (and optional correspondence) as a dynamics."""
+    """Wrap a function as a dynamics; arguments after X, such as an anchor, pass on."""
 
     def __init__(self, name: str,
-                 fn: Callable[[CanonicalGraph],
-                              Tuple[CanonicalGraph, VertexCorrespondence]],
+                 fn: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence]],
                  alphabets: Optional[Alphabets] = None):
         self.name = name
         self._fn = fn
         self.alphabets = alphabets
 
-    def apply(self, X):
+    def apply(self, X, *args):
         self._check_signature(X)
-        return self._fn(X)
-
-
-class CompositeDynamics(Dynamics):
-    """Apply several dynamics in sequence, composing their correspondences."""
-
-    def __init__(self, steps: Tuple[Dynamics, ...], name: Optional[str] = None):
-        if not steps:
-            raise ValueError("composite needs at least one step")
-        self.steps = tuple(steps)
-        self.name = name or "*".join(s.name for s in steps)
-        self.alphabets = steps[0].alphabets
-
-    def apply(self, X):
-        corr = identity_correspondence(X)
-        G = X
-        for step in self.steps:
-            G, S = step.apply(G)
-            corr = {v: S[w] for v, w in corr.items()}
-        return G, corr
+        return self._fn(X, *args)
 
 
 def builtin_dynamics() -> Dict[str, Callable[[], Dynamics]]:

@@ -118,6 +118,19 @@ and the inverse-table writer built on them.  The library now builds a
 graph's name texts once per graph (`CanonicalGraph.name_texts`) and writes
 every text through one line list (`portgraph.write_graph`).
 
+`CompositeDynamics` applies several dynamics in sequence and composes
+their correspondences.  It lived in `dynamics` until nothing in the library
+called it; tests use it for two moving-head steps at once and as the
+whole-graph conjugate mark that the anchored gates are checked against.
+
+`tabulated_origin_gate` is the gate `cgd check-blocks` read before its
+gates acted at their anchor: the origin conjugate mark tabulated over the
+shift closure of the lifted tapes.  `find_locality_radius` searched the
+table, and `gate_footprint` re-pointed the whole graph at each anchor and
+back (`ShiftedDynamics`).  The command now applies the anchored gate at
+every vertex of each plain lifted tape, off one forward extension per
+tape, and reads the radius and the footprints off those results.
+
 `layered_canonical_names` is `modulo._canonical_names` as it was, depth
 bound included: each BFS layer kept one (parent's rank, exit index, entry
 index) key per half-edge in a candidate table, sorted the next layer by
@@ -144,6 +157,7 @@ from cgd.dynamics import (
     VertexCorrespondence,
     identity_correspondence,
 )
+from cgd.families import shift_closure
 from cgd.modulo import (
     CanonicalGraph,
     canonicalize,
@@ -177,8 +191,10 @@ from cgd.reversibility import (
     InverseTable,
     MAX_INVERSE_RADIUS,
     OutOfFamilyError,
+    Tabulation,
     _family_cap,
     _sorted_members,
+    tabulate,
 )
 
 
@@ -1111,6 +1127,33 @@ def _extensions(X: CanonicalGraph, max_vertices: int,
                                edges=base.edges | {e},
                                vertex_labels=dict(base.vertex_labels),
                                edge_labels=edge_labels)
+
+
+class CompositeDynamics(Dynamics):
+    """Apply several dynamics in sequence, composing their correspondences."""
+
+    def __init__(self, steps: Tuple[Dynamics, ...], name: Optional[str] = None):
+        if not steps:
+            raise ValueError("composite needs at least one step")
+        self.steps = tuple(steps)
+        self.name = name or "*".join(s.name for s in steps)
+        self.alphabets = steps[0].alphabets
+
+    def apply(self, X):
+        corr = identity_correspondence(X)
+        G = X
+        for step in self.steps:
+            G, S = step.apply(G)
+            corr = {v: S[w] for v, w in corr.items()}
+        return G, corr
+
+
+def tabulated_origin_gate(kit, lifted: Sequence[CanonicalGraph]) -> Tabulation:
+    """The kit's conjugate mark at the origin, tabulated over the shift
+    closure of the lifted tapes: the gate `cgd check-blocks` searched the
+    radius over and re-pointed for each footprint."""
+    closure = GraphFamily.from_graphs(shift_closure(lifted), kit.space.marked)
+    return tabulate(kit.conjugate, closure)
 
 
 def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:

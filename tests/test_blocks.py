@@ -3,7 +3,7 @@ import gc
 import random
 import sys
 import weakref
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, settings
@@ -28,13 +28,14 @@ from cgd.blocks import (
     ReversibleExtension,
     ShiftedDynamics,
     UnionInconsistencyError,
+    anchored_locality_radius,
     check_locality,
     find_locality_radius,
+    footprint,
     gate_footprint,
     mark_with_names,
 )
 from cgd.dynamics import (
-    CompositeDynamics,
     Dynamics,
     DynamicsError,
     FuncDynamics,
@@ -59,10 +60,11 @@ from cgd.reversibility import (
     GraphFamily,
     InverseConstructionError,
     build_inverse,
+    check_bijective_on_family,
     enumerate_family,
 )
 import oracles
-from oracles import SlicingMarks, mark_with_names_by_slicing
+from oracles import CompositeDynamics, SlicingMarks, mark_with_names_by_slicing
 from test_cli import moving_head_twice_rule_text, tape_identity_rule_text
 from test_dynamics import origin_label_flipper
 
@@ -956,6 +958,79 @@ class TestKitFromFamily:
         assert kit.decompose_step(X) == twice.apply(X)[0]
 
 
+PAIRS = Alphabets.make("ab", vertex_labels=("00", "01", "10", "11"))
+
+
+class CellwisePermutation(RawStepDynamics):
+    """Relabel every vertex by one fixed permutation of the four labels: the
+    simplest reversible cellular automaton, of radius 0, on ab paths and
+    cycles."""
+
+    alphabets = PAIRS
+
+    def __init__(self, images):
+        self.perm = dict(zip(PAIRS.vertex_labels, images))
+        self.name = "cellwise-" + "-".join(images)
+
+    def _step(self, X):
+        raw = RawGraph(alphabets=PAIRS, vertices=X.vertices, edges=X.edges,
+                       vertex_labels={v: self.perm[l] for v, l in X.vertex_labels.items()})
+        return raw, EPSILON, identity_correspondence(X)
+
+
+def labelled_paths_and_cycles(max_cells):
+    """Every labelling of the paths and cycles of 1 .. max_cells cells, port
+    a of cell i joined to port b of cell i + 1, pointed at cell 0."""
+    graphs = []
+    for n in range(1, max_cells + 1):
+        path = [make_edge(i, "a", i + 1, "b") for i in range(n - 1)]
+        for edges in (path, path + [make_edge(n - 1, "a", 0, "b")]):
+            for labels in product(PAIRS.vertex_labels, repeat=n):
+                raw = RawGraph(alphabets=PAIRS, vertices=tuple(range(n)),
+                               edges=frozenset(edges), vertex_labels=dict(enumerate(labels)))
+                graphs.append(canonicalize(PointedRawGraph(raw, 0)))
+    return GraphFamily.from_graphs(graphs, PAIRS)
+
+
+class TestLabelChangingDynamics:
+    """The block pipeline supports dynamics that never relabel an unmarked
+    vertex next to a mark: the reversible extension freezes such a vertex
+    and requires its stepped copy to agree.  A cellwise label permutation
+    breaks that on every path of 2 cells or more, and the pipeline must say
+    so, not return a wrong graph."""
+
+    def test_decompose_refuses_every_two_cell_path(self):
+        # 00 -> 01 -> 10 -> 11 -> 00 relabels every vertex.
+        D = CellwisePermutation(("01", "10", "11", "00"))
+        fam = labelled_paths_and_cycles(4)
+        assert check_bijective_on_family(D, fam) is None
+        kit = BlockKit.from_family(D, fam)
+        assert kit.exception_bound == 0
+        sizes = [(len(X.vertices), len(X.edges)) for X in fam]
+        for X in (X for X, size in zip(fam, sizes) if size == (1, 0)):
+            assert kit.decompose_step(X) == D.apply(X)[0]
+        assert sizes.count((2, 1)) == 16
+        for X in (X for X, size in zip(fam, sizes) if size == (2, 1)):
+            with pytest.raises(UnionInconsistencyError,
+                               match="conflicts with the frozen part"):
+                kit.decompose_step(X)
+
+    @pytest.mark.parametrize("images", [("01", "10", "11", "00"),
+                                        ("01", "00", "10", "11")])
+    def test_never_a_wrong_graph(self, images):
+        # Each path and cycle of up to 3 cells either decomposes to its
+        # direct image or raises; a transposition lets some through.
+        D = CellwisePermutation(images)
+        kit = BlockKit.from_family(D, labelled_paths_and_cycles(4))
+        outcomes = set()
+        for X in labelled_paths_and_cycles(3):
+            try:
+                outcomes.add(kit.decompose_step(X) == D.apply(X)[0])
+            except UnionInconsistencyError:
+                outcomes.add("raised")
+        assert outcomes == {True, "raised"}
+
+
 def parity_flip_on_chains():
     """A rule that flips every label of a graph with an even vertex count,
     and the 3- and 4-vertex chains it runs on."""
@@ -1117,12 +1192,13 @@ def labelled_chain(n):
     return canonicalize(PointedRawGraph(raw, 0))
 
 
-def flip_origin_edge_label(X):
-    """Flip the label of the edge on the origin's port a, if it has one."""
+def flip_edge_label(X, anchor=EPSILON):
+    """Flip the label of the edge on the anchor's port a, if it has one; the
+    origin stays the origin."""
     labels = dict(X.edge_labels)
-    hop = X.adjacency[EPSILON].get("a")
+    hop = X.adjacency[anchor].get("a")
     if hop is not None:
-        e = make_edge(EPSILON, "a", *hop)
+        e = make_edge(anchor, "a", *hop)
         labels[e] = {"x": "y", "y": "x"}[labels[e]]
     raw = RawGraph(alphabets=X.alphabets, vertices=X.vertices, edges=X.edges,
                    vertex_labels=X.vertex_labels, edge_labels=labels)
@@ -1226,7 +1302,7 @@ class TestLocalityAgainstOracles:
                             == oracles.gate_footprint(gate, lifted, anchor))
 
     def test_footprint_of_an_edge_label_flip(self):
-        gate = FuncDynamics("flip-edge-label", flip_origin_edge_label,
+        gate = FuncDynamics("flip-edge-label", flip_edge_label,
                             EDGE_LABELLED)
         for n in range(1, 7):
             X = labelled_chain(n)
@@ -1235,6 +1311,53 @@ class TestLocalityAgainstOracles:
                 assert got == oracles.gate_footprint(gate, X, anchor)
                 hop = X.adjacency[anchor].get("a")
                 assert got == (set() if hop is None else {anchor, hop[0]})
+
+
+class TestAnchoredGateReading:
+    """`check-blocks` reads the conjugate mark at every anchor of each plain
+    lifted tape, off one forward extension per tape.  At every anchor, the
+    footprint and the farthest unwitnessed distance must be what the origin
+    gate gave, tabulated over the shift closure and read through
+    `ShiftedDynamics` (`oracles.gate_footprint`) and
+    `oracles.find_locality_radius`; so must the radius over all of them."""
+
+    @staticmethod
+    def anchors_agreeing(kit, graphs):
+        lifted = [kit.space.lift(X) for X in graphs]
+        table = oracles.tabulated_origin_gate(kit, lifted)
+        gates = [(X, list(kit.conjugate_marks(X, X.vertices))) for X in lifted]
+        anchors, undefined = 0, 0
+        for X, results in gates:
+            still = (X, identity_correspondence(X))
+            for i, (a, (W, T)) in enumerate(zip(X.vertices, results)):
+                got = outcome(footprint, X, W, T)
+                assert got == outcome(oracles.gate_footprint, table, X, a)
+                undefined += not isinstance(got, set)
+                # The gate at a alone: the identity at the other anchors
+                # leaves every vertex witnessed.
+                alone = [still] * i + [(W, T)] + [still] * (len(results) - i - 1)
+                member = GraphFamily.from_graphs([shift(X, a)])
+                assert (anchored_locality_radius([(X, alone)])
+                        == oracles.find_locality_radius(table, member))
+                anchors += 1
+        radius = anchored_locality_radius(gates)
+        assert radius == oracles.find_locality_radius(table, table.family)
+        return anchors, undefined, radius
+
+    @pytest.mark.parametrize("which, radius", [(0, 2), (1, 1)])
+    def test_cli_kits_on_tapes(self, cli_kits, which, radius):
+        # The moving-head and identity kits, on single-head tapes of up to
+        # 5 cells and bare tapes of up to 6.
+        tapes = single_head_tapes(5) + bare_tapes(6)
+        assert self.anchors_agreeing(cli_kits[which], tapes) == (161, 0, radius)
+
+    def test_turtle_kit(self):
+        # The pair's two vertices collapse onto the singleton's one, so
+        # three of the 62 footprints are undefined, alike on both sides.
+        turtle = get_dynamics("turtle")
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        fam = list(enumerate_family(turtle.alphabets, 3))
+        assert self.anchors_agreeing(kit, fam) == (62, 3, 1)
 
 
 def rule_text_both_ways(table):

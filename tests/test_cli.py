@@ -11,7 +11,7 @@ import cgd
 from cgd import canonicalize, cli, disk_at, get_dynamics, modulo, parse_graph
 from cgd.cli import EXIT_BAD_INPUT, EXIT_CHECK_FAILED, EXIT_IO, EXIT_OK, main
 from cgd.blocks import BlockKit
-from cgd.dynamics import CompositeDynamics, RawStepDynamics
+from cgd.dynamics import RawStepDynamics
 from cgd.families import bare_tapes, single_head_tape, single_head_tapes
 from cgd.patches import (
     RuleTable,
@@ -20,6 +20,7 @@ from cgd.patches import (
     serialize_rule_file,
 )
 from cgd.reversibility import build_inverse
+from oracles import CompositeDynamics
 
 # Subprocesses import the same cgd as this module, whether it was installed
 # or found through pytest's `pythonpath`.

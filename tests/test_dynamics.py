@@ -16,7 +16,6 @@ from cgd import (
 )
 from cgd.dynamics import (
     AlphabetMismatchError,
-    CompositeDynamics,
     DynamicsError,
     FuncDynamics,
     IdentityDynamics,
@@ -34,6 +33,7 @@ from cgd.families import (
 from cgd.paths import EPSILON, Path, format_path
 
 import oracles
+from oracles import CompositeDynamics
 from test_reversibility import DIFFERENTIAL_DYNAMICS, outcome
 
 

@@ -17,7 +17,7 @@ from cgd import (
 )
 import oracles
 from cgd import cli, modulo, reversibility
-from cgd.blocks import BlockKit
+from cgd.blocks import BlockKit, ReversibleExtension
 from cgd.cli import main
 from cgd.dynamics import (
     DynamicsError,
@@ -524,20 +524,22 @@ class TestWorkPerMember:
 
     def test_check_blocks_applies_the_conjugate_once_per_graph(
             self, monkeypatch, capsys):
-        # 80 gates in the 20 block-identity circuits, and one application
-        # to each of the 78 lifted members: the footprints read that table.
+        # The 20 block-identity circuits run 80 gates, each with both
+        # extensions.  The gate reading then runs the forward extension once
+        # per lifted tape (20) and the backward one once per anchor (80); the
+        # radius and the footprints both read those results, and no graph
+        # is re-pointed.
+        from test_blocks import count_shifts
         calls = []
-        real = BlockKit.conjugate_mark
-
-        def conjugate_mark(self, X, anchor=EPSILON):
-            calls.append(1)
-            return real(self, X, anchor)
-
-        monkeypatch.setattr(BlockKit, "conjugate_mark", conjugate_mark)
+        real = ReversibleExtension.apply
+        monkeypatch.setattr(ReversibleExtension, "apply",
+                            lambda self, X: calls.append(self.name) or real(self, X))
+        shifts = count_shifts(monkeypatch)
         assert main(["check-blocks", "--dynamics", "moving-head",
                      "--max-vertices", "5"]) == 0
         assert "result=pass\n" in capsys.readouterr().out
-        assert sum(calls) == 158
+        forward = calls.count("marked[moving-head]")
+        assert (forward, len(calls) - forward, len(shifts)) == (100, 160, 0)
 
     def test_inverse_of_a_non_bijection_keeps_its_message(self, ab_family_4):
         tab = tabulate(collapse_dynamics(), ab_family_4)
