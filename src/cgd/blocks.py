@@ -453,7 +453,7 @@ class BlockKit:
 
     @property
     def conjugate(self) -> FuncDynamics:
-        """The origin gate as a dynamics; new on each use, so the kit holds no cycle."""
+        """Acts at the anchor `apply` takes; new on each use, so the kit holds no cycle."""
         return FuncDynamics(f"conjugate-mark[{self.dynamics.name}]",
                             self.conjugate_mark, self.space.marked)
 
@@ -549,8 +549,7 @@ def find_locality_radius(L: Dynamics, fam: GraphFamily,
     return radius
 
 
-def anchored_locality_radius(gates: Iterable[Tuple[CanonicalGraph, list]],
-                             max_radius: int = MAX_LOCALITY_RADIUS) -> Optional[int]:
+def anchored_locality_radius(gates: Iterable[Tuple[CanonicalGraph, list]]) -> Optional[int]:
     """`find_locality_radius` over every pointing of each X, read off an
     anchored gate's (W, T) at each vertex a of X, in X's order: W pointed at
     T[a] is the image of X pointed at a, so distances count from T[a]."""
@@ -559,9 +558,10 @@ def anchored_locality_radius(gates: Iterable[Tuple[CanonicalGraph, list]],
         disks = {u: disk_at(X, u, 0) for u in X.vertices}
         for a, (W, T) in zip(X.vertices, results):
             far = _unwitnessed(X, W, T, disks)
-            while radius <= max_radius and not ball(W, T[a], radius).issuperset(far):
-                radius += 1
-    return radius if radius <= max_radius else None
+            while not ball(W, T[a], radius).issuperset(far):
+                if (radius := radius + 1) > MAX_LOCALITY_RADIUS:
+                    return None
+    return radius
 
 
 def footprint(X: CanonicalGraph, Y: CanonicalGraph, T: VertexCorrespondence) -> Set[Path]:
@@ -581,5 +581,5 @@ def footprint(X: CanonicalGraph, Y: CanonicalGraph, T: VertexCorrespondence) -> 
 
 
 def gate_footprint(gate: Dynamics, X: CanonicalGraph, anchor: Path) -> Set[Path]:
-    """The `footprint` of the gate acting at the anchor."""
+    """The `footprint` of `gate.apply(X, anchor)`; the gate must take the anchor."""
     return footprint(X, *gate.apply(X, anchor))

@@ -21,6 +21,7 @@ from cgd import (
 )
 from cgd import cli, modulo
 from cgd.blocks import (
+    MAX_LOCALITY_RADIUS,
     BlockKit,
     MarkDynamics,
     MarkError,
@@ -1358,6 +1359,16 @@ class TestAnchoredGateReading:
         kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
         fam = list(enumerate_family(turtle.alphabets, 3))
         assert self.anchors_agreeing(kit, fam) == (62, 3, 1)
+
+    @pytest.mark.parametrize("cells, radius", [(5, MAX_LOCALITY_RADIUS), (6, None)])
+    def test_radius_past_the_bound_is_none(self, cells, radius):
+        # A gate at the origin that marks the tape's far end leaves that
+        # end unwitnessed, cells - 1 hops away.
+        space = MarkSpace.for_base(TAPE_ALPHABETS)
+        X = space.lift(bare_tape(cells))
+        end = next(iter(set(X.vertices) - ball(X, EPSILON, cells - 2)))
+        gate = MarkDynamics(space).apply(X, end)
+        assert anchored_locality_radius([(X, [gate])]) == radius
 
 
 def rule_text_both_ways(table):
