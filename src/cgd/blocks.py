@@ -398,8 +398,9 @@ class ReversibleExtension(Dynamics):
             merged = glue(pieces)
         except PatchInconsistencyError as err:
             raise UnionInconsistencyError(
-                f"{self.name}: transformed region conflicts with the "
-                f"frozen part: {err}") from None
+                f"{self.name}: transformed region conflicts with the frozen part: {err}; "
+                "the block pipeline supports only dynamics that never relabel an unmarked "
+                "vertex next to a mark") from None
 
         result, names = canonicalize_with_names(
             PointedRawGraph(merged, final_id[EPSILON]))

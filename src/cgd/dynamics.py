@@ -163,7 +163,7 @@ class InflatingGridDynamics(RawStepDynamics):
         bad = [e for e in X.edges
                if tuple(sorted(p for (_v, p) in e)) not in (("a", "c"), ("b", "d"))]
         if bad:
-            # The least bad edge in serialize_graph's order, not set order.
+            # The least bad edge in ordered_edges' order, not set order.
             least = next(e for _h1, _h2, e in ordered_edges(X) if e in bad)
             p, q = sorted((h[1] for h in least), key=X.alphabets.port_index)
             raise DynamicsError(

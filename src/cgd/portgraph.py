@@ -39,6 +39,7 @@ class Alphabets:
     vertex_labels: Tuple[str, ...] = ()
     edge_labels: Tuple[str, ...] = ()
     _index: Dict[str, int] = field(init=False, repr=False, compare=False)
+    _header: str = field(init=False, repr=False, compare=False)   # the text's alphabet lines
 
     def __post_init__(self) -> None:
         if not self.ports:
@@ -49,17 +50,21 @@ class Alphabets:
             if len(set(group)) != len(group):
                 raise ValueError(f"duplicate labels in {group}")
         labels = self.vertex_labels + self.edge_labels
-        # Text splits at whitespace and '#', half-edges at ':' and paths at
-        # '.'; alphanumeric ports of one length write each path hop one way.
+        # Text splits at whitespace and '#', half-edges at ':', paths at '.',
+        # a rule file's fresh vertex at '~' and a line's label at "label=";
+        # alphanumeric ports of one length write each path hop one way.
         if not ("".join(self.ports + labels).isalnum() and all(self.ports + labels)
                 and len(set(map(len, self.ports))) == 1):
-            for what, tokens, chars in (("port", self.ports, "#:."), ("label", labels, "#")):
+            for what, tokens, chars in (("port", self.ports, "#:.~"), ("label", labels, "#")):
                 for t in (t for t in tokens if t.split() != [t] or set(chars) & set(t)):
                     raise GraphFormatError(f"{what} {t!r} not writable")
             pairs = [p + q for p in self.ports for q in self.ports] + ["eps"]
-            for t in (t for i, t in enumerate(pairs) if t in pairs[i + 1:]):
+            for t in (t for i, t in enumerate(pairs)
+                      if t in pairs[i + 1:] or t.startswith("label=")):
                 raise GraphFormatError(f"port pair {t!r} not writable")
         object.__setattr__(self, "_index", {p: i for i, p in enumerate(self.ports)})
+        heads = ("ports", self.ports), ("vlabels", self.vertex_labels), ("elabels", self.edge_labels)
+        object.__setattr__(self, "_header", "\n".join(f"{h} {' '.join(w)}" for h, w in heads if w))
 
     @staticmethod
     def make(ports: Iterable[str], vertex_labels: Iterable[str] = (),
@@ -410,28 +415,30 @@ def parse_rows(rows: Iterable[Tuple[int, List[str]]], headers: Dict[tuple, Alpha
 
 
 def serialize_graph(pg: PointedRawGraph, token=str) -> str:
-    """`write_graph` with each vertex written as `token(vertex)`."""
-    return write_graph(pg.graph, {v: token(v) for v in pg.graph.vertices}, pg.origin)
+    """`write_graph` with each vertex written as `token(vertex)`, once the
+    tokens are checked distinct and writable and the origin a vertex."""
+    tokens = {v: token(v) for v in pg.graph.vertices}
+    if len(set(tokens.values())) != len(pg.graph.vertices):    # a repeated id too
+        raise GraphFormatError("vertex id tokens collide")
+    if pg.origin not in tokens:
+        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
+    for t in tokens.values():
+        if t.split() != [t] or ":" in t or "#" in t or t.startswith("label="):
+            raise GraphFormatError(f"vertex token {t!r} not writable")
+    return write_graph(pg.graph, tokens, pg.origin)
 
 
 def write_graph(g, tokens: Mapping[VertexId, str], origin: VertexId) -> str:
     """Write the text format of (g, origin) deterministically, each vertex
-    as its `tokens` entry, which must be distinct and writable.
+    as its `tokens` entry.  It trusts the tokens to be distinct and
+    writable, as `serialize_graph` checks and as `Alphabets` makes every
+    canonical name (`CanonicalGraph.to_text`).
 
     Vertices appear in g's order; edges are sorted by their half-edge pairs
     under (vertex order, port order).  `g` may be a RawGraph or a
     CanonicalGraph.
     """
-    if len(set(tokens.values())) != len(g.vertices):    # a repeated id too
-        raise GraphFormatError("vertex id tokens collide")
-    if origin not in tokens:
-        raise InvalidGraphError(f"origin {origin!r} is not a vertex")
-    for t in tokens.values():
-        if t.split() != [t] or ":" in t or "#" in t:
-            raise GraphFormatError(f"vertex token {t!r} not writable")
-    a = g.alphabets
-    lines = [f"{head} {' '.join(words)}" for head, words in (
-        ("ports", a.ports), ("vlabels", a.vertex_labels), ("elabels", a.edge_labels)) if words]
+    lines = [g.alphabets._header]
     for v in g.vertices:
         label = g.vertex_labels.get(v)
         lines.append(f"vertex {tokens[v]}" if label is None

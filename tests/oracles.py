@@ -118,6 +118,14 @@ and the inverse-table writer built on them.  The library now builds a
 graph's name texts once per graph (`CanonicalGraph.name_texts`) and writes
 every text through one line list (`portgraph.write_graph`).
 
+`checked_write_graph` is `portgraph.write_graph` as it was when every text
+checked its tokens: a collision set, the origin and a scan of each token
+for whitespace, ':' and '#', and the alphabet lines joined again for each
+graph.  The checks now live in `serialize_graph`, the one entry for
+caller-chosen tokens; `write_graph` trusts its tokens, and a canonical
+graph's names are writable by its `Alphabets`, which also keeps the
+alphabet lines.
+
 `CompositeDynamics` applies several dynamics in sequence and composes
 their correspondences.  It lived in `dynamics` until nothing in the library
 called it; tests use it for two moving-head steps at once and as the
@@ -141,7 +149,7 @@ when it first reaches it.
 import io
 from collections import deque
 from itertools import combinations
-from typing import (Callable, Dict, Hashable, Iterable, List, Optional,
+from typing import (Callable, Dict, Hashable, Iterable, List, Mapping, Optional,
                     Sequence, Set, Tuple)
 
 from cgd.blocks import (
@@ -181,6 +189,7 @@ from cgd.portgraph import (
     ensure_valid,
     induced_subgraph,
     make_edge,
+    ordered_edges,
     relabel,
 )
 from cgd.reversibility import (
@@ -476,8 +485,9 @@ class FoldingExtension(Dynamics):
             problem = consistent(merged, piece)
             if problem is not None:
                 raise UnionInconsistencyError(
-                    f"{self.name}: transformed region conflicts with the "
-                    f"frozen part: {problem}")
+                    f"{self.name}: transformed region conflicts with the frozen part: "
+                    f"{problem}; the block pipeline supports only dynamics that never "
+                    "relabel an unmarked vertex next to a mark")
             merged = union_pair(merged, piece)
 
         result, names = canonicalize_with_names(
@@ -1471,6 +1481,29 @@ def serialize_graph_by_stringio(pg: PointedRawGraph, token=str) -> str:
 
 def text_by_cached_names(X: CanonicalGraph) -> str:
     return serialize_graph_by_stringio(X.to_pointed_raw(), token=format_path_cached)
+
+
+def checked_write_graph(g, tokens: Mapping[Hashable, str], origin: Hashable) -> str:
+    if len(set(tokens.values())) != len(g.vertices):    # a repeated id too
+        raise GraphFormatError("vertex id tokens collide")
+    if origin not in tokens:
+        raise InvalidGraphError(f"origin {origin!r} is not a vertex")
+    for t in tokens.values():
+        if t.split() != [t] or ":" in t or "#" in t:
+            raise GraphFormatError(f"vertex token {t!r} not writable")
+    a = g.alphabets
+    lines = [f"{head} {' '.join(words)}" for head, words in (
+        ("ports", a.ports), ("vlabels", a.vertex_labels), ("elabels", a.edge_labels)) if words]
+    for v in g.vertices:
+        label = g.vertex_labels.get(v)
+        lines.append(f"vertex {tokens[v]}" if label is None
+                     else f"vertex {tokens[v]} label={label}")
+    for (u, p), (w, q), e in ordered_edges(g):
+        label = g.edge_labels.get(e)
+        lines.append(f"edge {tokens[u]}:{p} {tokens[w]}:{q}" if label is None
+                     else f"edge {tokens[u]}:{p} {tokens[w]}:{q} label={label}")
+    lines.append(f"pointer {tokens[origin]}\n")
+    return "\n".join(lines)
 
 
 def export_dot_per_name(X: CanonicalGraph, space: Optional[MarkSpace] = None) -> str:

@@ -225,6 +225,8 @@ class TestEnumerate:
         (["--vlabels", "x y"], "label 'x y'"),
         (["--vlabels", "x#"], "label 'x#'"),
         (["--elabels", ""], "label ''"),
+        (["--ports", "label=x", "b", "--vlabels", "0"], "port pair 'label=xlabel=x'"),
+        (["--ports", "y~1", "y"], "port 'y~1'"),
     ])
     def test_unwritable_alphabet_is_bad_input(self, argv, token, capsys):
         # Each would write a listing that reads back differently, or not at
@@ -250,6 +252,26 @@ class TestDecompose:
     def test_without_trace(self, tape_file, capsys):
         assert main(["decompose", "--dynamics", "moving-head",
                      "--input", tape_file]) == EXIT_OK
+
+    def test_label_changing_dynamics_names_the_supported_class(
+            self, tmp_path, monkeypatch, capsys):
+        # A cellwise label permutation stands in for the named dynamics; it
+        # relabels the unmarked cell next to the first mark.
+        from test_blocks import CellwisePermutation, labelled_paths_and_cycles
+        D = CellwisePermutation(("01", "10", "11", "00"))
+        monkeypatch.setattr(cli, "get_dynamics", lambda name: D)
+        monkeypatch.setattr(cli, "_tape_kit", lambda dynamics: BlockKit.from_family(
+            dynamics, labelled_paths_and_cycles(2)))
+        graph = tmp_path / "path.graph"
+        graph.write_text("ports a b\nvlabels 00 01 10 11\nvertex u label=00\n"
+                         "vertex v label=00\nedge u:a v:b\npointer u\n")
+        assert main(["decompose", "--dynamics", "identity",
+                     "--input", str(graph)]) == EXIT_BAD_INPUT
+        assert one_error_line(capsys) == (
+            "error: marked-inverse[cellwise-01-10-11-00]: transformed region conflicts "
+            "with the frozen part: vertex Path('a0b1') labelled both '010' and '000'; "
+            "the block pipeline supports only dynamics that never relabel an unmarked "
+            "vertex next to a mark")
 
 
     def test_identity(self, tmp_path, capsys):

@@ -340,7 +340,7 @@ class TestTextFormat:
                            match=r"^line 5: duplicate vertex 'u'$"):
             parse_graph(text)
 
-    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\u00a0b", "a:b", "a#b"])
+    @pytest.mark.parametrize("token", ["", "a b", "a\tb", "a\u00a0b", "a:b", "a#b", "label=x"])
     def test_unwritable_token_rejected(self, token):
         pg = PointedRawGraph(RawGraph(alphabets=AB, vertices=("v",)), "v")
         with pytest.raises(GraphFormatError, match="not writable"):
@@ -417,6 +417,9 @@ class TestAlphabets:
         ((("e", "ps"),), "port pair 'eps'"),
         ((("a", "aa"),), "port pair 'aaa'"),
         ((("ab", "c", "a", "bc"),), "port pair 'abc'"),
+        ((("label=x", "b"),), "port pair 'label=xlabel=x'"),
+        ((("lab", "el=x"),), "port pair 'label=x'"),
+        ((("y~1", "y"),), "port 'y~1'"),
         (("ab", ("x y",)), "label 'x y'"),
         (("ab", ("x\u00a0y",)), "label 'x\\xa0y'"),
         (("ab", (), ("x#",)), "label 'x#'"),

@@ -4,19 +4,23 @@
 
 A canonical graph now builds its name texts once, each from its parent's
 (`CanonicalGraph.name_texts`), and `serialize_graph`, `to_text` share one
-line writer (`portgraph.write_graph`)."""
+line writer (`portgraph.write_graph`).  That writer trusts its tokens:
+`serialize_graph` checks them, and `TestTrustedWriter` checks that every
+alphabet `Alphabets` accepts writes canonical text that reads back."""
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
-from cgd import Alphabets, enumerate_family, get_dynamics
+from cgd import Alphabets, cli, enumerate_family, get_dynamics
 from cgd.blocks import MarkSpace, mark
 from cgd.dot import export_dot
 from cgd.families import (TAPE_ALPHABETS, bare_tape, bare_tapes, shift_closure,
                           single_head_tape, single_head_tapes)
 from cgd.modulo import CanonicalGraph, canonicalize, disk, disk_at
-from cgd.paths import format_path
-from cgd.portgraph import serialize_graph
+from cgd.patches import RuleTable, parse_rule_file, serialize_rule_file
+from cgd.paths import EPSILON, format_path
+from cgd.portgraph import GraphFormatError, parse_graph, serialize_graph
 from cgd.reversibility import GraphFamily, build_inverse, serialize_inverse_table
 from test_modulo import PROPERTY, pointed_graphs
 
@@ -90,6 +94,45 @@ class TestTextAsBefore:
     @given(pg=pointed_graphs())
     def test_random_graphs(self, pg):
         check_text(canonicalize(pg))
+
+
+# Ports a path may or may not carry back: '=' and '~' (a line's label= and a
+# rule file's fresh-vertex tag), pairs that spell "eps" or "label=" or that
+# split two ways, and non-ASCII alphanumerics.
+PORT_POOL = ("a", "b", "ab", "ba", "e", "ps", "p", "=", "a=", "~", "y~1", "y",
+             "label=", "lab", "el=", "\u03bb", "\u00e9", "\u00df2", "\u216b")
+
+
+class TestTrustedWriter:
+    def test_long_tape_and_marked_stage(self):
+        # The names of a 400-cell tape and of a half-marked decompose stage.
+        X = single_head_tape(400, 199)
+        trace = []
+        cli._tape_kit(get_dynamics("moving-head")).decompose_step(
+            single_head_tape(12, 5), trace=trace)
+        stage = trace[len(trace) // 4].graph
+        assert {l for l in stage.vertex_labels.values()} == {"00", "01"}
+        for G in (X, stage):
+            want = oracles.checked_write_graph(G, G.name_texts(), EPSILON)
+            assert fresh(G).to_text() == want
+            assert serialize_graph(G.to_pointed_raw(), token=format_path) == want
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True)
+    @given(ports=st.lists(st.sampled_from(PORT_POOL), min_size=1, max_size=3, unique=True))
+    def test_accepted_alphabets_write_text_that_reads_back(self, ports):
+        try:
+            alphabets = Alphabets.make(ports, ("0",), ("x",))
+        except GraphFormatError:
+            return
+        fam = enumerate_family(alphabets, 2)
+        for X in fam:
+            text = X.to_text()
+            assert text == serialize_graph(X.to_pointed_raw(), token=format_path)
+            assert canonicalize(parse_graph(text)) == X
+        # Each member as a disk that its identity patch maps to itself.
+        table = RuleTable(radius=1, entries={X: X.to_pointed_raw() for X in fam})
+        again = parse_rule_file(serialize_rule_file(table))
+        assert (again.radius, again.entries) == (table.radius, table.entries)
 
 
 class TestInverseTableAsBefore:
