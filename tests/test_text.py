@@ -111,7 +111,7 @@ class TestTrustedWriter:
         cli._tape_kit(get_dynamics("moving-head")).decompose_step(
             single_head_tape(12, 5), trace=trace)
         stage = trace[len(trace) // 4].graph
-        assert {l for l in stage.vertex_labels.values()} == {"00", "01"}
+        assert set(stage.vertex_labels.values()) == {"00", "01"}
         for G in (X, stage):
             want = oracles.checked_write_graph(G, G.name_texts(), EPSILON)
             assert fresh(G).to_text() == want
