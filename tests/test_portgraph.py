@@ -417,13 +417,13 @@ class TestAlphabets:
         ((("e", "ps"),), "port pair 'eps'"),
         ((("a", "aa"),), "port pair 'aaa'"),
         ((("ab", "c", "a", "bc"),), "port pair 'abc'"),
-        ((("label=x", "b"),), "port pair 'label=xlabel=x'"),
-        ((("lab", "el=x"),), "port pair 'label=x'"),
-        ((("y~1", "y"),), "port 'y~1'"),
         (("ab", ("x y",)), "label 'x y'"),
         (("ab", ("x\u00a0y",)), "label 'x\\xa0y'"),
         (("ab", (), ("x#",)), "label 'x#'"),
         (("ab", (), ("",)), "label ''"),
+        ((("label=x", "b"),), "port pair 'label=xlabel=x'"),
+        ((("lab", "el=x"),), "port pair 'label=x'"),
+        ((("y~1", "y"),), "port 'y~1'"),
     ])
     def test_unwritable_tokens(self, args, token):
         # Each would be written as text that reads back differently.
