@@ -24,6 +24,7 @@ from .dynamics import (
 from .modulo import (
     CanonicalGraph,
     ball,
+    canonicalize_component,
     canonicalize_with_names,
     disk_at,
     shift_with_names,
@@ -294,46 +295,6 @@ def apply_product(gate: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence
 # ---------------------------------------------------------------------------
 
 
-def _mark_partition(X: CanonicalGraph, space: MarkSpace
-                    ) -> Tuple[Set[Path], Set[Path], Set[Path]]:
-    """(marked, unmarked, boundary): boundary = unmarked with a used 1-port."""
-    split = space.split
-    marked = {v for v in X.vertices if space.vertex_mark(X, v) == 1}
-    unmarked = {v for v in X.vertices if v not in marked}
-    boundary = {v for v in unmarked
-                if any(split[p][1] == 1 for p in X.adjacency[v])}
-    return marked, unmarked, boundary
-
-
-def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
-    """Connected components of the induced subgraph, each in canonical order.
-
-    One scan of X.vertices: a component starts at its least vertex and the
-    rest of it comes later in the scan, so no component needs a sort.
-    """
-    comp_of: Dict[Path, List[Path]] = {}
-    out: List[List[Path]] = []
-    for v in X.vertices:
-        if v in comp_of:
-            comp_of[v].append(v)
-            continue
-        if v not in keep:
-            continue
-        comp = [v]
-        out.append(comp)
-        comp_of[v] = comp
-        frontier = [v]
-        while frontier:
-            nxt = []
-            for u in frontier:
-                for (w, _q) in X.adjacency[u].values():
-                    if w in keep and w not in comp_of:
-                        comp_of[w] = comp
-                        nxt.append(w)
-            frontier = nxt
-    return out
-
-
 class ReversibleExtension(Dynamics):
     """Lift a dynamics to marked graphs: act where unmarked, freeze the rest.
 
@@ -344,6 +305,9 @@ class ReversibleExtension(Dynamics):
     bits dropped, is stepped by the base, lifted back and glued to the
     frozen part at the shared boundary vertices (a disagreement raises
     UnionInconsistencyError), and the result is pointed at the origin's image.
+    The supported class is what the glue checks: stepped on its own, each
+    region keeps the label of each boundary vertex and each edge and edge
+    label between two of them, and sends no two of them to one image.
     """
 
     def __init__(self, base: Dynamics, exception_bound: int, space: MarkSpace,
@@ -362,26 +326,31 @@ class ReversibleExtension(Dynamics):
         problem = space.mark_consistency_violation(X)
         if problem is not None:
             raise MarkError(f"{self.name}: input not mark-consistent: {problem}")
-        marked, unmarked, boundary = _mark_partition(X, space)
-        if not unmarked or marked and len(X.vertices) <= self.exception_bound:
+        split, labels, adj = space.split, X.vertex_labels, X.adjacency
+        marked = {v for v in X.vertices if split[labels[v]][1]}
+        n = len(X.vertices)
+        if len(marked) == n or marked and n <= self.exception_bound:
             return X, identity_correspondence(X)
-        frozen = marked | boundary
+        # An unmarked vertex with a 1-port has an edge to a mark.
+        boundary = {v for v in X.vertices if v not in marked
+                    and any(split[p][1] for p in adj[v])}
 
         # One piece for the whole frozen part: its components share no
         # vertex or edge, so no clash lies between them.
-        pieces = [induced_subgraph(X, frozen)]
-        final_id: Dict[Path, object] = {v: v for v in frozen}
+        pieces = [induced_subgraph(X, marked | boundary)]
+        final_id: Dict[Path, object] = {v: v for v in marked}
+        rest = relabel(induced_subgraph(X, (v for v in X.vertices if v not in marked)),
+                       ports=space.dropping, labels=space.dropping, alphabets=space.base)
 
-        for comp in _components(X, unmarked):
-            anchor = comp[0]
-            dropped = relabel(induced_subgraph(X, comp), ports=space.dropping,
-                              labels=space.dropping, alphabets=space.base)
-            comp_graph, to_comp = canonicalize_with_names(
-                PointedRawGraph(dropped, anchor))
+        # An unseen vertex is the least of its region: X's order is rest's.
+        for anchor in rest.vertices:
+            if anchor in final_id:
+                continue
+            comp_graph, to_comp = canonicalize_component(PointedRawGraph(rest, anchor))
             image, corr = self.base.apply(comp_graph)
-            img = {v: corr[to_comp[v]] for v in comp}
+            img = {v: corr[to_comp[v]] for v in rest.vertices if v in to_comp}
             seam: Dict[Path, Path] = {}
-            for v in filter(boundary.__contains__, comp):
+            for v in filter(boundary.__contains__, img):
                 w = img[v]
                 if w in seam:
                     raise UnionInconsistencyError(
@@ -391,16 +360,18 @@ class ReversibleExtension(Dynamics):
             piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in image.vertices}
             pieces.append(relabel(image, ids=piece_id, ports=space.lifting,
                                   labels=space.lifting, alphabets=space.marked))
-            for v in comp:
-                final_id[v] = piece_id[img[v]]
+            for v, w in img.items():
+                final_id[v] = piece_id[w]
 
         try:
             merged = glue(pieces)
         except PatchInconsistencyError as err:
             raise UnionInconsistencyError(
                 f"{self.name}: transformed region conflicts with the frozen part: {err}; "
-                "the block pipeline supports only dynamics that never relabel an unmarked "
-                "vertex next to a mark") from None
+                "the block pipeline supports only dynamics whose step of each unmarked "
+                "region on its own keeps the label of each boundary vertex (an unmarked "
+                "vertex next to a mark) and each edge and edge label between two of them, "
+                "and sends no two of them to one image") from None
 
         result, names = canonicalize_with_names(
             PointedRawGraph(merged, final_id[EPSILON]))

@@ -22,6 +22,7 @@ from .portgraph import (
     RawGraph,
     connected_component,
     ensure_valid,
+    induced_subgraph,
     make_edge,
     write_graph,
 )
@@ -187,6 +188,22 @@ def canonicalize_with_names(pg: PointedRawGraph
         missing = [v for v in g.vertices if v not in names]
         raise InvalidGraphError(
             f"graph is not connected to the origin: unreachable {missing!r}")
+    canonical = _rename(g.alphabets, names, g.vertex_labels, g.edges,
+                        g.edge_labels)
+    return canonical, names
+
+
+def canonicalize_component(pg: PointedRawGraph
+                           ) -> Tuple[CanonicalGraph, Dict[Any, Path]]:
+    """`canonicalize_with_names` of the origin's connected component, off
+    the one BFS that finds and names it; the graph may be disconnected."""
+    g = pg.graph
+    adjacency = g.adjacency()
+    if pg.origin not in adjacency:
+        raise InvalidGraphError(f"origin {pg.origin!r} is not a vertex")
+    names = _canonical_names(adjacency, pg.origin, g.alphabets)
+    if len(names) != len(g.vertices):
+        g = induced_subgraph(g, names)
     canonical = _rename(g.alphabets, names, g.vertex_labels, g.edges,
                         g.edge_labels)
     return canonical, names

@@ -157,7 +157,6 @@ from cgd.blocks import (
     MarkSpace,
     ShiftedDynamics,
     UnionInconsistencyError,
-    _components,
 )
 from cgd.dynamics import (
     Dynamics,
@@ -186,6 +185,7 @@ from cgd.portgraph import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
+    connected_component,
     ensure_valid,
     induced_subgraph,
     make_edge,
@@ -397,6 +397,16 @@ def apply_local_rule_pairwise(rule, X):
     return Y, corr
 
 
+def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
+    """The connected components of X induced on `keep`, each in X's order."""
+    sub, out, seen = induced_subgraph(X, keep), [], set()
+    for v in filter(lambda v: v not in seen, sub.vertices):
+        comp = set(connected_component(sub, v).vertices)
+        seen |= comp
+        out.append([u for u in sub.vertices if u in comp])
+    return out
+
+
 class FoldingExtension(Dynamics):
     """The reversible extension as it was: an all-unmarked graph took a
     path of its own, and the mixed case was glued by a fold."""
@@ -486,8 +496,10 @@ class FoldingExtension(Dynamics):
             if problem is not None:
                 raise UnionInconsistencyError(
                     f"{self.name}: transformed region conflicts with the frozen part: "
-                    f"{problem}; the block pipeline supports only dynamics that never "
-                    "relabel an unmarked vertex next to a mark")
+                    f"{problem}; the block pipeline supports only dynamics whose step "
+                    "of each unmarked region on its own keeps the label of each boundary "
+                    "vertex (an unmarked vertex next to a mark) and each edge and edge "
+                    "label between two of them, and sends no two of them to one image")
             merged = union_pair(merged, piece)
 
         result, names = canonicalize_with_names(

@@ -675,24 +675,24 @@ class TestReversibleExtension:
 
 class TestExtensionWork:
     """One application canonicalizes each of the k unmarked components
-    twice, at its anchor and inside the base step, and the glued graph
-    once: 2k + 1 graphs.  Dropping, stepping and lifting each component as
-    its own canonical graph took 4k + 1."""
+    twice, once where `canonicalize_component` finds and names it at its
+    anchor and once inside the base step, and the glued graph once: 2k + 1
+    graphs.  Dropping, stepping and lifting each component as its own
+    canonical graph took 4k + 1."""
 
     @pytest.fixture
     def canonicalizations(self, monkeypatch):
-        real = modulo.canonicalize_with_names
         calls = []
+        for real in (modulo.canonicalize_with_names, modulo.canonicalize_component):
+            def counted(pg, real=real):
+                calls.append(1)
+                return real(pg)
 
-        def counted(pg):
-            calls.append(1)
-            return real(pg)
-
-        for name, module in list(sys.modules.items()):
-            if name == "cgd" or name.startswith("cgd."):
-                for attr, obj in list(vars(module).items()):
-                    if obj is real:
-                        monkeypatch.setattr(module, attr, counted)
+            for name, module in list(sys.modules.items()):
+                if name == "cgd" or name.startswith("cgd."):
+                    for attr, obj in list(vars(module).items()):
+                        if obj is real:
+                            monkeypatch.setattr(module, attr, counted)
         return calls
 
     @pytest.mark.parametrize("marked_cells, k", [
@@ -979,6 +979,27 @@ class CellwisePermutation(RawStepDynamics):
         return raw, EPSILON, identity_correspondence(X)
 
 
+class PartitionedShift(RawStepDynamics):
+    """A partitioned cellular automaton on ab paths and cycles: in each label
+    lr, bit r moves to the cell on port a and bit l to the cell on port b;
+    at a path end the bit reflects into the other half of its own cell."""
+
+    alphabets = PAIRS
+    name = "partitioned-shift"
+
+    def _step(self, X):
+        adj, labels = X.adjacency, X.vertex_labels
+
+        def bit(v, port, half, reflected):
+            hop = adj[v].get(port)
+            return labels[hop[0]][half] if hop else labels[v][reflected]
+
+        raw = RawGraph(alphabets=PAIRS, vertices=X.vertices, edges=X.edges,
+                       vertex_labels={v: bit(v, "a", 0, 1) + bit(v, "b", 1, 0)
+                                      for v in X.vertices})
+        return raw, EPSILON, identity_correspondence(X)
+
+
 def labelled_paths_and_cycles(max_cells):
     """Every labelling of the paths and cycles of 1 .. max_cells cells, port
     a of cell i joined to port b of cell i + 1, pointed at cell 0."""
@@ -994,11 +1015,13 @@ def labelled_paths_and_cycles(max_cells):
 
 
 class TestLabelChangingDynamics:
-    """The block pipeline supports dynamics that never relabel an unmarked
-    vertex next to a mark: the reversible extension freezes such a vertex
-    and requires its stepped copy to agree.  A cellwise label permutation
-    breaks that on every path of 2 cells or more, and the pipeline must say
-    so, not return a wrong graph."""
+    """The block pipeline supports dynamics whose step of each unmarked
+    region on its own keeps the label of each boundary vertex (an unmarked
+    vertex next to a mark) and each edge between two of them, and sends no
+    two of them to one image: the reversible extension freezes those
+    vertices and requires their stepped copies to agree.  A cellwise label
+    permutation breaks that on every path of 2 cells or more, and the
+    pipeline must say so, not return a wrong graph."""
 
     def test_decompose_refuses_every_two_cell_path(self):
         # 00 -> 01 -> 10 -> 11 -> 00 relabels every vertex.
@@ -1023,6 +1046,23 @@ class TestLabelChangingDynamics:
         # direct image or raises; a transposition lets some through.
         D = CellwisePermutation(images)
         kit = BlockKit.from_family(D, labelled_paths_and_cycles(4))
+        outcomes = set()
+        for X in labelled_paths_and_cycles(3):
+            try:
+                outcomes.add(kit.decompose_step(X) == D.apply(X)[0])
+            except UnionInconsistencyError:
+                outcomes.add("raised")
+        assert outcomes == {True, "raised"}
+
+    def test_partitioned_cellular_automaton(self):
+        # A boundary cell is an end of its region's path, where its bits
+        # move or reflect, so its stepped label mostly differs from its
+        # frozen one: most paths raise, and none gives a wrong graph.
+        D = PartitionedShift()
+        fam = labelled_paths_and_cycles(4)
+        assert check_bijective_on_family(D, fam) is None
+        kit = BlockKit.from_family(D, fam)
+        assert (kit.exception_bound, kit.inverse.rule.radius) == (0, 1)
         outcomes = set()
         for X in labelled_paths_and_cycles(3):
             try:

@@ -270,8 +270,10 @@ class TestDecompose:
         assert one_error_line(capsys) == (
             "error: marked-inverse[cellwise-01-10-11-00]: transformed region conflicts "
             "with the frozen part: vertex Path('a0b1') labelled both '010' and '000'; "
-            "the block pipeline supports only dynamics that never relabel an unmarked "
-            "vertex next to a mark")
+            "the block pipeline supports only dynamics whose step of each unmarked "
+            "region on its own keeps the label of each boundary vertex (an unmarked "
+            "vertex next to a mark) and each edge and edge label between two of them, "
+            "and sends no two of them to one image")
 
 
     def test_identity(self, tmp_path, capsys):
@@ -712,6 +714,17 @@ class TestDeterminism:
         assert lines[0] == lines[1]
         assert lines[0] == ("bijective=inflating-grid: edge pairing ports a/b "
                             "is not a grid edge")
+
+    @pytest.mark.parametrize("seed", ["0", "1", "2"])
+    def test_goldens_ignore_hash_seed(self, seed):
+        # Here, not in test_golden.py, so that the suite does not recurse.
+        tests = os.path.dirname(os.path.abspath(__file__))
+        proc = subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider",
+             os.path.join(tests, "test_golden.py")],
+            capture_output=True, text=True, cwd=os.path.dirname(tests),
+            env={**SUBPROCESS_ENV, "PYTHONHASHSEED": seed})
+        assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
 
 
 class TestFamilyCap:

@@ -431,8 +431,10 @@ class TestExtensionAgainstOracle:
             "marked[two-vertex]: transformed region conflicts with the frozen "
             "part: half-edge Path('a0c1'):a0 leads to (Path('a0c1.a0b0'), "
             "'b0') in one patch and (('fresh', Path('a0c1'), Path('ab')), "
-            "'b0') in the other; the block pipeline supports only dynamics that "
-            "never relabel an unmarked vertex next to a mark")
+            "'b0') in the other; the block pipeline supports only dynamics whose "
+            "step of each unmarked region on its own keeps the label of each "
+            "boundary vertex (an unmarked vertex next to a mark) and each edge and "
+            "edge label between two of them, and sends no two of them to one image")
         assert want[1] == got[1].replace("Path('ab')", "Path('a0b0')")
 
     def test_boundary_vertices_that_collide(self):
@@ -447,6 +449,33 @@ class TestExtensionAgainstOracle:
         assert got[:2] == (UnionInconsistencyError,
                            "marked[two-vertex]: boundary vertices a0c1 and "
                            "a0c1.a0b0 collide in the image")
+
+    def test_colliding_boundary_vertices_named_in_graph_order(self):
+        # The marked m reaches x, y and z on its ports a, b and c, and the
+        # region is the path x - z - y: a BFS from x meets z before y, but
+        # the graph's order, which names the collision, puts y first.
+        space = MarkSpace.for_base(ABC)
+
+        def collapse(X):
+            if len(X.vertices) != 3:
+                return X, {v: v for v in X.vertices}
+            raw = RawGraph(alphabets=ABC, vertices=("v",), vertex_labels={"v": "0"})
+            return (canonicalize(PointedRawGraph(raw, "v")),
+                    {v: EPSILON for v in X.vertices})
+
+        star = RawGraph(
+            alphabets=ABC, vertices=("m", "x", "y", "z"),
+            edges=frozenset((make_edge("m", "a", "x", "c"), make_edge("m", "b", "y", "c"),
+                             make_edge("m", "c", "z", "c"), make_edge("x", "a", "z", "b"),
+                             make_edge("z", "a", "y", "b"))),
+            vertex_labels=dict.fromkeys("mxyz", "0"))
+        M = mark(space.lift(canonicalize(PointedRawGraph(star, "m"))), space)
+        base = FuncDynamics("three-vertex", collapse, ABC)
+        got = outcome(ReversibleExtension(base, 0, space).apply, M)
+        assert got == outcome(FoldingExtension(base, 0, space).apply, M)
+        assert got[:2] == (UnionInconsistencyError,
+                           "marked[three-vertex]: boundary vertices a0c1 and "
+                           "b0c1 collide in the image")
 
 
 def extensions_on_marked_ends(step):

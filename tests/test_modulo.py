@@ -15,6 +15,7 @@ from cgd import (
     RawGraph,
     canonicalize,
     canonicalize_with_names,
+    connected_component,
     disk,
     disk_at,
     is_asymmetric,
@@ -26,7 +27,7 @@ from cgd import (
     shift_equivalence_classes,
 )
 from cgd import modulo, portgraph
-from cgd.blocks import BlockKit, mark
+from cgd.blocks import BlockKit, apply_product, mark
 from cgd.cli import main
 from cgd.dynamics import get_dynamics
 from cgd.families import (
@@ -46,6 +47,7 @@ from cgd.modulo import (
     NoHostVertexError,
     PathResolutionError,
     ball,
+    canonicalize_component,
     shift_class_ids,
     smallest_prime_above,
 )
@@ -171,6 +173,65 @@ class TestCanonicalize:
                                       make_edge("v", "a", "u", "b"))))
         with pytest.raises(InvalidGraphError):
             canonicalize(PointedRawGraph(g, "v"))
+
+
+def random_graph(rng, n):
+    """n vertices over ABC_XY joined by up to n random edges on free
+    half-edges, self-loops included, with partial vertex and edge labels:
+    often disconnected."""
+    halves = [(v, p) for v in range(n) for p in ABC_XY.ports]
+    edges = []
+    for _ in range(rng.randrange(n + 1)):
+        if len(halves) < 2:
+            break
+        h1, h2 = rng.sample(halves, 2)
+        halves = [h for h in halves if h not in (h1, h2)]
+        edges.append(frozenset((h1, h2)))
+    return RawGraph(alphabets=ABC_XY, vertices=tuple(range(n)),
+                    edges=frozenset(edges),
+                    vertex_labels={v: rng.choice("xy") for v in range(n)
+                                   if rng.random() < 0.7},
+                    edge_labels={e: "e" for e in edges if rng.random() < 0.5})
+
+
+def assert_component_form(g):
+    """From every origin, `canonicalize_component` gives the canonical form
+    and names of the origin's connected component."""
+    for v in g.vertices:
+        want = canonicalize_with_names(PointedRawGraph(connected_component(g, v), v))
+        got = canonicalize_component(PointedRawGraph(g, v))
+        assert got == want
+        assert list(got[1]) == list(want[1])
+
+
+class TestCanonicalizeComponent:
+    def test_random_disconnected_graphs(self):
+        rng = random.Random(2805)
+        graphs = [random_graph(rng, rng.randint(1, 8)) for _ in range(150)]
+        split = [g for g in graphs
+                 if len(connected_component(g, 0).vertices) < len(g.vertices)]
+        assert len(split) > 50
+        for g in graphs:
+            assert_component_form(g)
+
+    @pytest.mark.parametrize("marked_cells, regions", [((3,), 2), ((2, 4), 3)])
+    def test_unmarked_regions_of_marked_tapes(self, marked_cells, regions):
+        # The graphs the reversible extension walks: the unmarked part of a
+        # marked tape, its bits dropped.
+        kit = moving_head_kit()
+        X = TAPE_SPACE.lift(single_head_tape(7, 1, "cc"))
+        cells = [v for v in X.vertices if format_path(v) in
+                 [".".join(["a0b0"] * i) or "eps" for i in marked_cells]]
+        M = apply_product(kit.mark_gate.apply, cells, X)[0]
+        unmarked = [v for v in M.vertices if TAPE_SPACE.vertex_mark(M, v) == 0]
+        rest = relabel(portgraph.induced_subgraph(M, unmarked),
+                       ports=TAPE_SPACE.dropping, labels=TAPE_SPACE.dropping,
+                       alphabets=TAPE_SPACE.base)
+        found = {frozenset(canonicalize_component(PointedRawGraph(rest, v))[1])
+                 for v in rest.vertices}
+        assert len(found) == regions
+        assert sum(map(len, found)) == len(rest.vertices)
+        assert_component_form(rest)
 
 
 class TestResolve:
@@ -901,7 +962,8 @@ class TestTrustBoundary:
         with pytest.raises(InvalidGraphError, match=f"^{re.escape(message)}$"):
             canonicalize(PointedRawGraph(g, "v"))
 
-    @pytest.mark.parametrize("call", [canonicalize, canonicalize_with_names])
+    @pytest.mark.parametrize("call", [canonicalize, canonicalize_with_names,
+                                      canonicalize_component])
     def test_origin_outside_the_graph(self, call):
         g = RawGraph(alphabets=AB0, vertices=("v", "w"),
                      edges=frozenset((make_edge("v", "a", "w", "b"),)))
