@@ -30,7 +30,7 @@ from .modulo import (
     shift_with_names,
 )
 from .paths import EPSILON, Path, format_path
-from .patches import PatchInconsistencyError, glue
+from .patches import glue
 from .portgraph import (
     Alphabets,
     GraphError,
@@ -298,16 +298,14 @@ def apply_product(gate: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence
 class ReversibleExtension(Dynamics):
     """Lift a dynamics to marked graphs: act where unmarked, freeze the rest.
 
-    A graph whose vertices are all marked, or that carries a mark and has
-    at most `exception_bound` vertices, is fixed.  Otherwise the marked
-    vertices and the unmarked ones their edges reach stay frozen; each
-    unmarked component, the whole graph when nothing is marked, has its
-    bits dropped, is stepped by the base, lifted back and glued to the
-    frozen part at the shared boundary vertices (a disagreement raises
-    UnionInconsistencyError), and the result is pointed at the origin's image.
-    The supported class is what the glue checks: stepped on its own, each
-    region keeps the label of each boundary vertex and each edge and edge
-    label between two of them, and sends no two of them to one image.
+    A graph whose vertices are all marked, or that carries a mark and has at
+    most `exception_bound` vertices, is fixed.  Otherwise the marked vertices
+    and the edges with a marked end stay frozen; each unmarked component, the
+    whole graph when nothing is marked, has its bits dropped, is stepped by
+    the base, lifted back and glued to the frozen part at the boundary
+    vertices, the unmarked ends of frozen edges, and pointed at the origin's
+    image.  A step that sends two boundary vertices to one image, or puts an
+    edge on a frozen port of one, raises UnionInconsistencyError.
     """
 
     def __init__(self, base: Dynamics, exception_bound: int, space: MarkSpace,
@@ -331,13 +329,20 @@ class ReversibleExtension(Dynamics):
         n = len(X.vertices)
         if len(marked) == n or marked and n <= self.exception_bound:
             return X, identity_correspondence(X)
-        # An unmarked vertex with a 1-port has an edge to a mark.
-        boundary = {v for v in X.vertices if v not in marked
-                    and any(split[p][1] for p in adj[v])}
-
-        # One piece for the whole frozen part: its components share no
-        # vertex or edge, so no clash lies between them.
-        pieces = [induced_subgraph(X, marked | boundary)]
+        # The frozen edges have a marked end.  No glue can clash: a frozen
+        # half-edge at a boundary vertex has bit 1, a stepped one bit 0;
+        # only marked vertices keep labels here; no two regions share ids.
+        frozen = frozenset(e for e in X.edges for (u, _p), (w, _q) in (e,)
+                           if u in marked or w in marked)
+        boundary = {v for e in frozen for (v, _p) in e}.difference(marked)
+        # A step must not use base port q at v if v holds q1 and not q0.
+        freed = {(v, space.dropping[p]) for e in frozen for (v, p) in e
+                 if v in boundary and space.toggled[p] not in adj[v]}
+        pieces = [RawGraph(
+            alphabets=space.marked, edges=frozen,
+            vertices=tuple(v for v in X.vertices if v in marked or v in boundary),
+            vertex_labels={v: labels[v] for v in marked},
+            edge_labels={e: l for e, l in X.edge_labels.items() if e in frozen})]
         final_id: Dict[Path, object] = {v: v for v in marked}
         rest = relabel(induced_subgraph(X, (v for v in X.vertices if v not in marked)),
                        ports=space.dropping, labels=space.dropping, alphabets=space.base)
@@ -351,30 +356,25 @@ class ReversibleExtension(Dynamics):
             img = {v: corr[to_comp[v]] for v in rest.vertices if v in to_comp}
             seam: Dict[Path, Path] = {}
             for v in filter(boundary.__contains__, img):
-                w = img[v]
-                if w in seam:
+                if seam.setdefault(img[v], v) is not v:
                     raise UnionInconsistencyError(
-                        f"{self.name}: boundary vertices {format_path(seam[w])} "
+                        f"{self.name}: boundary vertices {format_path(seam[img[v]])} "
                         f"and {format_path(v)} collide in the image")
-                seam[w] = v
+            held = {(img[v], q): v for (v, q) in freed if v in img}
+            taken = {(held[h], h[1]) for e in image.edges for h in e if h in held}
+            if taken:
+                v, q = min(taken, key=lambda h: (X.vertices.index(h[0]), h[1]))
+                raise UnionInconsistencyError(
+                    f"{self.name}: the step puts an edge on a frozen port of "
+                    f"boundary vertex {format_path(v)} (port {q})")
             piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in image.vertices}
             pieces.append(relabel(image, ids=piece_id, ports=space.lifting,
                                   labels=space.lifting, alphabets=space.marked))
             for v, w in img.items():
                 final_id[v] = piece_id[w]
 
-        try:
-            merged = glue(pieces)
-        except PatchInconsistencyError as err:
-            raise UnionInconsistencyError(
-                f"{self.name}: transformed region conflicts with the frozen part: {err}; "
-                "the block pipeline supports only dynamics whose step of each unmarked "
-                "region on its own keeps the label of each boundary vertex (an unmarked "
-                "vertex next to a mark) and each edge and edge label between two of them, "
-                "and sends no two of them to one image") from None
-
         result, names = canonicalize_with_names(
-            PointedRawGraph(merged, final_id[EPSILON]))
+            PointedRawGraph(glue(pieces), final_id[EPSILON]))
         problem = space.mark_consistency_violation(result)
         if problem is not None:
             raise MarkError(

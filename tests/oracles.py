@@ -5,11 +5,13 @@ and then folds them together with `union_pair`, the two-patch union as it
 was written before `patches.glue`.  `FoldingExtension` is the reversible
 extension as it was, on `SlicingMarks`: an all-unmarked graph took a path
 of its own (drop, step, lift, each canonicalized), and the mixed case
-canonicalized each unmarked component, dropped, stepped and lifted it, built
-each evolved piece by hand and folded `consistent` and `union_pair` over
-the pieces.  The library now evolves every unmarked region on one path,
-lifts it inside the `portgraph.relabel` that names its piece, and glues
-with one call to `patches.glue`.
+froze each component of the marked vertices and their neighbours (keeping
+only the marked vertices' labels and the edges with a marked end),
+canonicalized each unmarked component, dropped, stepped and lifted it,
+built each evolved piece by hand and folded `consistent` and `union_pair`
+over the pieces.  The library now evolves every unmarked region on one
+path, lifts it inside the `portgraph.relabel` that names its piece, and
+glues with one call to `patches.glue`.
 
 `export_dot_by_path_key` is the DOT renderer as it was when it ordered
 half-edges by `Alphabets.path_key`; `dot.export_dot` now orders them by the
@@ -449,8 +451,18 @@ class FoldingExtension(Dynamics):
         pieces: List[RawGraph] = []
         final_id: Dict[Path, object] = {}
 
+        # A frozen piece keeps the edges with a marked end, and the labels
+        # of the marked vertices only.
         for comp in _components(X, upper_keep):
-            pieces.append(induced_subgraph(X, comp))
+            piece = induced_subgraph(X, comp)
+            edges = frozenset(e for e in piece.edges
+                              if any(v in marked for (v, _p) in e))
+            pieces.append(RawGraph(
+                alphabets=piece.alphabets, vertices=piece.vertices, edges=edges,
+                vertex_labels={v: l for v, l in piece.vertex_labels.items()
+                               if v in marked},
+                edge_labels={e: l for e, l in piece.edge_labels.items()
+                             if e in edges}))
         for v in upper_keep:
             final_id[v] = v
 
@@ -470,6 +482,20 @@ class FoldingExtension(Dynamics):
                         f"{self.name}: boundary vertices {format_path(seam[w])} "
                         f"and {format_path(v)} collide in the image")
                 seam[w] = v
+
+            # A stepped edge on base port q of a boundary vertex that holds q
+            # only as the frozen q1 would make it use q both ways; the first
+            # such vertex in X's order, and its least such port, are named.
+            stepped = {(seam[w], marks.port_base(p)[0])
+                       for e in lifted.edges for (w, p) in e if w in seam}
+            for v in comp:
+                hops = X.adjacency[v]
+                for q in sorted(marks.base.ports):
+                    if ((v, q) in stepped and marks.port(q, 1) in hops
+                            and marks.port(q, 0) not in hops):
+                        raise UnionInconsistencyError(
+                            f"{self.name}: the step puts an edge on a frozen port "
+                            f"of boundary vertex {format_path(v)} (port {q})")
 
             def piece_id(w, _anchor=anchor, _seam=seam):
                 return _seam.get(w, ("fresh", _anchor, w))
@@ -496,10 +522,7 @@ class FoldingExtension(Dynamics):
             if problem is not None:
                 raise UnionInconsistencyError(
                     f"{self.name}: transformed region conflicts with the frozen part: "
-                    f"{problem}; the block pipeline supports only dynamics whose step "
-                    "of each unmarked region on its own keeps the label of each boundary "
-                    "vertex (an unmarked vertex next to a mark) and each edge and edge "
-                    "label between two of them, and sends no two of them to one image")
+                    f"{problem}")
             merged = union_pair(merged, piece)
 
         result, names = canonicalize_with_names(

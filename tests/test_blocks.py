@@ -28,7 +28,6 @@ from cgd.blocks import (
     MarkSpace,
     ReversibleExtension,
     ShiftedDynamics,
-    UnionInconsistencyError,
     anchored_locality_radius,
     check_locality,
     find_locality_radius,
@@ -636,8 +635,10 @@ class TestReversibleExtension:
         assert got == expected
 
     def test_union_conflict_reported(self):
-        # A label-flipping base dynamics relabels the frozen boundary
-        # vertices of the unmarked component, which the glue must reject.
+        # A label-flipping base dynamics relabels the boundary vertices of
+        # the unmarked component.  Only the mark is frozen, so the glue has
+        # nothing to reject: both boundary vertices take their new labels,
+        # and every edge keeps its ports.
         base_alph = AB01
         space = MarkSpace.for_base(base_alph)
 
@@ -659,9 +660,16 @@ class TestReversibleExtension:
         X = space.lift(canonicalize(PointedRawGraph(triangle, "m")))
         M = mark(X, space)
         assert M != X
-        ext = ReversibleExtension(flipper, 0, space)
-        with pytest.raises(UnionInconsistencyError):
-            ext.apply(M)
+        expected = marked_graph(
+            vertices=("m", "b1", "b2"),
+            edges=(make_edge("m", "a0", "b1", "b1"),
+                   make_edge("m", "b0", "b2", "a1"),
+                   make_edge("b1", "a0", "b2", "b0")),
+            labels={"m": "01", "b1": "10", "b2": "10"},
+            pointer="m", space=space)
+        got, corr = ReversibleExtension(flipper, 0, space).apply(M)
+        assert got == expected
+        assert corr == {v: v for v in M.vertices}
 
     def test_mark_consistency_demanded(self):
         kit = moving_head_kit()
@@ -1000,76 +1008,98 @@ class PartitionedShift(RawStepDynamics):
         return raw, EPSILON, identity_correspondence(X)
 
 
+def labelled_line(labels, cyclic=False):
+    """The path, or the cycle, whose cell i has the label labels[i], port a
+    of cell i joined to port b of cell i + 1, pointed at cell 0."""
+    n = len(labels)
+    edges = [make_edge(i, "a", i + 1, "b") for i in range(n - 1)]
+    if cyclic:
+        edges.append(make_edge(n - 1, "a", 0, "b"))
+    raw = RawGraph(alphabets=PAIRS, vertices=tuple(range(n)),
+                   edges=frozenset(edges), vertex_labels=dict(enumerate(labels)))
+    return canonicalize(PointedRawGraph(raw, 0))
+
+
 def labelled_paths_and_cycles(max_cells):
-    """Every labelling of the paths and cycles of 1 .. max_cells cells, port
-    a of cell i joined to port b of cell i + 1, pointed at cell 0."""
-    graphs = []
-    for n in range(1, max_cells + 1):
-        path = [make_edge(i, "a", i + 1, "b") for i in range(n - 1)]
-        for edges in (path, path + [make_edge(n - 1, "a", 0, "b")]):
-            for labels in product(PAIRS.vertex_labels, repeat=n):
-                raw = RawGraph(alphabets=PAIRS, vertices=tuple(range(n)),
-                               edges=frozenset(edges), vertex_labels=dict(enumerate(labels)))
-                graphs.append(canonicalize(PointedRawGraph(raw, 0)))
-    return GraphFamily.from_graphs(graphs, PAIRS)
+    """Every labelling of the paths and cycles of 1 .. max_cells cells."""
+    return GraphFamily.from_graphs(
+        [labelled_line(labels, cyclic) for n in range(1, max_cells + 1)
+         for cyclic in (False, True) for labels in product(PAIRS.vertex_labels, repeat=n)],
+        PAIRS)
+
+
+def long_labelled_lines(seed):
+    """A seeded path and cycle of each of 20, 31 and 48 cells."""
+    rng = random.Random(seed)
+    return [labelled_line([rng.choice(PAIRS.vertex_labels) for _ in range(n)], cyclic)
+            for n in (20, 31, 48) for cyclic in (False, True)]
+
+
+# Six non-identity label permutations, drawn once with a fixed seed.
+SAMPLED_IMAGES = random.Random(30).sample(
+    [p for p in permutations(PAIRS.vertex_labels) if p != PAIRS.vertex_labels], 6)
+
+
+@pytest.fixture(scope="module")
+def pairs_family_5():
+    return labelled_paths_and_cycles(5)
+
+
+@pytest.fixture(scope="module")
+def pairs_family_4():
+    return list(labelled_paths_and_cycles(4))
 
 
 class TestLabelChangingDynamics:
-    """The block pipeline supports dynamics whose step of each unmarked
-    region on its own keeps the label of each boundary vertex (an unmarked
-    vertex next to a mark) and each edge between two of them, and sends no
-    two of them to one image: the reversible extension freezes those
-    vertices and requires their stepped copies to agree.  A cellwise label
-    permutation breaks that on every path of 2 cells or more, and the
-    pipeline must say so, not return a wrong graph."""
+    """The reversible extension freezes only the marked vertices and the
+    edges with a marked end, so a step may relabel an unmarked vertex next
+    to a mark: the block pipeline factors reversible cellular automata on
+    paths and cycles.  Each kit is read off every path and cycle of up to
+    5 cells."""
 
-    def test_decompose_refuses_every_two_cell_path(self):
-        # 00 -> 01 -> 10 -> 11 -> 00 relabels every vertex.
-        D = CellwisePermutation(("01", "10", "11", "00"))
-        fam = labelled_paths_and_cycles(4)
-        assert check_bijective_on_family(D, fam) is None
-        kit = BlockKit.from_family(D, fam)
-        assert kit.exception_bound == 0
-        sizes = [(len(X.vertices), len(X.edges)) for X in fam]
-        for X in (X for X, size in zip(fam, sizes) if size == (1, 0)):
+    @staticmethod
+    def assert_decomposes(D, family_5, small, seed):
+        kit = BlockKit.from_family(D, family_5)
+        assert (kit.exception_bound, kit.inverse.rule.radius) == (0, 1)
+        for X in small + long_labelled_lines(seed):
             assert kit.decompose_step(X) == D.apply(X)[0]
-        assert sizes.count((2, 1)) == 16
-        for X in (X for X, size in zip(fam, sizes) if size == (2, 1)):
-            with pytest.raises(UnionInconsistencyError,
-                               match="conflicts with the frozen part"):
-                kit.decompose_step(X)
+        lifted = [kit.space.lift(X) for X in small]
+        assert anchored_locality_radius(
+            (L, list(kit.conjugate_marks(L, L.vertices))) for L in lifted) == 1
 
-    @pytest.mark.parametrize("images", [("01", "10", "11", "00"),
-                                        ("01", "00", "10", "11")])
-    def test_never_a_wrong_graph(self, images):
-        # Each path and cycle of up to 3 cells either decomposes to its
-        # direct image or raises; a transposition lets some through.
-        D = CellwisePermutation(images)
-        kit = BlockKit.from_family(D, labelled_paths_and_cycles(4))
-        outcomes = set()
-        for X in labelled_paths_and_cycles(3):
-            try:
-                outcomes.add(kit.decompose_step(X) == D.apply(X)[0])
-            except UnionInconsistencyError:
-                outcomes.add("raised")
-        assert outcomes == {True, "raised"}
+    def test_decompose_refuses_every_two_cell_path(self, pairs_family_5):
+        # 00 -> 01 -> 10 -> 11 -> 00 relabels every vertex.  On each
+        # two-cell path with its origin marked, the forward extension
+        # relabels the unmarked cell next to the mark and keeps the mark.
+        D = CellwisePermutation(("01", "10", "11", "00"))
+        assert check_bijective_on_family(D, pairs_family_5) is None
+        kit = BlockKit.from_family(D, pairs_family_5)
+        assert kit.exception_bound == 0
+        paths = [labelled_line(labels) for labels in product(PAIRS.vertex_labels, repeat=2)]
+        assert len(paths) == 16
+        for X in paths:
+            assert kit.decompose_step(X) == D.apply(X)[0]
+            first, second = (X.vertex_labels[v] for v in X.vertices)
+            expected = marked_graph(
+                vertices=(0, 1), edges=(make_edge(0, "a0", 1, "b1"),),
+                labels={0: first + "1", 1: D.perm[second] + "0"},
+                pointer=0, space=kit.space)
+            assert kit.forward_ext.apply(mark(kit.space.lift(X), kit.space))[0] == expected
 
-    def test_partitioned_cellular_automaton(self):
+    @pytest.mark.parametrize("images", SAMPLED_IMAGES)
+    def test_never_a_wrong_graph(self, images, pairs_family_5, pairs_family_4):
+        # Every path and cycle of up to 4 cells, and seeded long ones,
+        # decompose to the direct image, through gates of radius 1.
+        self.assert_decomposes(CellwisePermutation(images), pairs_family_5,
+                               pairs_family_4, seed=48)
+
+    def test_partitioned_cellular_automaton(self, pairs_family_5, pairs_family_4):
         # A boundary cell is an end of its region's path, where its bits
         # move or reflect, so its stepped label mostly differs from its
-        # frozen one: most paths raise, and none gives a wrong graph.
+        # label in X; only the mark stays frozen, and the step decomposes.
         D = PartitionedShift()
-        fam = labelled_paths_and_cycles(4)
-        assert check_bijective_on_family(D, fam) is None
-        kit = BlockKit.from_family(D, fam)
-        assert (kit.exception_bound, kit.inverse.rule.radius) == (0, 1)
-        outcomes = set()
-        for X in labelled_paths_and_cycles(3):
-            try:
-                outcomes.add(kit.decompose_step(X) == D.apply(X)[0])
-            except UnionInconsistencyError:
-                outcomes.add("raised")
-        assert outcomes == {True, "raised"}
+        assert check_bijective_on_family(D, pairs_family_5) is None
+        self.assert_decomposes(D, pairs_family_5, pairs_family_4, seed=48)
 
 
 def parity_flip_on_chains():

@@ -256,7 +256,8 @@ class TestDecompose:
     def test_label_changing_dynamics_names_the_supported_class(
             self, tmp_path, monkeypatch, capsys):
         # A cellwise label permutation stands in for the named dynamics; it
-        # relabels the unmarked cell next to the first mark.
+        # relabels the unmarked cell next to the first mark, which the
+        # reversible extension does not freeze, so the step decomposes.
         from test_blocks import CellwisePermutation, labelled_paths_and_cycles
         D = CellwisePermutation(("01", "10", "11", "00"))
         monkeypatch.setattr(cli, "get_dynamics", lambda name: D)
@@ -266,15 +267,9 @@ class TestDecompose:
         graph.write_text("ports a b\nvlabels 00 01 10 11\nvertex u label=00\n"
                          "vertex v label=00\nedge u:a v:b\npointer u\n")
         assert main(["decompose", "--dynamics", "identity",
-                     "--input", str(graph)]) == EXIT_BAD_INPUT
-        assert one_error_line(capsys) == (
-            "error: marked-inverse[cellwise-01-10-11-00]: transformed region conflicts "
-            "with the frozen part: vertex Path('a0b1') labelled both '010' and '000'; "
-            "the block pipeline supports only dynamics whose step of each unmarked "
-            "region on its own keeps the label of each boundary vertex (an unmarked "
-            "vertex next to a mark) and each edge and edge label between two of them, "
-            "and sends no two of them to one image")
-
+                     "--input", str(graph)]) == EXIT_OK
+        assert capsys.readouterr().out == (
+            "dynamics=cellwise-01-10-11-00\nmatches_direct_step=yes\n")
 
     def test_identity(self, tmp_path, capsys):
         tape = tmp_path / "tape.graph"

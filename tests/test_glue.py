@@ -26,6 +26,7 @@ from cgd import (
     glue,
     make_edge,
 )
+from cgd import blocks
 from cgd.blocks import (
     BlockKit,
     MarkDynamics,
@@ -48,13 +49,21 @@ from cgd.patches import (
     parse_rule_file,
     serialize_rule_file,
 )
-from cgd.paths import EPSILON, parse_path
+from cgd.paths import EPSILON, format_path, parse_path
 from cgd.portgraph import GraphError, relabel, validate
 from cgd.reversibility import enumerate_family
 
 import oracles
 from oracles import FoldingExtension, apply_local_rule_pairwise, union_pair
-from test_blocks import TAPE_SPACE, marked_variants, moving_head_kit
+from test_blocks import (
+    SAMPLED_IMAGES,
+    TAPE_SPACE,
+    CellwisePermutation,
+    PartitionedShift,
+    labelled_paths_and_cycles,
+    marked_variants,
+    moving_head_kit,
+)
 from test_patches import (
     ABL,
     RULE_FILE,
@@ -387,8 +396,9 @@ class TestExtensionAgainstOracle:
         assert compare_extensions(kit, family) == 312
 
     def test_seam_conflict(self):
-        # A label-flipping base dynamics relabels the frozen boundary of the
-        # unmarked component (the same case as in test_blocks).
+        # A label-flipping base dynamics relabels the boundary of the
+        # unmarked component (the same case as in test_blocks).  Only the
+        # mark is frozen, so the boundary takes the stepped labels.
         space = MarkSpace.for_base(AB01)
 
         def flip(X):
@@ -408,14 +418,13 @@ class TestExtensionAgainstOracle:
         M = mark(space.lift(canonicalize(PointedRawGraph(triangle, "m"))), space)
         got = outcome(ReversibleExtension(flipper, 0, space).apply, M)
         assert got == outcome(FoldingExtension(flipper, 0, space).apply, M)
-        assert got[0] is UnionInconsistencyError
-        assert "transformed region conflicts with the frozen part:" in got[1]
+        assert [got[0].vertex_labels[v] for v in got[0].vertices] == ["01", "10", "10"]
+        assert got[0].edges == M.edges
 
     def test_seam_conflict_at_a_fresh_vertex(self):
         # The base step puts a fresh vertex between the two boundary
-        # vertices, whose frozen edge it thereby contradicts.  The piece is
-        # lifted as it is named, so the fresh vertex's name in the message
-        # keeps the base tokens the step gave it.
+        # vertices.  The edge between them is not frozen, as neither end is
+        # marked, so the step replaces it: m1 - x - z - y - m2.
         def insert(X):
             raw = RawGraph(alphabets=ABC, vertices=("x", "z", "y"),
                            edges=frozenset((make_edge("x", "a", "z", "b"),
@@ -426,16 +435,38 @@ class TestExtensionAgainstOracle:
             return Y, {EPSILON: names["x"], far: names["y"]}
 
         got, want = extensions_on_marked_ends(insert)
-        assert got[0] is want[0] is UnionInconsistencyError
-        assert got[1] == (
-            "marked[two-vertex]: transformed region conflicts with the frozen "
-            "part: half-edge Path('a0c1'):a0 leads to (Path('a0c1.a0b0'), "
-            "'b0') in one patch and (('fresh', Path('a0c1'), Path('ab')), "
-            "'b0') in the other; the block pipeline supports only dynamics whose "
-            "step of each unmarked region on its own keeps the label of each "
-            "boundary vertex (an unmarked vertex next to a mark) and each edge and "
-            "edge label between two of them, and sends no two of them to one image")
-        assert want[1] == got[1].replace("Path('ab')", "Path('a0b0')")
+        assert got == want
+        space = MarkSpace.for_base(ABC)
+        path = RawGraph(
+            alphabets=space.marked, vertices=("m1", "x", "z", "y", "m2"),
+            edges=frozenset((make_edge("m1", "a0", "x", "c1"),
+                             make_edge("x", "a0", "z", "b0"),
+                             make_edge("z", "a0", "y", "b0"),
+                             make_edge("y", "c1", "m2", "b0"))),
+            vertex_labels={"m1": "01", "x": "00", "z": "00", "y": "00", "m2": "01"})
+        Y, names = canonicalize_with_names(PointedRawGraph(path, "m1"))
+        assert got[0] == Y
+        assert {format_path(v): w for v, w in got[1].items()} == {
+            "eps": names["m1"], "a0c1": names["x"], "a0c1.a0b0": names["y"],
+            "a0c1.a0b0.c1b0": names["m2"]}
+
+    def test_step_on_a_frozen_port(self):
+        # x and y each hold port c only as the frozen c1 of their edge to a
+        # mark.  A step that joins them by c0 would leave both using c both
+        # ways, which `MarkSpace.drop` refuses; the extension refuses it
+        # first, at x, the first in the graph's order.
+        def join(X):
+            x, y = X.vertices
+            raw = RawGraph(alphabets=ABC, vertices=X.vertices,
+                           edges=X.edges | {make_edge(x, "c", y, "c")},
+                           vertex_labels=X.vertex_labels)
+            return canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+
+        got, want = extensions_on_marked_ends(join)
+        assert got == want
+        assert got[:2] == (UnionInconsistencyError,
+                           "marked[two-vertex]: the step puts an edge on a frozen "
+                           "port of boundary vertex a0c1 (port c)")
 
     def test_boundary_vertices_that_collide(self):
         # The base step merges the two boundary vertices into one.
@@ -476,6 +507,44 @@ class TestExtensionAgainstOracle:
         assert got[:2] == (UnionInconsistencyError,
                            "marked[three-vertex]: boundary vertices a0c1 and "
                            "b0c1 collide in the image")
+
+
+class TestExtensionGlueNeverClashes:
+    """No two pieces the extension glues conflict: at a boundary vertex a
+    frozen half-edge carries bit 1 and a stepped one bit 0, only marked
+    vertices carry frozen labels, and no two stepped regions share an id.
+    `blocks.glue` is wrapped to run `consistent` on every pair of pieces."""
+
+    @pytest.fixture
+    def glued(self, monkeypatch):
+        real, counts = blocks.glue, []
+
+        def checked(pieces):
+            for p, q in combinations(pieces, 2):
+                assert consistent(p, q) is None
+            counts.append(len(pieces))
+            return real(pieces)
+
+        monkeypatch.setattr(blocks, "glue", checked)
+        return counts
+
+    def test_oracle_inputs(self, glued):
+        compare_extensions(moving_head_kit(), single_head_tapes(3))
+        turtle = get_dynamics("turtle")
+        kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
+        compare_extensions(kit, enumerate_family(turtle.alphabets, 3))
+        assert (len(glued), max(glued)) == (472, 4)
+
+    @pytest.mark.parametrize("images", [None] + SAMPLED_IMAGES)
+    def test_generator_sweep(self, glued, images):
+        # The partitioned shift, then the sampled cellwise permutations:
+        # decompose sweeps, and both extensions on every marking.
+        D = PartitionedShift() if images is None else CellwisePermutation(images)
+        kit = BlockKit.from_family(D, labelled_paths_and_cycles(4))
+        for X in labelled_paths_and_cycles(4):
+            assert kit.decompose_step(X) == D.apply(X)[0]
+        compare_extensions(kit, labelled_paths_and_cycles(3))
+        assert (len(glued), max(glued)) == (6328, 3)
 
 
 def extensions_on_marked_ends(step):
