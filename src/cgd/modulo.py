@@ -39,28 +39,30 @@ class CanonicalGraph:
 
     Instances are immutable and hashable; build them with
     :func:`canonicalize` (or the operations below), not directly: the
-    constructor trusts its vertices to come in canonical order.
+    constructor trusts its vertices to come in canonical order, and owns
+    the maps it is handed, copying none: builders hand fresh maps, or maps
+    nobody mutates.
     """
 
     __slots__ = ("alphabets", "vertices", "vertex_labels", "edges",
                  "edge_labels", "_hash", "_adj_cache", "_text")
 
     def __init__(self, alphabets: Alphabets, vertices: Iterable[Path],
-                 vertex_labels: Mapping[Path, str], edges: Iterable[NameEdge],
-                 edge_labels: Mapping[NameEdge, str]):
+                 vertex_labels: Dict[Path, str], edges: Iterable[NameEdge],
+                 edge_labels: Dict[NameEdge, str]):
         self.alphabets = alphabets
         self.vertices: Tuple[Path, ...] = tuple(vertices)
-        self.vertex_labels: Dict[Path, str] = dict(vertex_labels)
+        self.vertex_labels = vertex_labels
         self.edges: FrozenSet[NameEdge] = frozenset(edges)
-        self.edge_labels: Dict[NameEdge, str] = dict(edge_labels)
+        self.edge_labels = edge_labels
         self._adj_cache: Optional[Dict[Path, Dict[str, Tuple[Path, str]]]] = None
         self._text: Optional[str] = None
         self._hash = hash((
-            self.alphabets,
+            alphabets,
             self.vertices,
-            tuple(map(self.vertex_labels.get, self.vertices)),
+            tuple(map(vertex_labels.get, self.vertices)),
             self.edges,
-            frozenset(self.edge_labels.items()),
+            frozenset(edge_labels.items()) if edge_labels else (),
         ))
 
     def __hash__(self) -> int:
@@ -223,17 +225,16 @@ def _rename(alphabets: Alphabets, names: Mapping[Any, Path],
             vertex_labels: Mapping[Any, str], edges: Iterable[Edge],
             edge_labels: Mapping[Edge, str]) -> CanonicalGraph:
     # Not portgraph.relabel: on this hottest path that was about 5% slower.
+    # Names are interned (`paths`): an edge whose ends keep their names stays.
     new_edges = {}
     for e in edges:
-        (u, p), (w, q) = tuple(e)
-        new_edges[e] = frozenset(((names[u], p), (names[w], q)))
-    return CanonicalGraph(
-        alphabets=alphabets,
-        vertices=names.values(),
-        vertex_labels={names[v]: l for v, l in vertex_labels.items()},
-        edges=new_edges.values(),
-        edge_labels={new_edges[e]: l for e, l in edge_labels.items()},
-    )
+        (u, p), (w, q) = e
+        nu, nw = names[u], names[w]
+        new_edges[e] = e if nu is u and nw is w else frozenset(((nu, p), (nw, q)))
+    return CanonicalGraph(alphabets, names.values(),
+                          {names[v]: l for v, l in vertex_labels.items()},
+                          new_edges.values(),
+                          {new_edges[e]: l for e, l in edge_labels.items()})
 
 
 def shift_with_names(X: CanonicalGraph, path: Path
@@ -322,9 +323,11 @@ def shift_class_ids(X: CanonicalGraph, orbit: Dict[CanonicalGraph, Tuple[int, ..
                     ) -> Tuple[int, ...]:
     """Each vertex's shift-equivalence class id, in X's vertex order.  A missing
     X fills in `orbit` for all its pointings: X_u, names_u = shift_with_names(X,
-    u), and X_u re-pointed at names_u[w] is X_w, whose index is that id."""
+    u), and X_u re-pointed at names_u[w] is X_w, whose index is that id; at the
+    origin, X_u is X itself."""
     if X not in orbit:
-        shifts = {w: shift_with_names(X, w) for w in X.vertices}
+        shifts = {w: shift_with_names(X, w) if w.length else (X, {v: v for v in X.vertices})
+                  for w in X.vertices}
         index: Dict[CanonicalGraph, int] = {}
         of = {w: index.setdefault(Xw, len(index)) for w, (Xw, _) in shifts.items()}
         for Xu, names in shifts.values():   # names: in X_u's vertex order

@@ -8,7 +8,6 @@ path names computed by :mod:`cgd.modulo`.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from operator import itemgetter
 from typing import (Dict, FrozenSet, Hashable, Iterable, List, Mapping,
                     Optional, Tuple)
 
@@ -109,7 +108,7 @@ class RawGraph:
         Built afresh on each call; it also serves a CanonicalGraph."""
         adj: Dict[VertexId, Dict[str, HalfEdge]] = {v: {} for v in self.vertices}
         for e in self.edges:
-            (u, p), (w, q) = tuple(e)
+            (u, p), (w, q) = e
             adj[u][p] = (w, q)
             adj[w][q] = (u, p)
         return adj
@@ -221,7 +220,7 @@ def ordered_edges(g) -> List[Tuple[HalfEdge, HalfEdge, Edge]]:
         k1 = rank[h1[0]] + index[h1[1]]
         k2 = rank[h2[0]] + index[h2[1]]
         keyed.append((k1 * span + k2, h1, h2, e) if k1 < k2 else (k2 * span + k1, h2, h1, e))
-    keyed.sort(key=itemgetter(0))
+    keyed.sort()    # keys are unique, so no half-edge is ever compared
     return [k[1:] for k in keyed]
 
 

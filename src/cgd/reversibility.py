@@ -208,14 +208,12 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
                     continue
                 new = {frozenset(((w, q), far if key else (w, far))): delta
                        for key, q, far, delta in choice}
-                g = RawGraph(alphabets, vertices + (w,), parent.edges.union(new),
-                             labels if sigma is None else {**labels, w: sigma},
-                             {**parent.edge_labels,
-                              **{e: d for e, d in new.items() if d is not None}})
-                if raw_prune is None or raw_prune(g):
-                    found.append(CanonicalGraph(alphabets, g.vertices,
-                                                g.vertex_labels, g.edges,
-                                                g.edge_labels))
+                vs, es = vertices + (w,), parent.edges.union(new)
+                vl = labels if sigma is None else {**labels, w: sigma}
+                el = {**parent.edge_labels, **{e: d for e, d in new.items() if d is not None}
+                      } if alphabets.edge_labels else parent.edge_labels
+                if raw_prune is None or raw_prune(RawGraph(alphabets, vs, es, vl, el)):
+                    found.append(CanonicalGraph(alphabets, vs, vl, es, el))
                 if len(found) > cap_n:
                     raise FamilyCapError(f"family exceeds cap of {cap_n} graphs "
                                          f"(set {FAMILY_CAP_ENV} to raise it)")

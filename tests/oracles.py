@@ -147,6 +147,11 @@ index) key per half-edge in a candidate table, sorted the next layer by
 those keys and then built its names in a second loop.  The library now
 walks each layer's ports in `alphabets.ports` order and names a vertex
 when it first reaches it.
+
+`rename_every_edge` is `modulo._rename` as it was when it rebuilt every
+edge record under the new names, and `canonicalize_rebuilding_edges` is
+`canonicalize_with_names` on it.  The library now keeps, as the same
+object, every edge whose two ends already carry their canonical names.
 """
 import io
 from collections import deque
@@ -169,6 +174,7 @@ from cgd.dynamics import (
 from cgd.families import shift_closure
 from cgd.modulo import (
     CanonicalGraph,
+    _canonical_names,
     canonicalize,
     canonicalize_with_names,
     disk,
@@ -1603,3 +1609,26 @@ def layered_canonical_names(adjacency, origin, alphabets,
             _key, base, pair = best[w]
             names[w] = base.child(pair)
     return names
+
+
+def rename_every_edge(alphabets: Alphabets, names: Mapping, vertex_labels: Mapping,
+                      edges: Iterable[Edge], edge_labels: Mapping) -> CanonicalGraph:
+    new_edges = {}
+    for e in edges:
+        (u, p), (w, q) = tuple(e)
+        new_edges[e] = frozenset(((names[u], p), (names[w], q)))
+    return CanonicalGraph(
+        alphabets=alphabets,
+        vertices=tuple(names.values()),
+        vertex_labels={names[v]: l for v, l in vertex_labels.items()},
+        edges=frozenset(new_edges.values()),
+        edge_labels={new_edges[e]: l for e, l in edge_labels.items()},
+    )
+
+
+def canonicalize_rebuilding_edges(pg: PointedRawGraph
+                                  ) -> Tuple[CanonicalGraph, Dict[Hashable, Path]]:
+    g = pg.graph
+    names = _canonical_names(g.adjacency(), pg.origin, g.alphabets)
+    return rename_every_edge(g.alphabets, names, g.vertex_labels, g.edges,
+                             g.edge_labels), names

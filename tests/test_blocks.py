@@ -634,7 +634,7 @@ class TestReversibleExtension:
         got, _ = kit.forward_ext.apply(M)
         assert got == expected
 
-    def test_union_conflict_reported(self):
+    def test_boundary_takes_the_stepped_labels(self):
         # A label-flipping base dynamics relabels the boundary vertices of
         # the unmarked component.  Only the mark is frozen, so the glue has
         # nothing to reject: both boundary vertices take their new labels,
@@ -1067,7 +1067,7 @@ class TestLabelChangingDynamics:
         assert anchored_locality_radius(
             (L, list(kit.conjugate_marks(L, L.vertices))) for L in lifted) == 1
 
-    def test_decompose_refuses_every_two_cell_path(self, pairs_family_5):
+    def test_decomposes_every_two_cell_path(self, pairs_family_5):
         # 00 -> 01 -> 10 -> 11 -> 00 relabels every vertex.  On each
         # two-cell path with its origin marked, the forward extension
         # relabels the unmarked cell next to the mark and keeps the mark.

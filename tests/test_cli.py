@@ -253,7 +253,7 @@ class TestDecompose:
         assert main(["decompose", "--dynamics", "moving-head",
                      "--input", tape_file]) == EXIT_OK
 
-    def test_label_changing_dynamics_names_the_supported_class(
+    def test_label_changing_dynamics_decomposes(
             self, tmp_path, monkeypatch, capsys):
         # A cellwise label permutation stands in for the named dynamics; it
         # relabels the unmarked cell next to the first mark, which the

@@ -395,7 +395,7 @@ class TestExtensionAgainstOracle:
         kit = BlockKit.from_family(turtle, enumerate_family(turtle.alphabets, 2))
         assert compare_extensions(kit, family) == 312
 
-    def test_seam_conflict(self):
+    def test_seam_takes_the_stepped_labels(self):
         # A label-flipping base dynamics relabels the boundary of the
         # unmarked component (the same case as in test_blocks).  Only the
         # mark is frozen, so the boundary takes the stepped labels.
@@ -421,7 +421,7 @@ class TestExtensionAgainstOracle:
         assert [got[0].vertex_labels[v] for v in got[0].vertices] == ["01", "10", "10"]
         assert got[0].edges == M.edges
 
-    def test_seam_conflict_at_a_fresh_vertex(self):
+    def test_step_splits_a_seam_edge_with_a_fresh_vertex(self):
         # The base step puts a fresh vertex between the two boundary
         # vertices.  The edge between them is not frozen, as neither end is
         # marked, so the step replaces it: m1 - x - z - y - m2.

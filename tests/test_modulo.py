@@ -56,9 +56,11 @@ from cgd.paths import EPSILON, Path, format_path, parse_path
 from oracles import (
     apply_local_rule_pairwise,
     ball_by_bfs,
+    canonicalize_rebuilding_edges,
     disk_by_canonicalization,
     disk_by_shift,
     disk_scanning_edges,
+    rename_every_edge,
     shift_equivalence_classes as old_classes,
 )
 from test_blocks import TAPE_SPACE, marked_variants, moving_head_kit
@@ -66,6 +68,7 @@ from test_patches import inflating_grid_local_rule
 
 AB = Alphabets.make("ab")
 AB0 = Alphabets.make("ab", vertex_labels=("0",))
+AB01 = Alphabets.make("ab", vertex_labels=("0", "1"))
 ABC = Alphabets.make("abc")
 ABXY = Alphabets.make("ab", vertex_labels=("x", "y"))
 ABC_XY = Alphabets.make("abc", vertex_labels=("x", "y"), edge_labels=("e",))
@@ -672,7 +675,8 @@ class TestOrbitClasses:
         assert_orbit_classes_match([X])
 
     def test_one_pass_fills_every_pointing(self, monkeypatch):
-        # A 6-ring with alternating labels: 6 pointings, 2 distinct graphs.
+        # A 6-ring with alternating labels: 6 pointings, 2 distinct graphs;
+        # the origin's pointing is X itself and needs no shift.
         calls = []
         real = modulo.shift_with_names
         monkeypatch.setattr(modulo, "shift_with_names",
@@ -683,7 +687,7 @@ class TestOrbitClasses:
             by_label = [Y.vertex_labels[v] for v in Y.vertices]
             assert partition(Y.vertices, shift_class_ids(Y, orbit)) == \
                 partition(Y.vertices, by_label)
-        assert len(calls) == 6 and len(orbit) == 2
+        assert len(calls) == 5 and EPSILON not in calls and len(orbit) == 2
 
 
 class TestTextSlot:
@@ -1029,3 +1033,111 @@ class TestTrustedCallsGetValidGraphs:
         assert kit.decompose_step(X) == get_dynamics("moving-head").apply(X)[0]
         apply_local_rule(identity_local_rule(1), X)
         apply_local_rule(inflating_grid_local_rule(), grid_graph(2, 2))
+
+
+def assert_same_graph(got, want):
+    assert got == want and hash(got) == hash(want)
+    assert got.to_text() == want.to_text()
+
+
+@st.composite
+def half_named_graphs(draw):
+    """`pointed_graphs` with some ids replaced by canonical names: each
+    chosen vertex takes its own name or, after a shuffle, another vertex's,
+    so edges keep both, one or none of their names, and ids mix types."""
+    pg = draw(pointed_graphs())
+    names = canonicalize_with_names(pg)[1]
+    chosen = [v for v in pg.graph.vertices if draw(st.booleans())]
+    targets = draw(st.permutations(chosen)) if draw(st.booleans()) else chosen
+    ids = {v: v for v in pg.graph.vertices}
+    ids.update((v, names[t]) for v, t in zip(chosen, targets))
+    return PointedRawGraph(relabel(pg.graph, ids=ids), ids[pg.origin])
+
+
+class TestKeptEdgeRecords:
+    """`_rename` keeps every edge record whose two ends already carry their
+    canonical names and rebuilds the others; `oracles.rename_every_edge`
+    rebuilds them all.  Both give the same graph, hash, text and names."""
+
+    @pytest.fixture
+    def checked_renames(self, monkeypatch):
+        """Every `_rename` call in the library also runs the oracle on the
+        same arguments and must agree with it; yields the calls made."""
+        calls = []
+        real = modulo._rename
+
+        def checked(*args):
+            got = real(*args)
+            assert_same_graph(got, rename_every_edge(*args))
+            calls.append(got)
+            return got
+
+        monkeypatch.setattr(modulo, "_rename", checked)
+        yield calls
+
+    def test_family_at_every_pointing(self):
+        family = enumerate_family(AB01, 4)
+        assert len(family) == 796
+        for X in family:
+            raw = X.to_pointed_raw().graph
+            for u in X.vertices:
+                pg = PointedRawGraph(raw, u)
+                got, names = canonicalize_with_names(pg)
+                want, want_names = canonicalize_rebuilding_edges(pg)
+                assert_same_graph(got, want)
+                assert names == want_names
+                assert (got, names) == modulo.shift_with_names(X, u)
+
+    def test_moving_head_steps(self, checked_renames):
+        D = get_dynamics("moving-head")
+        rng = random.Random(3101)
+        for _ in range(12):
+            n = rng.randint(2, 40)
+            X = single_head_tape(n, rng.randrange(n), rng.choice(("cc", "dd")))
+            for _step in range(3):
+                X = D.apply(X)[0]
+        assert len(checked_renames) >= 36
+
+    def test_lifted_and_marked_tapes(self, checked_renames):
+        for M in marked_variants(TAPE_SPACE.lift(single_head_tape(3, 1)), TAPE_SPACE):
+            mark(M, TAPE_SPACE)
+        kit = moving_head_kit(5)
+        rng = random.Random(3102)
+        for n in (5, 9, 15):
+            X = single_head_tape(n, rng.randrange(n), rng.choice(("cc", "dd")))
+            assert kit.decompose_step(X) == get_dynamics("moving-head").apply(X)[0]
+        assert len(checked_renames) > 100
+
+    @PROPERTY
+    @given(pg=half_named_graphs())
+    def test_mixed_ids(self, pg):
+        got, names = canonicalize_with_names(pg)
+        want, want_names = canonicalize_rebuilding_edges(pg)
+        assert_same_graph(got, want)
+        assert names == want_names
+
+    def test_kept_edge_is_not_rebuilt(self):
+        X = single_head_tape(6, 2)
+        names = {v: v for v in X.vertices}
+        Y = modulo._rename(X.alphabets, names, X.vertex_labels, X.edges,
+                           X.edge_labels)
+        assert Y == X
+        assert {id(e) for e in Y.edges} == {id(e) for e in X.edges}
+
+    def test_renamed_end_is_not_kept(self):
+        # x takes the name ab, and then ids ab and eps swap names: no edge
+        # with a renamed end comes back as the record it was.
+        ab = parse_path("ab", AB01.ports)
+        one_end = make_edge(EPSILON, "a", "x", "b")
+        raw = RawGraph(AB01, (EPSILON, "x"), frozenset((one_end,)),
+                       {EPSILON: "0", "x": "1"})
+        Y, names = canonicalize_with_names(PointedRawGraph(raw, EPSILON))
+        assert names == {EPSILON: EPSILON, "x": ab}
+        assert Y.edges == {make_edge(EPSILON, "a", ab, "b")}
+        assert all(e is not one_end for e in Y.edges)
+        both_ends = make_edge(ab, "a", EPSILON, "b")
+        raw = RawGraph(AB01, (ab, EPSILON), frozenset((both_ends,)))
+        Y, names = canonicalize_with_names(PointedRawGraph(raw, ab))
+        assert names == {ab: EPSILON, EPSILON: ab}
+        assert Y.edges == {make_edge(EPSILON, "a", ab, "b")}
+        assert all(e is not both_ends for e in Y.edges)
