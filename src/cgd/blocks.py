@@ -298,14 +298,14 @@ def apply_product(gate: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence
 class ReversibleExtension(Dynamics):
     """Lift a dynamics to marked graphs: act where unmarked, freeze the rest.
 
-    A graph whose vertices are all marked, or that carries a mark and has at
-    most `exception_bound` vertices, is fixed.  Otherwise the marked vertices
-    and the edges with a marked end stay frozen; each unmarked component, the
-    whole graph when nothing is marked, has its bits dropped, is stepped by
-    the base, lifted back and glued to the frozen part at the boundary
-    vertices, the unmarked ends of frozen edges, and pointed at the origin's
-    image.  A step that sends two boundary vertices to one image, or puts an
-    edge on a frozen port of one, raises UnionInconsistencyError.
+    X must be mark-consistent.  It is fixed if all marked, or if marked and
+    of at most `exception_bound` vertices.  Otherwise the marked vertices and
+    the edges with a marked end stay frozen; each unmarked component (all of
+    X when nothing is marked) has its bits dropped, is stepped by the base,
+    lifted back, glued to the frozen part at the boundary vertices, the
+    unmarked ends of frozen edges, and pointed at the origin's image.  A step
+    leaving a vertex unlabelled raises MarkError; one merging two boundary
+    vertices or using a frozen port of one, UnionInconsistencyError.
     """
 
     def __init__(self, base: Dynamics, exception_bound: int, space: MarkSpace,
@@ -330,8 +330,10 @@ class ReversibleExtension(Dynamics):
         if len(marked) == n or marked and n <= self.exception_bound:
             return X, identity_correspondence(X)
         # The frozen edges have a marked end.  No glue can clash: a frozen
-        # half-edge at a boundary vertex has bit 1, a stepped one bit 0;
-        # only marked vertices keep labels here; no two regions share ids.
+        # half-edge at a boundary vertex has bit 1, a stepped one bit 0; only
+        # marked vertices keep labels here; no two regions share ids.  Nor can
+        # it break marks: this piece keeps X's bits, stepped ones bit 0 on every
+        # label and port, so the result is consistent iff every vertex is labelled.
         frozen = frozenset(e for e in X.edges for (u, _p), (w, _q) in (e,)
                            if u in marked or w in marked)
         boundary = {v for e in frozen for (v, _p) in e}.difference(marked)
@@ -353,6 +355,10 @@ class ReversibleExtension(Dynamics):
                 continue
             comp_graph, to_comp = canonicalize_component(PointedRawGraph(rest, anchor))
             image, corr = self.base.apply(comp_graph)
+            bare = next((w for w in image.vertices if w not in image.vertex_labels), None)
+            if bare is not None:
+                raise MarkError(f"{self.name}: the step leaves vertex "
+                                f"{format_path(bare)} unlabelled")
             img = {v: corr[to_comp[v]] for v in rest.vertices if v in to_comp}
             seam: Dict[Path, Path] = {}
             for v in filter(boundary.__contains__, img):
@@ -370,15 +376,10 @@ class ReversibleExtension(Dynamics):
             piece_id = {w: seam.get(w, ("fresh", anchor, w)) for w in image.vertices}
             pieces.append(relabel(image, ids=piece_id, ports=space.lifting,
                                   labels=space.lifting, alphabets=space.marked))
-            for v, w in img.items():
-                final_id[v] = piece_id[w]
+            final_id.update((v, piece_id[w]) for v, w in img.items())
 
         result, names = canonicalize_with_names(
             PointedRawGraph(glue(pieces), final_id[EPSILON]))
-        problem = space.mark_consistency_violation(result)
-        if problem is not None:
-            raise MarkError(
-                f"{self.name}: produced a mark-inconsistent graph: {problem}")
         return result, {v: names[final_id[v]] for v in X.vertices}
 
 
@@ -402,8 +403,7 @@ class BlockKit:
         self.dynamics = dynamics
         self.inverse = inverse
         self.exception_bound = exception_bound
-        self.forward_ext = ReversibleExtension(
-            dynamics, exception_bound, self.space)
+        self.forward_ext = ReversibleExtension(dynamics, exception_bound, self.space)
         self.backward_ext = ReversibleExtension(
             inverse, exception_bound, self.space,
             name=f"marked-inverse[{dynamics.name}]")

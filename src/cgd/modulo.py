@@ -359,10 +359,6 @@ def smallest_prime_above(n: int) -> int:
         candidate += 1
 
 
-class NoHostVertexError(GraphError):
-    """No vertex with a free port or a removable cycle edge was found."""
-
-
 def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
     """Attach a line of fresh vertices to break every shift symmetry.
 
@@ -395,11 +391,12 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
 
     free = [q for q in X.alphabets.ports if q not in X.adjacency[host]]
     if not free:
+        # Each host edge but the one to its BFS parent lies on a cycle: it
+        # goes to a second parent, to a same-layer vertex with a parent of its
+        # own, or is a self-loop.  With two ports or more, a host whose only
+        # edge is to its parent has a free port; so `removable` is not empty.
         removable = [e for e in X.edges
                      if any(v == host for (v, _p) in e) and _is_cycle_edge(X, e)]
-        if not removable:
-            raise NoHostVertexError(
-                f"host {format_path(host)} has neither a free port nor a cycle edge")
         key = X.alphabets.path_key
         victim = max(removable, key=lambda e: sorted(
             (key(v), X.alphabets.port_index(prt)) for (v, prt) in e))

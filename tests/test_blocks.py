@@ -680,6 +680,27 @@ class TestReversibleExtension:
         with pytest.raises(MarkError, match="not mark-consistent"):
             kit.forward_ext.apply(X)
 
+    def test_step_must_label_every_vertex(self):
+        # The glued graph is not scanned; a base step that leaves a vertex
+        # unlabelled is refused where its image enters the extension.
+        space = MarkSpace.for_base(AB01)
+
+        def unlabel(X):
+            raw = RawGraph(alphabets=AB01, vertices=X.vertices, edges=X.edges,
+                           vertex_labels={v: l for v, l in X.vertex_labels.items()
+                                          if v != EPSILON})
+            return canonicalize(PointedRawGraph(raw, EPSILON)), {v: v for v in X.vertices}
+
+        base = FuncDynamics("unlabel", unlabel, AB01)
+        kit = BlockKit(base, base, 0, space)
+        path = RawGraph(alphabets=AB01, vertices=("u", "w"),
+                        edges=frozenset((make_edge("u", "a", "w", "b"),)),
+                        vertex_labels={"u": "0", "w": "1"})
+        X = space.lift(canonicalize(PointedRawGraph(path, "u")))
+        with pytest.raises(MarkError, match=r"^marked\[unlabel\]: the step "
+                                            r"leaves vertex eps unlabelled$"):
+            kit.forward_ext.apply(X)
+
 
 class TestExtensionWork:
     """One application canonicalizes each of the k unmarked components

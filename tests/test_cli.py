@@ -144,6 +144,18 @@ class TestRun:
                      "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
         one_error_line(capsys)
 
+    def test_patch_name_that_does_not_resolve(self, tmp_path, capsys):
+        # The radius-0 patch names ab, which a lone vertex does not have.
+        rule = tmp_path / "rule.txt"
+        rule.write_text("radius 0\ndisk\nports a b\nvertex eps\npointer eps\n"
+                        "maps-to\nports a b\nvertex ab\npointer ab\n")
+        graph = tmp_path / "dot.graph"
+        graph.write_text("ports a b\nvertex v\npointer v\n")
+        assert main(["run", "--rule-file", str(rule), "--input", str(graph),
+                     "--output-dir", str(tmp_path / "out")]) == EXIT_BAD_INPUT
+        assert one_error_line(capsys) == (
+            "error: patch at eps names ab, which does not resolve")
+
     def test_missing_input_is_io_error(self, tmp_path):
         assert main(["run", "--dynamics", "identity",
                      "--input", str(tmp_path / "nope.graph")]) == EXIT_IO
@@ -181,6 +193,14 @@ class TestVerify:
         out = capsys.readouterr().out
         assert code == EXIT_CHECK_FAILED
         assert "result=fail" in out
+
+    def test_unexpected_exception_count_fails(self, capsys):
+        code = main(["verify", "--dynamics", "turtle", "--max-vertices", "4",
+                     "--family", "all", "--expect-exceptions", "0"])
+        lines = capsys.readouterr().out.splitlines()
+        assert code == EXIT_CHECK_FAILED
+        assert "exception_count_expected=0" in lines
+        assert lines[-2:] == ["inverse_composition=skipped", "result=fail"]
 
     def test_report_written(self, tmp_path, capsys):
         out_dir = tmp_path / "report"
@@ -684,6 +704,13 @@ class TestExportDot:
     def test_marked_needs_doubled_alphabets(self, tape_file, capsys):
         assert main(["export-dot", "--input", tape_file, "--marked"]) == EXIT_BAD_INPUT
         assert "doubling" in capsys.readouterr().err
+
+    def test_marked_needs_every_vertex_labelled(self, tmp_path, capsys):
+        path = tmp_path / "unlabelled.graph"
+        path.write_text("ports a0 a1 b0 b1\nvlabels 00 01\nvertex x\npointer x\n")
+        assert main(["export-dot", "--input", str(path), "--marked"]) == EXIT_BAD_INPUT
+        out, err = capsys.readouterr()
+        assert (out, err) == ("", "error: vertex eps is unlabelled; its mark is undefined\n")
 
     def test_marked_with_doubled_labels_but_plain_ports(self, tmp_path, capsys):
         path = tmp_path / "half-marked.graph"

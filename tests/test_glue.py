@@ -513,11 +513,14 @@ class TestExtensionGlueNeverClashes:
     """No two pieces the extension glues conflict: at a boundary vertex a
     frozen half-edge carries bit 1 and a stepped one bit 0, only marked
     vertices carry frozen labels, and no two stepped regions share an id.
-    `blocks.glue` is wrapped to run `consistent` on every pair of pieces."""
+    Nor is a glued graph ever mark-inconsistent, which the extension no
+    longer scans for.  `blocks.glue` is wrapped to run `consistent` on every
+    pair of pieces, and `ReversibleExtension.apply` to scan every result."""
 
     @pytest.fixture
     def glued(self, monkeypatch):
         real, counts = blocks.glue, []
+        real_apply = ReversibleExtension.apply
 
         def checked(pieces):
             for p, q in combinations(pieces, 2):
@@ -525,7 +528,13 @@ class TestExtensionGlueNeverClashes:
             counts.append(len(pieces))
             return real(pieces)
 
+        def scanned(ext, X):
+            result = real_apply(ext, X)
+            assert ext.space.mark_consistency_violation(result[0]) is None
+            return result
+
         monkeypatch.setattr(blocks, "glue", checked)
+        monkeypatch.setattr(ReversibleExtension, "apply", scanned)
         return counts
 
     def test_oracle_inputs(self, glued):

@@ -44,7 +44,6 @@ from cgd.patches import apply_local_rule, identity_local_rule
 from cgd.portgraph import GraphError
 from cgd.reversibility import GraphFamily, enumerate_family, tabulate
 from cgd.modulo import (
-    NoHostVertexError,
     PathResolutionError,
     ball,
     canonicalize_component,
@@ -439,6 +438,16 @@ class TestPrimalExtension:
         ext = primal_extension(X, force=True)
         assert len(ext.vertices) == 11
         assert is_asymmetric(ext)
+
+    def test_every_host_has_a_free_port_or_a_cycle_edge(self, ab_family_6):
+        # The host is a farthest vertex, so each of its edges but the one to
+        # its BFS parent lies on a cycle; with two ports or more, a host with
+        # no free port has such an edge to remove.
+        abc_family_3 = enumerate_family(Alphabets.make("abc", ("0",)), 3)
+        for X in [*ab_family_6, *abc_family_3]:
+            ext = primal_extension(X, force=True)
+            assert len(ext.vertices) == smallest_prime_above(len(X.vertices) + 2)
+            assert is_asymmetric(ext)
 
 
 class TestEquality:
@@ -1008,10 +1017,7 @@ class TestTrustedCallsGetValidGraphs:
 
     def test_primal_extension(self, ab_family_4):
         for X in ab_family_4:
-            try:
-                primal_extension(X, force=True)
-            except NoHostVertexError:
-                pass
+            primal_extension(X, force=True)
         primal_extension(canonicalize(pointed_ring(6)), force=True)
 
     def test_marks_and_extensions(self):

@@ -378,6 +378,17 @@ class TestRuleFiles:
         with pytest.raises(RuleLookupError):
             apply_local_rule(rule, X)
 
+    def test_duplicate_disk(self):
+        # The second disk lists its header lines in the other order and the
+        # label of the first: one canonical disk, so one entry too many.
+        second = "disk\nports a b\nvlabels x y\nvertex eps label=y\n"
+        assert RULE_FILE.count(second) == 1
+        text = RULE_FILE.replace(
+            second, "disk\nvlabels x y\nports a b\nvertex eps label=x\n")
+        with pytest.raises(GraphFormatError,
+                           match="^line 12: duplicate disk entry in rule file$"):
+            parse_rule_file(text)
+
     def test_missing_radius(self):
         with pytest.raises(GraphFormatError, match="radius"):
             parse_rule_file(RULE_FILE.replace("radius 0\n", ""))

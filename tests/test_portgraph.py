@@ -155,6 +155,21 @@ class TestValidate:
                      edges=frozenset((make_edge("v", "a", "ghost", "b"),)))
         assert "not a declared vertex" in validate(g)
 
+    def test_label_on_unknown_vertex(self):
+        g = RawGraph(alphabets=ABCD, vertices=("v",), vertex_labels={"ghost": "0"})
+        assert validate(g) == "label attached to unknown vertex 'ghost'"
+
+    def test_label_on_unknown_edge(self):
+        e = make_edge("v", "a", "v", "b")
+        g = RawGraph(alphabets=ABCD, vertices=("v",), edge_labels={e: "x"})
+        assert validate(g) == f"label attached to unknown edge {set(e)}"
+
+    def test_unknown_edge_label(self):
+        e = make_edge("v", "a", "w", "b")
+        g = RawGraph(alphabets=ABCD, vertices=("v", "w"), edges=frozenset((e,)),
+                     edge_labels={e: "z"})
+        assert validate(g) == f"edge {set(e)} carries unknown label 'z'"
+
     def test_degree_bounded_by_ports(self):
         g = ring4()
         adj = g.adjacency()

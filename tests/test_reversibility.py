@@ -1,4 +1,7 @@
 """Bijectivity, vertex preservation, class preservation, lookup inverses."""
+import random
+from itertools import product
+
 import pytest
 
 from cgd import (
@@ -71,6 +74,26 @@ def ab_line(n, label="0", alphabets=TURTLE_ALPH):
     raw = RawGraph(alphabets=alphabets, vertices=tuple(range(n)),
                    edges=edges, vertex_labels={i: label for i in range(n)})
     return canonicalize(PointedRawGraph(raw, 0))
+
+
+XY_PATHS = Alphabets.make("ab", ("0",), ("x", "y"))
+
+
+def labelled_ab_line(word):
+    """An a-b path whose i-th edge carries the label word[i], pointed at an end."""
+    cells = range(len(word) + 1)
+    edges = [make_edge(i, "a", i + 1, "b") for i in cells[:-1]]
+    raw = RawGraph(alphabets=XY_PATHS, vertices=tuple(cells), edges=frozenset(edges),
+                   vertex_labels=dict.fromkeys(cells, "0"),
+                   edge_labels=dict(zip(edges, word)))
+    return canonicalize(PointedRawGraph(raw, 0))
+
+
+def swap_edge_labels(X):
+    swapped = {e: {"x": "y", "y": "x"}[l] for e, l in X.edge_labels.items()}
+    raw = RawGraph(alphabets=X.alphabets, vertices=X.vertices, edges=X.edges,
+                   vertex_labels=X.vertex_labels, edge_labels=swapped)
+    return canonicalize(PointedRawGraph(raw, EPSILON)), {v: v for v in X.vertices}
 
 
 def patched_dynamics(name, on_size):
@@ -345,6 +368,22 @@ class TestLocalInverse:
         back, S = LocalRuleDynamics(parsed.as_rule()).apply(Y)
         assert back == X
         assert {v: S[R[v]] for v in X.vertices} == {v: v for v in X.vertices}
+
+    def test_rule_over_edge_labels(self):
+        # Swapping the edge labels x and y inverts itself; its inverse rule
+        # must carry each patch's edge labels, or the path does not come back.
+        D = FuncDynamics("edge-label-swap", swap_edge_labels, XY_PATHS)
+        fam = GraphFamily.from_graphs(
+            [labelled_ab_line(word) for n in range(5) for word in product("xy", repeat=n)],
+            XY_PATHS)
+        assert len(fam) == 31
+        table = build_inverse(D, fam)
+        rule = table.local_rule()
+        assert (rule.radius, len(rule.entries)) == (1, 25)
+        assert sum(bool(p.graph.edge_labels) for p in rule.entries.values()) == 24
+        rng = random.Random(32)
+        X = labelled_ab_line([rng.choice("xy") for _ in range(11)])
+        assert table.as_dynamics().apply(D.apply(X)[0])[0] == X
 
     def test_no_radius_raises(self):
         # Up to radius 4 the end of a chain of 11 or 12 vertices sees 5
