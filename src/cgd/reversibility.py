@@ -109,6 +109,23 @@ def _sorted_members(graphs: Iterable[CanonicalGraph]) -> Tuple[CanonicalGraph, .
     return tuple(sorted(graphs, key=lambda g: (len(g.vertices), g.to_text())))
 
 
+def _w_edges(todo, options, used):
+    """Every way to give each of w's ports in `todo` a self-loop or an edge
+    from `options` whose far end is not `used`, or nothing: lists of (key of
+    the name u.(p, q) it offers w, q, u:p, label), or (None, q, q2, label)
+    for a self-loop.  Nested, its recursion would be a reference cycle."""
+    if not todo:
+        yield []
+        return
+    q, rest = todo[0], todo[1:]
+    yield from _w_edges(rest, options, used)
+    if q not in used:
+        for key, far, delta in options[q]:
+            if far not in used:
+                for tail in _w_edges(rest, options, used | {far}):
+                    yield [(key, q, far, delta)] + tail
+
+
 def enumerate_family(alphabets: Alphabets, max_vertices: int,
                      predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
                      raw_prune: Optional[Callable[[RawGraph], bool]] = None,
@@ -160,22 +177,6 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
             {v: l for v, l in ((u, u_label), (1, w_label)) if l is not None},
             {} if delta is None else {e: delta}))
 
-    def w_edges(todo, options, used):
-        """Every way to give each of w's ports in `todo` a self-loop or an
-        edge from `options` whose far end is not `used`, or nothing: lists
-        of (key of the name u.(p, q) it offers w, q, u:p, label), or (None,
-        q, q2, label) for a self-loop."""
-        if not todo:
-            yield []
-            return
-        q, rest = todo[0], todo[1:]
-        yield from w_edges(rest, options, used)
-        if q not in used:
-            for key, far, delta in options[q]:
-                if far not in used:
-                    for tail in w_edges(rest, options, used | {far}):
-                        yield [(key, q, far, delta)] + tail
-
     def grow(parent: CanonicalGraph) -> None:
         """Keep the accepted children of `parent`."""
         vertices, labels = parent.vertices, parent.vertex_labels
@@ -197,7 +198,7 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
                           for delta in elabels
                           if edge_passes(False, labels.get(u), p, sigma, q, delta)]
                        for i, q in enumerate(ports)}
-            for choice in w_edges(ports, options, frozenset()):
+            for choice in _w_edges(ports, options, frozenset()):
                 keyed = [c for c in choice if c[0] is not None]
                 if keyed:
                     _key, q, (u, p), _delta = min(keyed, key=itemgetter(0))

@@ -1,4 +1,6 @@
 """Shared fixtures: enumerated families, built once per session."""
+import gc
+
 import pytest
 
 from cgd import Alphabets, enumerate_family
@@ -6,6 +8,17 @@ from cgd.families import TAPE_ALPHABETS, bare_tapes, shift_closure, single_head_
 from cgd.reversibility import GraphFamily
 
 AB_SINGLETON = Alphabets.make("ab", vertex_labels=("0",))
+
+
+@pytest.fixture(autouse=True)
+def collector_left_running():
+    """Fail a test that ends with the cyclic garbage collector disabled:
+    `cli.main` pauses it only while a command runs, and a test that pauses
+    it must restore it.  Re-enable it first, so one leak fails one test."""
+    yield
+    if not gc.isenabled():
+        gc.enable()
+        pytest.fail("the test left the cyclic garbage collector disabled")
 
 
 @pytest.fixture(scope="session")

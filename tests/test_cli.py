@@ -1,4 +1,5 @@
 """Command-line behaviour: artifacts, reports, exit codes."""
+import gc
 import os
 import random
 import re
@@ -788,3 +789,86 @@ class TestParser:
             capture_output=True, text=True, env=SUBPROCESS_ENV)
         assert proc.returncode == 0
         assert proc.stdout.startswith("graph cgd {")
+
+
+def cycle_argv(template, tape_file, tmp_path):
+    """`template` with `{tape}` a tape file, `{bad}` an unparsable graph
+    file, `{file}` a plain file and `{out}` a directory under `tmp_path`."""
+    bad = tmp_path / "bad.graph"
+    bad.write_text("ports a b\nvertex v\nvertex v\npointer v\n")
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    paths = {"tape": tape_file, "bad": str(bad), "file": str(afile),
+             "out": str(tmp_path / "out")}
+    return [arg.format(**paths) for arg in template]
+
+
+class TestCollectorPause:
+    """`main` runs each command with the cyclic garbage collector paused.
+    That is safe only while cgd builds no reference cycles, so that
+    reference counting frees everything a command makes."""
+
+    @pytest.mark.parametrize("template, code", [
+        pytest.param(["run", "--dynamics", "moving-head", "--input", "{tape}",
+                      "--steps", "2", "--render", "--output-dir", "{out}"],
+                     EXIT_OK, id="run-render"),
+        pytest.param(["verify", "--dynamics", "identity", "--family",
+                      "single-head-tape", "--max-vertices", "3",
+                      "--output-dir", "{out}"],
+                     EXIT_OK, id="verify-output-dir"),
+        pytest.param(["verify", "--dynamics", "turtle", "--family", "all",
+                      "--max-vertices", "3", "--expect-exceptions", "2"],
+                     EXIT_OK, id="verify-all-pass"),
+        pytest.param(["verify", "--dynamics", "inflating-grid", "--family",
+                      "all", "--max-vertices", "2"],
+                     EXIT_CHECK_FAILED, id="verify-all-fail"),
+        pytest.param(["enumerate", "--ports", "a", "b", "--vlabels", "0", "1",
+                      "--max-vertices", "3"],
+                     EXIT_OK, id="enumerate"),
+        pytest.param(["decompose", "--dynamics", "moving-head", "--input",
+                      "{tape}", "--trace", "--render", "--output-dir", "{out}"],
+                     EXIT_OK, id="decompose-trace-render"),
+        pytest.param(["check-blocks", "--dynamics", "moving-head",
+                      "--max-vertices", "4"],
+                     EXIT_OK, id="check-blocks"),
+        pytest.param(["export-dot", "--input", "{tape}"],
+                     EXIT_OK, id="export-dot"),
+        pytest.param(["run", "--dynamics", "identity", "--input", "{bad}",
+                      "--output-dir", "{out}"],
+                     EXIT_BAD_INPUT, id="malformed-input"),
+        pytest.param(["decompose", "--dynamics", "turtle", "--input", "{tape}"],
+                     EXIT_BAD_INPUT, id="refused-dynamics"),
+    ])
+    def test_a_command_leaves_no_cyclic_garbage(self, template, code, tape_file,
+                                                tmp_path):
+        argv = cycle_argv(template, tape_file, tmp_path)
+        # The first run in a process builds one-time set-up, the parser
+        # among it, and some of that is cyclic garbage.
+        assert main(argv) == code
+        gc.collect()
+        gc.disable()
+        try:
+            assert main(argv) == code
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    @pytest.mark.parametrize("template, code", [
+        (["export-dot", "--input", "{tape}"], EXIT_OK),
+        (["verify", "--dynamics", "inflating-grid", "--family", "all",
+          "--max-vertices", "2"], EXIT_CHECK_FAILED),
+        (["run", "--dynamics", "identity", "--input", "{bad}"], EXIT_BAD_INPUT),
+        (["run", "--dynamics", "identity", "--input", "{tape}",
+          "--output-dir", "{file}"], EXIT_IO),
+    ], ids=["exit0", "exit1", "exit2", "exit3"])
+    def test_the_collector_is_left_as_found(self, enabled, template, code,
+                                           tape_file, tmp_path, capsys):
+        argv = cycle_argv(template, tape_file, tmp_path)
+        if not enabled:
+            gc.disable()
+        try:
+            assert main(argv) == code
+            assert gc.isenabled() == enabled
+        finally:
+            gc.enable()
