@@ -14,7 +14,6 @@ from .portgraph import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
-    connected_component,
     make_edge,
     parse_graph,
     relabel,

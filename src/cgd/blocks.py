@@ -134,7 +134,7 @@ class MarkSpace:
     def lift(self, X: CanonicalGraph) -> CanonicalGraph:
         """The same graph over the doubled alphabets, every bit zero."""
         if X.alphabets != self.base:
-            raise MarkError("lift expects a graph over the base alphabets")
+            raise MarkError(f"lift expects alphabets {self.base}, got {X.alphabets}")
         raw = relabel(X, ports=self.lifting, labels=self.lifting,
                       alphabets=self.marked)
         return canonicalize_with_names(PointedRawGraph(raw, EPSILON))[0]
@@ -143,7 +143,7 @@ class MarkSpace:
         """Strip all bits.  Raises MarkError when a vertex uses a port both
         ways, with bit 0 and bit 1: the two would merge into one port."""
         if X.alphabets != self.marked:
-            raise MarkError("drop expects a graph over the marked alphabets")
+            raise MarkError(f"drop expects alphabets {self.marked}, got {X.alphabets}")
         for v, hops in X.adjacency.items():
             for p in self.marked.ports:
                 if p in hops and self.toggled[p] in hops:

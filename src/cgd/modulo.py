@@ -20,7 +20,6 @@ from .portgraph import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
-    connected_component,
     ensure_valid,
     induced_subgraph,
     make_edge,
@@ -365,8 +364,8 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
     The line brings the vertex count up to the least prime strictly greater
     than |V|+2, which together with the degree-1 line end forces trivial
     shift-equivalence classes.  The host is the vertex farthest from the
-    origin (least name on ties); if it has no free port, its
-    lexicographically greatest non-bridge incident edge is removed first.
+    origin (least name on ties); if it has no free port, its greatest
+    incident edge, which is never a bridge, is removed first.
 
     Requires at least two ports and a nontrivial symmetry unless `force`.
     """
@@ -393,17 +392,19 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
     if not free:
         # Each host edge but the one to its BFS parent lies on a cycle: it
         # goes to a second parent, to a same-layer vertex with a parent of its
-        # own, or is a self-loop.  With two ports or more, a host whose only
-        # edge is to its parent has a free port; so `removable` is not empty.
-        removable = [e for e in X.edges
-                     if any(v == host for (v, _p) in e) and _is_cycle_edge(X, e)]
-        key = X.alphabets.path_key
-        victim = max(removable, key=lambda e: sorted(
-            (key(v), X.alphabets.port_index(prt)) for (v, prt) in e))
+        # own, or is a self-loop.  That parent edge never sorts last.  Its
+        # least half is (parent, p0), and every other host edge's is later: a
+        # self-loop or same-layer edge starts at the host, whose name is
+        # longer; an edge to another previous-layer vertex starts at a name
+        # after the parent's, the least such neighbour as it names the host;
+        # a second edge to the parent leaves it after p0.  With two ports or
+        # more and none free, the host has another edge to sort last.
+        key, idx = X.alphabets.path_key, X.alphabets.port_index
+        victim = max((e for e in X.edges if any(v == host for (v, _p) in e)),
+                     key=lambda e: sorted((key(v), idx(prt)) for (v, prt) in e))
         edges.discard(victim)
         edge_labels.pop(victim, None)
-        free = sorted((prt for (v, prt) in victim if v == host),
-                      key=X.alphabets.port_index)
+        free = sorted((prt for (v, prt) in victim if v == host), key=idx)
     attach_port = free[0]
 
     a, b = X.alphabets.ports[0], X.alphabets.ports[1]
@@ -420,10 +421,3 @@ def primal_extension(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
                         vertex_labels, edge_labels)
     return canonicalize_with_names(PointedRawGraph(extended, EPSILON))[0]
 
-
-def _is_cycle_edge(X: CanonicalGraph, e: NameEdge) -> bool:
-    """True when removing e keeps the graph connected (e lies on a cycle)."""
-    (u, _p), (w, _q) = tuple(e)
-    rest = RawGraph(alphabets=X.alphabets, vertices=X.vertices,
-                    edges=X.edges - {e})
-    return w in connected_component(rest, u).vertices

@@ -224,28 +224,6 @@ def ordered_edges(g) -> List[Tuple[HalfEdge, HalfEdge, Edge]]:
     return [k[1:] for k in keyed]
 
 
-def connected_component(g: RawGraph, v: VertexId) -> RawGraph:
-    """The induced subgraph on everything reachable from v, labels restricted."""
-    if v not in set(g.vertices):
-        raise InvalidGraphError(f"unknown vertex id {v!r}")
-    neighbours: Dict[VertexId, set] = {u: set() for u in g.vertices}
-    for e in g.edges:
-        (a, _), (b, _) = tuple(e)
-        neighbours[a].add(b)
-        neighbours[b].add(a)
-    reached = {v}
-    frontier = [v]
-    while frontier:
-        nxt = []
-        for u in frontier:
-            for w in neighbours[u]:
-                if w not in reached:
-                    reached.add(w)
-                    nxt.append(w)
-        frontier = nxt
-    return induced_subgraph(g, reached)
-
-
 def induced_subgraph(g, vertices: Iterable[VertexId]) -> RawGraph:
     """The `vertices`, in g's order, with every edge between them, labels
     restricted.  `g` may be a RawGraph or a CanonicalGraph."""

@@ -19,6 +19,7 @@ from .dynamics import Dynamics, DynamicsError, VertexCorrespondence
 from .modulo import (
     CanonicalGraph,
     canonicalize,
+    canonicalize_component,
     canonicalize_with_names,
     disk_at_with_names,
     shift_class_ids,
@@ -35,7 +36,6 @@ from .portgraph import (
     GraphError,
     PointedRawGraph,
     RawGraph,
-    connected_component,
     make_edge,
 )
 
@@ -245,7 +245,7 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
             edges = frozenset(frozenset(pair) for pair in matching)
             bare = RawGraph(alphabets=alphabets, vertices=tuple(range(n)),
                             edges=edges)
-            if len(connected_component(bare, 0).vertices) != n:
+            if len(canonicalize_component(PointedRawGraph(bare, 0))[0]) != n:
                 continue
             for labelling, edge_labelling in iter_product(
                     iter_product(vlabels, repeat=n),
@@ -260,7 +260,8 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
                     if predicate is None or predicate(g):
                         out.add(g)
                         if len(out) > cap_n:
-                            raise FamilyCapError(f"family exceeds cap of {cap_n}")
+                            raise FamilyCapError(f"family exceeds cap of {cap_n} graphs "
+                                                 f"(set {FAMILY_CAP_ENV} to raise it)")
     return GraphFamily(_sorted_members(out), alphabets)
 
 

@@ -152,6 +152,13 @@ when it first reaches it.
 edge record under the new names, and `canonicalize_rebuilding_edges` is
 `canonicalize_with_names` on it.  The library now keeps, as the same
 object, every edge whose two ends already carry their canonical names.
+`connected_component` is the reachability walk that `portgraph` kept for
+the reversibility brute force and the primal extension's cycle test; it is
+the reference for `modulo.canonicalize_component` and for `_components`.
+`primal_extension_by_cycle_test` is `modulo.primal_extension` as it was
+when a host with no free port lost its greatest incident edge among those
+that `_is_cycle_edge` found on a cycle, one `connected_component` per edge.
+The library now takes the greatest host edge, which is never a bridge.
 """
 import io
 from collections import deque
@@ -180,8 +187,10 @@ from cgd.modulo import (
     disk,
     disk_at,
     disk_at_with_names,
+    is_asymmetric,
     shift,
     shift_with_names,
+    smallest_prime_above,
 )
 from cgd.patches import (LocalRule, PatchError, PatchInconsistencyError,
                          RuleTable)
@@ -193,7 +202,6 @@ from cgd.portgraph import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
-    connected_component,
     ensure_valid,
     induced_subgraph,
     make_edge,
@@ -403,6 +411,28 @@ def apply_local_rule_pairwise(rule, X):
     Y, names = canonicalize_with_names(PointedRawGraph(merged, origin))
     corr = {u: names[p.origin] for (u, p) in patches}
     return Y, corr
+
+
+def connected_component(g: RawGraph, v) -> RawGraph:
+    """The induced subgraph on everything reachable from v, labels restricted."""
+    if v not in set(g.vertices):
+        raise InvalidGraphError(f"unknown vertex id {v!r}")
+    neighbours: Dict[Hashable, set] = {u: set() for u in g.vertices}
+    for e in g.edges:
+        (a, _), (b, _) = tuple(e)
+        neighbours[a].add(b)
+        neighbours[b].add(a)
+    reached = {v}
+    frontier = [v]
+    while frontier:
+        nxt = []
+        for u in frontier:
+            for w in neighbours[u]:
+                if w not in reached:
+                    reached.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return induced_subgraph(g, reached)
 
 
 def _components(X: CanonicalGraph, keep: Set[Path]) -> List[List[Path]]:
@@ -1632,3 +1662,73 @@ def canonicalize_rebuilding_edges(pg: PointedRawGraph
     names = _canonical_names(g.adjacency(), pg.origin, g.alphabets)
     return rename_every_edge(g.alphabets, names, g.vertex_labels, g.edges,
                              g.edge_labels), names
+
+
+def primal_extension_by_cycle_test(X: CanonicalGraph, force: bool = False) -> CanonicalGraph:
+    """`modulo.primal_extension` as it was, with the cycle test per host edge.
+
+    The line brings the vertex count up to the least prime strictly greater
+    than |V|+2, which together with the degree-1 line end forces trivial
+    shift-equivalence classes.  The host is the vertex farthest from the
+    origin (least name on ties); if it has no free port, its
+    lexicographically greatest non-bridge incident edge is removed first.
+
+    Requires at least two ports and a nontrivial symmetry unless `force`.
+    """
+    if len(X.alphabets.ports) < 2:
+        raise ValueError("primal extension needs at least two ports")
+    if not force and is_asymmetric(X):
+        raise ValueError(
+            "graph is already asymmetric; pass force=True to extend anyway")
+
+    n = len(X.vertices)
+    p = smallest_prime_above(n + 2)
+    fresh = p - n
+
+    # Host: farthest from the origin, ties broken by least name.
+    far = len(X.vertices[-1])
+    host = next(v for v in X.vertices if len(v) == far)
+
+    vertices = list(X.vertices)
+    edges = set(X.edges)
+    vertex_labels = dict(X.vertex_labels)
+    edge_labels = dict(X.edge_labels)
+
+    free = [q for q in X.alphabets.ports if q not in X.adjacency[host]]
+    if not free:
+        # Each host edge but the one to its BFS parent lies on a cycle: it
+        # goes to a second parent, to a same-layer vertex with a parent of its
+        # own, or is a self-loop.  With two ports or more, a host whose only
+        # edge is to its parent has a free port; so `removable` is not empty.
+        removable = [e for e in X.edges
+                     if any(v == host for (v, _p) in e) and _is_cycle_edge(X, e)]
+        key = X.alphabets.path_key
+        victim = max(removable, key=lambda e: sorted(
+            (key(v), X.alphabets.port_index(prt)) for (v, prt) in e))
+        edges.discard(victim)
+        edge_labels.pop(victim, None)
+        free = sorted((prt for (v, prt) in victim if v == host),
+                      key=X.alphabets.port_index)
+    attach_port = free[0]
+
+    a, b = X.alphabets.ports[0], X.alphabets.ports[1]
+    sigma = X.alphabets.vertex_labels[0] if X.alphabets.vertex_labels else None
+    line = [("line", i) for i in range(fresh)]
+    vertices.extend(line)
+    if sigma is not None:
+        vertex_labels.update(dict.fromkeys(line, sigma))
+    edges.add(make_edge(host, attach_port, line[0], b))
+    for i in range(fresh - 1):
+        edges.add(make_edge(line[i], a, line[i + 1], b))
+
+    extended = RawGraph(X.alphabets, tuple(vertices), frozenset(edges),
+                        vertex_labels, edge_labels)
+    return canonicalize_with_names(PointedRawGraph(extended, EPSILON))[0]
+
+
+def _is_cycle_edge(X: CanonicalGraph, e: Edge) -> bool:
+    """True when removing e keeps the graph connected (e lies on a cycle)."""
+    (u, _p), (w, _q) = tuple(e)
+    rest = RawGraph(alphabets=X.alphabets, vertices=X.vertices,
+                    edges=X.edges - {e})
+    return w in connected_component(rest, u).vertices

@@ -168,6 +168,21 @@ class TestMarkSpace:
                 dropped += 1
         assert (dropped, refused) == (156, 852)
 
+    def test_lift_and_drop_name_both_alphabets(self):
+        X = canonicalize(PointedRawGraph(
+            RawGraph(alphabets=AB0, vertices=("v",), vertex_labels={"v": "0"}), "v"))
+        base = "Alphabets(ports=('a', 'b'), vertex_labels=('0',), edge_labels=())"
+        marked = ("Alphabets(ports=('a0', 'a1', 'b0', 'b1'), "
+                  "vertex_labels=('00', '01'), edge_labels=())")
+        with pytest.raises(MarkError) as err:
+            SPACE.lift(SPACE.lift(X))
+        assert str(err.value) == f"lift expects alphabets {base}, got {marked}"
+        with pytest.raises(MarkError) as err:
+            SPACE.drop(X)
+        assert str(err.value) == f"drop expects alphabets {marked}, got {base}"
+        assert SPACE.mark_consistency_violation(X) == (
+            "graph is not over the marked alphabets")
+
     def test_inconsistent_detected(self):
         bad = RawGraph(alphabets=SPACE.marked, vertices=(0, 1),
                        edges=frozenset((make_edge(0, "a1", 1, "b0"),)),
@@ -387,6 +402,13 @@ class TestMarkGate:
         assert ports == {"a0", "b1"}  # own half keeps its bit, far half flips
         assert SPACE.is_mark_consistent(Y)
 
+    def test_unlabelled_anchor_is_refused(self):
+        X = canonicalize(PointedRawGraph(
+            RawGraph(alphabets=SPACE.marked, vertices=("v",)), "v"))
+        with pytest.raises(MarkError) as err:
+            mark_with_names(X, SPACE)
+        assert str(err.value) == "anchor is unlabelled; its mark is undefined"
+
     def test_conflict_clause_is_identity(self):
         X = conflict_graph()
         assert SPACE.is_mark_consistent(X)
@@ -538,6 +560,11 @@ class TestProducts:
 
 
 class TestReversibleExtension:
+    def test_negative_exception_bound_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            ReversibleExtension(get_dynamics("moving-head"), -1, TAPE_SPACE)
+        assert str(err.value) == "exception bound must be >= 0"
+
     def test_unmarked_graphs_evolve(self):
         kit = moving_head_kit()
         for L in (1, 2, 3):

@@ -307,6 +307,19 @@ class TestDecompose:
                      "--input", str(tape)]) == EXIT_OK
         assert "matches_direct_step=yes" in capsys.readouterr().out
 
+    @pytest.mark.parametrize("dynamics", ["moving-head", "identity"])
+    def test_input_over_other_alphabets(self, dynamics, tmp_path, capsys):
+        # The kit is built over the tape alphabets, which the input lacks.
+        graph = tmp_path / "path.graph"
+        graph.write_text("ports a b\nvlabels 0\nvertex u label=0\n"
+                         "vertex v label=0\nedge u:a v:b\npointer u\n")
+        assert main(["decompose", "--dynamics", dynamics,
+                     "--input", str(graph)]) == EXIT_BAD_INPUT
+        assert capsys.readouterr() == ("", (
+            "error: lift expects alphabets Alphabets(ports=('a', 'b', 'c', 'd'), "
+            "vertex_labels=('0',), edge_labels=()), got Alphabets(ports=('a', 'b'), "
+            "vertex_labels=('0',), edge_labels=())\n"))
+
     def test_disk_outside_the_rule(self, tmp_path, capsys):
         # Two heads on one cell's neighbours: no single-head tape shows that
         # disk, so the inverse's rule has no entry for it.

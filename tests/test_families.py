@@ -101,6 +101,11 @@ class TestGrids:
         X = grid_graph(1, 2, labels={(0, 0): "white", (0, 1): "black"})
         assert sorted(X.vertex_labels.values()) == ["black", "white"]
 
+    def test_empty_grid_is_refused(self):
+        with pytest.raises(ValueError) as err:
+            grid_graph(0, 1)
+        assert str(err.value) == "grid needs at least one row and one column"
+
 
 class TestTurtleGraphs:
     def test_shapes(self):
@@ -131,6 +136,21 @@ class TestEnumeration:
     def test_cap(self):
         with pytest.raises(FamilyCapError):
             enumerate_family(AB0, 6, cap=10)
+
+    @pytest.mark.parametrize("build, error, message", [
+        (lambda: GraphFamily.from_graphs([]), ValueError,
+         "empty family needs explicit alphabets"),
+        (lambda: GraphFamily((bare_tape(1), bare_tape(1)), TAPE_ALPHABETS),
+         ValueError, "family contains duplicates"),
+        (lambda: enumerate_family(AB0, 0), ValueError, "max_vertices must be >= 1"),
+        (lambda: brute_force_family(AB0, 3, cap=1), FamilyCapError,
+         "family exceeds cap of 1 graphs (set CGD_FAMILY_CAP to raise it)"),
+    ], ids=["empty", "duplicates", "no-vertices", "brute-force-cap"])
+    def test_refusals(self, build, error, message):
+        with pytest.raises(error) as err:
+            build()
+        assert type(err.value) is error
+        assert str(err.value) == message
 
     def test_matches_brute_force_two_ports(self):
         fast = enumerate_family(AB0, 4)

@@ -15,7 +15,6 @@ from cgd import (
     RawGraph,
     canonicalize,
     canonicalize_with_names,
-    connected_component,
     disk,
     disk_at,
     is_asymmetric,
@@ -56,9 +55,11 @@ from oracles import (
     apply_local_rule_pairwise,
     ball_by_bfs,
     canonicalize_rebuilding_edges,
+    connected_component,
     disk_by_canonicalization,
     disk_by_shift,
     disk_scanning_edges,
+    primal_extension_by_cycle_test,
     rename_every_edge,
     shift_equivalence_classes as old_classes,
 )
@@ -448,6 +449,26 @@ class TestPrimalExtension:
             ext = primal_extension(X, force=True)
             assert len(ext.vertices) == smallest_prime_above(len(X.vertices) + 2)
             assert is_asymmetric(ext)
+
+    @pytest.mark.parametrize("alphabets, max_vertices, graphs, full_hosts", [
+        (AB0, 6, 384, 63),
+        (Alphabets.make("abc", ("0",)), 3, 982, 384),
+        (Alphabets.make("ab", ("0",), ("x", "y")), 4, 483, 170),
+    ], ids=["ab-0-6", "abc-0-3", "ab-0-xy-4"])
+    def test_victim_is_the_cycle_tests_choice(self, alphabets, max_vertices,
+                                               graphs, full_hosts):
+        # The greatest host edge is the oracle's victim: the greatest host
+        # edge that a connectivity test finds on a cycle.
+        family = enumerate_family(alphabets, max_vertices)
+        full = 0
+        for X in family:
+            want = primal_extension_by_cycle_test(X, force=True)
+            got = primal_extension(X, force=True)
+            assert got == want
+            assert got.to_text() == want.to_text()
+            host = next(v for v in X.vertices if len(v) == len(X.vertices[-1]))
+            full += len(X.adjacency[host]) == len(alphabets.ports)
+        assert (len(family), full) == (graphs, full_hosts)
 
 
 class TestEquality:

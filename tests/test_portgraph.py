@@ -19,7 +19,6 @@ from cgd import (
     InvalidGraphError,
     PointedRawGraph,
     RawGraph,
-    connected_component,
     make_edge,
     canonicalize,
     parse_graph,
@@ -29,6 +28,7 @@ from cgd import (
 )
 from cgd.families import single_head_tape
 from cgd.paths import EPSILON, Path, format_path, parse_path
+from oracles import connected_component
 
 SRC = os.path.dirname(os.path.dirname(cgd.__file__))
 
