@@ -57,7 +57,6 @@ from .blocks import (
     ReversibleExtension,
     ShiftedDynamics,
     apply_product,
-    check_locality,
     find_locality_radius,
     mark,
 )

@@ -276,14 +276,11 @@ def apply_product(gate: Callable[..., Tuple[CanonicalGraph, VertexCorrespondence
 
     `gate(G, a)` acts at the vertex a of G and keeps G's origin.  Anchors
     name vertices of the graph the accumulated correspondence starts from
-    (X itself when `corr` is omitted); anchors it does not cover are skipped.
+    (X itself when `corr` is omitted).
     """
     G, T = X, (dict(corr) if corr is not None else identity_correspondence(X))
     for u in anchors:
-        a = T.get(u)
-        if a is None:
-            continue
-        G, S = gate(G, a)
+        G, S = gate(G, T[u])
         T = {v: S[w] for v, w in T.items()}
         if observer is not None:
             observer(u, G)
@@ -496,23 +493,12 @@ def _unwitnessed(X: CanonicalGraph, Y: CanonicalGraph, S: VertexCorrespondence,
     return [y for y in Y.vertices if y not in witnessed]
 
 
-def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:
-    """Is every image vertex farther than `radius` from the origin a
-    verbatim copy of some source vertex?  None if so, else the first that
-    is not."""
-    for X in fam:
-        for y in _unwitnessed(X, *L.apply(X)):
-            if len(y) > radius:
-                return (f"image vertex {format_path(y)} of a "
-                        f"{len(X.vertices)}-vertex member has no source "
-                        f"witness at radius {radius}")
-    return None
-
-
 def find_locality_radius(L: Dynamics, fam: GraphFamily,
                          max_radius: int = MAX_LOCALITY_RADIUS) -> Optional[int]:
-    """Least radius at which check_locality passes, or None up to the bound:
-    the longest unwitnessed name, read off one application per member."""
+    """Least radius r such that every image vertex farther than r from the
+    origin is a verbatim copy of a source vertex, over every member; None
+    above `max_radius`.  It is the longest unwitnessed name, read off one
+    application per member."""
     radius = 0
     for X in fam:
         radius = max([radius, *map(len, _unwitnessed(X, *L.apply(X)))])

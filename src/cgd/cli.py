@@ -47,7 +47,7 @@ EXIT_BAD_INPUT = 2
 EXIT_IO = 3
 
 # The least value each integer option accepts.
-_LEAST = {"max_vertices": 1, "steps": 0}
+_LEAST = {"max_vertices": 1, "steps": 0, "expect_exceptions": 0}
 
 
 def _read_text(path: str) -> str:

@@ -91,9 +91,7 @@ class GraphFamily:
         return f"<GraphFamily of {len(self.members)}>"
 
 
-def _family_cap(cap: Optional[int]) -> int:
-    if cap is not None:
-        return cap
+def _family_cap() -> int:
     value = os.environ.get(FAMILY_CAP_ENV, str(DEFAULT_FAMILY_CAP))
     try:
         cap = int(value)
@@ -127,9 +125,8 @@ def _w_edges(todo, options, used):
 
 
 def enumerate_family(alphabets: Alphabets, max_vertices: int,
-                     predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
-                     raw_prune: Optional[Callable[[RawGraph], bool]] = None,
-                     cap: Optional[int] = None) -> GraphFamily:
+                     raw_prune: Optional[Callable[[RawGraph], bool]] = None
+                     ) -> GraphFamily:
     """All connected canonical graphs with at most `max_vertices` vertices.
 
     Canonical augmentation (McKay, "Isomorph-free exhaustive generation",
@@ -151,16 +148,16 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     form is the parent's plus w's name: no BFS runs and no duplicate is
     built.  Labelling is total when an alphabet is non-empty.
 
-    `predicate` filters the output.  `raw_prune` gates the search and must
-    be closed under taking subgraphs: when a graph passes, so does the graph
-    less an edge, or less a vertex with its edges (mark consistency is; "has
-    a head" is not).  No new edge or self-loop whose one-edge graph fails it
-    is offered; each child is then tested whole.  The cap counts the graphs
-    that pass it.
+    `raw_prune` gates the search and must be closed under taking
+    subgraphs: when a graph passes, so does the graph less an edge, or less
+    a vertex with its edges (mark consistency is; "has a head" is not).  No
+    new edge or self-loop whose one-edge graph fails it is offered; each
+    child is then tested whole.  The cap, `CGD_FAMILY_CAP`, counts the
+    graphs that pass it.
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
-    cap_n = _family_cap(cap)
+    cap_n = _family_cap()
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
     elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
     ports = alphabets.ports
@@ -223,19 +220,16 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     for X in found:     # `found` grows as it is walked: breadth first
         if len(X.vertices) < max_vertices:
             grow(X)
-    return GraphFamily(_sorted_members(
-        g for g in found if predicate is None or predicate(g)), alphabets)
+    return GraphFamily(_sorted_members(found), alphabets)
 
 
-def brute_force_family(alphabets: Alphabets, max_vertices: int,
-                       predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
-                       cap: Optional[int] = None) -> GraphFamily:
+def brute_force_family(alphabets: Alphabets, max_vertices: int) -> GraphFamily:
     """Independent generator: every partial port matching, every pointing.
 
     Exponential in vertices times ports; used only to cross-validate
     `enumerate_family` at very small sizes.
     """
-    cap_n = _family_cap(cap)
+    cap_n = _family_cap()
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
     elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
     out = set()
@@ -256,12 +250,10 @@ def brute_force_family(alphabets: Alphabets, max_vertices: int,
                     {e: l for e, l in zip(sorted(edges, key=repr),
                                           edge_labelling) if l is not None})
                 for origin in range(n):
-                    g = canonicalize(PointedRawGraph(raw, origin))
-                    if predicate is None or predicate(g):
-                        out.add(g)
-                        if len(out) > cap_n:
-                            raise FamilyCapError(f"family exceeds cap of {cap_n} graphs "
-                                                 f"(set {FAMILY_CAP_ENV} to raise it)")
+                    out.add(canonicalize(PointedRawGraph(raw, origin)))
+                    if len(out) > cap_n:
+                        raise FamilyCapError(f"family exceeds cap of {cap_n} graphs "
+                                             f"(set {FAMILY_CAP_ENV} to raise it)")
     return GraphFamily(_sorted_members(out), alphabets)
 
 
@@ -354,12 +346,6 @@ class Tabulation:
     name: str
     family: GraphFamily
     images: Dict[CanonicalGraph, Tuple[CanonicalGraph, VertexCorrespondence]]
-
-    def apply(self, X: CanonicalGraph) -> Tuple[CanonicalGraph, VertexCorrespondence]:
-        """(F(X), R_X) read off the table; OutOfFamilyError off the family."""
-        if X not in self.images:
-            raise OutOfFamilyError(f"{self.name}: graph not tabulated")
-        return self.images[X]
 
     def bijectivity_problem(self) -> Optional[str]:
         """None when the table permutes the family; else the first collision.

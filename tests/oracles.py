@@ -95,7 +95,8 @@ locality checks as they were in `blocks`: the radius search called
 `check_locality` at r = 0, 1, ... and so applied the gate once per member
 per radius tried, and the footprint mapped every edge of the source by hand.
 `blocks` now reads the radius off one application per member and compares
-edges through `portgraph.relabel`.
+edges through `portgraph.relabel`, and keeps no `check_locality`: a bound r
+passes there exactly when `find_locality_radius(L, fam, r)` is not None.
 
 `parse_graph`, `parse_rule_file` and `_parse_patch` are the text parsers as
 they were before rule files loaded in one pass: the rule-file scan kept
@@ -175,6 +176,7 @@ from cgd.blocks import (
 from cgd.dynamics import (
     Dynamics,
     DynamicsError,
+    FuncDynamics,
     VertexCorrespondence,
     identity_correspondence,
 )
@@ -216,7 +218,6 @@ from cgd.reversibility import (
     InverseTable,
     MAX_INVERSE_RADIUS,
     OutOfFamilyError,
-    Tabulation,
     _family_cap,
     _sorted_members,
     tabulate,
@@ -1120,9 +1121,8 @@ def mark_with_names_by_slicing(X: CanonicalGraph, marks: SlicingMarks):
 
 
 def enumerate_family(alphabets: Alphabets, max_vertices: int,
-                     predicate: Optional[Callable[[CanonicalGraph], bool]] = None,
-                     raw_prune: Optional[Callable[[RawGraph], bool]] = None,
-                     cap: Optional[int] = None) -> GraphFamily:
+                     raw_prune: Optional[Callable[[RawGraph], bool]] = None
+                     ) -> GraphFamily:
     """All connected canonical graphs with at most `max_vertices` vertices.
 
     Search by canonical extension: grow one fresh pendant vertex or one new
@@ -1131,15 +1131,14 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
     are labelled totally when the vertex alphabet is non-empty (likewise
     edges), matching how the finite families are counted.
 
-    `predicate` filters the output.  `raw_prune`, when given, gates the
-    search: it discards candidate presentations, seeds included, before
-    they are canonicalized.  The search stays complete when `raw_prune`
-    is closed under removing a pendant vertex or an edge (mark
-    consistency is; "has a head" is not).
+    `raw_prune`, when given, gates the search: it discards candidate
+    presentations, seeds included, before they are canonicalized.  The
+    search stays complete when `raw_prune` is closed under removing a
+    pendant vertex or an edge (mark consistency is; "has a head" is not).
     """
     if max_vertices < 1:
         raise ValueError("max_vertices must be >= 1")
-    cap_n = _family_cap(cap)
+    cap_n = _family_cap()
     vlabels: Tuple[Optional[str], ...] = alphabets.vertex_labels or (None,)
     elabels: Tuple[Optional[str], ...] = alphabets.edge_labels or (None,)
 
@@ -1166,8 +1165,7 @@ def enumerate_family(alphabets: Alphabets, max_vertices: int,
         if not queue:
             break
         candidates = _extensions(queue.popleft(), max_vertices, vlabels, elabels)
-    members = [g for g in seen if predicate is None or predicate(g)]
-    return GraphFamily(_sorted_members(members), alphabets)
+    return GraphFamily(_sorted_members(seen), alphabets)
 
 
 def _extensions(X: CanonicalGraph, max_vertices: int,
@@ -1229,12 +1227,16 @@ class CompositeDynamics(Dynamics):
         return G, corr
 
 
-def tabulated_origin_gate(kit, lifted: Sequence[CanonicalGraph]) -> Tabulation:
+def tabulated_origin_gate(kit, lifted: Sequence[CanonicalGraph]
+                          ) -> Tuple[Dynamics, GraphFamily]:
     """The kit's conjugate mark at the origin, tabulated over the shift
-    closure of the lifted tapes: the gate `cgd check-blocks` searched the
-    radius over and re-pointed for each footprint."""
+    closure of the lifted tapes, and that closure: the gate `cgd
+    check-blocks` searched the radius over and re-pointed for each
+    footprint.  The gate looks its argument up in the table."""
     closure = GraphFamily.from_graphs(shift_closure(lifted), kit.space.marked)
-    return tabulate(kit.conjugate, closure)
+    images = tabulate(kit.conjugate, closure).images
+    return FuncDynamics(kit.conjugate.name, images.__getitem__,
+                        kit.space.marked), closure
 
 
 def check_locality(L: Dynamics, radius: int, fam: GraphFamily) -> Optional[str]:

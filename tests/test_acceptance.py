@@ -242,7 +242,6 @@ def test_07_inverse_correctness(head_family_6):
 def test_08_mark_involution():
     space = MarkSpace.for_base(AB0)
     fam = enumerate_family(space.marked, 4,
-                           predicate=space.is_mark_consistent,
                            raw_prune=space.raw_mark_consistent)
     toggled = fixed = 0
     for X in fam:

@@ -29,7 +29,6 @@ from cgd.blocks import (
     ReversibleExtension,
     ShiftedDynamics,
     anchored_locality_radius,
-    check_locality,
     find_locality_radius,
     footprint,
     gate_footprint,
@@ -154,7 +153,6 @@ class TestMarkSpace:
 
     def test_drop_is_valid_or_refused(self):
         family = enumerate_family(SPACE.marked, 3,
-                                  predicate=SPACE.is_mark_consistent,
                                   raw_prune=SPACE.raw_mark_consistent)
         dropped = refused = 0
         for X in family:
@@ -304,15 +302,23 @@ class TestMarkTablesAgainstSlicing:
         for X in family:
             agree_on_predicates(SPACE, X, relabel(X))
 
+    def test_mark_prune_alone_is_exact(self):
+        # The prune keeps exactly the mark-consistent graphs, in the
+        # unpruned family's order, so no caller filters its output again.
+        family = enumerate_family(SPACE.marked, 2)
+        pruned = enumerate_family(SPACE.marked, 2,
+                                  raw_prune=SPACE.raw_mark_consistent)
+        assert len(family) == 2676
+        assert pruned.members == tuple(
+            X for X in family if SPACE.is_mark_consistent(X))
+
     def test_mark_consistent_graphs_up_to_three_vertices(self):
         old = SlicingMarks(SPACE)
         family = enumerate_family(SPACE.marked, 3,
-                                  predicate=old.is_mark_consistent,
                                   raw_prune=old.raw_mark_consistent)
         assert len(family) == 1008
         assert family.members == enumerate_family(
-            SPACE.marked, 3, predicate=SPACE.is_mark_consistent,
-            raw_prune=SPACE.raw_mark_consistent).members
+            SPACE.marked, 3, raw_prune=SPACE.raw_mark_consistent).members
         for X in family:
             agree_on_gate_and_round_trips(SPACE, X)
 
@@ -418,7 +424,6 @@ class TestMarkGate:
 
     def test_involution_on_enumerated_marked_family(self):
         fam = enumerate_family(SPACE.marked, 3,
-                               predicate=SPACE.is_mark_consistent,
                                raw_prune=SPACE.raw_mark_consistent)
         toggled = fixed = 0
         for X in fam:
@@ -892,7 +897,6 @@ class TestAnchoredGates:
         # Every mark-consistent ab/0 graph of up to 3 vertices, back-offs at
         # an anchor that is not the origin among them.
         fam = enumerate_family(SPACE.marked, 3,
-                               predicate=SPACE.is_mark_consistent,
                                raw_prune=SPACE.raw_mark_consistent)
         gate = MarkDynamics(SPACE)
         backed_off = 0
@@ -1180,7 +1184,7 @@ class TestLocality:
         fam = GraphFamily.from_graphs(
             [SPACE.lift(bare_tape(n, AB0)) for n in (1, 2, 3, 4)],
             SPACE.marked)
-        assert check_locality(ident, 0, fam) is None
+        assert find_locality_radius(ident, fam, 0) is not None
 
     def test_conjugate_mark_is_local(self):
         kit = moving_head_kit()
@@ -1193,7 +1197,7 @@ class TestLocality:
     def test_global_rule_is_not_local(self):
         rule, fam = parity_flip_on_chains()
         for radius in (0, 1, 2):
-            assert check_locality(rule, radius, fam) is not None
+            assert find_locality_radius(rule, fam, radius) is None
 
     def test_footprint_contained_in_ball(self):
         kit = moving_head_kit()
@@ -1325,16 +1329,17 @@ def flip_edge_label(X, anchor=EPSILON):
 
 
 class TestLocalityAgainstOracles:
-    """`check_locality`, `find_locality_radius` and `gate_footprint` agree
-    with the versions that searched radius by radius and mapped edges by
-    hand (`oracles`): results, messages and raised errors."""
+    """`find_locality_radius` and `gate_footprint` agree with the versions
+    that searched radius by radius and mapped edges by hand (`oracles`):
+    results, messages and raised errors.  A radius bound r passes exactly
+    when the oracle's `check_locality` passes at r."""
 
     def test_cli_kits_on_lifted_tapes(self, conjugates):
         radii = []
         for gate, fam in conjugates:
             for r in range(5):
-                assert (check_locality(gate, r, fam)
-                        == oracles.check_locality(gate, r, fam))
+                assert ((find_locality_radius(gate, fam, r) is not None)
+                        == (oracles.check_locality(gate, r, fam) is None))
                 assert (find_locality_radius(gate, fam, r)
                         == oracles.find_locality_radius(gate, fam, r))
             radii.append(find_locality_radius(gate, fam))
@@ -1343,8 +1348,8 @@ class TestLocalityAgainstOracles:
     def test_parity_flip(self):
         rule, fam = parity_flip_on_chains()
         for r in range(5):
-            assert check_locality(rule, r, fam) == oracles.check_locality(rule, r, fam)
             got = find_locality_radius(rule, fam, r)
+            assert (got is not None) == (oracles.check_locality(rule, r, fam) is None)
             assert got == oracles.find_locality_radius(rule, fam, r)
             # The flipped 4-chain's farthest vertex is 3 hops out.
             assert got == (None if r < 3 else 3)
@@ -1356,8 +1361,8 @@ class TestLocalityAgainstOracles:
         for n in (2, 3, 4):
             fam = enumerate_family(turtle.alphabets, n)
             for r in range(4):
-                assert (check_locality(turtle, r, fam)
-                        == oracles.check_locality(turtle, r, fam))
+                assert ((find_locality_radius(turtle, fam, r) is not None)
+                        == (oracles.check_locality(turtle, r, fam) is None))
                 assert (find_locality_radius(turtle, fam, r)
                         == oracles.find_locality_radius(turtle, fam, r))
 
@@ -1375,8 +1380,8 @@ class TestLocalityAgainstOracles:
         assert len(far_end) == 4
         assert find_locality_radius(gate, fam) == 1
         for r in range(5):
-            assert (check_locality(gate, r, fam)
-                    == oracles.check_locality(gate, r, fam))
+            assert ((find_locality_radius(gate, fam, r) is not None)
+                    == (oracles.check_locality(gate, r, fam) is None))
             assert (find_locality_radius(gate, fam, r)
                     == oracles.find_locality_radius(gate, fam, r))
 
@@ -1385,7 +1390,7 @@ class TestLocalityAgainstOracles:
         gate = conjugates[0][0]
         assert find_locality_radius(gate, fam) == 0
         assert oracles.find_locality_radius(gate, fam) == 0
-        assert check_locality(gate, 0, fam) is None
+        assert find_locality_radius(gate, fam, 0) is not None
 
     def test_one_application_per_member(self, conjugates):
         # The gate sees the members the old search's last radius showed it:
@@ -1408,8 +1413,6 @@ class TestLocalityAgainstOracles:
             for r in range(5):
                 assert (outcome(find_locality_radius, poisoned(), fam, r)
                         == outcome(oracles.find_locality_radius, poisoned(), fam, r))
-                assert (outcome(check_locality, poisoned(), r, fam)
-                        == outcome(oracles.check_locality, poisoned(), r, fam))
 
     def test_footprints_on_lifted_tapes(self, cli_kits):
         kit = cli_kits[0]
@@ -1443,7 +1446,7 @@ class TestAnchoredGateReading:
     @staticmethod
     def anchors_agreeing(kit, graphs):
         lifted = [kit.space.lift(X) for X in graphs]
-        table = oracles.tabulated_origin_gate(kit, lifted)
+        table, closure = oracles.tabulated_origin_gate(kit, lifted)
         gates = [(X, list(kit.conjugate_marks(X, X.vertices))) for X in lifted]
         anchors, undefined = 0, 0
         for X, results in gates:
@@ -1460,7 +1463,7 @@ class TestAnchoredGateReading:
                         == oracles.find_locality_radius(table, member))
                 anchors += 1
         radius = anchored_locality_radius(gates)
-        assert radius == oracles.find_locality_radius(table, table.family)
+        assert radius == oracles.find_locality_radius(table, closure)
         return anchors, undefined, radius
 
     @pytest.mark.parametrize("which, radius", [(0, 2), (1, 1)])

@@ -513,6 +513,18 @@ class TestInputBounds:
         one_error_line(capsys, "--steps", "at least 0")
         assert not (tmp_path / "out").exists()
 
+    def test_negative_expected_exceptions(self, capsys):
+        assert main(["verify", "--dynamics", "turtle", "--max-vertices", "2",
+                     "--expect-exceptions", "-1"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr() == (
+            "", "error: --expect-exceptions must be at least 0, got -1\n")
+
+    def test_family_all_needs_fixed_alphabets(self, capsys):
+        assert main(["verify", "--dynamics", "identity", "--family", "all",
+                     "--max-vertices", "2"]) == EXIT_BAD_INPUT
+        assert capsys.readouterr() == (
+            "", "error: identity accepts any alphabets; choose a named family\n")
+
     @pytest.mark.parametrize("name", ["turtle", "inflating-grid"])
     def test_blocks_need_a_tape_dynamics(self, name, tape_file, capsys):
         assert main(["check-blocks", "--dynamics", name,

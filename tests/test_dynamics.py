@@ -427,6 +427,24 @@ class TestContinuityProbe:
         Y = shift(bare, bare.vertices[1])
         assert continuity_probe(mh, X, Y, 0, 0) is not None
 
+    def test_correspondence_that_depends_on_the_length(self):
+        # The tapes of 4 and 5 cells agree on the radius-1 disk and are
+        # their own images, but the 4-cell one's correspondence reverses
+        # the tape, so the maps restricted to the image disk differ.
+        def flip_even(X):
+            order = X.vertices[::-1] if len(X.vertices) % 2 == 0 else X.vertices
+            return X, dict(zip(X.vertices, order))
+        D = FuncDynamics("flip-even", flip_even, TAPE_ALPHABETS)
+        assert continuity_probe(D, bare_tape(4), bare_tape(5), 0, 1) == (
+            "restricted correspondences disagree at image radius 0")
+
+    def test_domain_escapes_the_source_disk(self):
+        # The identity's image disk at radius 3 reaches farther than the
+        # source disk at radius 1.
+        X = bare_tape(5)
+        assert continuity_probe(IdentityDynamics(), X, X, 3, 1) == (
+            "restricted correspondence domain escapes the source disk")
+
     def test_vacuous_when_sources_differ(self):
         mh = get_dynamics("moving-head")
         assert continuity_probe(

@@ -125,28 +125,31 @@ class TestEnumeration:
 
     def test_one_vertex_two_labels_no_edges(self):
         alph = Alphabets.make("ab", vertex_labels=("x", "y"))
-        fam = enumerate_family(alph, 1, predicate=lambda g: not g.edges)
-        assert len(fam) == 2
+        assert len([g for g in enumerate_family(alph, 1) if not g.edges]) == 2
 
     def test_deterministic_order(self):
         a = enumerate_family(AB0, 3)
         b = enumerate_family(AB0, 3)
         assert a.members == b.members
 
-    def test_cap(self):
+    def test_cap(self, monkeypatch):
+        monkeypatch.setenv("CGD_FAMILY_CAP", "10")
         with pytest.raises(FamilyCapError):
-            enumerate_family(AB0, 6, cap=10)
+            enumerate_family(AB0, 6)
 
-    @pytest.mark.parametrize("build, error, message", [
-        (lambda: GraphFamily.from_graphs([]), ValueError,
+    @pytest.mark.parametrize("build, cap, error, message", [
+        (lambda: GraphFamily.from_graphs([]), None, ValueError,
          "empty family needs explicit alphabets"),
         (lambda: GraphFamily((bare_tape(1), bare_tape(1)), TAPE_ALPHABETS),
-         ValueError, "family contains duplicates"),
-        (lambda: enumerate_family(AB0, 0), ValueError, "max_vertices must be >= 1"),
-        (lambda: brute_force_family(AB0, 3, cap=1), FamilyCapError,
+         None, ValueError, "family contains duplicates"),
+        (lambda: enumerate_family(AB0, 0), None, ValueError,
+         "max_vertices must be >= 1"),
+        (lambda: brute_force_family(AB0, 3), "1", FamilyCapError,
          "family exceeds cap of 1 graphs (set CGD_FAMILY_CAP to raise it)"),
     ], ids=["empty", "duplicates", "no-vertices", "brute-force-cap"])
-    def test_refusals(self, build, error, message):
+    def test_refusals(self, build, cap, error, message, monkeypatch):
+        if cap is not None:
+            monkeypatch.setenv("CGD_FAMILY_CAP", cap)
         with pytest.raises(error) as err:
             build()
         assert type(err.value) is error
@@ -168,10 +171,8 @@ class TestEnumeration:
         # The filter keeps only constructed members, so equality says the
         # search reaches each of them.
         constructed = set(shift_closure(single_head_tapes(2)))
-        fam = enumerate_family(TAPE_ALPHABETS, 3,
-                               predicate=constructed.__contains__,
-                               raw_prune=tape_like)
-        assert set(fam.members) == constructed
+        fam = enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like)
+        assert {g for g in fam if g in constructed} == constructed
 
     def test_family_membership(self):
         fam = GraphFamily.from_graphs(single_head_tapes(3))
@@ -234,15 +235,29 @@ class TestCanonicalAugmentation:
         assert len(enumerate_family(MARKED.marked, 3,
                                     raw_prune=MARKED.raw_mark_consistent)) == 1008
 
-    def test_cap_counts_members(self):
-        assert len(enumerate_family(AB0, 4, cap=64)) == 64
+    def test_cap_counts_members(self, monkeypatch):
+        monkeypatch.setenv("CGD_FAMILY_CAP", "64")
+        assert len(enumerate_family(AB0, 4)) == 64
+        monkeypatch.setenv("CGD_FAMILY_CAP", "63")
         with pytest.raises(FamilyCapError, match="CGD_FAMILY_CAP"):
-            enumerate_family(AB0, 4, cap=63)
+            enumerate_family(AB0, 4)
 
-    def test_cap_counts_only_graphs_that_pass_the_prune(self):
+    def test_cap_counts_only_graphs_that_pass_the_prune(self, monkeypatch):
         fam = enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like)
-        assert len(enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like,
-                                    cap=len(fam))) == len(fam)
+        monkeypatch.setenv("CGD_FAMILY_CAP", str(len(fam)))
+        assert len(enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like)) == len(fam)
+        monkeypatch.setenv("CGD_FAMILY_CAP", str(len(fam) - 1))
         with pytest.raises(FamilyCapError):
-            enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like,
-                             cap=len(fam) - 1)
+            enumerate_family(TAPE_ALPHABETS, 3, raw_prune=tape_like)
+
+    @pytest.mark.parametrize("enumerate_", [enumerate_family, brute_force_family])
+    def test_cap_of_the_family_size_passes(self, enumerate_, monkeypatch):
+        # The variable is the only cap either enumerator reads.
+        fam = enumerate_(AB0, 3)
+        monkeypatch.setenv("CGD_FAMILY_CAP", str(len(fam)))
+        assert enumerate_(AB0, 3).members == fam.members
+        monkeypatch.setenv("CGD_FAMILY_CAP", str(len(fam) - 1))
+        with pytest.raises(FamilyCapError) as err:
+            enumerate_(AB0, 3)
+        assert str(err.value) == (f"family exceeds cap of {len(fam) - 1} graphs "
+                                  f"(set CGD_FAMILY_CAP to raise it)")

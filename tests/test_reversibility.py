@@ -275,6 +275,34 @@ class TestBuildInverse:
         with pytest.raises(InverseConstructionError):
             build_inverse(collapse_dynamics(), fam)
 
+    def test_image_vertex_with_no_source_in_its_class(self):
+        # A permutation of {the 0 vertex, the 0-1 path at its 0 end, the
+        # same path at its 1 end} that swaps the first two and sends the
+        # lone vertex to the path's 0 end: the path's 1 vertex is reached
+        # from no vertex of its class, so there is no inverse vertex map.
+        one = RawGraph(alphabets=AB01, vertices=(0,), vertex_labels={0: "0"})
+        path = RawGraph(alphabets=AB01, vertices=(0, 1),
+                        edges=frozenset({make_edge(0, "a", 1, "b")}),
+                        vertex_labels={0: "0", 1: "1"})
+        S = canonicalize(PointedRawGraph(one, 0))
+        P0, P1 = (canonicalize(PointedRawGraph(path, v)) for v in (0, 1))
+
+        def swap(X):
+            if X == S:
+                return P0, {EPSILON: EPSILON}
+            if X == P0:
+                return S, {v: EPSILON for v in X.vertices}
+            return X, {v: v for v in X.vertices}
+
+        fam = GraphFamily.from_graphs([S, P0, P1])
+        tab = tabulate(FuncDynamics("swap", swap, AB01), fam)
+        assert tab.bijectivity_problem() is None
+        with pytest.raises(InverseConstructionError) as info:
+            tab.inverse()
+        assert type(info.value) is InverseConstructionError
+        assert str(info.value) == (f"no source vertex maps into the class of "
+                                   f"an image vertex of {P0!r}")
+
     def test_serialization_pairs_blocks(self, head_tapes_5):
         mh = get_dynamics("moving-head")
         table = build_inverse(mh, head_tapes_5)
@@ -599,13 +627,3 @@ class TestStrayCorrespondence:
             TAPE_ALPHABETS)
         assert check_vertex_preserving(D, bare_tape(2)) == \
             "correspondence sends ab outside the image"
-
-
-class TestTabulationAsGate:
-    def test_reads_the_table_and_refuses_other_graphs(self):
-        D = get_dynamics("turtle")
-        tab = tabulate(D, enumerate_family(TURTLE_ALPH, 2))
-        X = next(iter(tab.family))
-        assert tab.apply(X) is tab.images[X]
-        with pytest.raises(OutOfFamilyError):
-            tab.apply(ab_line(3))
